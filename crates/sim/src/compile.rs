@@ -16,16 +16,17 @@
 //!   lexical scoping — while keeping their issue/flop charges,
 //! * fuses single-use index arithmetic into the loads that consume it and
 //!   load/fma/store round trips through an accumulator variable into single
-//!   [`SStep`] superops, and
+//!   [`SStep`] superops,
 //! * resolves every global-memory access site once per worker per launch to
-//!   a raw `(pointer, length, base address)` triple ([`PrepSite`]), so the
-//!   turbo loop performs bounds checks, injected-ECC decisions and cache
-//!   line accounting with the *same* order and arithmetic as
+//!   its cells, length and base address ([`Site`]), so the turbo loop
+//!   performs bounds checks, injected-ECC decisions and cache line
+//!   accounting with the *same* order and arithmetic as
 //!   [`Machine::mem_access_one`], but without per-access handle lookups or
-//!   memory-view dispatch. Element accesses go through relaxed atomics —
-//!   exactly the cells `SharedMem` uses — so the parallel path stays
-//!   data-race-free and the exclusive path pays nothing (a relaxed 8-byte
-//!   access is a plain move on x86-64).
+//!   memory-view dispatch, and
+//! * treats an else-less `If` over a fusible straight line as a *guard* — a
+//!   forward skip in the step list — so the tail-guarded element loop
+//!   `for_elements { if i < n { .. } }` fuses too: such a loop charges
+//!   `trips × unguarded + taken × guarded` (see [`exec_fused`]).
 //!
 //! Global atomics execute as step-list superops too: the launch driver's
 //! deferral plan (see `crate::atomics`) decides at run time whether an
@@ -34,16 +35,18 @@
 //! gate requires a plan whenever a program contains atomics. Either way the
 //! buffers, stats and error surfaces match the lowered engine bit for bit.
 //!
-//! Everything the step list cannot express — divergent control flow,
-//! barriers, shared memory, `while` loops, multi-lane blocks,
-//! near-exhausted fuel — falls back to the lowered interpreter's own
-//! `exec_ops`/`exec_for_lowered` on the *same* state, so buffers,
-//! [`LaunchStats`], `TimeBreakdown`, traces and structured fault errors are
-//! bit-identical across all three engines (the determinism suite pins this
-//! four ways: engines × worker counts). While a vectorization region is
-//! probing (its first two iterations log addresses), the fused loop runs
-//! the generic step list so the probe log matches the lowered engine access
-//! for access; the turbo loop takes over once the log is sealed.
+//! The step list runs only at **one lane per block under a full mask** with
+//! fuel for every iteration (all guards taken) and every buffer slot bound.
+//! Everything else — multi-lane blocks, barriers, shared memory, `while`
+//! loops, branches with an else side or nested control flow,
+//! near-exhausted fuel — runs the lowered interpreter's own
+//! `exec_ops`/`exec_for_lowered` on the *same* state (whose data ops are
+//! the lane kernels of `crate::lanes`), so buffers, [`LaunchStats`],
+//! `TimeBreakdown`, traces and structured fault errors are bit-identical
+//! across all three engines (the determinism suite pins this four ways:
+//! engines × worker counts). While a vectorization region is probing (its
+//! first two iterations log addresses), the turbo loop mirrors the probe
+//! log inline, access for access.
 //!
 //! When a launch is traced or profiled, the compiled engine is not used at
 //! all — `run_kernel_launch_faulty` keeps `LaunchCtx::compiled` empty and
@@ -62,11 +65,11 @@ use alpaka_kir::semantics as sem;
 use crate::cache::CacheSim;
 use crate::fault::SimError;
 use crate::interp::{Caches, LaunchCtx, Machine, MemAccess, RegionAcc, WorkerOut, R};
+use crate::lanes::{self, rd1, rd1f, rd1i, rmw_f, rmw_i, wr1, Site};
 use crate::lower::{
     exec_for_lowered, exec_ops, fill_branch_mask, first_active, idx, is_u, run_warp_blocks,
     CacheCounters, LOp, LowState, MaskBuf, WarpProgram,
 };
-use crate::serr;
 use crate::spec::DeviceSpec;
 use crate::stats::LaunchStats;
 
@@ -133,10 +136,50 @@ struct StepsRun {
     hi: usize,
     /// The run's ops with `Account`s stripped.
     steps: Vec<LOp>,
-    fuel: u64,
-    issue: u64,
+    charge: Charge,
+}
+
+/// What a straight line charges per execution — the summed constants of
+/// its `Account` ops: `n` instructions of fuel and issue, plus flops and
+/// special-function counts per active lane.
+#[derive(Clone, Copy, Default)]
+struct Charge {
+    n: u64,
     flops: u64,
     special: u64,
+}
+
+impl Charge {
+    fn of(ops: &[LOp]) -> Charge {
+        let mut c = Charge::default();
+        for op in ops {
+            if let LOp::Account {
+                n, flops, special, ..
+            } = *op
+            {
+                c.add(Charge { n, flops, special }, 1);
+            }
+        }
+        c
+    }
+
+    fn add(&mut self, c: Charge, times: u64) {
+        self.n += times * c.n;
+        self.flops += times * c.flops;
+        self.special += times * c.special;
+    }
+
+    /// Book the charge (fuel excepted) under `mask`: same totals, same
+    /// region/scalar routing as the `Account` ops it was summed from.
+    fn book(&self, m: &mut Machine<'_>, mask: &MaskBuf) {
+        m.add_issue(self.n * mask.warp_issues);
+        if self.flops > 0 {
+            m.add_flops(self.flops * mask.active);
+        }
+        if self.special > 0 {
+            m.add_special(self.special * mask.active);
+        }
+    }
 }
 
 /// A uniform-counter loop compiled to a step list with batched accounting.
@@ -148,12 +191,9 @@ struct FusedLoop {
     /// Body op range in `wp.ops`, for the exact-parity fallback path.
     b0: usize,
     bend: usize,
-    /// The body's live ops, `Account`s stripped (their charges are the
-    /// per-iteration constants below) and dead pure writes eliminated.
-    /// Used while a region probe is still logging addresses.
-    steps: Vec<LOp>,
-    /// `steps` recompiled into superop form over pre-resolved memory sites,
-    /// for the single-lane turbo path.
+    /// The body's live ops — `Account`s stripped (their charges are the
+    /// constants below), dead pure writes eliminated — in superop form over
+    /// pre-resolved memory sites, for the single-lane turbo path.
     turbo: Vec<SStep>,
     /// Global-memory buffers `turbo` touches, in first-use order.
     sites: Vec<SiteRef>,
@@ -161,12 +201,12 @@ struct FusedLoop {
     dot: Option<DotKernel>,
     /// Index into the per-worker prepared-site table.
     id: usize,
-    /// Fuel per iteration: 1 (the loop's own burn) + Σ `Account::n`.
-    fuel_per_iter: u64,
-    /// Σ `Account::n` — warp instruction issues per iteration.
-    issue_per_iter: u64,
-    flops_per_iter: u64,
-    special_per_iter: u64,
+    /// Charged every iteration: the ops outside any guard (the loop's own
+    /// per-iteration burn of one fuel unit comes on top).
+    per_iter: Charge,
+    /// Charged per iteration in which guard `g` is taken; indexed by
+    /// [`SStep::Guard::charge`].
+    guards: Vec<Charge>,
 }
 
 /// One step of a fused body in superop form. Register slots keep the
@@ -174,8 +214,15 @@ struct FusedLoop {
 /// global-memory sites.
 #[derive(Clone, Copy)]
 enum SStep {
-    /// Anything without a superop shape: executed by [`scalar_pure`].
+    /// Anything without a superop shape: executed by `lanes::alu`.
     Pure(LOp),
+    /// An else-less `If` over the next `skip` steps: a forward skip when
+    /// `cond` is false, `guards[charge]` on top of the iteration otherwise.
+    Guard {
+        cond: u32,
+        skip: u16,
+        charge: u16,
+    },
     BinF {
         op: FBin,
         d: u32,
@@ -448,18 +495,8 @@ struct SiteRef {
     is_f: bool,
 }
 
-/// A site resolved against the launch's actual buffers: raw element
-/// pointer, element count, and virtual base byte address. Valid for the
-/// whole launch — device buffers never move or resize while a kernel runs.
-#[derive(Clone, Copy)]
-struct PrepSite {
-    ptr: *mut u64,
-    len: usize,
-    base: u64,
-}
-
 /// Per-worker prepared-site storage, lazily filled on first execution.
-type PrepTable = [Option<Box<[PrepSite]>>];
+type PrepTable = [Option<Box<[Site]>>];
 
 // ---------------------------------------------------------------------------
 // Compilation
@@ -471,33 +508,17 @@ type PrepTable = [Option<Box<[PrepSite]>>];
 /// launch plan or apply in place is a per-launch (`Machine`) decision, so
 /// the compiled form — cached per program — is valid for both modes.
 fn fusible(op: &LOp) -> bool {
-    matches!(
-        op,
-        LOp::Account { .. }
-            | LOp::BinF { .. }
-            | LOp::UnF { .. }
-            | LOp::Fma { .. }
-            | LOp::BinI { .. }
-            | LOp::NegI { .. }
-            | LOp::CmpF { .. }
-            | LOp::CmpI { .. }
-            | LOp::BinB { .. }
-            | LOp::NotB { .. }
-            | LOp::Sel { .. }
-            | LOp::I2F { .. }
-            | LOp::F2I { .. }
-            | LOp::U2UnitF { .. }
-            | LOp::LdVar { .. }
-            | LOp::StVar { .. }
-            | LOp::LdGF { .. }
-            | LOp::LdGI { .. }
-            | LOp::StGF { .. }
-            | LOp::StGI { .. }
-            | LOp::LdLF { .. }
-            | LOp::StLF { .. }
-            | LOp::AtomicF { .. }
-            | LOp::AtomicI { .. }
-    )
+    op.is_compute()
+        || matches!(
+            op,
+            LOp::Account { .. }
+                | LOp::LdGF { .. }
+                | LOp::LdGI { .. }
+                | LOp::StGF { .. }
+                | LOp::StGI { .. }
+                | LOp::AtomicF { .. }
+                | LOp::AtomicI { .. }
+        )
 }
 
 /// Visit the register slots `op` reads.
@@ -527,7 +548,7 @@ fn for_each_src(op: &LOp, mut f: impl FnMut(u32)) {
             f(t);
             f(e);
         }
-        LOp::StVar { val, .. } => f(val),
+        LOp::StVar { val, .. } | LOp::If { cond: val, .. } => f(val),
         LOp::LdGF { i, .. } | LOp::LdGI { i, .. } | LOp::LdLF { i, .. } => f(i),
         LOp::StGF { i, val, .. }
         | LOp::StGI { i, val, .. }
@@ -582,8 +603,22 @@ fn dst_of(op: &LOp) -> Option<u32> {
 /// Folding is sound because every register slot in a lowered body has at
 /// most one defining op (slots map 1:1 to SSA values) — an operand read at
 /// the consumer's position sees the same value it had at the producer's.
+/// A fold never crosses a guard: producer and consumer must sit in the same
+/// region, or the folded step would run when its producer would not have.
+///
+/// `steps` holds guards as `LOp::If { cond, then_len, .. }` over the next
+/// `then_len` steps; guard `g` (in order) charges `guards[g]`.
 fn build_turbo(steps: &[LOp]) -> (Vec<SStep>, Vec<SiteRef>) {
     let n = steps.len();
+    // Region of each step: 0 outside any guard, `g + 1` inside guard `g`.
+    let mut region = vec![0usize; n];
+    let mut n_guards = 0;
+    for (i, op) in steps.iter().enumerate() {
+        if let LOp::If { then_len, .. } = *op {
+            n_guards += 1;
+            region[i + 1..=i + then_len as usize].fill(n_guards);
+        }
+    }
     let mut def: HashMap<u32, usize> = HashMap::new();
     let mut readers: HashMap<u32, Vec<usize>> = HashMap::new();
     for (i, op) in steps.iter().enumerate() {
@@ -605,7 +640,7 @@ fn build_turbo(steps: &[LOp]) -> (Vec<SStep>, Vec<SiteRef>) {
         match *op {
             LOp::LdGF { i: ix, .. } | LOp::LdGI { i: ix, .. } => {
                 let Some(&di) = def.get(&ix) else { continue };
-                if di >= i || !only_reader(ix, i) {
+                if di >= i || region[di] != region[i] || !only_reader(ix, i) {
                     continue;
                 }
                 let LOp::BinI {
@@ -623,7 +658,7 @@ fn build_turbo(steps: &[LOp]) -> (Vec<SStep>, Vec<SiteRef>) {
                 let mut also = None;
                 for (side, other) in [(a, b), (b, a)] {
                     if let Some(&dm) = def.get(&side) {
-                        if dm < di && only_reader(side, di) {
+                        if dm < di && region[dm] == region[di] && only_reader(side, di) {
                             if let LOp::BinI {
                                 op: IBin::Mul,
                                 a: x,
@@ -650,7 +685,7 @@ fn build_turbo(steps: &[LOp]) -> (Vec<SStep>, Vec<SiteRef>) {
                 // scatters are add-indexed, and atomics keep two superop
                 // forms instead of three.
                 let Some(&di) = def.get(&ix) else { continue };
-                if di >= i || !only_reader(ix, i) {
+                if di >= i || region[di] != region[i] || !only_reader(ix, i) {
                     continue;
                 }
                 let LOp::BinI {
@@ -674,7 +709,8 @@ fn build_turbo(steps: &[LOp]) -> (Vec<SStep>, Vec<SiteRef>) {
                     continue;
                 };
                 let Some(&dl) = def.get(&c) else { continue };
-                if dl >= df || !only_reader(c, df) {
+                let one_region = region[dl] == region[i] && region[df] == region[i];
+                if dl >= df || !one_region || !only_reader(c, df) {
                     continue;
                 }
                 let LOp::LdVar { v: v2, .. } = steps[dl] else {
@@ -711,11 +747,23 @@ fn build_turbo(steps: &[LOp]) -> (Vec<SStep>, Vec<SiteRef>) {
         }
     };
     let mut out = Vec::new();
+    // `steps` index each emitted step came from, to size the guards' skips.
+    let mut from = Vec::new();
+    let mut charge = 0u16;
     for (i, op) in steps.iter().enumerate() {
         if removed[i] {
             continue;
         }
+        from.push(i);
         let step = match *op {
+            LOp::If { cond, .. } => {
+                charge += 1;
+                SStep::Guard {
+                    cond,
+                    skip: 0,
+                    charge: charge - 1,
+                }
+            }
             LOp::LdGF { d, buf, i: ix } => {
                 let site = intern(&mut sites, buf, true);
                 match fused_idx.remove(&i) {
@@ -811,11 +859,20 @@ fn build_turbo(steps: &[LOp]) -> (Vec<SStep>, Vec<SiteRef>) {
         };
         out.push(step);
     }
+    for (g, step) in out.iter_mut().enumerate() {
+        if let (SStep::Guard { skip, .. }, LOp::If { then_len, .. }) = (step, steps[from[g]]) {
+            let last = from[g] + then_len as usize;
+            *skip = from[g + 1..].iter().take_while(|&&i| i <= last).count() as u16;
+        }
+    }
     (out, sites)
 }
 
-/// Compile a uniform-counter `For` whose body is a single straight line of
-/// fusible ops; `None` when anything in the body needs the interpreter.
+/// Compile a uniform-counter `For` whose body is a straight line of fusible
+/// ops, optionally with *guards* — else-less `If`s over a fusible straight
+/// line, the tail-guard shape `for_elements { if i < n { .. } }`. At one
+/// lane a guard is a forward skip in the step list, so such loops fuse too.
+/// `None` when anything in the body needs the interpreter.
 #[allow(clippy::too_many_arguments)]
 fn try_fuse(
     wp: &WarpProgram,
@@ -828,29 +885,38 @@ fn try_fuse(
     id: usize,
 ) -> Option<FusedLoop> {
     let body = &wp.ops[b0..bend];
-    if !body.iter().all(fusible) {
+    // Guard skips are 16-bit step counts.
+    if body.len() > usize::from(u16::MAX) {
         return None;
     }
-    let mut fuel_per_iter = 1u64; // the loop's own per-iteration burn
-    let mut issue_per_iter = 0u64;
-    let mut flops_per_iter = 0u64;
-    let mut special_per_iter = 0u64;
-    for op in body {
-        if let LOp::Account {
-            n, flops, special, ..
-        } = op
-        {
-            fuel_per_iter += n;
-            issue_per_iter += n;
-            flops_per_iter += flops;
-            special_per_iter += special;
+    // Split the body into its unguarded line and the guards' lines.
+    let mut per_iter = Charge::default();
+    let mut guards = Vec::new();
+    let mut pc = 0;
+    while pc < body.len() {
+        let (line, charge) = match body[pc] {
+            LOp::If {
+                then_len,
+                else_len: 0,
+                ..
+            } => {
+                pc += 1;
+                guards.push(Charge::default());
+                (&body[pc..][..then_len as usize], guards.last_mut()?)
+            }
+            _ => (&body[pc..=pc], &mut per_iter),
+        };
+        if !line.iter().all(fusible) {
+            return None;
         }
+        charge.add(Charge::of(line), 1);
+        pc += line.len();
     }
     // Dead-write elimination: a value the body defines but never reads is
     // out of scope once the loop ends (IR validation enforces lexical
     // scoping), so pure producers of unread values can vanish outright.
     // Iterate to a fixpoint so chains of dead producers collapse too; the
-    // issue/flop charges summed above are unaffected.
+    // charges summed above are unaffected.
     let mut keep: Vec<bool> = body
         .iter()
         .map(|op| !matches!(op, LOp::Account { .. }))
@@ -877,12 +943,24 @@ fn try_fuse(
             break;
         }
     }
-    let steps: Vec<LOp> = body
-        .iter()
-        .zip(&keep)
-        .filter(|(_, &k)| k)
-        .map(|(op, _)| *op)
-        .collect();
+    // The live steps, each guard re-sized to what survived inside it.
+    let mut steps: Vec<LOp> = Vec::new();
+    for (i, op) in body.iter().enumerate() {
+        if !keep[i] {
+            continue;
+        }
+        steps.push(match *op {
+            LOp::If { cond, then_len, .. } => LOp::If {
+                cond,
+                then_len: keep[i + 1..=i + then_len as usize]
+                    .iter()
+                    .filter(|&&k| k)
+                    .count() as u32,
+                else_len: 0,
+            },
+            op => op,
+        });
+    }
     let (turbo, sites) = build_turbo(&steps);
     let dot = detect_dot(&turbo, counter);
     Some(FusedLoop {
@@ -892,15 +970,12 @@ fn try_fuse(
         vectorize,
         b0,
         bend,
-        steps,
         turbo,
         sites,
         dot,
         id,
-        fuel_per_iter,
-        issue_per_iter,
-        flops_per_iter,
-        special_per_iter,
+        per_iter,
+        guards,
     })
 }
 
@@ -926,24 +1001,6 @@ fn flush_run(wp: &WarpProgram, nodes: &mut Vec<CNode>, lo: usize, hi: usize) {
         nodes.push(CNode::Range { lo, hi });
         return;
     }
-    let mut fuel = 0u64;
-    let mut issue = 0u64;
-    let mut flops = 0u64;
-    let mut special = 0u64;
-    for op in run {
-        if let LOp::Account {
-            n,
-            flops: f,
-            special: s,
-            ..
-        } = op
-        {
-            fuel += n;
-            issue += n;
-            flops += f;
-            special += s;
-        }
-    }
     let steps: Vec<LOp> = run
         .iter()
         .filter(|op| !matches!(op, LOp::Account { .. }))
@@ -953,10 +1010,7 @@ fn flush_run(wp: &WarpProgram, nodes: &mut Vec<CNode>, lo: usize, hi: usize) {
         lo,
         hi,
         steps,
-        fuel,
-        issue,
-        flops,
-        special,
+        charge: Charge::of(run),
     }));
 }
 
@@ -1123,7 +1177,7 @@ pub(crate) fn interpret_blocks_compiled(
     indices: &[usize],
     cp: &CompiledProgram,
 ) -> Result<WorkerOut, (usize, SimError)> {
-    let mut prep: Vec<Option<Box<[PrepSite]>>> = (0..cp.n_fused).map(|_| None).collect();
+    let mut prep: Vec<Option<Box<[Site]>>> = (0..cp.n_fused).map(|_| None).collect();
     run_warp_blocks(ctx, mem, team, worker, indices, &cp.wp, |m, st| {
         cexec_range(m, st, &cp.wp, &cp.root, 0, &mut prep)
     })
@@ -1164,20 +1218,16 @@ fn cexec_nodes(
         match node {
             CNode::Range { lo, hi } => exec_ops(m, st, wp, *lo, *hi, depth, mask)?,
             CNode::Steps(sr) => {
-                if st.lanes == 1 && mask.full && m.fuel >= sr.fuel && m.profile.is_none() {
+                if st.lanes == 1 && mask.full && m.fuel >= sr.charge.n && m.profile.is_none() {
                     // Batched burn and charges: between the run's `Account`
                     // ops nothing can observe the fuel level or the stat
                     // sums, and region routing is constant across a
                     // straight line (no loop opens or closes inside).
-                    m.fuel -= sr.fuel;
-                    run_steps_scalar(m, st, &sr.steps)?;
-                    m.add_issue(sr.issue * mask.warp_issues);
-                    if sr.flops > 0 {
-                        m.add_flops(sr.flops * mask.active);
+                    m.fuel -= sr.charge.n;
+                    for op in &sr.steps {
+                        lanes::exec::<true>(m, st, mask, op)?;
                     }
-                    if sr.special > 0 {
-                        m.add_special(sr.special * mask.active);
-                    }
+                    sr.charge.book(m, mask);
                 } else {
                     exec_ops(m, st, wp, sr.lo, sr.hi, depth, mask)?;
                 }
@@ -1296,9 +1346,11 @@ fn close_region(m: &mut Machine<'_>, opened: bool) {
 }
 
 /// Execute one fused loop. The fast path — full mask, one lane per block,
-/// enough fuel for every iteration — runs the turbo step list with batched
-/// accounting; anything else falls back to the lowered interpreter's loop
-/// on the same state for exact parity.
+/// every buffer slot bound, enough fuel for every iteration even if every
+/// guard is taken — runs the turbo step list with batched accounting:
+/// `trips × per_iter + Σ taken × guard`. Anything else falls back to the
+/// lowered interpreter's loop on the same state for exact parity (an
+/// unbound slot then faults at the exact step that first touches it).
 #[allow(clippy::too_many_arguments)]
 fn exec_fused(
     m: &mut Machine<'_>,
@@ -1318,8 +1370,14 @@ fn exec_fused(
     } else {
         0
     };
-    let needed = trips.checked_mul(fl.fuel_per_iter);
-    let fast = st.lanes == 1 && mask.full && matches!(needed, Some(n) if m.fuel >= n);
+    let all_taken = 1 + fl.per_iter.n + fl.guards.iter().map(|g| g.n).sum::<u64>();
+    let fast = st.lanes == 1
+        && mask.full
+        && trips.checked_mul(all_taken).is_some_and(|n| m.fuel >= n)
+        && (prep[fl.id].is_some() || {
+            prep[fl.id] = prepare_sites(m, &fl.sites).ok();
+            prep[fl.id].is_some()
+        });
     if !fast {
         return exec_for_lowered(
             m, st, wp, fl.counter, fl.start, fl.end, fl.b0, fl.bend, depth, mask, probe,
@@ -1329,105 +1387,36 @@ fn exec_fused(
         m.profile.is_none(),
         "traced launches must run the lowered engine"
     );
-    // One batched burn for the whole loop: identical to the per-iteration
-    // burns of the interpreted path because nothing in between can observe
-    // the fuel level (errors abort the launch before it is reported).
-    m.fuel -= needed.unwrap_or(0);
-    if trips > 0 {
-        let resolved = match &prep[fl.id] {
-            Some(_) => true,
-            // Resolve sites on first use; a failure (unbound buffer slot)
-            // must surface at the exact step the interpreter would hit, so
-            // fall back to the generic list instead of erroring here.
-            None => match prepare_sites(m, &fl.sites) {
-                Ok(s) => {
-                    prep[fl.id] = Some(s);
-                    true
-                }
-                Err(_) => false,
-            },
-        };
-        if resolved {
-            let sites = prep[fl.id].as_deref().expect("prepared above");
-            run_turbo(m, st, fl, sites, s0, e0, probe)?;
-        } else {
-            let mut k = s0;
-            while k < e0 {
-                st.wu(fl.counter, k as u64);
-                run_steps_scalar(m, st, &fl.steps)?;
-                if probe {
-                    if let Some(r) = &mut m.region {
-                        r.iter += 1;
-                    }
-                }
-                k += 1;
-            }
-        }
-    }
-    // Batched straight-line charges: same totals, same region/scalar
-    // routing as the per-iteration `Account` ops of the interpreted path.
-    m.add_issue(trips * fl.issue_per_iter * mask.warp_issues);
-    if fl.flops_per_iter > 0 {
-        m.add_flops(trips * fl.flops_per_iter * mask.active);
-    }
-    if fl.special_per_iter > 0 {
-        m.add_special(trips * fl.special_per_iter * mask.active);
-    }
+    let sites = prep[fl.id].as_deref().expect("prepared above");
+    let mut total = if trips > 0 {
+        run_turbo(m, st, fl, sites, mask, (s0, e0), probe)?
+    } else {
+        Charge::default()
+    };
+    total.add(fl.per_iter, trips);
+    // One batched burn and booking for the whole loop: identical to the
+    // per-iteration burns and `Account` ops of the interpreted path because
+    // nothing in between can observe the fuel level or the stat sums
+    // (errors abort the launch before they are reported).
+    m.fuel -= trips + total.n;
+    total.book(m, mask);
     Ok(())
 }
 
 /// Resolve a fused loop's buffer sites against the launch's memory, in
 /// first-use order (so the first unbound slot errors exactly like the
 /// first interpreter step that references it).
-fn prepare_sites(m: &mut Machine<'_>, sites: &[SiteRef]) -> R<Box<[PrepSite]>> {
-    let mut out = Vec::with_capacity(sites.len());
-    for sr in sites {
-        let ps = if sr.is_f {
-            let b = m.buf_f(sr.slot)?;
-            match &mut m.mem {
-                MemAccess::Excl(d) => {
-                    let base = d.addr_f(b, 0);
-                    let v = d.f_mut(b);
-                    PrepSite {
-                        ptr: v.as_mut_ptr().cast::<u64>(),
-                        len: v.len(),
-                        base,
-                    }
-                }
-                MemAccess::Shared(v) => {
-                    let (p, len) = v.raw_f(b);
-                    PrepSite {
-                        ptr: p.cast::<u64>(),
-                        len,
-                        base: v.addr_f(b, 0),
-                    }
-                }
+fn prepare_sites(m: &mut Machine<'_>, sites: &[SiteRef]) -> R<Box<[Site]>> {
+    sites
+        .iter()
+        .map(|sr| {
+            if sr.is_f {
+                Site::f(m, sr.slot)
+            } else {
+                Site::i(m, sr.slot)
             }
-        } else {
-            let b = m.buf_i(sr.slot)?;
-            match &mut m.mem {
-                MemAccess::Excl(d) => {
-                    let base = d.addr_i(b, 0);
-                    let v = d.i_mut(b);
-                    PrepSite {
-                        ptr: v.as_mut_ptr().cast::<u64>(),
-                        len: v.len(),
-                        base,
-                    }
-                }
-                MemAccess::Shared(v) => {
-                    let (p, len) = v.raw_i(b);
-                    PrepSite {
-                        ptr: p.cast::<u64>(),
-                        len,
-                        base: v.addr_i(b, 0),
-                    }
-                }
-            }
-        };
-        out.push(ps);
-    }
-    Ok(out.into_boxed_slice())
+        })
+        .collect()
 }
 
 /// Charge one coalesced line access against the hoisted cache reference —
@@ -1457,17 +1446,18 @@ fn charge_line(
 /// The turbo loop: superop steps over pre-resolved sites, with the memory
 /// view, cache, ECC context and line geometry hoisted out of the loop.
 /// Preconditions (checked by `exec_fused`): single lane, full mask, fuel
-/// pre-charged, no profiling. Probe logging (a region's first two
-/// iterations) is mirrored inline, access for access.
+/// for every iteration, no profiling. Probe logging (a region's first two
+/// iterations) is mirrored inline, access for access. Returns what the
+/// taken guards charge on top of the per-iteration constants.
 fn run_turbo(
     m: &mut Machine<'_>,
     st: &mut LowState,
     fl: &FusedLoop,
-    sites: &[PrepSite],
-    mut k: i64,
-    e0: i64,
+    sites: &[Site],
+    mask: &MaskBuf,
+    (mut k, e0): (i64, i64),
     bump_iter: bool,
-) -> R<()> {
+) -> R<Charge> {
     let ecc = m.ecc;
     let blk = m.cur_block_lin;
     let tid0 = st.tid[0];
@@ -1576,14 +1566,13 @@ fn run_turbo(
             };
         }
         for _ in 0..trips {
-            // SAFETY: `ia`/`ib` verified in bounds for the whole range
-            // above; same live relaxed cells as `gload!`.
-            la = unsafe { AtomicU64::from_ptr(sa.ptr.add(ia as usize)).load(Ordering::Relaxed) };
+            // SAFETY: `ia`/`ib` verified in bounds for the whole range above.
+            la = unsafe { sa.cell_unchecked(ia as usize) }.load(Ordering::Relaxed);
             probe_push!(addr_a);
             if let Some(c) = ch.as_mut() {
                 c.access_line(addr_a >> shift);
             }
-            lb = unsafe { AtomicU64::from_ptr(sb.ptr.add(ib as usize)).load(Ordering::Relaxed) };
+            lb = unsafe { sb.cell_unchecked(ib as usize) }.load(Ordering::Relaxed);
             probe_push!(addr_b);
             if let Some(c) = ch.as_mut() {
                 c.access_line(addr_b >> shift);
@@ -1622,8 +1611,9 @@ fn run_turbo(
         st.wu(fl.counter, (e0 - 1) as u64);
         Some(())
     })();
+    let mut taken = Charge::default();
     if dot_done.is_some() {
-        return Ok(());
+        return Ok(taken);
     }
     // Mirror of `Machine::mem_access_one`'s probe logging: record the
     // address while the enclosing region's first two iterations are being
@@ -1647,19 +1637,10 @@ fn run_turbo(
     }
 
     // One global load: bounds check, ECC decision, relaxed element read and
-    // line accounting in exactly the order of the `exec_ops` arm.
+    // line accounting in exactly the order of `lanes::ld_global`.
     macro_rules! gload {
         ($d:expr, $site:expr, $ix:expr, $what:literal) => {{
-            let s = sites[$site as usize];
-            let ix: i64 = $ix;
-            if ix < 0 || ix as usize >= s.len {
-                let len = s.len;
-                return Err(
-                    serr!(concat!($what, ": index {} out of bounds (len {})"), ix, len)
-                        .at_thread(tid0),
-                );
-            }
-            let a = s.base + (ix as u64) * 8;
+            let (cell, a) = sites[$site as usize].cell($what, $ix, tid0)?;
             if let Some(e) = ecc {
                 if e.hits(blk, a) {
                     return Err(SimError::transient(format!(
@@ -1672,12 +1653,7 @@ fn run_turbo(
                     .at_thread(tid0));
                 }
             }
-            // SAFETY: bounds-checked element of a live, 8-aligned device
-            // allocation that outlives the launch; concurrent workers use
-            // the same relaxed cells (see `SharedMem`).
-            let bits =
-                unsafe { AtomicU64::from_ptr(s.ptr.add(ix as usize)).load(Ordering::Relaxed) };
-            wr1(st, $d, bits);
+            wr1(st, $d, cell.load(Ordering::Relaxed));
             stats.global_loads += 1;
             probe_log!(a);
             charge_line(&mut cache, stats, line_of(a), line_bytes);
@@ -1685,102 +1661,40 @@ fn run_turbo(
     }
     macro_rules! gstore {
         ($site:expr, $ix:expr, $val:expr, $what:literal) => {{
-            let s = sites[$site as usize];
-            let ix: i64 = $ix;
-            if ix < 0 || ix as usize >= s.len {
-                let len = s.len;
-                return Err(
-                    serr!(concat!($what, ": index {} out of bounds (len {})"), ix, len)
-                        .at_thread(tid0),
-                );
-            }
-            let bits: u64 = $val;
-            // SAFETY: as in `gload!`.
-            unsafe { AtomicU64::from_ptr(s.ptr.add(ix as usize)).store(bits, Ordering::Relaxed) };
+            let (cell, a) = sites[$site as usize].cell($what, $ix, tid0)?;
+            cell.store($val, Ordering::Relaxed);
             stats.global_stores += 1;
-            let a = s.base + (ix as u64) * 8;
             probe_log!(a);
             charge_line(&mut cache, stats, line_of(a), line_bytes);
         }};
     }
 
-    // One global atomic: the single-lane specialization of the matching
-    // `exec_ops` arm — charge, bounds check, then defer to the launch's
-    // privatization plan or apply in place. Atomic units are modeled apart
-    // from the load/store path, so (like the interpreter) this touches no
-    // cache, probe log or ECC state.
-    macro_rules! atom_f {
-        ($op:expr, $d:expr, $site:expr, $slot:expr, $ix:expr, $v:expr) => {{
-            let s = sites[$site as usize];
+    // One global atomic: the single-lane form of `lanes::atomic` — charge,
+    // bounds check, then defer or apply in place (no cache, probe log or
+    // ECC state, like the interpreter).
+    macro_rules! atom {
+        ($rmw:ident, $what:literal, $op:expr, $d:expr, $site:expr, $slot:expr, $ix:expr, $v:expr) => {{
             stats.atomics += 1;
             let ix: i64 = $ix;
-            if ix < 0 || ix as usize >= s.len {
-                let len = s.len;
-                return Err(
-                    serr!("atom.global.f64: index {} out of bounds (len {})", ix, len)
-                        .at_thread(tid0),
-                );
-            }
-            let v: f64 = $v;
-            match atomics
-                .as_mut()
-                .and_then(|ap| ap.target_f($slot).map(move |t| (ap, t)))
-            {
-                Some((ap, t)) => {
-                    // Deferred: the plan guarantees the old value is dead.
-                    ap.defer_f(t, $op, blk as u64, ix as usize, v);
-                    wr1(st, $d, 0);
-                }
-                None => {
-                    // Plan-less launches run serially, so the relaxed RMW
-                    // is race-free and equals the interpreter's
-                    // read/modify/write on the same cells.
-                    // SAFETY: bounds-checked element as in `gload!`.
-                    let cell = unsafe { AtomicU64::from_ptr(s.ptr.add(ix as usize)) };
-                    let old = f64::from_bits(cell.load(Ordering::Relaxed));
-                    cell.store(sem::atomic_f($op, old, v).to_bits(), Ordering::Relaxed);
-                    wr1(st, $d, old.to_bits());
-                }
-            }
-        }};
-    }
-    macro_rules! atom_i {
-        ($op:expr, $d:expr, $site:expr, $slot:expr, $ix:expr, $v:expr) => {{
-            let s = sites[$site as usize];
-            stats.atomics += 1;
-            let ix: i64 = $ix;
-            if ix < 0 || ix as usize >= s.len {
-                let len = s.len;
-                return Err(
-                    serr!("atom.global.s64: index {} out of bounds (len {})", ix, len)
-                        .at_thread(tid0),
-                );
-            }
-            let v: i64 = $v;
-            match atomics
-                .as_mut()
-                .and_then(|ap| ap.target_i($slot).map(move |t| (ap, t)))
-            {
-                Some((ap, t)) => {
-                    ap.defer_i(t, $op, blk as u64, ix as usize, v);
-                    wr1(st, $d, 0);
-                }
-                None => {
-                    // SAFETY: bounds-checked element as in `gload!`.
-                    let cell = unsafe { AtomicU64::from_ptr(s.ptr.add(ix as usize)) };
-                    let old = cell.load(Ordering::Relaxed) as i64;
-                    cell.store(sem::atomic_i($op, old, v) as u64, Ordering::Relaxed);
-                    wr1(st, $d, old as u64);
-                }
-            }
+            let (cell, _) = sites[$site as usize].cell($what, ix, tid0)?;
+            let bits = $rmw(atomics, ($slot, $op, blk as u64), cell, ix as usize, $v);
+            wr1(st, $d, bits);
         }};
     }
 
     while k < e0 {
         st.wu(fl.counter, k as u64);
-        for sp in &fl.turbo {
+        let mut steps = fl.turbo.iter();
+        while let Some(sp) = steps.next() {
             match *sp {
-                SStep::Pure(ref op) => scalar_pure(st, op)?,
+                SStep::Pure(ref op) => lanes::alu::<true>(st, mask, op)?,
+                SStep::Guard { cond, skip, charge } => {
+                    if rd1(st, cond) != 0 {
+                        taken.add(fl.guards[charge as usize], 1);
+                    } else {
+                        steps = steps.as_slice()[skip as usize..].iter();
+                    }
+                }
                 SStep::BinF { op, d, a, b } => {
                     let r = sem::fbin(op, rd1f(st, a), rd1f(st, b));
                     wr1(st, d, r.to_bits());
@@ -1849,7 +1763,16 @@ fn run_turbo(
                     slot,
                     i,
                     val,
-                } => atom_f!(op, d, site, slot, rd1i(st, i), rd1f(st, val)),
+                } => atom!(
+                    rmw_f,
+                    "atom.global.f64",
+                    op,
+                    d,
+                    site,
+                    slot,
+                    rd1i(st, i),
+                    rd1f(st, val)
+                ),
                 SStep::AtomFAdd {
                     op,
                     d,
@@ -1858,7 +1781,9 @@ fn run_turbo(
                     a,
                     b,
                     val,
-                } => atom_f!(
+                } => atom!(
+                    rmw_f,
+                    "atom.global.f64",
                     op,
                     d,
                     site,
@@ -1873,7 +1798,16 @@ fn run_turbo(
                     slot,
                     i,
                     val,
-                } => atom_i!(op, d, site, slot, rd1i(st, i), rd1i(st, val)),
+                } => atom!(
+                    rmw_i,
+                    "atom.global.s64",
+                    op,
+                    d,
+                    site,
+                    slot,
+                    rd1i(st, i),
+                    rd1i(st, val)
+                ),
                 SStep::AtomIAdd {
                     op,
                     d,
@@ -1882,7 +1816,9 @@ fn run_turbo(
                     a,
                     b,
                     val,
-                } => atom_i!(
+                } => atom!(
+                    rmw_i,
+                    "atom.global.s64",
                     op,
                     d,
                     site,
@@ -1899,266 +1835,5 @@ fn run_turbo(
         }
         k += 1;
     }
-    Ok(())
-}
-
-// Single-lane register file accessors: with `lanes == 1` the per-lane
-// stride vanishes, so a slot resolves to one flat index in either file.
-#[inline(always)]
-fn rd1(st: &LowState, s: u32) -> u64 {
-    if is_u(s) {
-        st.uregs[idx(s)]
-    } else {
-        st.vregs[s as usize]
-    }
-}
-
-#[inline(always)]
-fn rd1f(st: &LowState, s: u32) -> f64 {
-    f64::from_bits(rd1(st, s))
-}
-
-#[inline(always)]
-fn rd1i(st: &LowState, s: u32) -> i64 {
-    rd1(st, s) as i64
-}
-
-#[inline(always)]
-fn rd1b(st: &LowState, s: u32) -> bool {
-    rd1(st, s) != 0
-}
-
-#[inline(always)]
-fn wr1(st: &mut LowState, d: u32, bits: u64) {
-    if is_u(d) {
-        st.uregs[idx(d)] = bits;
-    } else {
-        st.vregs[d as usize] = bits;
-    }
-}
-
-/// A compute/variable/local-array op at one lane — the single-active-lane
-/// specialization of the matching `exec_ops` arm. Touches only `st`.
-#[inline(always)]
-fn scalar_pure(st: &mut LowState, step: &LOp) -> R<()> {
-    match *step {
-        LOp::BinF { op, d, a, b } => {
-            let r = sem::fbin(op, rd1f(st, a), rd1f(st, b));
-            wr1(st, d, r.to_bits());
-        }
-        LOp::UnF { op, d, a } => {
-            let r = sem::fun(op, rd1f(st, a));
-            wr1(st, d, r.to_bits());
-        }
-        LOp::Fma { d, a, b, c } => {
-            let r = sem::fma(rd1f(st, a), rd1f(st, b), rd1f(st, c));
-            wr1(st, d, r.to_bits());
-        }
-        LOp::BinI { op, d, a, b } => {
-            let r = sem::ibin(op, rd1i(st, a), rd1i(st, b));
-            wr1(st, d, r as u64);
-        }
-        LOp::NegI { d, a } => {
-            let r = rd1i(st, a).wrapping_neg();
-            wr1(st, d, r as u64);
-        }
-        LOp::CmpF { op, d, a, b } => {
-            let r = sem::cmp_f(op, rd1f(st, a), rd1f(st, b));
-            wr1(st, d, r as u64);
-        }
-        LOp::CmpI { op, d, a, b } => {
-            let r = sem::cmp_i(op, rd1i(st, a), rd1i(st, b));
-            wr1(st, d, r as u64);
-        }
-        LOp::BinB { op, d, a, b } => {
-            let r = sem::bbin(op, rd1b(st, a), rd1b(st, b));
-            wr1(st, d, r as u64);
-        }
-        LOp::NotB { d, a } => {
-            let r = !rd1b(st, a);
-            wr1(st, d, r as u64);
-        }
-        LOp::Sel { d, c, t, e } => {
-            let bits = if rd1b(st, c) { rd1(st, t) } else { rd1(st, e) };
-            wr1(st, d, bits);
-        }
-        LOp::I2F { d, a } => {
-            let r = sem::i2f(rd1i(st, a));
-            wr1(st, d, r.to_bits());
-        }
-        LOp::F2I { d, a } => {
-            let r = sem::f2i(rd1f(st, a));
-            wr1(st, d, r as u64);
-        }
-        LOp::U2UnitF { d, a } => {
-            let r = sem::u2unit(rd1i(st, a));
-            wr1(st, d, r.to_bits());
-        }
-        LOp::LdVar { d, v } => {
-            let bits = if is_u(v) {
-                st.uvars[idx(v)]
-            } else {
-                st.vvars[v as usize]
-            };
-            wr1(st, d, bits);
-        }
-        LOp::StVar { v, val } => {
-            let bits = rd1(st, val);
-            if is_u(v) {
-                st.uvars[idx(v)] = bits;
-            } else {
-                st.vvars[v as usize] = bits;
-            }
-        }
-        LOp::LdLF { d, loc, i, len } => {
-            let len = len as usize;
-            let ix = rd1i(st, i);
-            if ix < 0 || ix as usize >= len {
-                return Err(serr!("ld.local.f64: index {ix} out of bounds (len {len})")
-                    .at_thread(st.tid[0]));
-            }
-            let v = st.loc_f[loc as usize][ix as usize];
-            wr1(st, d, v.to_bits());
-        }
-        LOp::StLF { loc, i, val, len } => {
-            let len = len as usize;
-            let ix = rd1i(st, i);
-            if ix < 0 || ix as usize >= len {
-                return Err(serr!("st.local.f64: index {ix} out of bounds (len {len})")
-                    .at_thread(st.tid[0]));
-            }
-            let v = rd1f(st, val);
-            st.loc_f[loc as usize][ix as usize] = v;
-        }
-        // Accounts are stripped at compile time; control flow, barriers
-        // and shared memory never pass `fusible`; global memory ops and
-        // atomics are handled by `run_steps_scalar` before falling through
-        // to this pure-op dispatch.
-        _ => unreachable!("non-fusible op in compiled step list"),
-    }
-    Ok(())
-}
-
-/// One iteration of a fused body at one lane under a full mask, on the
-/// generic (pre-superop) step list. Each memory arm is the
-/// single-active-lane specialization of the matching `exec_ops` arm: same
-/// bounds-check order, same error strings and thread attribution (lane 0 is
-/// the first active lane), same cache/probe accounting through
-/// [`Machine::mem_access_one`] (provably what `access_uniform(a, 1, 1)` and
-/// a one-entry `flush_addrs` both reduce to).
-fn run_steps_scalar(m: &mut Machine<'_>, st: &mut LowState, steps: &[LOp]) -> R<()> {
-    for step in steps {
-        match *step {
-            LOp::LdGF { d, buf, i } => {
-                let b = m.buf_f(buf)?;
-                let ix = rd1i(st, i);
-                let len = m.mem.len_f(b);
-                if ix < 0 || ix as usize >= len {
-                    return Err(serr!("ld.global.f64: index {ix} out of bounds (len {len})")
-                        .at_thread(st.tid[0]));
-                }
-                let a = m.mem.addr_f(b, ix as u64);
-                m.ecc_check(a, "ld.global.f64", st.tid[0])?;
-                let v = m.mem.read_f(b, ix as usize)?;
-                wr1(st, d, v.to_bits());
-                m.stats.global_loads += 1;
-                m.mem_access_one(a);
-            }
-            LOp::LdGI { d, buf, i } => {
-                let b = m.buf_i(buf)?;
-                let ix = rd1i(st, i);
-                let len = m.mem.len_i(b);
-                if ix < 0 || ix as usize >= len {
-                    return Err(serr!("ld.global.s64: index {ix} out of bounds (len {len})")
-                        .at_thread(st.tid[0]));
-                }
-                let a = m.mem.addr_i(b, ix as u64);
-                m.ecc_check(a, "ld.global.s64", st.tid[0])?;
-                let v = m.mem.read_i(b, ix as usize)?;
-                wr1(st, d, v as u64);
-                m.stats.global_loads += 1;
-                m.mem_access_one(a);
-            }
-            LOp::StGF { buf, i, val } => {
-                let b = m.buf_f(buf)?;
-                let ix = rd1i(st, i);
-                let len = m.mem.len_f(b);
-                if ix < 0 || ix as usize >= len {
-                    return Err(serr!("st.global.f64: index {ix} out of bounds (len {len})")
-                        .at_thread(st.tid[0]));
-                }
-                m.mem.write_f(b, ix as usize, rd1f(st, val))?;
-                m.stats.global_stores += 1;
-                m.mem_access_one(m.mem.addr_f(b, ix as u64));
-            }
-            LOp::StGI { buf, i, val } => {
-                let b = m.buf_i(buf)?;
-                let ix = rd1i(st, i);
-                let len = m.mem.len_i(b);
-                if ix < 0 || ix as usize >= len {
-                    return Err(serr!("st.global.s64: index {ix} out of bounds (len {len})")
-                        .at_thread(st.tid[0]));
-                }
-                m.mem.write_i(b, ix as usize, rd1i(st, val))?;
-                m.stats.global_stores += 1;
-                m.mem_access_one(m.mem.addr_i(b, ix as u64));
-            }
-            LOp::AtomicF { op, d, buf, i, val } => {
-                let b = m.buf_f(buf)?;
-                m.stats.atomics += 1;
-                m.prof_add(|c| c.atomics += 1);
-                let ix = rd1i(st, i);
-                let len = m.mem.len_f(b);
-                if ix < 0 || ix as usize >= len {
-                    return Err(
-                        serr!("atom.global.f64: index {ix} out of bounds (len {len})")
-                            .at_thread(st.tid[0]),
-                    );
-                }
-                let v = rd1f(st, val);
-                let target = m.atomics.as_ref().and_then(|ap| ap.target_f(buf));
-                if let Some(t) = target {
-                    let block = m.cur_block_lin as u64;
-                    m.atomics
-                        .as_mut()
-                        .unwrap()
-                        .defer_f(t, op, block, ix as usize, v);
-                    wr1(st, d, 0);
-                } else {
-                    let old = m.mem.read_f(b, ix as usize)?;
-                    m.mem.write_f(b, ix as usize, sem::atomic_f(op, old, v))?;
-                    wr1(st, d, old.to_bits());
-                }
-            }
-            LOp::AtomicI { op, d, buf, i, val } => {
-                let b = m.buf_i(buf)?;
-                m.stats.atomics += 1;
-                m.prof_add(|c| c.atomics += 1);
-                let ix = rd1i(st, i);
-                let len = m.mem.len_i(b);
-                if ix < 0 || ix as usize >= len {
-                    return Err(
-                        serr!("atom.global.s64: index {ix} out of bounds (len {len})")
-                            .at_thread(st.tid[0]),
-                    );
-                }
-                let v = rd1i(st, val);
-                let target = m.atomics.as_ref().and_then(|ap| ap.target_i(buf));
-                if let Some(t) = target {
-                    let block = m.cur_block_lin as u64;
-                    m.atomics
-                        .as_mut()
-                        .unwrap()
-                        .defer_i(t, op, block, ix as usize, v);
-                    wr1(st, d, 0);
-                } else {
-                    let old = m.mem.read_i(b, ix as usize)?;
-                    m.mem.write_i(b, ix as usize, sem::atomic_i(op, old, v))?;
-                    wr1(st, d, old as u64);
-                }
-            }
-            ref other => scalar_pure(st, other)?,
-        }
-    }
-    Ok(())
+    Ok(taken)
 }

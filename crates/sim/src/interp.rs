@@ -430,8 +430,8 @@ pub(crate) struct Machine<'a> {
     pub(crate) cur_block_lin: usize,
     /// Reusable line buffer for `mem_access` coalescing.
     scratch_lines: Vec<u64>,
-    /// Reusable per-bank index lists for `shared_access`.
-    scratch_banks: Vec<Vec<i64>>,
+    /// Reusable per-bank distinct-index lists for `shared_access`.
+    scratch_banks: Vec<i64>,
     /// Per-instruction counters when profiling (tracing enabled), indexed by
     /// canonical statement id; `None` on the default allocation-free path.
     pub(crate) profile: Option<Box<[InstrCounters]>>,
@@ -606,9 +606,12 @@ impl<'a> Machine<'a> {
     }
 
     /// Account a warp-coalesced global access; `addrs` holds (lane, byte
-    /// address) pairs of active lanes in lane order.
+    /// address) pairs of active lanes in lane order. Each warp touches its
+    /// distinct lines once, in first-occurrence order. A line above every
+    /// line the warp has touched so far is new without a search, so
+    /// lane-consecutive (any non-decreasing) addresses cost one compare per
+    /// lane; only a line that steps backwards searches the warp's list.
     pub(crate) fn mem_access(&mut self, addrs: &[(usize, u64)]) {
-        let line = self.spec.line_bytes as u64;
         // Probe log for element-loop vectorization detection.
         if let Some(r) = &mut self.region {
             if r.probing() {
@@ -617,30 +620,32 @@ impl<'a> Machine<'a> {
                 } else {
                     &mut r.addrs1
                 };
-                for &(_, a) in addrs {
-                    log.push(a);
-                }
+                log.extend(addrs.iter().map(|&(_, a)| a));
                 if log.len() > 4096 {
                     r.probe_failed = true;
                 }
             }
         }
+        let line = self.spec.line_bytes as u64;
+        let shift = line.is_power_of_two().then(|| line.trailing_zeros());
         let mut lines = std::mem::take(&mut self.scratch_lines);
-        let mut i = 0;
-        while i < addrs.len() {
-            let warp = addrs[i].0 / self.warp_w;
-            // Gather this warp's lines.
-            lines.clear();
-            while i < addrs.len() && addrs[i].0 / self.warp_w == warp {
-                let l = addrs[i].1 / line;
-                if !lines.contains(&l) {
-                    lines.push(l);
-                }
-                i += 1;
+        let mut warp_end = 0;
+        let (mut last, mut top) = (0, 0);
+        for &(lane, a) in addrs {
+            let l = shift.map_or_else(|| a / line, |s| a >> s);
+            let new_warp = lane >= warp_end;
+            if new_warp {
+                warp_end = (lane / self.warp_w + 1) * self.warp_w;
+                lines.clear();
             }
-            for &l in &lines {
-                self.line_access(l);
+            let seen = !new_warp && (l == last || (l <= top && lines.contains(&l)));
+            last = l;
+            if seen {
+                continue;
             }
+            top = if new_warp { l } else { top.max(l) };
+            lines.push(l);
+            self.line_access(l);
         }
         self.scratch_lines = lines;
     }
@@ -694,32 +699,46 @@ impl<'a> Machine<'a> {
     }
 
     /// Account shared-memory bank conflicts for one warp-wide access.
-    /// `elem_idx` holds (lane, element index) pairs of active lanes.
+    /// `elem_idx` holds (lane, element index) pairs of active lanes. A
+    /// warp's conflict degree is the largest number of distinct indices
+    /// falling into one of the 32 banks; lane-consecutive indices occupy
+    /// distinct banks (degree 1) and skip the bank lists altogether.
     pub(crate) fn shared_access(&mut self, elem_idx: &[(usize, i64)]) {
         const BANKS: usize = 32;
         self.stats.shared_accesses += elem_idx.len() as u64;
         self.prof_add(|c| c.shared_accesses += elem_idx.len() as u64);
-        let mut banks = std::mem::take(&mut self.scratch_banks);
-        banks.resize_with(BANKS, Vec::new);
-        let mut i = 0;
-        while i < elem_idx.len() {
-            let warp = elem_idx[i].0 / self.warp_w;
-            banks.iter_mut().for_each(Vec::clear);
-            while i < elem_idx.len() && elem_idx[i].0 / self.warp_w == warp {
-                let idx = elem_idx[i].1;
-                let bank = (idx.rem_euclid(BANKS as i64)) as usize;
-                if !banks[bank].contains(&idx) {
-                    banks[bank].push(idx);
-                }
-                i += 1;
+        let warp_w = self.warp_w;
+        // Bank `b`'s distinct indices live at `seen[b * warp_w..]`.
+        let mut seen = std::mem::take(&mut self.scratch_banks);
+        seen.resize(BANKS * warp_w, 0);
+        let mut rest = elem_idx;
+        while let Some(&(lane, first)) = rest.first() {
+            let warp_end = (lane / warp_w + 1) * warp_w;
+            let n = rest.iter().take_while(|e| e.0 < warp_end).count();
+            let (warp, tail) = rest.split_at(n);
+            rest = tail;
+            let consecutive =
+                n <= BANKS && (warp.iter().zip(0..)).all(|(e, j)| e.1 == first.wrapping_add(j));
+            if consecutive {
+                continue;
             }
-            let degree = banks.iter().map(|v| v.len()).max().unwrap_or(0);
+            let mut count = [0u32; BANKS];
+            for &(_, idx) in warp {
+                let bank = (idx & (BANKS as i64 - 1)) as usize;
+                let list = &mut seen[bank * warp_w..][..warp_w];
+                let k = count[bank] as usize;
+                if !list[..k].contains(&idx) {
+                    list[k] = idx;
+                    count[bank] += 1;
+                }
+            }
+            let degree = count.into_iter().max().unwrap_or(0);
             if degree > 1 {
                 self.stats.bank_conflict_cycles += (degree - 1) as u64;
                 self.prof_add(|c| c.bank_conflict_cycles += (degree - 1) as u64);
             }
         }
-        self.scratch_banks = banks;
+        self.scratch_banks = seen;
     }
 
     pub(crate) fn buf_f(&self, slot: u32) -> R<SimBufF> {
@@ -1498,11 +1517,7 @@ impl<'a> Machine<'a> {
                 let mut any = false;
                 active.clear();
                 active.extend((0..bs.lanes).map(|l| {
-                    let a = mask[l] && {
-                        let s = bs.ri(start, l);
-                        let e = bs.ri(end, l);
-                        s + iter < e
-                    };
+                    let a = mask[l] && trip_live(bs.ri(start, l), iter, bs.ri(end, l));
                     any |= a;
                     a
                 }));
@@ -1524,6 +1539,15 @@ impl<'a> Machine<'a> {
         }
         Ok(())
     }
+}
+
+/// Whether a lane with bounds `start..end` is still inside its loop at
+/// lockstep iteration `iter`. Lanes that already left keep being asked, so
+/// `start + iter` may pass `i64::MAX`; an overflowing counter is past any
+/// `end`.
+#[inline]
+pub(crate) fn trip_live(start: i64, iter: i64, end: i64) -> bool {
+    start.checked_add(iter).is_some_and(|k| k < end)
 }
 
 /// True when `prog` contains a global atomic anywhere in its body. Such
@@ -2163,7 +2187,7 @@ impl MapI64 for Vecn<3> {
 
 #[cfg(test)]
 mod tests {
-    use super::{resolve_sim_engine_inner, resolve_sim_threads_inner, sample_indices, Engine};
+    use super::*;
 
     #[test]
     fn sim_engine_env_unset_uses_configured() {
@@ -2268,5 +2292,170 @@ mod tests {
     #[test]
     fn empty_grid_samples_nothing() {
         assert!(sample_indices(0, 5).is_empty());
+    }
+
+    /// The access models before they became allocation-free, kept as the
+    /// oracle for `access_models_match_their_reference`.
+    fn mem_access_ref(m: &mut Machine<'_>, addrs: &[(usize, u64)]) {
+        let line = m.spec.line_bytes as u64;
+        if let Some(r) = &mut m.region {
+            if r.probing() {
+                let log = if r.iter == 0 {
+                    &mut r.addrs0
+                } else {
+                    &mut r.addrs1
+                };
+                log.extend(addrs.iter().map(|&(_, a)| a));
+                if log.len() > 4096 {
+                    r.probe_failed = true;
+                }
+            }
+        }
+        let mut i = 0;
+        while i < addrs.len() {
+            let warp = addrs[i].0 / m.warp_w;
+            let mut lines = vec![];
+            while i < addrs.len() && addrs[i].0 / m.warp_w == warp {
+                let l = addrs[i].1 / line;
+                if !lines.contains(&l) {
+                    lines.push(l);
+                }
+                i += 1;
+            }
+            lines.into_iter().for_each(|l| m.line_access(l));
+        }
+    }
+
+    fn shared_access_ref(m: &mut Machine<'_>, elem_idx: &[(usize, i64)]) {
+        m.stats.shared_accesses += elem_idx.len() as u64;
+        let mut i = 0;
+        while i < elem_idx.len() {
+            let warp = elem_idx[i].0 / m.warp_w;
+            let mut banks = vec![Vec::new(); 32];
+            while i < elem_idx.len() && elem_idx[i].0 / m.warp_w == warp {
+                let idx = elem_idx[i].1;
+                let bank = idx.rem_euclid(32) as usize;
+                if !banks[bank].contains(&idx) {
+                    banks[bank].push(idx);
+                }
+                i += 1;
+            }
+            let degree = banks.iter().map(Vec::len).max().unwrap_or(0);
+            if degree > 1 {
+                m.stats.bank_conflict_cycles += (degree - 1) as u64;
+            }
+        }
+    }
+
+    /// 10^4 seeded random warps — consecutive, strided, backwards,
+    /// broadcast and scattered, under ragged masks, with the vectorization
+    /// probe open — through the reference and the current access models:
+    /// every counter (transactions, hits, misses, DRAM bytes, conflict
+    /// cycles) and the probe log must agree after every access, which also
+    /// pins the order the cache saw the lines in.
+    #[test]
+    fn access_models_match_their_reference() {
+        let prog = Program {
+            name: "t".into(),
+            dims: 1,
+            body: Block(vec![]),
+            n_vals: 0,
+            vars: vec![],
+            shared: vec![],
+            locals: vec![],
+            n_bufs_f: 0,
+            n_bufs_i: 0,
+            n_params_f: 0,
+            n_params_i: 0,
+        };
+        let args = SimArgs {
+            bufs_f: vec![],
+            bufs_i: vec![],
+            params_f: vec![],
+            params_i: vec![],
+        };
+        let mut state = 0x5eed_u64;
+        let mut rnd = move |n: u64| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) % n
+        };
+        for spec in [DeviceSpec::k20(), DeviceSpec::e5_2630v3()] {
+            let warp_w = spec.warp_width;
+            let ctx = LaunchCtx {
+                spec: &spec,
+                prog: &prog,
+                args: &args,
+                grid: [1; 3],
+                block: [1, 1, 96],
+                elems: [1; 3],
+                warp_w,
+                n_warps: 96usize.div_ceil(warp_w),
+                lanes: 96,
+                grid_ext: Vecn([1, 1, 1]),
+                thread_ext: Vecn([1, 1, 96]),
+                lowered: None,
+                compiled: None,
+                fuel: 0,
+                watchdog: false,
+                ecc: None,
+                numbering: None,
+                atomics: None,
+            };
+            let (mut mem_a, mut mem_b) = (DeviceMem::new(), DeviceMem::new());
+            let mut old = make_machine(&ctx, MemAccess::Excl(&mut mem_a), 1, 0);
+            let mut new = make_machine(&ctx, MemAccess::Excl(&mut mem_b), 1, 0);
+            for round in 0..5_000 {
+                if round % 40 == 0 {
+                    let iter = rnd(3) as u32;
+                    for m in [&mut old, &mut new] {
+                        m.region = Some(RegionAcc {
+                            iter,
+                            ..Default::default()
+                        });
+                    }
+                }
+                let base = rnd(1 << 16) as i64;
+                let (shape, stride) = (rnd(6), 1 + rnd(40) as i64);
+                let keep = rnd(4);
+                let mut elems = vec![];
+                for l in 0..96usize {
+                    let on = match keep {
+                        0 => true,
+                        1 => l < 70,
+                        2 => l % 2 == 0,
+                        _ => rnd(3) > 0,
+                    };
+                    let k = l as i64;
+                    let idx = match shape {
+                        0 => base + k,
+                        1 => base + k * stride,
+                        2 => base + 4096 - k * stride,
+                        3 => base,
+                        4 => base + (k % 16) * 17 + k / 16,
+                        _ => base + rnd(512) as i64,
+                    };
+                    if on {
+                        elems.push((l, idx));
+                    }
+                }
+                let addrs: Vec<(usize, u64)> =
+                    elems.iter().map(|&(l, i)| (l, i as u64 * 8)).collect();
+                mem_access_ref(&mut old, &addrs);
+                new.mem_access(&addrs);
+                shared_access_ref(&mut old, &elems);
+                new.shared_access(&elems);
+                assert_eq!(old.stats, new.stats, "round {round} shape {shape}");
+                let (ro, rn) = (old.region.as_ref().unwrap(), new.region.as_ref().unwrap());
+                assert_eq!(
+                    (&ro.addrs0, &ro.addrs1, ro.probe_failed),
+                    (&rn.addrs0, &rn.addrs1, rn.probe_failed)
+                );
+            }
+            // The streams exercised what they were meant to.
+            assert!(new.stats.cache_hits > 0 && new.stats.cache_misses > 0);
+            assert!(warp_w == 1 || new.stats.bank_conflict_cycles > 0);
+        }
     }
 }

@@ -22,6 +22,7 @@ pub mod cache;
 pub mod compile;
 pub mod fault;
 pub mod interp;
+mod lanes;
 pub mod lower;
 pub mod memory;
 pub mod metrics;

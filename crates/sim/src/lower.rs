@@ -35,7 +35,6 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 use alpaka_core::acc::DeviceKind;
 use alpaka_kir::ir::*;
-use alpaka_kir::semantics as sem;
 use alpaka_kir::{uniformity, validate, Uniformity};
 
 use alpaka_core::trace::BlockSpan;
@@ -43,9 +42,10 @@ use alpaka_core::trace::BlockSpan;
 use crate::fault::SimError;
 use crate::interp::RegionAcc;
 use crate::interp::{
-    make_machine, stats_issue_cycles, LaunchCtx, Machine, MapI64, MemAccess, WorkerOut, R,
+    make_machine, stats_issue_cycles, trip_live, LaunchCtx, Machine, MapI64, MemAccess, WorkerOut,
+    R,
 };
-use crate::serr;
+use crate::lanes;
 use crate::spec::DeviceSpec;
 
 /// Register-slot encoding: the top bit selects the scalar (uniform) file,
@@ -256,6 +256,34 @@ pub(crate) enum LOp {
         cond_len: u32,
         body_len: u32,
     },
+}
+
+impl LOp {
+    /// Compute, variable and local-array ops: they touch only the block's
+    /// registers and private arrays (`crate::lanes::alu` executes them).
+    #[inline(always)]
+    pub(crate) fn is_compute(&self) -> bool {
+        matches!(
+            self,
+            LOp::BinF { .. }
+                | LOp::UnF { .. }
+                | LOp::Fma { .. }
+                | LOp::BinI { .. }
+                | LOp::NegI { .. }
+                | LOp::CmpF { .. }
+                | LOp::CmpI { .. }
+                | LOp::BinB { .. }
+                | LOp::NotB { .. }
+                | LOp::Sel { .. }
+                | LOp::I2F { .. }
+                | LOp::F2I { .. }
+                | LOp::U2UnitF { .. }
+                | LOp::LdVar { .. }
+                | LOp::StVar { .. }
+                | LOp::LdLF { .. }
+                | LOp::StLF { .. }
+        )
+    }
 }
 
 /// A lowered program: flat op stream plus the constant preload. Produced by
@@ -865,8 +893,8 @@ pub(crate) struct LowState {
     pub(crate) vregs: Vec<u64>,
     pub(crate) uvars: Vec<u64>,
     pub(crate) vvars: Vec<u64>,
-    pub(crate) sh_f: Vec<Vec<f64>>,
-    pub(crate) sh_i: Vec<Vec<i64>>,
+    /// Block-shared arrays as raw bits (f64 and i64 alike, like registers).
+    pub(crate) shared: Vec<Vec<u64>>,
     /// Per-lane thread-private arrays: `loc_f[loc][lane * len + k]`.
     pub(crate) loc_f: Vec<Vec<f64>>,
     pub(crate) tid: Vec<[i64; 3]>,
@@ -889,10 +917,6 @@ impl LowState {
         }
     }
     #[inline]
-    pub(crate) fn rdf(&self, s: u32, l: usize) -> f64 {
-        f64::from_bits(self.rd(s, l))
-    }
-    #[inline]
     pub(crate) fn rdi(&self, s: u32, l: usize) -> i64 {
         self.rd(s, l) as i64
     }
@@ -903,10 +927,6 @@ impl LowState {
     #[inline]
     pub(crate) fn ud(&self, s: u32) -> u64 {
         self.uregs[idx(s)]
-    }
-    #[inline]
-    pub(crate) fn udf(&self, s: u32) -> f64 {
-        f64::from_bits(self.ud(s))
     }
     #[inline]
     pub(crate) fn udi(&self, s: u32) -> i64 {
@@ -934,24 +954,6 @@ impl LowState {
             });
         }
     }
-}
-
-/// Run `body` for every active lane of `mask`; the full-mask fast path
-/// skips the per-lane test entirely (always taken at 1 thread/block).
-macro_rules! for_active {
-    ($mask:expr, $l:ident, $body:block) => {
-        if $mask.full {
-            for $l in 0..$mask.bits.len() {
-                $body
-            }
-        } else {
-            for $l in 0..$mask.bits.len() {
-                if $mask.bits[$l] {
-                    $body
-                }
-            }
-        }
-    };
 }
 
 /// Fill `child` with the lanes of `parent` whose `cond` equals `polarity`,
@@ -1038,9 +1040,7 @@ pub(crate) fn fill_for_mask(
         for l in lo..hi {
             let mut b = false;
             if parent.bits[l] {
-                let s = st.rdi(start, l);
-                let e = st.rdi(endv, l);
-                b = s + iter < e;
+                b = trip_live(st.rdi(start, l), iter, st.rdi(endv, l));
                 if b {
                     any_t = true;
                 } else {
@@ -1186,8 +1186,28 @@ pub(crate) fn exec_range(
     r
 }
 
-#[allow(clippy::too_many_lines)]
+/// Execute `ops[lo..hi]` under `mask`. A one-lane block under its full mask
+/// runs the instantiation whose data ops are scalar (see `lanes::exec`);
+/// deciding that per op inside one shared loop instead measures ~15 % slower
+/// on the CPU-model DGEMM.
 pub(crate) fn exec_ops(
+    m: &mut Machine<'_>,
+    st: &mut LowState,
+    wp: &WarpProgram,
+    lo: usize,
+    hi: usize,
+    depth: usize,
+    mask: &MaskBuf,
+) -> R<()> {
+    if st.lanes == 1 && mask.full {
+        exec_ops_as::<true>(m, st, wp, lo, hi, depth, mask)
+    } else {
+        exec_ops_as::<false>(m, st, wp, lo, hi, depth, mask)
+    }
+}
+
+#[allow(clippy::too_many_lines)]
+fn exec_ops_as<const ONE: bool>(
     m: &mut Machine<'_>,
     st: &mut LowState,
     wp: &WarpProgram,
@@ -1202,7 +1222,19 @@ pub(crate) fn exec_ops(
         if profiling {
             m.cur_instr = wp.op_instr[pc];
         }
-        match wp.ops[pc] {
+        let op = wp.ops[pc];
+        // Data ops first, picked out by a bit test so that each op pays one
+        // table dispatch — inside `lanes::exec` — not two.
+        let engine_op = matches!(
+            op,
+            LOp::Account { .. } | LOp::If { .. } | LOp::For { .. } | LOp::While { .. }
+        );
+        if !engine_op {
+            lanes::exec::<ONE>(m, st, mask, &op)?;
+            pc += 1;
+            continue;
+        }
+        match op {
             LOp::Account {
                 n,
                 flops,
@@ -1233,612 +1265,6 @@ pub(crate) fn exec_ops(
                         m.add_special(special * mask.active);
                     }
                 }
-            }
-            LOp::BinF { op, d, a, b } => {
-                if is_u(d) {
-                    let r = sem::fbin(op, st.udf(a), st.udf(b));
-                    st.wu(d, r.to_bits());
-                } else {
-                    for_active!(mask, l, {
-                        let r = sem::fbin(op, st.rdf(a, l), st.rdf(b, l));
-                        st.wv(d, l, r.to_bits());
-                    });
-                }
-            }
-            LOp::UnF { op, d, a } => {
-                if is_u(d) {
-                    let r = sem::fun(op, st.udf(a));
-                    st.wu(d, r.to_bits());
-                } else {
-                    for_active!(mask, l, {
-                        let r = sem::fun(op, st.rdf(a, l));
-                        st.wv(d, l, r.to_bits());
-                    });
-                }
-            }
-            LOp::Fma { d, a, b, c } => {
-                if is_u(d) {
-                    let r = sem::fma(st.udf(a), st.udf(b), st.udf(c));
-                    st.wu(d, r.to_bits());
-                } else {
-                    for_active!(mask, l, {
-                        let r = sem::fma(st.rdf(a, l), st.rdf(b, l), st.rdf(c, l));
-                        st.wv(d, l, r.to_bits());
-                    });
-                }
-            }
-            LOp::BinI { op, d, a, b } => {
-                if is_u(d) {
-                    let r = sem::ibin(op, st.udi(a), st.udi(b));
-                    st.wu(d, r as u64);
-                } else {
-                    for_active!(mask, l, {
-                        let r = sem::ibin(op, st.rdi(a, l), st.rdi(b, l));
-                        st.wv(d, l, r as u64);
-                    });
-                }
-            }
-            LOp::NegI { d, a } => {
-                if is_u(d) {
-                    let r = st.udi(a).wrapping_neg();
-                    st.wu(d, r as u64);
-                } else {
-                    for_active!(mask, l, {
-                        let r = st.rdi(a, l).wrapping_neg();
-                        st.wv(d, l, r as u64);
-                    });
-                }
-            }
-            LOp::CmpF { op, d, a, b } => {
-                if is_u(d) {
-                    let r = sem::cmp_f(op, st.udf(a), st.udf(b));
-                    st.wu(d, r as u64);
-                } else {
-                    for_active!(mask, l, {
-                        let r = sem::cmp_f(op, st.rdf(a, l), st.rdf(b, l));
-                        st.wv(d, l, r as u64);
-                    });
-                }
-            }
-            LOp::CmpI { op, d, a, b } => {
-                if is_u(d) {
-                    let r = sem::cmp_i(op, st.udi(a), st.udi(b));
-                    st.wu(d, r as u64);
-                } else {
-                    for_active!(mask, l, {
-                        let r = sem::cmp_i(op, st.rdi(a, l), st.rdi(b, l));
-                        st.wv(d, l, r as u64);
-                    });
-                }
-            }
-            LOp::BinB { op, d, a, b } => {
-                if is_u(d) {
-                    let r = sem::bbin(op, st.udb(a), st.udb(b));
-                    st.wu(d, r as u64);
-                } else {
-                    for_active!(mask, l, {
-                        let r = sem::bbin(op, st.rdb(a, l), st.rdb(b, l));
-                        st.wv(d, l, r as u64);
-                    });
-                }
-            }
-            LOp::NotB { d, a } => {
-                if is_u(d) {
-                    let r = !st.udb(a);
-                    st.wu(d, r as u64);
-                } else {
-                    for_active!(mask, l, {
-                        let r = !st.rdb(a, l);
-                        st.wv(d, l, r as u64);
-                    });
-                }
-            }
-            LOp::Sel { d, c, t, e } => {
-                if is_u(d) {
-                    let bits = if st.udb(c) { st.ud(t) } else { st.ud(e) };
-                    st.wu(d, bits);
-                } else {
-                    for_active!(mask, l, {
-                        let bits = if st.rdb(c, l) {
-                            st.rd(t, l)
-                        } else {
-                            st.rd(e, l)
-                        };
-                        st.wv(d, l, bits);
-                    });
-                }
-            }
-            LOp::I2F { d, a } => {
-                if is_u(d) {
-                    let r = sem::i2f(st.udi(a));
-                    st.wu(d, r.to_bits());
-                } else {
-                    for_active!(mask, l, {
-                        let r = sem::i2f(st.rdi(a, l));
-                        st.wv(d, l, r.to_bits());
-                    });
-                }
-            }
-            LOp::F2I { d, a } => {
-                if is_u(d) {
-                    let r = sem::f2i(st.udf(a));
-                    st.wu(d, r as u64);
-                } else {
-                    for_active!(mask, l, {
-                        let r = sem::f2i(st.rdf(a, l));
-                        st.wv(d, l, r as u64);
-                    });
-                }
-            }
-            LOp::U2UnitF { d, a } => {
-                if is_u(d) {
-                    let r = sem::u2unit(st.udi(a));
-                    st.wu(d, r.to_bits());
-                } else {
-                    for_active!(mask, l, {
-                        let r = sem::u2unit(st.rdi(a, l));
-                        st.wv(d, l, r.to_bits());
-                    });
-                }
-            }
-            LOp::Special { d, r } => {
-                if is_u(d) {
-                    let v = match r {
-                        SpecialReg::GridBlockExtent(a) => m.grid[a as usize],
-                        SpecialReg::BlockThreadExtent(a) => m.block[a as usize],
-                        SpecialReg::ThreadElemExtent(a) => m.elems[a as usize],
-                        SpecialReg::BlockIdx(a) => st.bidx[a as usize],
-                        // ThreadIdx is seeded varying by the analysis.
-                        SpecialReg::ThreadIdx(a) => st.tid[0][a as usize],
-                    };
-                    st.wu(d, v as u64);
-                } else {
-                    for_active!(mask, l, {
-                        let v = match r {
-                            SpecialReg::GridBlockExtent(a) => m.grid[a as usize],
-                            SpecialReg::BlockThreadExtent(a) => m.block[a as usize],
-                            SpecialReg::ThreadElemExtent(a) => m.elems[a as usize],
-                            SpecialReg::BlockIdx(a) => st.bidx[a as usize],
-                            SpecialReg::ThreadIdx(a) => st.tid[l][a as usize],
-                        };
-                        st.wv(d, l, v as u64);
-                    });
-                }
-            }
-            LOp::ParamF { d, s } => {
-                let v = *m
-                    .args
-                    .params_f
-                    .get(s as usize)
-                    .ok_or_else(|| serr!("f64 param slot {s} not bound"))?;
-                st.wu(d, v.to_bits());
-            }
-            LOp::ParamI { d, s } => {
-                let v = *m
-                    .args
-                    .params_i
-                    .get(s as usize)
-                    .ok_or_else(|| serr!("i64 param slot {s} not bound"))?;
-                st.wu(d, v as u64);
-            }
-            LOp::LdGF { d, buf, i } => {
-                let b = m.buf_f(buf)?;
-                if is_u(d) {
-                    let ix = st.udi(i);
-                    let len = m.mem.len_f(b);
-                    if ix < 0 || ix as usize >= len {
-                        return Err(serr!("ld.global.f64: index {ix} out of bounds (len {len})")
-                            .at_thread(st.tid[first_active(mask)]));
-                    }
-                    let a = m.mem.addr_f(b, ix as u64);
-                    m.ecc_check(a, "ld.global.f64", st.tid[first_active(mask)])?;
-                    let v = m.mem.read_f(b, ix as usize)?;
-                    st.wu(d, v.to_bits());
-                    m.stats.global_loads += mask.active;
-                    m.prof_add(|c| c.global_loads += mask.active);
-                    m.access_uniform(a, mask.active, mask.warp_issues);
-                } else {
-                    st.addrs.clear();
-                    for_active!(mask, l, {
-                        let ix = st.rdi(i, l);
-                        let len = m.mem.len_f(b);
-                        if ix < 0 || ix as usize >= len {
-                            return Err(serr!(
-                                "ld.global.f64: index {ix} out of bounds (len {len})"
-                            )
-                            .at_thread(st.tid[l]));
-                        }
-                        let a = m.mem.addr_f(b, ix as u64);
-                        m.ecc_check(a, "ld.global.f64", st.tid[l])?;
-                        let v = m.mem.read_f(b, ix as usize)?;
-                        st.wv(d, l, v.to_bits());
-                        st.addrs.push((l, a));
-                    });
-                    m.stats.global_loads += mask.active;
-                    m.prof_add(|c| c.global_loads += mask.active);
-                    flush_addrs(m, &st.addrs);
-                }
-            }
-            LOp::LdGI { d, buf, i } => {
-                let b = m.buf_i(buf)?;
-                if is_u(d) {
-                    let ix = st.udi(i);
-                    let len = m.mem.len_i(b);
-                    if ix < 0 || ix as usize >= len {
-                        return Err(serr!("ld.global.s64: index {ix} out of bounds (len {len})")
-                            .at_thread(st.tid[first_active(mask)]));
-                    }
-                    let a = m.mem.addr_i(b, ix as u64);
-                    m.ecc_check(a, "ld.global.s64", st.tid[first_active(mask)])?;
-                    let v = m.mem.read_i(b, ix as usize)?;
-                    st.wu(d, v as u64);
-                    m.stats.global_loads += mask.active;
-                    m.prof_add(|c| c.global_loads += mask.active);
-                    m.access_uniform(a, mask.active, mask.warp_issues);
-                } else {
-                    st.addrs.clear();
-                    for_active!(mask, l, {
-                        let ix = st.rdi(i, l);
-                        let len = m.mem.len_i(b);
-                        if ix < 0 || ix as usize >= len {
-                            return Err(serr!(
-                                "ld.global.s64: index {ix} out of bounds (len {len})"
-                            )
-                            .at_thread(st.tid[l]));
-                        }
-                        let a = m.mem.addr_i(b, ix as u64);
-                        m.ecc_check(a, "ld.global.s64", st.tid[l])?;
-                        let v = m.mem.read_i(b, ix as usize)?;
-                        st.wv(d, l, v as u64);
-                        st.addrs.push((l, a));
-                    });
-                    m.stats.global_loads += mask.active;
-                    m.prof_add(|c| c.global_loads += mask.active);
-                    flush_addrs(m, &st.addrs);
-                }
-            }
-            LOp::LdSF { d, sh, i } => {
-                if is_u(d) {
-                    let ix = st.udi(i);
-                    let arr = &st.sh_f[sh as usize];
-                    if ix < 0 || ix as usize >= arr.len() {
-                        return Err(serr!(
-                            "ld.shared.f64: index {ix} out of bounds (len {})",
-                            arr.len()
-                        )
-                        .at_thread(st.tid[first_active(mask)]));
-                    }
-                    let v = arr[ix as usize];
-                    st.wu(d, v.to_bits());
-                    // One bank, degree 1: accesses counted, no conflicts.
-                    m.stats.shared_accesses += mask.active;
-                    m.prof_add(|c| c.shared_accesses += mask.active);
-                } else {
-                    st.elems.clear();
-                    for_active!(mask, l, {
-                        let ix = st.rdi(i, l);
-                        let arr = &st.sh_f[sh as usize];
-                        if ix < 0 || ix as usize >= arr.len() {
-                            return Err(serr!(
-                                "ld.shared.f64: index {ix} out of bounds (len {})",
-                                arr.len()
-                            )
-                            .at_thread(st.tid[l]));
-                        }
-                        let v = arr[ix as usize];
-                        st.wv(d, l, v.to_bits());
-                        st.elems.push((l, ix));
-                    });
-                    flush_elems(m, &st.elems);
-                }
-            }
-            LOp::LdSI { d, sh, i } => {
-                if is_u(d) {
-                    let ix = st.udi(i);
-                    let arr = &st.sh_i[sh as usize];
-                    if ix < 0 || ix as usize >= arr.len() {
-                        return Err(serr!(
-                            "ld.shared.s64: index {ix} out of bounds (len {})",
-                            arr.len()
-                        )
-                        .at_thread(st.tid[first_active(mask)]));
-                    }
-                    let v = arr[ix as usize];
-                    st.wu(d, v as u64);
-                    m.stats.shared_accesses += mask.active;
-                    m.prof_add(|c| c.shared_accesses += mask.active);
-                } else {
-                    st.elems.clear();
-                    for_active!(mask, l, {
-                        let ix = st.rdi(i, l);
-                        let arr = &st.sh_i[sh as usize];
-                        if ix < 0 || ix as usize >= arr.len() {
-                            return Err(serr!(
-                                "ld.shared.s64: index {ix} out of bounds (len {})",
-                                arr.len()
-                            )
-                            .at_thread(st.tid[l]));
-                        }
-                        let v = arr[ix as usize];
-                        st.wv(d, l, v as u64);
-                        st.elems.push((l, ix));
-                    });
-                    flush_elems(m, &st.elems);
-                }
-            }
-            LOp::LdLF { d, loc, i, len } => {
-                let len = len as usize;
-                for_active!(mask, l, {
-                    let ix = st.rdi(i, l);
-                    if ix < 0 || ix as usize >= len {
-                        return Err(serr!("ld.local.f64: index {ix} out of bounds (len {len})")
-                            .at_thread(st.tid[l]));
-                    }
-                    let v = st.loc_f[loc as usize][l * len + ix as usize];
-                    st.wv(d, l, v.to_bits());
-                });
-            }
-            LOp::LdVar { d, v } => {
-                if is_u(v) {
-                    let bits = st.uvars[idx(v)];
-                    st.wu(d, bits);
-                } else {
-                    for_active!(mask, l, {
-                        let bits = st.vvars[v as usize * st.lanes + l];
-                        st.wv(d, l, bits);
-                    });
-                }
-            }
-            LOp::StGF { buf, i, val } => {
-                let b = m.buf_f(buf)?;
-                if is_u(i) {
-                    let ix = st.udi(i);
-                    let len = m.mem.len_f(b);
-                    if ix < 0 || ix as usize >= len {
-                        return Err(serr!("st.global.f64: index {ix} out of bounds (len {len})")
-                            .at_thread(st.tid[first_active(mask)]));
-                    }
-                    if is_u(val) {
-                        m.mem.write_f(b, ix as usize, st.udf(val))?;
-                    } else {
-                        // Same address, per-lane values: lane order decides.
-                        for_active!(mask, l, {
-                            m.mem.write_f(b, ix as usize, st.rdf(val, l))?;
-                        });
-                    }
-                    m.stats.global_stores += mask.active;
-                    m.prof_add(|c| c.global_stores += mask.active);
-                    m.access_uniform(m.mem.addr_f(b, ix as u64), mask.active, mask.warp_issues);
-                } else {
-                    st.addrs.clear();
-                    for_active!(mask, l, {
-                        let ix = st.rdi(i, l);
-                        let len = m.mem.len_f(b);
-                        if ix < 0 || ix as usize >= len {
-                            return Err(serr!(
-                                "st.global.f64: index {ix} out of bounds (len {len})"
-                            )
-                            .at_thread(st.tid[l]));
-                        }
-                        m.mem.write_f(b, ix as usize, st.rdf(val, l))?;
-                        st.addrs.push((l, m.mem.addr_f(b, ix as u64)));
-                    });
-                    m.stats.global_stores += mask.active;
-                    m.prof_add(|c| c.global_stores += mask.active);
-                    flush_addrs(m, &st.addrs);
-                }
-            }
-            LOp::StGI { buf, i, val } => {
-                let b = m.buf_i(buf)?;
-                if is_u(i) {
-                    let ix = st.udi(i);
-                    let len = m.mem.len_i(b);
-                    if ix < 0 || ix as usize >= len {
-                        return Err(serr!("st.global.s64: index {ix} out of bounds (len {len})")
-                            .at_thread(st.tid[first_active(mask)]));
-                    }
-                    if is_u(val) {
-                        m.mem.write_i(b, ix as usize, st.udi(val))?;
-                    } else {
-                        for_active!(mask, l, {
-                            m.mem.write_i(b, ix as usize, st.rdi(val, l))?;
-                        });
-                    }
-                    m.stats.global_stores += mask.active;
-                    m.prof_add(|c| c.global_stores += mask.active);
-                    m.access_uniform(m.mem.addr_i(b, ix as u64), mask.active, mask.warp_issues);
-                } else {
-                    st.addrs.clear();
-                    for_active!(mask, l, {
-                        let ix = st.rdi(i, l);
-                        let len = m.mem.len_i(b);
-                        if ix < 0 || ix as usize >= len {
-                            return Err(serr!(
-                                "st.global.s64: index {ix} out of bounds (len {len})"
-                            )
-                            .at_thread(st.tid[l]));
-                        }
-                        m.mem.write_i(b, ix as usize, st.rdi(val, l))?;
-                        st.addrs.push((l, m.mem.addr_i(b, ix as u64)));
-                    });
-                    m.stats.global_stores += mask.active;
-                    m.prof_add(|c| c.global_stores += mask.active);
-                    flush_addrs(m, &st.addrs);
-                }
-            }
-            LOp::StSF { sh, i, val } => {
-                if is_u(i) {
-                    let ix = st.udi(i);
-                    let arr_len = st.sh_f[sh as usize].len();
-                    if ix < 0 || ix as usize >= arr_len {
-                        return Err(serr!(
-                            "st.shared.f64: index {ix} out of bounds (len {arr_len})"
-                        )
-                        .at_thread(st.tid[first_active(mask)]));
-                    }
-                    if is_u(val) {
-                        let v = st.udf(val);
-                        st.sh_f[sh as usize][ix as usize] = v;
-                    } else {
-                        for_active!(mask, l, {
-                            let v = st.rdf(val, l);
-                            st.sh_f[sh as usize][ix as usize] = v;
-                        });
-                    }
-                    m.stats.shared_accesses += mask.active;
-                    m.prof_add(|c| c.shared_accesses += mask.active);
-                } else {
-                    st.elems.clear();
-                    for_active!(mask, l, {
-                        let ix = st.rdi(i, l);
-                        let v = st.rdf(val, l);
-                        let arr = &mut st.sh_f[sh as usize];
-                        let len = arr.len();
-                        if ix < 0 || ix as usize >= len {
-                            return Err(serr!(
-                                "st.shared.f64: index {ix} out of bounds (len {len})"
-                            )
-                            .at_thread(st.tid[l]));
-                        }
-                        arr[ix as usize] = v;
-                        st.elems.push((l, ix));
-                    });
-                    flush_elems(m, &st.elems);
-                }
-            }
-            LOp::StSI { sh, i, val } => {
-                if is_u(i) {
-                    let ix = st.udi(i);
-                    let arr_len = st.sh_i[sh as usize].len();
-                    if ix < 0 || ix as usize >= arr_len {
-                        return Err(serr!(
-                            "st.shared.s64: index {ix} out of bounds (len {arr_len})"
-                        )
-                        .at_thread(st.tid[first_active(mask)]));
-                    }
-                    if is_u(val) {
-                        let v = st.udi(val);
-                        st.sh_i[sh as usize][ix as usize] = v;
-                    } else {
-                        for_active!(mask, l, {
-                            let v = st.rdi(val, l);
-                            st.sh_i[sh as usize][ix as usize] = v;
-                        });
-                    }
-                    m.stats.shared_accesses += mask.active;
-                    m.prof_add(|c| c.shared_accesses += mask.active);
-                } else {
-                    st.elems.clear();
-                    for_active!(mask, l, {
-                        let ix = st.rdi(i, l);
-                        let v = st.rdi(val, l);
-                        let arr = &mut st.sh_i[sh as usize];
-                        let len = arr.len();
-                        if ix < 0 || ix as usize >= len {
-                            return Err(serr!(
-                                "st.shared.s64: index {ix} out of bounds (len {len})"
-                            )
-                            .at_thread(st.tid[l]));
-                        }
-                        arr[ix as usize] = v;
-                        st.elems.push((l, ix));
-                    });
-                    flush_elems(m, &st.elems);
-                }
-            }
-            LOp::StLF { loc, i, val, len } => {
-                let len = len as usize;
-                for_active!(mask, l, {
-                    let ix = st.rdi(i, l);
-                    if ix < 0 || ix as usize >= len {
-                        return Err(serr!("st.local.f64: index {ix} out of bounds (len {len})")
-                            .at_thread(st.tid[l]));
-                    }
-                    let v = st.rdf(val, l);
-                    st.loc_f[loc as usize][l * len + ix as usize] = v;
-                });
-            }
-            LOp::StVar { v, val } => {
-                if is_u(v) {
-                    let bits = st.ud(val);
-                    st.uvars[idx(v)] = bits;
-                } else {
-                    for_active!(mask, l, {
-                        let bits = st.rd(val, l);
-                        st.vvars[v as usize * st.lanes + l] = bits;
-                    });
-                }
-            }
-            LOp::Sync => {
-                if !mask.full {
-                    return Err("bar.sync reached inside divergent control flow (the block \
-                         barrier requires all threads of the block)"
-                        .into());
-                }
-                m.stats.syncs += m.n_warps as u64;
-                let nw = m.n_warps as u64;
-                m.prof_add(|c| c.syncs += nw);
-            }
-            LOp::AtomicF { op, d, buf, i, val } => {
-                let b = m.buf_f(buf)?;
-                m.stats.atomics += mask.active;
-                m.prof_add(|c| c.atomics += mask.active);
-                // Deferred mode (launch has a reducibility plan):
-                // accumulate privately and read back 0 — the plan
-                // guarantees the old value is dead. See `crate::atomics`.
-                let target = m.atomics.as_ref().and_then(|ap| ap.target_f(buf));
-                for_active!(mask, l, {
-                    let ix = st.rdi(i, l);
-                    let len = m.mem.len_f(b);
-                    if ix < 0 || ix as usize >= len {
-                        return Err(
-                            serr!("atom.global.f64: index {ix} out of bounds (len {len})")
-                                .at_thread(st.tid[l]),
-                        );
-                    }
-                    let v = st.rdf(val, l);
-                    if let Some(t) = target {
-                        let block = m.cur_block_lin as u64;
-                        m.atomics
-                            .as_mut()
-                            .unwrap()
-                            .defer_f(t, op, block, ix as usize, v);
-                        st.wv(d, l, 0);
-                    } else {
-                        let old = m.mem.read_f(b, ix as usize)?;
-                        m.mem.write_f(b, ix as usize, sem::atomic_f(op, old, v))?;
-                        st.wv(d, l, old.to_bits());
-                    }
-                });
-            }
-            LOp::AtomicI { op, d, buf, i, val } => {
-                let b = m.buf_i(buf)?;
-                m.stats.atomics += mask.active;
-                m.prof_add(|c| c.atomics += mask.active);
-                let target = m.atomics.as_ref().and_then(|ap| ap.target_i(buf));
-                for_active!(mask, l, {
-                    let ix = st.rdi(i, l);
-                    let len = m.mem.len_i(b);
-                    if ix < 0 || ix as usize >= len {
-                        return Err(
-                            serr!("atom.global.s64: index {ix} out of bounds (len {len})")
-                                .at_thread(st.tid[l]),
-                        );
-                    }
-                    let v = st.rdi(val, l);
-                    if let Some(t) = target {
-                        let block = m.cur_block_lin as u64;
-                        m.atomics
-                            .as_mut()
-                            .unwrap()
-                            .defer_i(t, op, block, ix as usize, v);
-                        st.wv(d, l, 0);
-                    } else {
-                        let old = m.mem.read_i(b, ix as usize)?;
-                        m.mem.write_i(b, ix as usize, sem::atomic_i(op, old, v))?;
-                        st.wv(d, l, old as u64);
-                    }
-                });
             }
             LOp::If {
                 cond,
@@ -1972,6 +1398,7 @@ pub(crate) fn exec_ops(
                 pc = end;
                 continue;
             }
+            _ => unreachable!("data ops are dispatched above"),
         }
         pc += 1;
     }
@@ -2039,9 +1466,7 @@ pub(crate) fn exec_for_lowered(
         let mut k = s0;
         while k < e0 {
             m.burn()?;
-            for_active!(mask, l, {
-                st.wv(counter, l, k as u64);
-            });
+            lanes::broadcast(st, mask, counter, k as u64);
             exec_ops(m, st, wp, b0, bend, depth, mask)?;
             if probe {
                 if let Some(r) = &mut m.region {
@@ -2128,28 +1553,7 @@ pub(crate) fn run_warp_blocks(
         vregs: vec![0; wp.n_vals * lanes],
         uvars: vec![0; wp.n_vars],
         vvars: vec![0; wp.n_vars * lanes],
-        sh_f: prog
-            .shared
-            .iter()
-            .map(|s| {
-                if s.ty == Ty::F64 {
-                    vec![0.0; s.len]
-                } else {
-                    vec![]
-                }
-            })
-            .collect(),
-        sh_i: prog
-            .shared
-            .iter()
-            .map(|s| {
-                if s.ty == Ty::I64 {
-                    vec![0; s.len]
-                } else {
-                    vec![]
-                }
-            })
-            .collect(),
+        shared: prog.shared.iter().map(|s| vec![0; s.len]).collect(),
         loc_f: prog
             .locals
             .iter()
@@ -2176,9 +1580,8 @@ pub(crate) fn run_warp_blocks(
     // Shared/local arrays must be zero at block entry. They start zeroed,
     // so resetting is only needed *between* blocks, and only when the
     // program declares any such arrays at all.
-    let has_block_arrays = st.sh_f.iter().any(|a| !a.is_empty())
-        || st.sh_i.iter().any(|a| !a.is_empty())
-        || st.loc_f.iter().any(|a| !a.is_empty());
+    let has_block_arrays =
+        st.shared.iter().any(|a| !a.is_empty()) || st.loc_f.iter().any(|a| !a.is_empty());
     let mut ran_a_block = false;
 
     let tracing = m.profile.is_some();
@@ -2189,15 +1592,8 @@ pub(crate) fn run_warp_blocks(
             continue;
         }
         if has_block_arrays && ran_a_block {
-            for a in &mut st.sh_f {
-                a.iter_mut().for_each(|v| *v = 0.0);
-            }
-            for a in &mut st.sh_i {
-                a.iter_mut().for_each(|v| *v = 0);
-            }
-            for a in &mut st.loc_f {
-                a.iter_mut().for_each(|v| *v = 0.0);
-            }
+            st.shared.iter_mut().for_each(|a| a.fill(0));
+            st.loc_f.iter_mut().for_each(|a| a.fill(0.0));
         }
         ran_a_block = true;
         m.cur_sm = sm / team;

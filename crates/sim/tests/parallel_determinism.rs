@@ -915,3 +915,542 @@ fn env_var_override_of_one_matches_serial() {
     std::env::remove_var("ALPAKA_SIM_THREADS");
     assert_eq!(resolve_sim_threads(spec.sim_threads), 1);
 }
+
+// ---------------------------------------------------------------------------
+// Lane kernels and guarded fusion vs. the reference engine
+// ---------------------------------------------------------------------------
+
+use alpaka_kir::ir::{
+    BBin, Block, Cmp, FBin, FUn, IBin, Instr, Op, Program, SpecialReg, Stmt, ValId,
+};
+use alpaka_sim::{run_kernel_launch_faulty, FaultPlan, LaunchFaults};
+
+/// Everything observable about one launch: stats, modelled time and every
+/// bound buffer's bits — or the structured error (message, kind, block and
+/// thread coordinates) rendered as text.
+type Outcome = Result<
+    (
+        alpaka_sim::LaunchStats,
+        alpaka_sim::TimeBreakdown,
+        Vec<Vec<u64>>,
+    ),
+    String,
+>;
+
+fn outcome(
+    spec: &DeviceSpec,
+    prog: &Program,
+    wd: &WorkDiv,
+    (mut mem, args): (DeviceMem, SimArgs),
+    engine: Engine,
+    faults: Option<LaunchFaults>,
+) -> Outcome {
+    let threads = resolve_sim_threads(1);
+    run_kernel_launch_faulty(
+        spec,
+        &mut mem,
+        prog,
+        wd,
+        &args,
+        ExecMode::Full,
+        threads,
+        engine,
+        faults,
+    )
+    .map(|rep| {
+        let f = args
+            .bufs_f
+            .iter()
+            .map(|b| mem.f(*b).iter().map(|v| v.to_bits()).collect());
+        let i = args
+            .bufs_i
+            .iter()
+            .map(|b| mem.i(*b).iter().map(|v| *v as u64).collect());
+        (rep.stats, rep.time, f.chain(i).collect())
+    })
+    .map_err(|e| format!("{e:?}"))
+}
+
+/// The lowered and compiled engines must reproduce the reference engine's
+/// outcome exactly. Returns it.
+fn assert_outcomes_agree(
+    spec: &DeviceSpec,
+    prog: &Program,
+    wd: &WorkDiv,
+    setup: impl Fn() -> (DeviceMem, SimArgs),
+    faults: Option<LaunchFaults>,
+    what: &str,
+) -> Outcome {
+    let want = outcome(spec, prog, wd, setup(), Engine::Reference, faults);
+    for engine in [Engine::Lowered, Engine::Compiled] {
+        let got = outcome(spec, prog, wd, setup(), engine, faults);
+        assert_eq!(
+            want, got,
+            "{what}: {engine:?} diverged from the reference engine"
+        );
+    }
+    want
+}
+
+#[derive(Clone, Copy, PartialEq)]
+enum T {
+    F,
+    I,
+    B,
+}
+
+/// Every compute op of the ISA: operand types, result type, constructor.
+#[allow(clippy::type_complexity)]
+fn every_op() -> Vec<(Vec<T>, T, Box<dyn Fn(&[ValId]) -> Op>)> {
+    use T::{B, F, I};
+    let mut ops: Vec<(Vec<T>, T, Box<dyn Fn(&[ValId]) -> Op>)> = vec![];
+    for op in [
+        FBin::Add,
+        FBin::Sub,
+        FBin::Mul,
+        FBin::Div,
+        FBin::Min,
+        FBin::Max,
+    ] {
+        ops.push((vec![F, F], F, Box::new(move |a| Op::BinF(op, a[0], a[1]))));
+    }
+    for op in [
+        IBin::Add,
+        IBin::Sub,
+        IBin::Mul,
+        IBin::Div,
+        IBin::Rem,
+        IBin::Min,
+        IBin::Max,
+        IBin::And,
+        IBin::Or,
+        IBin::Xor,
+        IBin::Shl,
+        IBin::Shr,
+    ] {
+        ops.push((vec![I, I], I, Box::new(move |a| Op::BinI(op, a[0], a[1]))));
+    }
+    for op in [Cmp::Lt, Cmp::Le, Cmp::Gt, Cmp::Ge, Cmp::Eq] {
+        ops.push((vec![F, F], B, Box::new(move |a| Op::CmpF(op, a[0], a[1]))));
+        ops.push((vec![I, I], B, Box::new(move |a| Op::CmpI(op, a[0], a[1]))));
+    }
+    for op in [BBin::And, BBin::Or] {
+        ops.push((vec![B, B], B, Box::new(move |a| Op::BinB(op, a[0], a[1]))));
+    }
+    for op in [
+        FUn::Neg,
+        FUn::Abs,
+        FUn::Sqrt,
+        FUn::Exp,
+        FUn::Ln,
+        FUn::Sin,
+        FUn::Cos,
+        FUn::Floor,
+    ] {
+        ops.push((vec![F], F, Box::new(move |a| Op::UnF(op, a[0]))));
+    }
+    ops.push((vec![B, F, F], F, Box::new(|a| Op::SelF(a[0], a[1], a[2]))));
+    ops.push((vec![B, I, I], I, Box::new(|a| Op::SelI(a[0], a[1], a[2]))));
+    ops.push((vec![F, F, F], F, Box::new(|a| Op::Fma(a[0], a[1], a[2]))));
+    ops.push((vec![I], I, Box::new(|a| Op::NegI(a[0]))));
+    ops.push((vec![B], B, Box::new(|a| Op::NotB(a[0]))));
+    ops.push((vec![I], F, Box::new(|a| Op::I2F(a[0]))));
+    ops.push((vec![F], I, Box::new(|a| Op::F2I(a[0]))));
+    ops.push((vec![I], F, Box::new(|a| Op::U2UnitF(a[0]))));
+    ops
+}
+
+/// `if mask(tid) { out[tid + shift] = op(operands) }` with operand `j` read
+/// from parameter slot `j` (uniform) or from buffer `j` at `tid` (varying).
+/// Booleans derive from the integer operand; a boolean result is stored as
+/// 0/1. `shift` is i64 parameter 3 (it pushes the store out of bounds).
+fn op_program(
+    tys: &[T],
+    res: T,
+    make: &dyn Fn(&[ValId]) -> Op,
+    varying: u32,
+    mask: u32,
+) -> Program {
+    let mut stmts = vec![];
+    let mut next = 0u32;
+    let mut emit = |stmts: &mut Vec<Stmt>, op: Op| {
+        stmts.push(Stmt::I(Instr {
+            dst: ValId(next),
+            op,
+        }));
+        next += 1;
+        ValId(next - 1)
+    };
+    let tid = emit(&mut stmts, Op::Special(SpecialReg::ThreadIdx(2)));
+    let k = |stmts: &mut Vec<Stmt>, emit: &mut dyn FnMut(&mut Vec<Stmt>, Op) -> ValId, v| {
+        emit(stmts, Op::ConstI(v))
+    };
+    let cond = match mask {
+        0 => None, // full
+        1 => {
+            // ragged tail: the last three lanes (the only lane, at 1) idle
+            let ext = emit(&mut stmts, Op::Special(SpecialReg::BlockThreadExtent(2)));
+            let three = k(&mut stmts, &mut emit, 3);
+            let lim = emit(&mut stmts, Op::BinI(IBin::Sub, ext, three));
+            Some(emit(&mut stmts, Op::CmpI(Cmp::Lt, tid, lim)))
+        }
+        2 => {
+            // one lane
+            let five = k(&mut stmts, &mut emit, 5);
+            let ext = emit(&mut stmts, Op::Special(SpecialReg::BlockThreadExtent(2)));
+            let lane = emit(&mut stmts, Op::BinI(IBin::Rem, five, ext));
+            Some(emit(&mut stmts, Op::CmpI(Cmp::Eq, tid, lane)))
+        }
+        3 => {
+            // alternating
+            let one = k(&mut stmts, &mut emit, 1);
+            let bit = emit(&mut stmts, Op::BinI(IBin::And, tid, one));
+            Some(emit(&mut stmts, Op::CmpI(Cmp::Eq, bit, one)))
+        }
+        _ => {
+            // empty warp: warp 1 (lanes 32..64) sits out
+            let c32 = k(&mut stmts, &mut emit, 32);
+            let c64 = k(&mut stmts, &mut emit, 64);
+            let lo = emit(&mut stmts, Op::CmpI(Cmp::Lt, tid, c32));
+            let hi = emit(&mut stmts, Op::CmpI(Cmp::Ge, tid, c64));
+            Some(emit(&mut stmts, Op::BinB(BBin::Or, lo, hi)))
+        }
+    };
+    let mut body = vec![];
+    let operands: Vec<ValId> = tys
+        .iter()
+        .enumerate()
+        .map(|(j, &t)| {
+            let slot = j as u32;
+            let var = varying >> j & 1 == 1;
+            match (t, var) {
+                (T::F, false) => emit(&mut body, Op::ParamF(slot)),
+                (T::F, true) => emit(
+                    &mut body,
+                    Op::LdGF {
+                        buf: slot,
+                        idx: tid,
+                    },
+                ),
+                (_, false) => emit(&mut body, Op::ParamI(slot)),
+                (_, true) => emit(
+                    &mut body,
+                    Op::LdGI {
+                        buf: slot,
+                        idx: tid,
+                    },
+                ),
+            }
+        })
+        .collect();
+    let operands: Vec<ValId> = operands
+        .iter()
+        .zip(tys)
+        .map(|(&v, &t)| {
+            if t == T::B {
+                let z = emit(&mut body, Op::ConstI(0));
+                emit(&mut body, Op::CmpI(Cmp::Gt, v, z))
+            } else {
+                v
+            }
+        })
+        .collect();
+    let r = emit(&mut body, make(&operands));
+    let shift = emit(&mut body, Op::ParamI(3));
+    let idx = emit(&mut body, Op::BinI(IBin::Add, tid, shift));
+    let store = match res {
+        T::F => Stmt::StGF {
+            buf: 3,
+            idx,
+            val: r,
+        },
+        T::I => Stmt::StGI {
+            buf: 3,
+            idx,
+            val: r,
+        },
+        T::B => {
+            let one = emit(&mut body, Op::ConstI(1));
+            let zero = emit(&mut body, Op::ConstI(0));
+            let val = emit(&mut body, Op::SelI(r, one, zero));
+            Stmt::StGI { buf: 3, idx, val }
+        }
+    };
+    body.push(store);
+    match cond {
+        None => stmts.extend(body),
+        Some(cond) => stmts.push(Stmt::If {
+            cond,
+            then_b: Block(body),
+            else_b: Block(vec![]),
+        }),
+    }
+    Program {
+        name: "lane-op".into(),
+        dims: 1,
+        body: Block(stmts),
+        n_vals: next,
+        vars: vec![],
+        shared: vec![],
+        locals: vec![],
+        n_bufs_f: 4,
+        n_bufs_i: 4,
+        n_params_f: 3,
+        n_params_i: 4,
+    }
+}
+
+/// Edge-heavy operand data: `pick` draws from the seed stream.
+fn op_setup(lanes: usize, shift: i64, seed: &[u64]) -> (DeviceMem, SimArgs) {
+    const FS: [f64; 10] = [
+        0.0,
+        -0.0,
+        1.5,
+        -2.25,
+        f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        5e-324,
+        1e300,
+        -1e-3,
+    ];
+    const IS: [i64; 10] = [
+        0,
+        1,
+        -1,
+        2,
+        63,
+        64,
+        -64,
+        i64::MAX,
+        i64::MIN,
+        0x1234_5678_9abc,
+    ];
+    let mut n = 0usize;
+    let mut pick = || {
+        n += 1;
+        let s = seed[n % seed.len()]
+            .wrapping_mul(n as u64 | 1)
+            .rotate_left(n as u32);
+        (s >> 7) as usize
+    };
+    let mut mem = DeviceMem::new();
+    let bufs_f: Vec<_> = (0..4).map(|_| mem.alloc_f(lanes)).collect();
+    let bufs_i: Vec<_> = (0..4).map(|_| mem.alloc_i(lanes)).collect();
+    for l in 0..lanes {
+        for b in 0..3 {
+            let p = pick();
+            mem.f_mut(bufs_f[b])[l] = if p % 3 == 0 {
+                p as f64 * 1e-3 - 7.0
+            } else {
+                FS[p % 10]
+            };
+            let p = pick();
+            mem.i_mut(bufs_i[b])[l] = if p % 3 == 0 {
+                p as i64 - (1 << 40)
+            } else {
+                IS[p % 10]
+            };
+        }
+    }
+    let args = SimArgs {
+        bufs_f,
+        bufs_i,
+        params_f: (0..3).map(|_| FS[pick() % 10]).collect(),
+        params_i: (0..3).map(|_| IS[pick() % 10]).chain([shift]).collect(),
+    };
+    (mem, args)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(40))]
+
+    /// Every compute op x {uniform, varying} per operand x mask shape x
+    /// lane count, on edge-heavy data, with and without a store that runs
+    /// out of bounds part-way through the block: the lane kernels must
+    /// reproduce the reference engine's buffers, `LaunchStats`, modelled
+    /// time and error text (block and thread coordinates included).
+    #[test]
+    fn lane_kernels_match_the_oracle(
+        varying in 0u32..8,
+        mask in 0u32..5,
+        lanes in 0usize..6,
+        oob in 0usize..3,
+        seed in proptest::collection::vec(any::<u64>(), 8..16),
+    ) {
+        let spec = DeviceSpec::k20();
+        let lanes = [1usize, 31, 32, 48, 64, 256][lanes];
+        let wd = WorkDiv::d1(2, lanes, 1);
+        // 0: in bounds; otherwise the top third / all lanes fall off the end.
+        let shift = [0, lanes.div_ceil(3), lanes][oob] as i64;
+        for (tys, res, make) in every_op() {
+            let prog = op_program(&tys, res, &*make, varying, mask);
+            alpaka_kir::validate(&prog).unwrap();
+            let got = assert_outcomes_agree(
+                &spec,
+                &prog,
+                &wd,
+                || op_setup(lanes, shift, &seed),
+                None,
+                &alpaka_kir::print_program(&prog),
+            );
+            // In bounds nothing faults; shifted by a whole block every
+            // active lane does (a mask may leave a small block idle).
+            prop_assert!(oob != 0 || got.is_ok(), "{got:?}");
+            prop_assert!(oob != 2 || mask != 0 || got.is_err(), "{got:?}");
+        }
+    }
+}
+
+/// One DAXPY launch on the E5 model at one thread per block — the shape
+/// whose tail-guarded element loop the compiled tier fuses.
+fn guarded_daxpy(
+    n: i64,
+    blocks: usize,
+    setup: impl Fn() -> (DeviceMem, SimArgs),
+    faults: Option<LaunchFaults>,
+    what: &str,
+) -> Outcome {
+    let wd = WorkDiv::d1(blocks, 1, 64);
+    let mut prog = trace_kernel(&Daxpy, 1);
+    optimize(&mut prog);
+    let with_n = || {
+        let (mem, mut args) = setup();
+        args.params_i = vec![n];
+        (mem, args)
+    };
+    assert_outcomes_agree(&DeviceSpec::e5_2630v3(), &prog, &wd, with_n, faults, what)
+}
+
+#[test]
+fn guarded_fusion_matches_the_oracle() {
+    let len = 256usize;
+    let blocks = len / 64;
+    let full = || daxpy_setup(len);
+    // Guard never, partly (n inside block 1) and always taken.
+    for n in [0, 100, 256, 1 << 40] {
+        let ok = guarded_daxpy(n.min(len as i64), blocks, full, None, "in bounds");
+        assert!(ok.is_ok(), "n={n}: {ok:?}");
+    }
+    // Out of bounds inside the guard: n promises more than the buffers hold.
+    let short = guarded_daxpy(300, 5, full, None, "oob inside the guard");
+    assert!(short.unwrap_err().contains("out of bounds (len 256)"));
+    // Fuel is per launch: the four blocks burn some 800 units when no
+    // guard is taken and under 2000 when all are. 850 covers n = 0 but not
+    // the all-taken bound of its last two loops (the fused path must step
+    // aside, not fail); 700 and 1000 run dry mid-loop.
+    for (n, fuel, ok) in [
+        (0, 850, true),
+        (0, 700, false),
+        (256, 1000, false),
+        (256, 2000, true),
+    ] {
+        let faults = LaunchFaults {
+            ecc: None,
+            watchdog_fuel: Some(fuel),
+        };
+        let got = guarded_daxpy(n, blocks, full, Some(faults), "watchdog");
+        assert_eq!(got.is_ok(), ok, "n={n} fuel={fuel}: {got:?}");
+    }
+    // Injected ECC on the loads inside the guard.
+    let plan = FaultPlan {
+        ecc_rate: 0.02,
+        ..FaultPlan::quiet(7)
+    };
+    let faults = LaunchFaults {
+        ecc: plan.ecc_ctx(0),
+        watchdog_fuel: None,
+    };
+    let ecc = guarded_daxpy(256, blocks, full, Some(faults), "ecc inside the guard");
+    assert!(ecc.unwrap_err().contains("uncorrectable ECC"));
+    // An unbound buffer slot only matters once a guard is taken.
+    let unbound = || {
+        let (mem, mut args) = daxpy_setup(len);
+        args.bufs_f.truncate(1);
+        (mem, args)
+    };
+    assert!(guarded_daxpy(0, blocks, unbound, None, "unbound, never touched").is_ok());
+    let hit = guarded_daxpy(256, blocks, unbound, None, "unbound, touched");
+    assert!(hit.unwrap_err().contains("slot 1 not bound"));
+    // The vectorization probe's first two iterations straddle the guard in
+    // block 1 (element 64 is in, 65 is out): the address logs differ in
+    // length, so that block's region must not count as vectorized.
+    let (stats, ..) = guarded_daxpy(65, 2, full, None, "probe straddles").unwrap();
+    let (all, ..) = guarded_daxpy(128, 2, full, None, "probe inside").unwrap();
+    assert!(stats.scalar_issue > 0 && stats.vec_issue > 0, "{stats:?}");
+    assert!(all.vec_issue > stats.vec_issue, "{all:?}");
+}
+
+/// A lane that has left a per-lane `for` keeps having its trip test
+/// evaluated while its neighbours iterate; with bounds next to `i64::MAX`
+/// that test used to overflow (debug: panic; release: the finished lane
+/// re-entered with a wrapped counter).
+#[test]
+fn finished_lane_next_to_i64_max_stays_out_of_the_loop() {
+    use alpaka_kir::eval::{eval_thread_fuel, EvalInputs, EvalMem, SpecialValues};
+
+    struct Trips;
+    impl Kernel for Trips {
+        fn name(&self) -> &str {
+            "trips"
+        }
+        fn run<O: KernelOps>(&self, o: &mut O) {
+            let out = o.buf_i(0);
+            let tid = o.thread_idx(0);
+            let zero = o.lit_i(0);
+            let first = o.eq_i(tid, zero);
+            let (big, max, n) = (o.lit_i(i64::MAX - 1), o.lit_i(i64::MAX), o.lit_i(1000));
+            let start = o.select_i(first, big, zero);
+            let end = o.select_i(first, max, n);
+            let acc = o.var_i(zero);
+            o.for_range(start, end, |o, k| {
+                let a = o.vget_i(acc);
+                let s = o.add_i(a, k);
+                o.vset_i(acc, s);
+            });
+            let total = o.vget_i(acc);
+            o.st_gi(out, tid, total);
+        }
+    }
+    let wd = WorkDiv::d1(1, 2, 1);
+    let mut prog = trace_kernel(&Trips, 1);
+    optimize(&mut prog);
+    let setup = || {
+        let mut mem = DeviceMem::new();
+        let out = mem.alloc_i(2);
+        let args = SimArgs {
+            bufs_f: vec![],
+            bufs_i: vec![out],
+            params_f: vec![],
+            params_i: vec![],
+        };
+        (mem, args)
+    };
+    let got = assert_outcomes_agree(&DeviceSpec::k20(), &prog, &wd, setup, None, "trips");
+    let want = vec![i64::MAX as u64 - 1, 499_500];
+    assert_eq!(got.unwrap().2, vec![want.clone()]);
+
+    // The per-thread evaluator iterates each lane on its own.
+    let mut emem = EvalMem {
+        bufs_f: vec![],
+        bufs_i: vec![vec![0; 2]],
+    };
+    for t in 0..2 {
+        let inp = EvalInputs {
+            params_f: &[],
+            params_i: &[],
+            special: SpecialValues {
+                grid_blocks: [1, 1, 1],
+                block_threads: [1, 1, 2],
+                thread_elems: [1, 1, 1],
+                block_idx: [0, 0, 0],
+                thread_idx: [0, 0, t],
+            },
+        };
+        eval_thread_fuel(&prog, &inp, &mut emem, 1_000_000).unwrap();
+    }
+    assert_eq!(
+        emem.bufs_i[0].iter().map(|v| *v as u64).collect::<Vec<_>>(),
+        want
+    );
+}

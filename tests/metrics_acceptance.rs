@@ -116,6 +116,14 @@ fn daxpy_spec(n: usize) -> LaunchSpec<DaxpyKernel> {
         .scalar_i(n as i64)
 }
 
+/// The registry, the flight recorder and the enabled switch are process
+/// globals: a capture in one test would fill what another test expects to
+/// stay empty. So the tests of this file take turns.
+fn serial() -> std::sync::MutexGuard<'static, ()> {
+    static TURN: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    TURN.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 /// Both exports, engine-dependent families stripped, concatenated for one
 /// byte comparison.
 fn render(cap: &MetricsCapture) -> String {
@@ -129,6 +137,7 @@ fn render(cap: &MetricsCapture) -> String {
 
 #[test]
 fn snapshots_are_byte_identical_across_workers_engines_and_pool_sizes() {
+    let _turn = serial();
     let reference = render(&run_workload(1, Engine::Lowered, 1));
     assert!(
         reference.contains("alpaka_launches_total"),
@@ -165,6 +174,7 @@ fn snapshots_are_byte_identical_across_workers_engines_and_pool_sizes() {
 
 #[test]
 fn workload_records_expected_families() {
+    let _turn = serial();
     let cap = run_workload(2, Engine::Lowered, 2);
     let snap = &cap.snapshot;
     // Two queue launches + one resilient retry pair + 8 pool shards worth
@@ -205,6 +215,7 @@ fn run_chaos(engine: Engine) -> MetricsCapture {
 
 #[test]
 fn postmortem_is_deterministic_across_engines_and_reruns() {
+    let _turn = serial();
     let reference = postmortem(&run_chaos(Engine::Lowered));
     assert!(reference.contains("launch failure(s):"), "{reference}");
     assert!(reference.contains("[device]"), "{reference}");
@@ -218,6 +229,7 @@ fn postmortem_is_deterministic_across_engines_and_reruns() {
 
 #[test]
 fn disabled_metrics_record_nothing_from_the_full_workload() {
+    let _turn = serial();
     if metrics::enabled() {
         return; // ambient ALPAKA_SIM_METRICS run; nothing to assert
     }
