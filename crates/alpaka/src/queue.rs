@@ -848,18 +848,26 @@ mod tests {
 
     #[test]
     fn untraced_launch_emits_nothing() {
-        if trace::enabled() {
-            return; // an outer ALPAKA_SIM_TRACE run; nothing to assert
-        }
-        let before = trace::pending();
         let n = 64usize;
-        let dev = Device::new(AccKind::sim_k20());
-        let q = Queue::new(dev.clone(), QueueBehavior::Blocking);
-        let b = dev.alloc_f64(crate::BufLayout::d1(n));
-        let wd = dev.suggest_workdiv_1d(n);
-        q.enqueue_kernel(&Scale, &wd, &Args::new().buf_f(&b).scalar_i(n as i64))
-            .unwrap();
-        q.wait().unwrap();
-        assert_eq!(trace::pending(), before);
+        // Inside a capture — no neighbouring capture can switch the
+        // process-global sink on mid-launch — with the sink switched back
+        // off. A neighbour that saw it on in between may still emit; nothing
+        // carrying this launch's device or queue id may.
+        let ((dev, queue), events) = trace::capture(|| {
+            trace::set_enabled(false);
+            let dev = Device::new(AccKind::sim_k20());
+            let q = Queue::new(dev.clone(), QueueBehavior::Blocking);
+            let b = dev.alloc_f64(crate::BufLayout::d1(n));
+            let wd = dev.suggest_workdiv_1d(n);
+            q.enqueue_kernel(&Scale, &wd, &Args::new().buf_f(&b).scalar_i(n as i64))
+                .unwrap();
+            q.wait().unwrap();
+            (dev.id(), q.id())
+        });
+        let ours: Vec<_> = events
+            .iter()
+            .filter(|e| e.device == dev || e.queue == Some(queue))
+            .collect();
+        assert!(ours.is_empty(), "{ours:?}");
     }
 }

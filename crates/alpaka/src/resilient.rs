@@ -612,12 +612,22 @@ mod tests {
     #[test]
     fn attempts_and_failover_are_traced() {
         let n = 128;
+        // Created outside the capture, so that their ids come from the
+        // process-wide counter and no neighbouring test's device shares one.
+        let lost =
+            Device::new(AccKind::sim_k20()).with_faults(FaultPlan::quiet(7).with_lost_at_launch(0));
+        let cpu = Device::new(AccKind::CpuSerial);
+        let ours = [lost.id(), cpu.id()];
+        let chain = FallbackChain::new(lost).then(cpu);
         let (out, events) = trace::capture(|| {
-            let lost = Device::new(AccKind::sim_k20())
-                .with_faults(FaultPlan::quiet(7).with_lost_at_launch(0));
-            let chain = FallbackChain::new(lost).then(Device::new(AccKind::CpuSerial));
             launch_resilient(&chain, &RetryPolicy::default(), &daxpy_spec(n)).unwrap()
         });
+        // The sink is process-global: a neighbouring test's launch emits into
+        // this capture too. Only our devices' events are ours to count.
+        let events: Vec<_> = events
+            .into_iter()
+            .filter(|e| ours.contains(&e.device))
+            .collect();
         assert!(out.device_index > 0);
         let retry_events: Vec<_> = events
             .iter()

@@ -1,7 +1,9 @@
 //! Engine-tier comparison: interpreter throughput with the tree-walking
 //! reference engine, the pre-decoded warp program (`Engine::Lowered`) and
-//! the direct-threaded compiled tier (`Engine::Compiled`) on four workload
+//! the direct-threaded compiled tier (`Engine::Compiled`) on five workload
 //! shapes — streaming DAXPY, the 4096-block DGEMM of `sim_throughput`, the
+//! tiled DGEMM in its Fig. 8 CPU mapping (`t = 1`, `e = 64`: one thread per
+//! block, shared-memory tiles, a `for.vec` accumulate loop), the
 //! barrier-heavy block scan, and the atomic-scatter histogram — at 1
 //! interpreter thread, plus the histogram again at 4 threads (the
 //! deterministic parallel-atomics path).
@@ -22,7 +24,7 @@
 //! (the CI smoke mode).
 
 use alpaka_core::workdiv::WorkDiv;
-use alpaka_kernels::{DaxpyKernel, DgemmNaive, HistogramGlobalExact, ScanBlocks};
+use alpaka_kernels::{DaxpyKernel, DgemmNaive, DgemmTiled, HistogramGlobalExact, ScanBlocks};
 use alpaka_kir::{optimize, trace_kernel, Program};
 use alpaka_sim::{
     run_kernel_launch_engine, DeviceMem, DeviceSpec, Engine, ExecMode, HostPerf, SimArgs, SimReport,
@@ -32,6 +34,11 @@ use std::io::Write as _;
 
 const BLOCKS: usize = 4096;
 const N: usize = 64; // C is BLOCKS x N, A is BLOCKS x N, B is N x N
+
+/// Square problem size of the tiled CPU-mapping DGEMM: 2 x 2 blocks of one
+/// thread with a 64 x 64 element tile each.
+const TILED: DgemmTiled = DgemmTiled { t: 1, e: 64 };
+const TILED_N: usize = 128;
 
 const DAXPY_N: usize = 1 << 20;
 const SCAN_BLOCKS: usize = 512;
@@ -51,31 +58,33 @@ struct Workload {
     setup: fn() -> (DeviceMem, SimArgs),
 }
 
-fn dgemm_setup() -> (DeviceMem, SimArgs) {
+/// `C (m x n) <- A (m x k) * B (k x n)`, dense row-major.
+fn gemm_setup(m: usize, n: usize, k: usize) -> (DeviceMem, SimArgs) {
     let mut mem = DeviceMem::new();
-    let a = mem.alloc_f(BLOCKS * N);
-    let b = mem.alloc_f(N * N);
-    let c = mem.alloc_f(BLOCKS * N);
-    for i in 0..BLOCKS * N {
+    let a = mem.alloc_f(m * k);
+    let b = mem.alloc_f(k * n);
+    let c = mem.alloc_f(m * n);
+    for i in 0..m * k {
         mem.f_mut(a)[i] = ((i * 7 + 3) % 17) as f64 * 0.25;
     }
-    for i in 0..N * N {
+    for i in 0..k * n {
         mem.f_mut(b)[i] = ((i * 5 + 1) % 13) as f64 - 6.0;
     }
     let args = SimArgs {
         bufs_f: vec![a, b, c],
         bufs_i: vec![],
         params_f: vec![1.0, 0.0],
-        params_i: vec![
-            BLOCKS as i64,
-            N as i64,
-            N as i64,
-            N as i64,
-            N as i64,
-            N as i64,
-        ],
+        params_i: [m, n, k, k, n, n].map(|v| v as i64).to_vec(),
     };
     (mem, args)
+}
+
+fn dgemm_setup() -> (DeviceMem, SimArgs) {
+    gemm_setup(BLOCKS, N, N)
+}
+
+fn tiled_setup() -> (DeviceMem, SimArgs) {
+    gemm_setup(TILED_N, TILED_N, TILED_N)
 }
 
 fn daxpy_setup() -> (DeviceMem, SimArgs) {
@@ -153,6 +162,13 @@ fn workloads() -> Vec<Workload> {
             wd: DgemmNaive::workdiv(BLOCKS, 1),
             spec: DeviceSpec::e5_2630v3(),
             setup: dgemm_setup,
+        },
+        Workload {
+            name: "dgemm_tiled_cpu",
+            prog: lowered(&TILED, 2),
+            wd: TILED.workdiv(TILED_N, TILED_N),
+            spec: DeviceSpec::e5_2630v3(),
+            setup: tiled_setup,
         },
         Workload {
             name: "scan_blocks",

@@ -1,5 +1,7 @@
 //! The compiled execution tier: direct-threaded warp programs with fused
-//! uniform loops.
+//! uniform loops, for launches of **one thread per block** (the CPU mapping
+//! of the paper's kernels; `run_kernel_launch_faulty` picks the tier from
+//! the work division and hands every other launch to the lowered engine).
 //!
 //! [`compile`] re-threads a validated [`WarpProgram`] (from `crate::lower`)
 //! into a small tree of [`CNode`]s — structured control flow with all
@@ -22,11 +24,21 @@
 //!   performs bounds checks, injected-ECC decisions and cache line
 //!   accounting with the *same* order and arithmetic as
 //!   [`Machine::mem_access_one`], but without per-access handle lookups or
-//!   memory-view dispatch, and
+//!   memory-view dispatch,
+//! * executes shared-memory accesses in the step list — at one lane a
+//!   bounds check and one counted access, no bank can conflict — so the
+//!   tile loads and the accumulate loop of the tiled DGEMM fuse,
 //! * treats an else-less `If` over a fusible straight line as a *guard* — a
 //!   forward skip in the step list — so the tail-guarded element loop
 //!   `for_elements { if i < n { .. } }` fuses too: such a loop charges
-//!   `trips × unguarded + taken × guarded` (see [`exec_fused`]).
+//!   `trips × unguarded + taken × guarded` (see [`exec_fused`]), and
+//! * runs a guard-free body whose every access index is affine in the loop
+//!   counter as an affine [`Stream`]: the index arithmetic is evaluated
+//!   twice at loop entry to aim one cursor per access, every access range
+//!   is bounds-checked once, and the loop walks the cursors. This is the
+//!   one matcher for hot loops: the tiled DGEMM's `ld.shared, ld.local,
+//!   fma, st.local` accumulate loop and the inner product of the naive
+//!   DGEMM are both instances of it.
 //!
 //! Global atomics execute as step-list superops too: the launch driver's
 //! deferral plan (see `crate::atomics`) decides at run time whether an
@@ -35,18 +47,19 @@
 //! gate requires a plan whenever a program contains atomics. Either way the
 //! buffers, stats and error surfaces match the lowered engine bit for bit.
 //!
-//! The step list runs only at **one lane per block under a full mask** with
-//! fuel for every iteration (all guards taken) and every buffer slot bound.
-//! Everything else — multi-lane blocks, barriers, shared memory, `while`
-//! loops, branches with an else side or nested control flow,
-//! near-exhausted fuel — runs the lowered interpreter's own
+//! The step list runs loops of at least [`MIN_FUSED_TRIPS`] trips, with fuel
+//! for every iteration (all guards taken) and every buffer slot bound; a stream additionally needs every cursor in
+//! bounds for the whole loop and no ECC injection armed. Everything else —
+//! barriers, `while` loops, branches with an else side or nested control
+//! flow, short loops, near-exhausted fuel — runs the lowered interpreter's own
 //! `exec_ops`/`exec_for_lowered` on the *same* state (whose data ops are
-//! the lane kernels of `crate::lanes`), so buffers, [`LaunchStats`],
-//! `TimeBreakdown`, traces and structured fault errors are bit-identical
-//! across all three engines (the determinism suite pins this four ways:
-//! engines × worker counts). While a vectorization region is probing (its
-//! first two iterations log addresses), the turbo loop mirrors the probe
-//! log inline, access for access.
+//! the lane kernels of `crate::lanes`), and a stream that cannot run hands
+//! its loop to the step list, which faults at the exact iteration; so
+//! buffers, [`LaunchStats`], `TimeBreakdown`, traces and structured fault
+//! errors are bit-identical across all three engines (the determinism suite
+//! pins this four ways: engines × worker counts). While a vectorization
+//! region is probing (its first two iterations log addresses), the turbo
+//! loop mirrors the probe log inline, access for access.
 //!
 //! When a launch is traced or profiled, the compiled engine is not used at
 //! all — `run_kernel_launch_faulty` keeps `LaunchCtx::compiled` empty and
@@ -67,8 +80,8 @@ use crate::fault::SimError;
 use crate::interp::{Caches, LaunchCtx, Machine, MemAccess, RegionAcc, WorkerOut, R};
 use crate::lanes::{self, rd1, rd1f, rd1i, rmw_f, rmw_i, wr1, Site};
 use crate::lower::{
-    exec_for_lowered, exec_ops, fill_branch_mask, first_active, idx, is_u, run_warp_blocks,
-    CacheCounters, LOp, LowState, MaskBuf, WarpProgram,
+    exec_for_lowered, exec_ops, idx, is_u, run_warp_blocks, CacheCounters, LOp, LowState, MaskBuf,
+    WarpProgram,
 };
 use crate::spec::DeviceSpec;
 use crate::stats::LaunchStats;
@@ -119,8 +132,8 @@ enum CNode {
         body: Vec<CNode>,
     },
     /// A contiguous straight-line run of fusible ops: executed as a step
-    /// list with batched accounting when the block is single-lane and
-    /// fully active, by the lowered interpreter otherwise.
+    /// list with batched accounting, by the lowered interpreter when fuel
+    /// runs short.
     Steps(StepsRun),
     /// The hot leaf: a uniform-counter loop over a straight-line body.
     Fused(FusedLoop),
@@ -128,8 +141,8 @@ enum CNode {
 
 /// A fusible straight line outside any fused loop — the glue between hot
 /// loops (index computation, guards, epilogue stores). Charges are the
-/// summed `Account` constants; fuel errors and profiled launches fall back
-/// to `exec_ops` so they surface per-op exactly.
+/// summed `Account` constants; a run short of fuel falls back to `exec_ops`
+/// so the error surfaces at the exact op.
 struct StepsRun {
     /// Op range in `wp.ops`, for the fallback path.
     lo: usize,
@@ -197,8 +210,8 @@ struct FusedLoop {
     turbo: Vec<SStep>,
     /// Global-memory buffers `turbo` touches, in first-use order.
     sites: Vec<SiteRef>,
-    /// Present when the body is an inner-product step (see [`DotKernel`]).
-    dot: Option<DotKernel>,
+    /// Present when the body is an affine stream (see [`Stream`]).
+    stream: Option<Stream>,
     /// Index into the per-worker prepared-site table.
     id: usize,
     /// Charged every iteration: the ops outside any guard (the loop's own
@@ -216,6 +229,18 @@ struct FusedLoop {
 enum SStep {
     /// Anything without a superop shape: executed by `lanes::alu`.
     Pure(LOp),
+    /// A shared-memory access: `lanes::shared1` plus one counted access.
+    Shared(LOp),
+    /// `d = *cursor c`, then advance it (streams only).
+    LdC {
+        d: u32,
+        c: u16,
+    },
+    /// `*cursor c = val`, then advance it (streams only).
+    StC {
+        c: u16,
+        val: u32,
+    },
     /// An else-less `If` over the next `skip` steps: a forward skip when
     /// `cond` is false, `guards[charge]` on top of the iteration otherwise.
     Guard {
@@ -338,155 +363,66 @@ enum SStep {
     },
 }
 
-/// One term of an affine load index: the loop counter, an invariant
-/// register slot, or nothing.
-#[derive(Clone, Copy, PartialEq)]
-enum Term {
-    K,
-    Slot(u32),
-    Zero,
+/// An *affine stream*: a guard-free body whose every global, shared and
+/// local access is indexed by a value affine in the loop counter — built
+/// from the counter by `Add`/`Sub` with counter-dependent or loop-invariant
+/// slots and `Mul` by an invariant, so of degree <= 1 by construction — or
+/// by an invariant, and whose other steps read no counter-dependent slot.
+/// Wrapping i64 arithmetic is a ring, so each index strides by a constant
+/// per iteration: the index ops run twice at loop entry (see [`aim`]) and
+/// never inside the loop, which walks one [`Cur`] per access instead. The
+/// inner product of DGEMM, stencils and reductions is the stream `[global
+/// cursor, global cursor, FmaAcc]`; the tiled DGEMM's accumulate loop is
+/// `[shared cursor, local cursor, Fma, local cursor]`.
+struct Stream {
+    /// `d = op(a, b)` index ops in body order.
+    index_ops: Vec<(IBin, u32, u32, u32)>,
+    /// One cursor per access, in body order.
+    cursors: Vec<CursorRef>,
+    /// The body without its index ops, every access an
+    /// [`SStep::LdC`]/[`SStep::StC`].
+    steps: Vec<SStep>,
+    /// Set when `steps` is the inner product `[global cursor, global cursor,
+    /// FmaAcc]` — the body DGEMM, stencils and reductions all compile to,
+    /// and the hottest code in the whole simulator: its accumulator slot and
+    /// whether the first cursor feeds the FmaAcc's first factor. That shape
+    /// runs register-resident over the same cursors (per-step dispatch
+    /// through the register file doubles the naive DGEMM's wall time).
+    dot: Option<(u32, bool)>,
+    /// Accesses per iteration, booked once per loop execution.
+    global_loads: u64,
+    global_stores: u64,
+    shared: u64,
 }
 
-/// A load index affine in the loop counter: `mul.0 * mul.1 + add[0] +
-/// add[1]`, each term `K` or a slot the body never writes. Wrapping i64
-/// arithmetic is a ring, so the index strides by a constant per iteration
-/// and incremental evaluation is exact.
+/// The array a cursor walks: a prepared global site, a shared array or the
+/// block's one thread's local array.
 #[derive(Clone, Copy)]
-struct AffineIdx {
-    mul: Option<(Term, Term)>,
-    add: [Term; 2],
+enum Space {
+    Global(u16),
+    Shared(u32),
+    Local(u32),
 }
 
-/// The inner-product loop shape — two f64 loads at affine indices feeding a
-/// [`SStep::FmaAcc`] — specialized into a register-resident loop with
-/// hoisted bounds checks and batched stat deltas. This is the body DGEMM,
-/// stencils and reductions all compile to, and the hottest code in the
-/// whole simulator.
-struct DotKernel {
-    a_site: u16,
-    a_idx: AffineIdx,
-    b_site: u16,
-    b_idx: AffineIdx,
-    /// Load destination slots, written back after the loop (the step list
-    /// leaves the last iteration's values there).
-    ra: u32,
-    rb: u32,
-    /// Accumulator variable slot.
-    v: u32,
-    /// Whether the FmaAcc's first factor is `ra`'s value.
-    a_first: bool,
+/// One access of a stream: where it goes and the slot holding its index.
+#[derive(Clone, Copy)]
+struct CursorRef {
+    space: Space,
+    idx: u32,
 }
 
-/// Destructure a superop load into `(dst, site, affine index)`; `None` for
-/// non-loads and for indices quadratic in the counter.
-fn load_shape(sp: &SStep, counter: u32) -> Option<(u32, u16, AffineIdx)> {
-    let t = |s: u32| if s == counter { Term::K } else { Term::Slot(s) };
-    match *sp {
-        SStep::LdF { d, site, i } => Some((
-            d,
-            site,
-            AffineIdx {
-                mul: None,
-                add: [t(i), Term::Zero],
-            },
-        )),
-        SStep::LdFAdd { d, site, a, b } => Some((
-            d,
-            site,
-            AffineIdx {
-                mul: None,
-                add: [t(a), t(b)],
-            },
-        )),
-        SStep::LdFMulAdd { d, site, a, b, c } => {
-            if a == counter && b == counter {
-                return None;
-            }
-            Some((
-                d,
-                site,
-                AffineIdx {
-                    mul: Some((t(a), t(b))),
-                    add: [t(c), Term::Zero],
-                },
-            ))
-        }
-        _ => None,
-    }
+/// A cursor in flight: the element the next access touches, and the step to
+/// the one after.
+#[derive(Clone, Copy)]
+struct Cur {
+    space: Space,
+    pos: i64,
+    stride: i64,
 }
 
-/// Recognize a body that is exactly two affine f64 loads feeding an FmaAcc.
-/// Index operands must be loop-invariant; the only slots the body defines
-/// are the load destinations, so it suffices to exclude those.
-fn detect_dot(turbo: &[SStep], counter: u32) -> Option<DotKernel> {
-    let &[l0, l1, SStep::FmaAcc { v, a: fa, b: fb }] = turbo else {
-        return None;
-    };
-    let (ra, a_site, a_idx) = load_shape(&l0, counter)?;
-    let (rb, b_site, b_idx) = load_shape(&l1, counter)?;
-    if ra == rb || ra == counter || rb == counter {
-        return None;
-    }
-    let a_first = if (fa, fb) == (ra, rb) {
-        true
-    } else if (fa, fb) == (rb, ra) {
-        false
-    } else {
-        return None;
-    };
-    for af in [&a_idx, &b_idx] {
-        let terms = [
-            af.mul.map_or(Term::Zero, |(x, _)| x),
-            af.mul.map_or(Term::Zero, |(_, y)| y),
-            af.add[0],
-            af.add[1],
-        ];
-        if terms
-            .iter()
-            .any(|t| matches!(*t, Term::Slot(s) if s == ra || s == rb))
-        {
-            return None;
-        }
-    }
-    Some(DotKernel {
-        a_site,
-        a_idx,
-        b_site,
-        b_idx,
-        ra,
-        rb,
-        v,
-        a_first,
-    })
-}
-
-/// Evaluate an affine index's invariant operands: `index(k) = base +
-/// stride * k` in wrapping i64 arithmetic.
-fn affine_eval(st: &LowState, af: &AffineIdx) -> (i64, i64) {
-    let val = |t: Term| match t {
-        Term::Slot(s) => rd1i(st, s),
-        Term::K | Term::Zero => unreachable!("term has no slot value"),
-    };
-    let mut base = 0i64;
-    let mut stride = 0i64;
-    if let Some((x, y)) = af.mul {
-        if x == Term::K {
-            stride = stride.wrapping_add(val(y));
-        } else if y == Term::K {
-            stride = stride.wrapping_add(val(x));
-        } else {
-            base = base.wrapping_add(val(x).wrapping_mul(val(y)));
-        }
-    }
-    for t in af.add {
-        match t {
-            Term::K => stride = stride.wrapping_add(1),
-            Term::Zero => {}
-            Term::Slot(s) => base = base.wrapping_add(rd1i(st, s)),
-        }
-    }
-    (base, stride)
-}
+/// Streams with more accesses than this stay on the step list (cursors live
+/// in a stack array).
+const MAX_CURSORS: usize = 8;
 
 /// A global-memory buffer referenced by a fused body.
 #[derive(Clone, Copy)]
@@ -502,13 +438,15 @@ type PrepTable = [Option<Box<[Site]>>];
 // Compilation
 // ---------------------------------------------------------------------------
 
-/// Ops a fused step list can execute directly. Control flow, barriers,
-/// shared memory and the per-launch-fallible `Param` reads stay on the
-/// interpreter path. Global atomics are fusible: whether they defer to the
-/// launch plan or apply in place is a per-launch (`Machine`) decision, so
-/// the compiled form — cached per program — is valid for both modes.
+/// Ops a fused step list can execute directly. Control flow, barriers and
+/// the per-launch-fallible `Param` reads stay on the interpreter path. At
+/// one lane a shared access is a bounds check and one counted access (no
+/// bank can conflict). Global atomics are fusible: whether they defer to
+/// the launch plan or apply in place is a per-launch (`Machine`) decision,
+/// so the compiled form — cached per program — is valid for both modes.
 fn fusible(op: &LOp) -> bool {
     op.is_compute()
+        || is_shared(op)
         || matches!(
             op,
             LOp::Account { .. }
@@ -521,8 +459,37 @@ fn fusible(op: &LOp) -> bool {
         )
 }
 
+fn is_shared(op: &LOp) -> bool {
+    matches!(
+        op,
+        LOp::LdSF { .. } | LOp::LdSI { .. } | LOp::StSF { .. } | LOp::StSI { .. }
+    )
+}
+
+/// The `(index, stored value)` slots of a global, shared or local access.
+fn access(op: &LOp) -> Option<(u32, Option<u32>)> {
+    match *op {
+        LOp::LdGF { i, .. }
+        | LOp::LdGI { i, .. }
+        | LOp::LdSF { i, .. }
+        | LOp::LdSI { i, .. }
+        | LOp::LdLF { i, .. } => Some((i, None)),
+        LOp::StGF { i, val, .. }
+        | LOp::StGI { i, val, .. }
+        | LOp::StSF { i, val, .. }
+        | LOp::StSI { i, val, .. }
+        | LOp::StLF { i, val, .. } => Some((i, Some(val))),
+        _ => None,
+    }
+}
+
 /// Visit the register slots `op` reads.
 fn for_each_src(op: &LOp, mut f: impl FnMut(u32)) {
+    if let Some((i, val)) = access(op) {
+        f(i);
+        val.map(f);
+        return;
+    }
     match *op {
         LOp::BinF { a, b, .. }
         | LOp::BinI { a, b, .. }
@@ -549,12 +516,7 @@ fn for_each_src(op: &LOp, mut f: impl FnMut(u32)) {
             f(e);
         }
         LOp::StVar { val, .. } | LOp::If { cond: val, .. } => f(val),
-        LOp::LdGF { i, .. } | LOp::LdGI { i, .. } | LOp::LdLF { i, .. } => f(i),
-        LOp::StGF { i, val, .. }
-        | LOp::StGI { i, val, .. }
-        | LOp::StLF { i, val, .. }
-        | LOp::AtomicF { i, val, .. }
-        | LOp::AtomicI { i, val, .. } => {
+        LOp::AtomicF { i, val, .. } | LOp::AtomicI { i, val, .. } => {
             f(i);
             f(val);
         }
@@ -586,10 +548,16 @@ fn pure_dst(op: &LOp) -> Option<u32> {
     }
 }
 
-/// The register slot `op` defines, if any (pure ops and global/local loads).
+/// The register slot `op` defines, if any (pure ops, loads and atomics).
 fn dst_of(op: &LOp) -> Option<u32> {
     pure_dst(op).or(match *op {
-        LOp::LdGF { d, .. } | LOp::LdGI { d, .. } | LOp::LdLF { d, .. } => Some(d),
+        LOp::LdGF { d, .. }
+        | LOp::LdGI { d, .. }
+        | LOp::LdSF { d, .. }
+        | LOp::LdSI { d, .. }
+        | LOp::LdLF { d, .. }
+        | LOp::AtomicF { d, .. }
+        | LOp::AtomicI { d, .. } => Some(d),
         _ => None,
     })
 }
@@ -855,6 +823,7 @@ fn build_turbo(steps: &[LOp]) -> (Vec<SStep>, Vec<SiteRef>) {
             LOp::Fma { d, a, b, c } => SStep::Fma { d, a, b, c },
             LOp::BinF { op, d, a, b } => SStep::BinF { op, d, a, b },
             LOp::BinI { op, d, a, b } => SStep::BinI { op, d, a, b },
+            other if is_shared(&other) => SStep::Shared(other),
             other => SStep::Pure(other),
         };
         out.push(step);
@@ -866,6 +835,103 @@ fn build_turbo(steps: &[LOp]) -> (Vec<SStep>, Vec<SiteRef>) {
         }
     }
     (out, sites)
+}
+
+/// Classify a live body (see [`try_fuse`]) as an affine [`Stream`]: `None`
+/// when it has a guard, an access whose index is neither affine in the
+/// counter nor invariant, or any other step that reads a counter-dependent
+/// slot (an atomic's operands included).
+fn build_stream(steps: &[LOp], counter: u32) -> Option<Stream> {
+    let defs: Vec<u32> = steps.iter().filter_map(dst_of).collect();
+    // Counter-dependent slots: the counter and every index op's result.
+    let mut dep = vec![counter];
+    let mut index_ops = Vec::new();
+    let mut residual = Vec::new();
+    for op in steps {
+        // Affine operands: counter-dependent, or never written by the body.
+        let affine = |s: u32| dep.contains(&s) || !defs.contains(&s);
+        let mut reads_dep = false;
+        for_each_src(op, |s| reads_dep |= dep.contains(&s));
+        match *op {
+            LOp::If { .. } => return None,
+            LOp::BinI {
+                op: k @ (IBin::Add | IBin::Sub | IBin::Mul),
+                d,
+                a,
+                b,
+            } if reads_dep => {
+                let squares = k == IBin::Mul && dep.contains(&a) && dep.contains(&b);
+                if squares || !affine(a) || !affine(b) {
+                    return None;
+                }
+                dep.push(d);
+                index_ops.push((k, d, a, b));
+                continue;
+            }
+            _ => {}
+        }
+        match access(op) {
+            Some((i, val)) if !affine(i) || val.is_some_and(|v| dep.contains(&v)) => return None,
+            None if reads_dep => return None,
+            _ => residual.push(*op),
+        }
+    }
+    // No memory op moved or vanished, so the sites intern exactly as in the
+    // loop's step list and `FusedLoop::sites` serves both.
+    let (mut steps, _) = build_turbo(&residual);
+    let mut cursors = Vec::new();
+    let (mut global_loads, mut global_stores, mut shared) = (0, 0, 0);
+    for sp in &mut steps {
+        let (space, idx, dst, val) = match *sp {
+            SStep::LdF { d, site, i } | SStep::LdI { d, site, i } => {
+                global_loads += 1;
+                (Space::Global(site), i, d, None)
+            }
+            SStep::StF { site, i, val } | SStep::StI { site, i, val } => {
+                global_stores += 1;
+                (Space::Global(site), i, 0, Some(val))
+            }
+            SStep::Shared(LOp::LdSF { d, sh, i } | LOp::LdSI { d, sh, i }) => {
+                shared += 1;
+                (Space::Shared(sh), i, d, None)
+            }
+            SStep::Shared(LOp::StSF { sh, i, val } | LOp::StSI { sh, i, val }) => {
+                shared += 1;
+                (Space::Shared(sh), i, 0, Some(val))
+            }
+            SStep::Pure(LOp::LdLF { d, loc, i, .. }) => (Space::Local(loc), i, d, None),
+            SStep::Pure(LOp::StLF { loc, i, val, .. }) => (Space::Local(loc), i, 0, Some(val)),
+            _ => continue,
+        };
+        let c = cursors.len() as u16;
+        cursors.push(CursorRef { space, idx });
+        *sp = match val {
+            Some(val) => SStep::StC { c, val },
+            None => SStep::LdC { d: dst, c },
+        };
+    }
+    let dot = match (&steps[..], &cursors[..]) {
+        (
+            &[SStep::LdC { d: ra, .. }, SStep::LdC { d: rb, .. }, SStep::FmaAcc { v, a, b }],
+            [CursorRef {
+                space: Space::Global(_),
+                ..
+            }, CursorRef {
+                space: Space::Global(_),
+                ..
+            }],
+        ) if ra != rb && ((a, b) == (ra, rb) || (a, b) == (rb, ra)) => Some((v, a == ra)),
+        _ => None,
+    };
+    (cursors.len() <= MAX_CURSORS).then_some(Stream {
+        index_ops,
+        cursors,
+        steps,
+        dot,
+        global_loads,
+        global_stores,
+        shared,
+    })
 }
 
 /// Compile a uniform-counter `For` whose body is a straight line of fusible
@@ -962,7 +1028,7 @@ fn try_fuse(
         });
     }
     let (turbo, sites) = build_turbo(&steps);
-    let dot = detect_dot(&turbo, counter);
+    let stream = build_stream(&steps, counter);
     Some(FusedLoop {
         counter,
         start,
@@ -972,7 +1038,7 @@ fn try_fuse(
         bend,
         turbo,
         sites,
-        dot,
+        stream,
         id,
         per_iter,
         guards,
@@ -1169,6 +1235,8 @@ pub(crate) fn compiled_for(
 
 /// Compiled-engine counterpart of `interpret_blocks_lowered`: the shared
 /// per-worker block loop, executing each block through the compiled tree.
+/// Blocks have one thread (the launch driver compiles nothing else), so
+/// every node runs under the block's full one-lane mask at depth 0.
 pub(crate) fn interpret_blocks_compiled(
     ctx: &LaunchCtx<'_>,
     mem: MemAccess<'_>,
@@ -1177,32 +1245,21 @@ pub(crate) fn interpret_blocks_compiled(
     indices: &[usize],
     cp: &CompiledProgram,
 ) -> Result<WorkerOut, (usize, SimError)> {
+    assert_eq!(ctx.lanes, 1, "the compiled tier runs one-thread blocks");
     let mut prep: Vec<Option<Box<[Site]>>> = (0..cp.n_fused).map(|_| None).collect();
     run_warp_blocks(ctx, mem, team, worker, indices, &cp.wp, |m, st| {
-        cexec_range(m, st, &cp.wp, &cp.root, 0, &mut prep)
+        let mask = std::mem::take(&mut st.masks[0]);
+        // Same fault-attribution rule as the lowered engine's `exec_range`.
+        let r = cexec_nodes(m, st, &cp.wp, &cp.root, &mask, &mut prep).map_err(|e| {
+            if e.thread.is_none() && matches!(e.kind, crate::fault::SimErrorKind::Fault { .. }) {
+                e.at_thread(st.tid[0])
+            } else {
+                e
+            }
+        });
+        st.masks[0] = mask;
+        r
     })
-}
-
-/// Execute `nodes` under the mask stored at `masks[depth]`, with the same
-/// fault-attribution rule as the lowered engine's `exec_range`.
-fn cexec_range(
-    m: &mut Machine<'_>,
-    st: &mut LowState,
-    wp: &WarpProgram,
-    nodes: &[CNode],
-    depth: usize,
-    prep: &mut PrepTable,
-) -> R<()> {
-    let mask = std::mem::take(&mut st.masks[depth]);
-    let r = cexec_nodes(m, st, wp, nodes, depth, &mask, prep).map_err(|e| {
-        if e.thread.is_none() && matches!(e.kind, crate::fault::SimErrorKind::Fault { .. }) {
-            e.at_thread(st.tid[first_active(&mask)])
-        } else {
-            e
-        }
-    });
-    st.masks[depth] = mask;
-    r
 }
 
 fn cexec_nodes(
@@ -1210,15 +1267,14 @@ fn cexec_nodes(
     st: &mut LowState,
     wp: &WarpProgram,
     nodes: &[CNode],
-    depth: usize,
     mask: &MaskBuf,
     prep: &mut PrepTable,
 ) -> R<()> {
     for node in nodes {
         match node {
-            CNode::Range { lo, hi } => exec_ops(m, st, wp, *lo, *hi, depth, mask)?,
+            CNode::Range { lo, hi } => exec_ops(m, st, wp, *lo, *hi, 0, mask)?,
             CNode::Steps(sr) => {
-                if st.lanes == 1 && mask.full && m.fuel >= sr.charge.n && m.profile.is_none() {
+                if m.fuel >= sr.charge.n {
                     // Batched burn and charges: between the run's `Account`
                     // ops nothing can observe the fuel level or the stat
                     // sums, and region routing is constant across a
@@ -1229,48 +1285,14 @@ fn cexec_nodes(
                     }
                     sr.charge.book(m, mask);
                 } else {
-                    exec_ops(m, st, wp, sr.lo, sr.hi, depth, mask)?;
+                    exec_ops(m, st, wp, sr.lo, sr.hi, 0, mask)?;
                 }
             }
             CNode::If { cond, then, els } => {
-                if is_u(*cond) {
-                    if st.udb(*cond) {
-                        if !then.is_empty() {
-                            cexec_nodes(m, st, wp, then, depth, mask, prep)?;
-                        }
-                    } else if !els.is_empty() {
-                        cexec_nodes(m, st, wp, els, depth, mask, prep)?;
-                    }
-                } else if st.lanes == 1 && mask.full {
-                    // One fully active lane: the taken side's child mask
-                    // equals the parent and a divergent branch (both sides
-                    // live in one warp) is impossible, so skip the mask
-                    // machinery and run the branch in place.
-                    if st.rdb(*cond, 0) {
-                        if !then.is_empty() {
-                            cexec_nodes(m, st, wp, then, depth, mask, prep)?;
-                        }
-                    } else if !els.is_empty() {
-                        cexec_nodes(m, st, wp, els, depth, mask, prep)?;
-                    }
-                } else {
-                    st.ensure_mask(depth + 1);
-                    let (any_t, any_f) = {
-                        let mut child = std::mem::take(&mut st.masks[depth + 1]);
-                        let r = fill_branch_mask(m, st, *cond, mask, &mut child, true, true);
-                        st.masks[depth + 1] = child;
-                        r
-                    };
-                    if any_t && !then.is_empty() {
-                        cexec_range(m, st, wp, then, depth + 1, prep)?;
-                    }
-                    if any_f && !els.is_empty() {
-                        let mut child = std::mem::take(&mut st.masks[depth + 1]);
-                        fill_branch_mask(m, st, *cond, mask, &mut child, false, false);
-                        st.masks[depth + 1] = child;
-                        cexec_range(m, st, wp, els, depth + 1, prep)?;
-                    }
-                }
+                // One lane: the taken side's mask is the parent's and no
+                // warp can diverge, so the branch runs in place.
+                let side = if rd1(st, *cond) != 0 { then } else { els };
+                cexec_nodes(m, st, wp, side, mask, prep)?;
             }
             CNode::For {
                 counter,
@@ -1287,10 +1309,10 @@ fn cexec_nodes(
                     while k < e0 {
                         m.burn()?;
                         st.wu(*counter, k as u64);
-                        cexec_nodes(m, st, wp, body, depth, mask, prep)?;
+                        cexec_nodes(m, st, wp, body, mask, prep)?;
                         if opened {
                             if let Some(r) = &mut m.region {
-                                r.iter += 1;
+                                r.advance(1);
                             }
                         }
                         k += 1;
@@ -1302,7 +1324,7 @@ fn cexec_nodes(
             }
             CNode::Fused(fl) => {
                 let opened = open_region(m, fl.vectorize);
-                let result = exec_fused(m, st, wp, fl, depth, mask, opened, prep);
+                let result = exec_fused(m, st, wp, fl, mask, opened, prep);
                 close_region(m, opened);
                 result?;
             }
@@ -1345,19 +1367,25 @@ fn close_region(m: &mut Machine<'_>, opened: bool) {
     }
 }
 
-/// Execute one fused loop. The fast path — full mask, one lane per block,
-/// every buffer slot bound, enough fuel for every iteration even if every
-/// guard is taken — runs the turbo step list with batched accounting:
+/// A fused loop of fewer trips runs the interpreter's loop: entering the
+/// step list (site table, hoisted memory view, cursor aiming, one batched
+/// booking) costs about what interpreting eight short iterations does —
+/// measured on the tiled DGEMM at `t = 1`, where `e` is the trip count of
+/// every inner loop: slower than the interpreter for `e` in 3..=6, level at
+/// 8, 2.5x faster at 16.
+const MIN_FUSED_TRIPS: u64 = 8;
+
+/// Execute one fused loop. The fast path — at least [`MIN_FUSED_TRIPS`]
+/// trips, every buffer slot bound, enough fuel for every iteration even if
+/// every guard is taken — runs the turbo step list with batched accounting:
 /// `trips × per_iter + Σ taken × guard`. Anything else falls back to the
 /// lowered interpreter's loop on the same state for exact parity (an
 /// unbound slot then faults at the exact step that first touches it).
-#[allow(clippy::too_many_arguments)]
 fn exec_fused(
     m: &mut Machine<'_>,
     st: &mut LowState,
     wp: &WarpProgram,
     fl: &FusedLoop,
-    depth: usize,
     mask: &MaskBuf,
     probe: bool,
     prep: &mut PrepTable,
@@ -1371,8 +1399,7 @@ fn exec_fused(
         0
     };
     let all_taken = 1 + fl.per_iter.n + fl.guards.iter().map(|g| g.n).sum::<u64>();
-    let fast = st.lanes == 1
-        && mask.full
+    let fast = trips >= MIN_FUSED_TRIPS
         && trips.checked_mul(all_taken).is_some_and(|n| m.fuel >= n)
         && (prep[fl.id].is_some() || {
             prep[fl.id] = prepare_sites(m, &fl.sites).ok();
@@ -1380,7 +1407,7 @@ fn exec_fused(
         });
     if !fast {
         return exec_for_lowered(
-            m, st, wp, fl.counter, fl.start, fl.end, fl.b0, fl.bend, depth, mask, probe,
+            m, st, wp, fl.counter, fl.start, fl.end, fl.b0, fl.bend, 0, mask, probe,
         );
     }
     debug_assert!(
@@ -1388,11 +1415,7 @@ fn exec_fused(
         "traced launches must run the lowered engine"
     );
     let sites = prep[fl.id].as_deref().expect("prepared above");
-    let mut total = if trips > 0 {
-        run_turbo(m, st, fl, sites, mask, (s0, e0), probe)?
-    } else {
-        Charge::default()
-    };
+    let mut total = run_turbo(m, st, fl, sites, mask, (s0, trips), probe)?;
     total.add(fl.per_iter, trips);
     // One batched burn and booking for the whole loop: identical to the
     // per-iteration burns and `Account` ops of the interpreted path because
@@ -1443,10 +1466,57 @@ fn charge_line(
     }
 }
 
+/// Aim `s`'s cursors at iterations `k..k + trips`: run the index ops at
+/// `k + 1` and at `k` — the difference of an access's two indices is its
+/// stride, exactly, because wrapping i64 arithmetic is a ring — and check
+/// each access's first and last element against its array in i128, where
+/// `first + stride × (trips - 1)` cannot wrap (|stride| <= 2^63 and
+/// `trips` < 2^64), so a cursor that passes holds the very index the step
+/// loop would compute, in bounds, at every iteration. `false` leaves the
+/// loop to the step list, which recomputes the registers written here and
+/// faults at the exact iteration.
+fn aim(
+    st: &mut LowState,
+    s: &Stream,
+    counter: u32,
+    sites: &[Site],
+    (k, trips): (i64, u64),
+    cur: &mut [Cur],
+) -> bool {
+    for next in [true, false] {
+        st.wu(counter, k.wrapping_add(next as i64) as u64);
+        for &(op, d, a, b) in &s.index_ops {
+            wr1(st, d, sem::ibin(op, rd1i(st, a), rd1i(st, b)) as u64);
+        }
+        for (c, cr) in cur.iter_mut().zip(&s.cursors) {
+            let (space, ix) = (cr.space, rd1i(st, cr.idx));
+            // The index at `k + 1` waits in `stride` for the one at `k`.
+            let (pos, stride) = if next {
+                (0, ix)
+            } else {
+                (ix, c.stride.wrapping_sub(ix))
+            };
+            *c = Cur { space, pos, stride };
+        }
+    }
+    cur[..s.cursors.len()].iter().all(|c| {
+        let len = match c.space {
+            Space::Global(site) => sites[site as usize].len,
+            Space::Shared(sh) => st.shared[sh as usize].len(),
+            Space::Local(loc) => st.loc_f[loc as usize].len(),
+        } as i128;
+        let last = c.pos as i128 + c.stride as i128 * (trips as i128 - 1);
+        (0..len).contains(&(c.pos as i128)) && (0..len).contains(&last)
+    })
+}
+
 /// The turbo loop: superop steps over pre-resolved sites, with the memory
 /// view, cache, ECC context and line geometry hoisted out of the loop.
-/// Preconditions (checked by `exec_fused`): single lane, full mask, fuel
-/// for every iteration, no profiling. Probe logging (a region's first two
+/// Preconditions (checked by `exec_fused`): fuel for all `trips` iterations
+/// from `k`, no profiling. An affine [`Stream`] that [`aim`]s in bounds
+/// (and is not ECC-armed: the decision is per address) runs its residual
+/// steps over cursors — no index arithmetic, no per-access bounds check,
+/// access counts booked once. Probe logging (a region's first two
 /// iterations) is mirrored inline, access for access. Returns what the
 /// taken guards charge on top of the per-iteration constants.
 fn run_turbo(
@@ -1455,7 +1525,7 @@ fn run_turbo(
     fl: &FusedLoop,
     sites: &[Site],
     mask: &MaskBuf,
-    (mut k, e0): (i64, i64),
+    (mut k, trips): (i64, u64),
     bump_iter: bool,
 ) -> R<Charge> {
     let ecc = m.ecc;
@@ -1486,155 +1556,19 @@ fn run_turbo(
         Caches::PerSm(cs) => Some(&mut cs[cur_sm]),
         Caches::Shared(c) => Some(c),
     };
-    // Inner-product fast path: both load indices are affine in `k`, so if
-    // every index over [k, e0) is in bounds (checked once, in i128 so
-    // wrapping evaluation provably equals the true value), the loop needs
-    // no per-access checks. ECC-armed and probe-logging runs stay on the
-    // step loop, as does any run whose indices would fault — the error
-    // must surface at the exact iteration the interpreter reaches.
-    // Per-access stat deltas are recovered afterwards from the cache's own
-    // hit/miss counters, which `access_line` maintains; nothing between can
-    // observe the intermediate sums.
-    let dot_done = (|| -> Option<()> {
-        let dk = fl.dot.as_ref()?;
-        if ecc.is_some() {
-            return None;
-        }
-        let shift = line_shift?;
-        // A self-probing loop (a vec=true fused loop driving its own
-        // region) advances `iter` every iteration; that stays on the step
-        // loop. A probe state that is *fixed* across the run is mirrored
-        // inline below, push for push.
-        if bump_iter && region.is_some() {
-            return None;
-        }
-        let (ab, asr) = affine_eval(st, &dk.a_idx);
-        let (bb, bsr) = affine_eval(st, &dk.b_idx);
-        let sa = sites[dk.a_site as usize];
-        let sb = sites[dk.b_site as usize];
-        let in_bounds = |base: i64, stride: i64, len: usize| {
-            let lo = base as i128 + stride as i128 * k as i128;
-            let hi = base as i128 + stride as i128 * (e0 - 1) as i128;
-            let (mn, mx) = if lo <= hi { (lo, hi) } else { (hi, lo) };
-            mn >= 0 && mx < len as i128
-        };
-        if !in_bounds(ab, asr, sa.len) || !in_bounds(bb, bsr, sb.len) {
-            return None;
-        }
-        let trips = (e0 - k) as u64;
-        let mut ia = ab.wrapping_add(asr.wrapping_mul(k));
-        let mut ib = bb.wrapping_add(bsr.wrapping_mul(k));
-        let mut addr_a = sa.base.wrapping_add((ia as u64).wrapping_mul(8));
-        let mut addr_b = sb.base.wrapping_add((ib as u64).wrapping_mul(8));
-        let da = (asr as u64).wrapping_mul(8);
-        let db = (bsr as u64).wrapping_mul(8);
-        let mut acc = f64::from_bits(if is_u(dk.v) {
-            st.uvars[idx(dk.v)]
-        } else {
-            st.vvars[dk.v as usize]
-        });
-        let a_first = dk.a_first;
-        let (mut la, mut lb) = (0u64, 0u64);
-        // The enclosing region\'s probe log, when it is still recording:
-        // the address sequence a,b,a,b,... and the overflow seal match
-        // `mem_access_one` exactly.
-        let mut probe: Option<(&mut Vec<u64>, &mut bool)> = match region.as_mut() {
-            Some(r) if r.iter < 2 && !r.probe_failed => {
-                let RegionAcc {
-                    iter,
-                    addrs0,
-                    addrs1,
-                    probe_failed,
-                    ..
-                } = r;
-                Some((if *iter == 0 { addrs0 } else { addrs1 }, probe_failed))
-            }
-            _ => None,
-        };
-        let mut ch = cache.as_deref_mut();
-        let (h0, mi0) = ch.as_ref().map_or((0, 0), |c| (c.hits, c.misses));
-        macro_rules! probe_push {
-            ($a:expr) => {
-                if let Some((log, failed)) = probe.as_mut() {
-                    if !**failed {
-                        log.push($a);
-                        if log.len() > 4096 {
-                            **failed = true;
-                        }
-                    }
-                }
-            };
-        }
-        for _ in 0..trips {
-            // SAFETY: `ia`/`ib` verified in bounds for the whole range above.
-            la = unsafe { sa.cell_unchecked(ia as usize) }.load(Ordering::Relaxed);
-            probe_push!(addr_a);
-            if let Some(c) = ch.as_mut() {
-                c.access_line(addr_a >> shift);
-            }
-            lb = unsafe { sb.cell_unchecked(ib as usize) }.load(Ordering::Relaxed);
-            probe_push!(addr_b);
-            if let Some(c) = ch.as_mut() {
-                c.access_line(addr_b >> shift);
-            }
-            let (x, y) = if a_first { (la, lb) } else { (lb, la) };
-            acc = sem::fma(f64::from_bits(x), f64::from_bits(y), acc);
-            ia = ia.wrapping_add(asr);
-            ib = ib.wrapping_add(bsr);
-            addr_a = addr_a.wrapping_add(da);
-            addr_b = addr_b.wrapping_add(db);
-        }
-        // Per-access stat deltas, recovered from the cache\'s own counters
-        // (`access_line` maintains them); nothing in between could observe
-        // the intermediate sums.
-        match ch {
-            Some(c) => {
-                let dm = c.misses - mi0;
-                stats.cache_hits += c.hits - h0;
-                stats.cache_misses += dm;
-                stats.dram_bytes += dm * line_bytes;
-            }
-            None => stats.dram_bytes += 2 * trips * line_bytes,
-        }
-        stats.mem_transactions += 2 * trips;
-        stats.global_loads += 2 * trips;
-        // Leave registers, the accumulator and the counter exactly as the
-        // step loop\'s last iteration would.
-        wr1(st, dk.ra, la);
-        wr1(st, dk.rb, lb);
-        let accb = acc.to_bits();
-        if is_u(dk.v) {
-            st.uvars[idx(dk.v)] = accb;
-        } else {
-            st.vvars[dk.v as usize] = accb;
-        }
-        st.wu(fl.counter, (e0 - 1) as u64);
-        Some(())
-    })();
-    let mut taken = Charge::default();
-    if dot_done.is_some() {
-        return Ok(taken);
-    }
-    // Mirror of `Machine::mem_access_one`'s probe logging: record the
-    // address while the enclosing region's first two iterations are being
-    // probed, sealing the log on overflow.
-    macro_rules! probe_log {
-        ($a:expr) => {
-            if let Some(r) = region.as_mut() {
-                if r.iter < 2 && !r.probe_failed {
-                    let log = if r.iter == 0 {
-                        &mut r.addrs0
-                    } else {
-                        &mut r.addrs1
-                    };
-                    log.push($a);
-                    if log.len() > 4096 {
-                        r.probe_failed = true;
-                    }
-                }
-            }
-        };
-    }
+    let mut cur = [Cur {
+        space: Space::Local(0),
+        pos: 0,
+        stride: 0,
+    }; MAX_CURSORS];
+    let stream = fl
+        .stream
+        .as_ref()
+        .filter(|s| ecc.is_none() && aim(st, s, fl.counter, sites, (k, trips), &mut cur));
+    let steps = stream.map_or(&fl.turbo, |s| &s.steps);
+    // The log a global access's address goes to while the enclosing region
+    // probes; re-resolved per segment of iterations below.
+    let mut probe: Option<(&mut Vec<u64>, &mut bool)>;
 
     // One global load: bounds check, ECC decision, relaxed element read and
     // line accounting in exactly the order of `lanes::ld_global`.
@@ -1655,8 +1589,7 @@ fn run_turbo(
             }
             wr1(st, $d, cell.load(Ordering::Relaxed));
             stats.global_loads += 1;
-            probe_log!(a);
-            charge_line(&mut cache, stats, line_of(a), line_bytes);
+            global!(a);
         }};
     }
     macro_rules! gstore {
@@ -1664,8 +1597,37 @@ fn run_turbo(
             let (cell, a) = sites[$site as usize].cell($what, $ix, tid0)?;
             cell.store($val, Ordering::Relaxed);
             stats.global_stores += 1;
-            probe_log!(a);
-            charge_line(&mut cache, stats, line_of(a), line_bytes);
+            global!(a);
+        }};
+    }
+    // What `Machine::mem_access_one` does with a global access's address:
+    // log it while the enclosing region's first two iterations are being
+    // probed (sealing the log on overflow), then charge its line.
+    macro_rules! probe_push {
+        ($a:expr) => {{
+            if let Some((log, failed)) = probe.as_mut() {
+                if !**failed {
+                    log.push($a);
+                    **failed = log.len() > 4096;
+                }
+            }
+        }};
+    }
+    macro_rules! global {
+        ($a:expr) => {{
+            probe_push!($a);
+            charge_line(&mut cache, stats, line_of($a), line_bytes);
+        }};
+    }
+    // A cursor's global access: the line's hit/miss and transaction counts
+    // are recovered after the loop from the cache's own counters (only
+    // cursors touch the cache while a stream runs).
+    macro_rules! cursor_global {
+        ($a:expr) => {{
+            probe_push!($a);
+            if let Some(c) = cache.as_mut() {
+                c.access_line(line_of($a));
+            }
         }};
     }
 
@@ -1682,158 +1644,370 @@ fn run_turbo(
         }};
     }
 
-    while k < e0 {
-        st.wu(fl.counter, k as u64);
-        let mut steps = fl.turbo.iter();
-        while let Some(sp) = steps.next() {
-            match *sp {
-                SStep::Pure(ref op) => lanes::alu::<true>(st, mask, op)?,
-                SStep::Guard { cond, skip, charge } => {
-                    if rd1(st, cond) != 0 {
-                        taken.add(fl.guards[charge as usize], 1);
-                    } else {
-                        steps = steps.as_slice()[skip as usize..].iter();
+    let (hits0, misses0) = cache.as_ref().map_or((0, 0), |c| (c.hits, c.misses));
+    let mut taken = Charge::default();
+    let mut left = trips;
+    while left > 0 {
+        // The probe log is fixed across a segment of iterations: a loop that
+        // drives its own region moves to the next log after each of its
+        // first two iterations, any other loop never does.
+        probe = region.as_mut().and_then(RegionAcc::probe_log);
+        let n = if bump_iter && probe.is_some() {
+            1
+        } else {
+            left
+        };
+        if let Some((v, a_first)) = stream.and_then(|s| s.dot) {
+            let (Space::Global(sa), Space::Global(sb)) = (cur[0].space, cur[1].space) else {
+                unreachable!("the inner product reads two global cursors");
+            };
+            let var = if is_u(v) {
+                &mut st.uvars[idx(v)]
+            } else {
+                &mut st.vvars[v as usize]
+            };
+            let (sa, sb) = (sites[sa as usize], sites[sb as usize]);
+            let (mut ca, mut cb) = (cur[0], cur[1]);
+            let mut acc = f64::from_bits(*var);
+            // Fresh locals: the function-wide `probe` and `cache` have their
+            // addresses taken and would be reloaded around every call.
+            let mut log = probe
+                .as_mut()
+                .map(|(log, failed)| (&mut **log, &mut **failed));
+            let mut ch = cache.as_deref_mut();
+            let mut line = |a: u64| {
+                if let Some((log, failed)) = log.as_mut() {
+                    if !**failed {
+                        log.push(a);
+                        **failed = log.len() > 4096;
                     }
                 }
-                SStep::BinF { op, d, a, b } => {
-                    let r = sem::fbin(op, rd1f(st, a), rd1f(st, b));
-                    wr1(st, d, r.to_bits());
+                if let Some(c) = ch.as_mut() {
+                    c.access_line(line_of(a));
                 }
-                SStep::BinI { op, d, a, b } => {
-                    let r = sem::ibin(op, rd1i(st, a), rd1i(st, b));
-                    wr1(st, d, r as u64);
-                }
-                SStep::Fma { d, a, b, c } => {
-                    let r = sem::fma(rd1f(st, a), rd1f(st, b), rd1f(st, c));
-                    wr1(st, d, r.to_bits());
-                }
-                SStep::FmaAcc { v, a, b } => {
-                    let acc = if is_u(v) {
-                        st.uvars[idx(v)]
-                    } else {
-                        st.vvars[v as usize]
-                    };
-                    let r = sem::fma(rd1f(st, a), rd1f(st, b), f64::from_bits(acc));
-                    if is_u(v) {
-                        st.uvars[idx(v)] = r.to_bits();
-                    } else {
-                        st.vvars[v as usize] = r.to_bits();
+            };
+            for _ in 0..n {
+                let (pa, pb) = (ca.pos as usize, cb.pos as usize);
+                // SAFETY: as for `LdC` below.
+                let la = unsafe { sa.cell_unchecked(pa) }.load(Ordering::Relaxed);
+                line(sa.base + pa as u64 * 8);
+                // SAFETY: as for `LdC` below.
+                let lb = unsafe { sb.cell_unchecked(pb) }.load(Ordering::Relaxed);
+                line(sb.base + pb as u64 * 8);
+                let (x, y) = if a_first { (la, lb) } else { (lb, la) };
+                acc = sem::fma(f64::from_bits(x), f64::from_bits(y), acc);
+                ca.pos = ca.pos.wrapping_add(ca.stride);
+                cb.pos = cb.pos.wrapping_add(cb.stride);
+            }
+            (cur[0], cur[1]) = (ca, cb);
+            *var = acc.to_bits();
+        } else {
+            for _ in 0..n {
+                st.wu(fl.counter, k as u64);
+                let mut it = steps.iter();
+                while let Some(sp) = it.next() {
+                    match *sp {
+                        SStep::Pure(ref op) => lanes::alu::<true>(st, mask, op)?,
+                        SStep::Shared(ref op) => {
+                            lanes::shared1(st, op)?;
+                            stats.shared_accesses += 1;
+                        }
+                        SStep::LdC { d, c } => {
+                            let cu = &mut cur[c as usize];
+                            let p = cu.pos as usize;
+                            cu.pos = cu.pos.wrapping_add(cu.stride);
+                            let bits = match cu.space {
+                                Space::Global(site) => {
+                                    let site = &sites[site as usize];
+                                    cursor_global!(site.base + p as u64 * 8);
+                                    // SAFETY: `aim` checked every position this
+                                    // cursor takes in `trips` iterations, one
+                                    // access each, against `site.len`.
+                                    unsafe { site.cell_unchecked(p) }.load(Ordering::Relaxed)
+                                }
+                                Space::Shared(sh) => st.shared[sh as usize][p],
+                                Space::Local(loc) => st.loc_f[loc as usize][p].to_bits(),
+                            };
+                            wr1(st, d, bits);
+                        }
+                        SStep::StC { c, val } => {
+                            let cu = &mut cur[c as usize];
+                            let p = cu.pos as usize;
+                            cu.pos = cu.pos.wrapping_add(cu.stride);
+                            let bits = rd1(st, val);
+                            match cu.space {
+                                Space::Global(site) => {
+                                    let site = &sites[site as usize];
+                                    cursor_global!(site.base + p as u64 * 8);
+                                    // SAFETY: as for `LdC`.
+                                    unsafe { site.cell_unchecked(p) }
+                                        .store(bits, Ordering::Relaxed);
+                                }
+                                Space::Shared(sh) => st.shared[sh as usize][p] = bits,
+                                Space::Local(loc) => {
+                                    st.loc_f[loc as usize][p] = f64::from_bits(bits)
+                                }
+                            }
+                        }
+                        SStep::Guard { cond, skip, charge } => {
+                            if rd1(st, cond) != 0 {
+                                taken.add(fl.guards[charge as usize], 1);
+                            } else {
+                                it = it.as_slice()[skip as usize..].iter();
+                            }
+                        }
+                        SStep::BinF { op, d, a, b } => {
+                            let r = sem::fbin(op, rd1f(st, a), rd1f(st, b));
+                            wr1(st, d, r.to_bits());
+                        }
+                        SStep::BinI { op, d, a, b } => {
+                            let r = sem::ibin(op, rd1i(st, a), rd1i(st, b));
+                            wr1(st, d, r as u64);
+                        }
+                        SStep::Fma { d, a, b, c } => {
+                            let r = sem::fma(rd1f(st, a), rd1f(st, b), rd1f(st, c));
+                            wr1(st, d, r.to_bits());
+                        }
+                        SStep::FmaAcc { v, a, b } => {
+                            let acc = if is_u(v) {
+                                st.uvars[idx(v)]
+                            } else {
+                                st.vvars[v as usize]
+                            };
+                            let r = sem::fma(rd1f(st, a), rd1f(st, b), f64::from_bits(acc));
+                            if is_u(v) {
+                                st.uvars[idx(v)] = r.to_bits();
+                            } else {
+                                st.vvars[v as usize] = r.to_bits();
+                            }
+                        }
+                        SStep::LdF { d, site, i } => gload!(d, site, rd1i(st, i), "ld.global.f64"),
+                        SStep::LdFAdd { d, site, a, b } => gload!(
+                            d,
+                            site,
+                            rd1i(st, a).wrapping_add(rd1i(st, b)),
+                            "ld.global.f64"
+                        ),
+                        SStep::LdFMulAdd { d, site, a, b, c } => gload!(
+                            d,
+                            site,
+                            rd1i(st, a)
+                                .wrapping_mul(rd1i(st, b))
+                                .wrapping_add(rd1i(st, c)),
+                            "ld.global.f64"
+                        ),
+                        SStep::LdI { d, site, i } => gload!(d, site, rd1i(st, i), "ld.global.s64"),
+                        SStep::LdIAdd { d, site, a, b } => gload!(
+                            d,
+                            site,
+                            rd1i(st, a).wrapping_add(rd1i(st, b)),
+                            "ld.global.s64"
+                        ),
+                        SStep::LdIMulAdd { d, site, a, b, c } => gload!(
+                            d,
+                            site,
+                            rd1i(st, a)
+                                .wrapping_mul(rd1i(st, b))
+                                .wrapping_add(rd1i(st, c)),
+                            "ld.global.s64"
+                        ),
+                        SStep::StF { site, i, val } => {
+                            gstore!(site, rd1i(st, i), rd1(st, val), "st.global.f64")
+                        }
+                        SStep::StI { site, i, val } => {
+                            gstore!(site, rd1i(st, i), rd1(st, val), "st.global.s64")
+                        }
+                        SStep::AtomF {
+                            op,
+                            d,
+                            site,
+                            slot,
+                            i,
+                            val,
+                        } => atom!(
+                            rmw_f,
+                            "atom.global.f64",
+                            op,
+                            d,
+                            site,
+                            slot,
+                            rd1i(st, i),
+                            rd1f(st, val)
+                        ),
+                        SStep::AtomFAdd {
+                            op,
+                            d,
+                            site,
+                            slot,
+                            a,
+                            b,
+                            val,
+                        } => atom!(
+                            rmw_f,
+                            "atom.global.f64",
+                            op,
+                            d,
+                            site,
+                            slot,
+                            rd1i(st, a).wrapping_add(rd1i(st, b)),
+                            rd1f(st, val)
+                        ),
+                        SStep::AtomI {
+                            op,
+                            d,
+                            site,
+                            slot,
+                            i,
+                            val,
+                        } => atom!(
+                            rmw_i,
+                            "atom.global.s64",
+                            op,
+                            d,
+                            site,
+                            slot,
+                            rd1i(st, i),
+                            rd1i(st, val)
+                        ),
+                        SStep::AtomIAdd {
+                            op,
+                            d,
+                            site,
+                            slot,
+                            a,
+                            b,
+                            val,
+                        } => atom!(
+                            rmw_i,
+                            "atom.global.s64",
+                            op,
+                            d,
+                            site,
+                            slot,
+                            rd1i(st, a).wrapping_add(rd1i(st, b)),
+                            rd1i(st, val)
+                        ),
                     }
                 }
-                SStep::LdF { d, site, i } => gload!(d, site, rd1i(st, i), "ld.global.f64"),
-                SStep::LdFAdd { d, site, a, b } => gload!(
-                    d,
-                    site,
-                    rd1i(st, a).wrapping_add(rd1i(st, b)),
-                    "ld.global.f64"
-                ),
-                SStep::LdFMulAdd { d, site, a, b, c } => gload!(
-                    d,
-                    site,
-                    rd1i(st, a)
-                        .wrapping_mul(rd1i(st, b))
-                        .wrapping_add(rd1i(st, c)),
-                    "ld.global.f64"
-                ),
-                SStep::LdI { d, site, i } => gload!(d, site, rd1i(st, i), "ld.global.s64"),
-                SStep::LdIAdd { d, site, a, b } => gload!(
-                    d,
-                    site,
-                    rd1i(st, a).wrapping_add(rd1i(st, b)),
-                    "ld.global.s64"
-                ),
-                SStep::LdIMulAdd { d, site, a, b, c } => gload!(
-                    d,
-                    site,
-                    rd1i(st, a)
-                        .wrapping_mul(rd1i(st, b))
-                        .wrapping_add(rd1i(st, c)),
-                    "ld.global.s64"
-                ),
-                SStep::StF { site, i, val } => {
-                    gstore!(site, rd1i(st, i), rd1(st, val), "st.global.f64")
-                }
-                SStep::StI { site, i, val } => {
-                    gstore!(site, rd1i(st, i), rd1(st, val), "st.global.s64")
-                }
-                SStep::AtomF {
-                    op,
-                    d,
-                    site,
-                    slot,
-                    i,
-                    val,
-                } => atom!(
-                    rmw_f,
-                    "atom.global.f64",
-                    op,
-                    d,
-                    site,
-                    slot,
-                    rd1i(st, i),
-                    rd1f(st, val)
-                ),
-                SStep::AtomFAdd {
-                    op,
-                    d,
-                    site,
-                    slot,
-                    a,
-                    b,
-                    val,
-                } => atom!(
-                    rmw_f,
-                    "atom.global.f64",
-                    op,
-                    d,
-                    site,
-                    slot,
-                    rd1i(st, a).wrapping_add(rd1i(st, b)),
-                    rd1f(st, val)
-                ),
-                SStep::AtomI {
-                    op,
-                    d,
-                    site,
-                    slot,
-                    i,
-                    val,
-                } => atom!(
-                    rmw_i,
-                    "atom.global.s64",
-                    op,
-                    d,
-                    site,
-                    slot,
-                    rd1i(st, i),
-                    rd1i(st, val)
-                ),
-                SStep::AtomIAdd {
-                    op,
-                    d,
-                    site,
-                    slot,
-                    a,
-                    b,
-                    val,
-                } => atom!(
-                    rmw_i,
-                    "atom.global.s64",
-                    op,
-                    d,
-                    site,
-                    slot,
-                    rd1i(st, a).wrapping_add(rd1i(st, b)),
-                    rd1i(st, val)
-                ),
+                k = k.wrapping_add(1);
             }
         }
         if bump_iter {
             if let Some(r) = region.as_mut() {
-                r.iter = r.iter.wrapping_add(1);
+                r.advance(n);
             }
         }
-        k += 1;
+        left -= n;
+    }
+    if let Some(s) = stream {
+        stats.global_loads += s.global_loads * trips;
+        stats.global_stores += s.global_stores * trips;
+        stats.shared_accesses += s.shared * trips;
+        let lines = (s.global_loads + s.global_stores) * trips;
+        stats.mem_transactions += lines;
+        match cache {
+            Some(c) => {
+                stats.cache_hits += c.hits - hits0;
+                stats.cache_misses += c.misses - misses0;
+                stats.dram_bytes += (c.misses - misses0) * line_bytes;
+            }
+            None => stats.dram_bytes += lines * line_bytes,
+        }
     }
     Ok(taken)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use alpaka_core::kernel::Kernel;
+    use alpaka_core::ops::KernelOps;
+
+    /// The hot loops of the paper's kernels, one after the other.
+    struct PaperLoops;
+
+    impl Kernel for PaperLoops {
+        fn name(&self) -> &str {
+            "paper_loops"
+        }
+        fn run<O: KernelOps>(&self, o: &mut O) {
+            let (x, y) = (o.buf_f(0), o.buf_f(1));
+            let (sh, acc) = (o.shared_f(64), o.local_f(64));
+            let (n, row, a) = (o.param_i(0), o.param_i(1), o.param_f(0));
+            let (tx, zero, zero_f) = (o.thread_idx(0), o.lit_i(0), o.lit_f(0.0));
+            // DgemmTiled { t: 1 }: acc[ie + j] += av * shB[brow + (tx + j)]
+            o.for_elements(0, |o, j| {
+                let lc = o.add_i(tx, j);
+                let bi = o.add_i(row, lc);
+                let bv = o.ld_sf(sh, bi);
+                let q = o.add_i(n, j);
+                let cur = o.ld_lf(acc, q);
+                let nx = o.fma_f(a, bv, cur);
+                o.st_lf(acc, q, nx);
+            });
+            // DgemmNaive: sum += A[a_row + p] * B[p * ldb + j]
+            let sum = o.fold_range_f(zero, n, zero_f, |o, p, s| {
+                let ai = o.add_i(row, p);
+                let av = o.ld_gf(x, ai);
+                let brow = o.mul_i(p, n);
+                let bi = o.add_i(brow, tx);
+                let bv = o.ld_gf(y, bi);
+                o.fma_f(av, bv, s)
+            });
+            o.st_gf(y, zero, sum);
+            // DAXPY: if base + e < n { y[i] = a * x[i] + y[i] }
+            o.for_elements(0, |o, e| {
+                let i = o.add_i(row, e);
+                let c = o.lt_i(i, n);
+                o.if_(c, |o| {
+                    let (xv, yv) = (o.ld_gf(x, i), o.ld_gf(y, i));
+                    let r = o.fma_f(xv, a, yv);
+                    o.st_gf(y, i, r);
+                });
+            });
+        }
+    }
+
+    /// What the paper's kernels compile to must not silently change: the
+    /// tiled DGEMM's accumulate loop (`t = 1`) and the naive DGEMM's inner
+    /// product are affine streams, DAXPY's tail-guarded element loop is a
+    /// guarded step list.
+    #[test]
+    fn the_papers_loops_fuse_as_expected() {
+        let mut prog = alpaka_kir::trace_kernel(&PaperLoops, 1);
+        alpaka_kir::optimize(&mut prog);
+        let wp = Arc::new(crate::lower::lower(&prog).expect("a valid program"));
+        let loops: Vec<FusedLoop> = (compile(&wp).root.into_iter())
+            .filter_map(|n| match n {
+                CNode::Fused(fl) => Some(fl),
+                _ => None,
+            })
+            .collect();
+        let [tiled, naive, daxpy] = &loops[..] else {
+            panic!("{} loops fused, not three", loops.len());
+        };
+        let s = tiled.stream.as_ref().expect("the accumulate loop streams");
+        assert_eq!((s.index_ops.len(), s.shared, s.dot), (3, 1, None));
+        let spaces: Vec<Space> = s.cursors.iter().map(|c| c.space).collect();
+        assert!(matches!(
+            (&s.steps[..], &spaces[..]),
+            (
+                [
+                    SStep::LdC { c: 0, .. },
+                    SStep::LdC { c: 1, .. },
+                    SStep::Fma { .. },
+                    SStep::StC { c: 2, .. }
+                ],
+                [Space::Shared(0), Space::Local(0), Space::Local(0)]
+            )
+        ));
+        let s = naive.stream.as_ref().expect("the inner product streams");
+        assert!(matches!((s.global_loads, s.dot), (2, Some((_, true)))));
+        assert!(daxpy.stream.is_none(), "a guarded body is not a stream");
+        assert_eq!(daxpy.guards.len(), 1);
+        assert!(matches!(
+            daxpy.turbo[..],
+            [_, _, SStep::Guard { skip: 4, .. }, ..]
+        ));
+    }
 }

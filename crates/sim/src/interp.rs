@@ -325,6 +325,29 @@ impl RegionAcc {
         self.iter < 2 && !self.probe_failed
     }
 
+    /// The log that takes the addresses of the iteration being probed, and
+    /// the flag that seals it on overflow; `None` once the probe is over.
+    pub(crate) fn probe_log(&mut self) -> Option<(&mut Vec<u64>, &mut bool)> {
+        if !self.probing() {
+            return None;
+        }
+        let log = if self.iter == 0 {
+            &mut self.addrs0
+        } else {
+            &mut self.addrs1
+        };
+        Some((log, &mut self.probe_failed))
+    }
+
+    /// Count `n` finished iterations of the region's outermost loop. Only
+    /// `iter < 2` is ever observed, so the count saturates: wrapping would
+    /// re-open the probe log after 2^32 trips.
+    pub(crate) fn advance(&mut self, n: u64) {
+        self.iter = self
+            .iter
+            .saturating_add(u32::try_from(n).unwrap_or(u32::MAX));
+    }
+
     pub(crate) fn vectorized(&self) -> bool {
         if self.probe_failed || self.iter < 2 || self.addrs0.len() != self.addrs1.len() {
             return false;
@@ -613,18 +636,9 @@ impl<'a> Machine<'a> {
     /// lane; only a line that steps backwards searches the warp's list.
     pub(crate) fn mem_access(&mut self, addrs: &[(usize, u64)]) {
         // Probe log for element-loop vectorization detection.
-        if let Some(r) = &mut self.region {
-            if r.probing() {
-                let log = if r.iter == 0 {
-                    &mut r.addrs0
-                } else {
-                    &mut r.addrs1
-                };
-                log.extend(addrs.iter().map(|&(_, a)| a));
-                if log.len() > 4096 {
-                    r.probe_failed = true;
-                }
-            }
+        if let Some((log, failed)) = self.region.as_mut().and_then(RegionAcc::probe_log) {
+            log.extend(addrs.iter().map(|&(_, a)| a));
+            *failed = log.len() > 4096;
         }
         let line = self.spec.line_bytes as u64;
         let shift = line.is_power_of_two().then(|| line.trailing_zeros());
@@ -654,18 +668,9 @@ impl<'a> Machine<'a> {
     /// [`Machine::mem_access`] with a one-entry address list (one probe-log
     /// entry, one line per warp), without touching the line scratch.
     pub(crate) fn mem_access_one(&mut self, addr: u64) {
-        if let Some(r) = &mut self.region {
-            if r.probing() {
-                let log = if r.iter == 0 {
-                    &mut r.addrs0
-                } else {
-                    &mut r.addrs1
-                };
-                log.push(addr);
-                if log.len() > 4096 {
-                    r.probe_failed = true;
-                }
-            }
+        if let Some((log, failed)) = self.region.as_mut().and_then(RegionAcc::probe_log) {
+            log.push(addr);
+            *failed = log.len() > 4096;
         }
         self.line_access(addr / self.spec.line_bytes as u64);
     }
@@ -677,20 +682,11 @@ impl<'a> Machine<'a> {
     /// lane, exactly as [`Machine::mem_access`] would for the equivalent
     /// per-lane address list.
     pub(crate) fn access_uniform(&mut self, addr: u64, active: u64, warp_issues: u64) {
-        if let Some(r) = &mut self.region {
-            if r.probing() {
-                let log = if r.iter == 0 {
-                    &mut r.addrs0
-                } else {
-                    &mut r.addrs1
-                };
-                for _ in 0..active {
-                    log.push(addr);
-                }
-                if log.len() > 4096 {
-                    r.probe_failed = true;
-                }
+        if let Some((log, failed)) = self.region.as_mut().and_then(RegionAcc::probe_log) {
+            for _ in 0..active {
+                log.push(addr);
             }
+            *failed = log.len() > 4096;
         }
         let line_idx = addr / self.spec.line_bytes as u64;
         for _ in 0..warp_issues {
@@ -1495,7 +1491,7 @@ impl<'a> Machine<'a> {
                 self.exec_block(bs, body, mask)?;
                 if probe {
                     if let Some(r) = &mut self.region {
-                        r.iter += 1;
+                        r.advance(1);
                     }
                 }
                 k += 1;
@@ -2029,9 +2025,11 @@ pub fn run_kernel_launch_faulty(
     // and profile streams identical across engines by construction. A
     // compiled program that fused nothing would also replay the flat op
     // list one dispatch layer deeper than the lowered interpreter — pure
-    // overhead — so those launches dispatch to the lowered tier too.
+    // overhead — so those launches dispatch to the lowered tier too, as
+    // does every launch with more than one thread per block: fused loops
+    // run at one lane only, so the tier follows from the work division.
     let compiled = match (engine, &lowered, &numbering) {
-        (Engine::Compiled, Some(wp), None) => {
+        (Engine::Compiled, Some(wp), None) if threads_per_block == 1 => {
             Some(crate::compile::compiled_for(prog, spec, wp)).filter(|cp| cp.has_fused())
         }
         _ => None,
@@ -2261,6 +2259,25 @@ mod tests {
 
     fn assert_strictly_increasing(idx: &[usize]) {
         assert!(idx.windows(2).all(|w| w[0] < w[1]), "{idx:?}");
+    }
+
+    /// A `for.vec` of 2^32 trips (reachable under the default fuel) must
+    /// not wrap the iteration count back into the probe window.
+    #[test]
+    fn region_iteration_count_saturates() {
+        let mut r = RegionAcc::default();
+        r.advance(1);
+        assert!(r.probing());
+        r.advance(u32::MAX as u64 - 1);
+        assert_eq!(r.iter, u32::MAX);
+        for n in [1, 2, u32::MAX as u64 + 7, u64::MAX] {
+            r.advance(n);
+            assert_eq!(r.iter, u32::MAX);
+            assert!(!r.probing() && r.vectorized());
+        }
+        let mut batched = RegionAcc::default();
+        batched.advance(1 << 32);
+        assert!(batched.vectorized(), "2^32 trips in one step");
     }
 
     #[test]

@@ -823,6 +823,38 @@ fn count_shared(m: &mut Machine<'_>, n: u64) {
     m.prof_add(|c| c.shared_accesses += n);
 }
 
+/// The one-lane shared kernels — bounds check and move, for the thread at
+/// `lane` — without the access count: the engine's ops add `mask.active`,
+/// the compiled tier's step lists count their own.
+#[inline(always)]
+fn ld_shared1(st: &mut LowState, what: &str, (d, sh, i): (u32, u32, u32), lane: usize) -> R<()> {
+    let arr = &st.shared[sh as usize];
+    let k = in_bounds(what, rd1i(st, i), arr.len(), st.tid[lane])?;
+    let bits = arr[k];
+    wr1(st, d, bits);
+    Ok(())
+}
+
+#[inline(always)]
+fn st_shared1(st: &mut LowState, what: &str, (sh, i, val): (u32, u32, u32), lane: usize) -> R<()> {
+    let len = st.shared[sh as usize].len();
+    let k = in_bounds(what, rd1i(st, i), len, st.tid[lane])?;
+    st.shared[sh as usize][k] = rd1(st, val);
+    Ok(())
+}
+
+/// One shared-memory op of a one-lane block, uncounted.
+#[inline(always)]
+pub(crate) fn shared1(st: &mut LowState, op: &LOp) -> R<()> {
+    match *op {
+        LOp::LdSF { d, sh, i } => ld_shared1(st, "ld.shared.f64", (d, sh, i), 0),
+        LOp::LdSI { d, sh, i } => ld_shared1(st, "ld.shared.s64", (d, sh, i), 0),
+        LOp::StSF { sh, i, val } => st_shared1(st, "st.shared.f64", (sh, i, val), 0),
+        LOp::StSI { sh, i, val } => st_shared1(st, "st.shared.s64", (sh, i, val), 0),
+        _ => unreachable!("not a shared-memory op"),
+    }
+}
+
 /// `d = shared[sh][i]`; arrays hold raw bits, so f64 and i64 share this.
 #[inline(always)]
 fn ld_shared<const ONE: bool>(
@@ -837,10 +869,7 @@ fn ld_shared<const ONE: bool>(
     if !(ONE || is_u(d)) {
         return ld_shared_lanes(m, st, mask, what, d, sh, i);
     }
-    let arr = &st.shared[sh as usize];
-    let k = in_bounds(what, rd1i(st, i), arr.len(), st.tid[first_active(mask)])?;
-    let bits = arr[k];
-    wr1(st, d, bits);
+    ld_shared1(st, what, (d, sh, i), first_active(mask))?;
     // One cell, one bank: accesses counted, no conflicts.
     count_shared(m, mask.active);
     Ok(())
@@ -883,11 +912,11 @@ fn st_shared<const ONE: bool>(
     if !(ONE || is_u(i)) {
         return st_shared_lanes(m, st, mask, what, sh, i, val);
     }
-    let len = st.shared[sh as usize].len();
-    let k = in_bounds(what, rd1i(st, i), len, st.tid[first_active(mask)])?;
     if ONE || is_u(val) {
-        st.shared[sh as usize][k] = rd1(st, val);
+        st_shared1(st, what, (sh, i, val), first_active(mask))?;
     } else {
+        let len = st.shared[sh as usize].len();
+        let k = in_bounds(what, rd1i(st, i), len, st.tid[first_active(mask)])?;
         let val = regs_of(&st.vregs, &st.uregs, st.lanes).src(val);
         let cell = &mut st.shared[sh as usize][k];
         let _ = try_active(mask, |l| {

@@ -921,10 +921,6 @@ impl LowState {
         self.rd(s, l) as i64
     }
     #[inline]
-    pub(crate) fn rdb(&self, s: u32, l: usize) -> bool {
-        self.rd(s, l) != 0
-    }
-    #[inline]
     pub(crate) fn ud(&self, s: u32) -> u64 {
         self.uregs[idx(s)]
     }
@@ -1430,7 +1426,7 @@ pub(crate) fn exec_for_lowered(
             exec_ops(m, st, wp, b0, bend, depth, mask)?;
             if probe {
                 if let Some(r) = &mut m.region {
-                    r.iter += 1;
+                    r.advance(1);
                 }
             }
             k += 1;
@@ -1470,7 +1466,7 @@ pub(crate) fn exec_for_lowered(
             exec_ops(m, st, wp, b0, bend, depth, mask)?;
             if probe {
                 if let Some(r) = &mut m.region {
-                    r.iter += 1;
+                    r.advance(1);
                 }
             }
             k += 1;

@@ -1381,6 +1381,270 @@ fn guarded_fusion_matches_the_oracle() {
     assert!(all.vec_issue > stats.vec_issue, "{all:?}");
 }
 
+/// How [`Streams`] wraps its loop: a plain `for`, a `for.vec` that drives
+/// its own vectorization probe, or a plain `for` inside a probing `for.vec`.
+#[derive(Clone, Copy, PartialEq, Debug)]
+enum Wrap {
+    Range,
+    Vec,
+    Nested,
+}
+
+/// One loop through all three memory spaces, every index `(k * m1) * m2 + b`
+/// with its own `(m1, m2, b)` from the i64 parameters (two multiplies, so
+/// that a product can wrap and its inverse bring it back):
+/// `v = x[..]; sh[..] = v; w = sh[..]; acc[..] += v * w; y[..] = acc[..]`.
+/// `Tainted`: the stored value also reads the shared index — a non-index use
+/// of a counter-dependent value, which must keep the loop off cursors.
+/// `Dot`: the inner product `sum += x[..] * y[..]` instead, `y[0] = sum`
+/// after the loop.
+#[derive(Clone, Copy, PartialEq, Debug)]
+enum Body {
+    Spaces,
+    Tainted,
+    Dot,
+}
+
+struct Streams {
+    wrap: Wrap,
+    body: Body,
+}
+
+impl Kernel for Streams {
+    fn name(&self) -> &str {
+        "streams"
+    }
+    fn run<O: KernelOps>(&self, o: &mut O) {
+        let (x, y) = (o.buf_f(0), o.buf_f(1));
+        let (sh, acc) = (o.shared_f(64), o.local_f(64));
+        let p: Vec<O::I> = (0..14).map(|s| o.param_i(s)).collect();
+        let zero = o.lit_f(0.0);
+        let sum = o.var_f(zero);
+        let kind = self.body;
+        let mut body = |o: &mut O, k: O::I| {
+            let at = |o: &mut O, j: usize| {
+                let t = o.mul_i(k, p[j]);
+                let t = o.mul_i(t, p[j + 1]);
+                o.add_i(t, p[j + 2])
+            };
+            let xi = at(o, 2);
+            let v = o.ld_gf(x, xi);
+            if kind == Body::Dot {
+                let yi = at(o, 11);
+                let w = o.ld_gf(y, yi);
+                let s = o.vget_f(sum);
+                let nx = o.fma_f(v, w, s);
+                return o.vset_f(sum, nx);
+            }
+            let si = at(o, 5);
+            o.st_sf(sh, si, v);
+            let w = o.ld_sf(sh, si);
+            let li = at(o, 8);
+            let cur = o.ld_lf(acc, li);
+            let nx = o.fma_f(v, w, cur);
+            o.st_lf(acc, li, nx);
+            let yi = at(o, 11);
+            let out = if kind == Body::Tainted {
+                let t = o.i2f(si);
+                o.add_f(nx, t)
+            } else {
+                nx
+            };
+            o.st_gf(y, yi, out);
+        };
+        match self.wrap {
+            Wrap::Range => o.for_range(p[0], p[1], body),
+            Wrap::Vec => o.for_elements(0, body),
+            Wrap::Nested => o.for_elements(0, |o, _| o.for_range(p[0], p[1], &mut body)),
+        }
+        if kind == Body::Dot {
+            let (at, total) = (o.lit_i(0), o.vget_f(sum));
+            o.st_gf(y, at, total);
+        }
+    }
+}
+
+/// Multiplicative inverse of an odd `a` modulo 2^64 (Newton iteration).
+fn inverse_mod_2_64(a: i64) -> i64 {
+    let mut x = a;
+    for _ in 0..6 {
+        x = x.wrapping_mul(2i64.wrapping_sub(a.wrapping_mul(x)));
+    }
+    assert_eq!(a.wrapping_mul(x), 1);
+    x
+}
+
+#[test]
+fn affine_streams_match_the_oracle() {
+    const LEN: usize = 4200;
+    let spec = DeviceSpec::e5_2630v3();
+    // `[start, end, x: (m1, m2, b), sh: .., acc: .., y: ..]`
+    type Params = [i64; 14];
+    let run = |wrap: Wrap, body: Body, p: Params, faults: Option<LaunchFaults>, bufs: usize| {
+        // `for.vec` trips are the element extent; the rest read start/end.
+        let elems = match wrap {
+            Wrap::Range => 1,
+            Wrap::Vec => (p[1] - p[0]).max(1) as usize,
+            Wrap::Nested => 3,
+        };
+        let wd = WorkDiv::d1(2, 1, elems);
+        let mut prog = trace_kernel(&Streams { wrap, body }, 1);
+        optimize(&mut prog);
+        let setup = || {
+            let (mut mem, mut args) = daxpy_setup(LEN);
+            // Two NaNs that meet in the unit-stride inner product at k = 1:
+            // which payload survives depends on the factors' order.
+            mem.f_mut(args.bufs_f[0])[1] = f64::from_bits(0x7ff8_0000_0000_0001);
+            mem.f_mut(args.bufs_f[1])[8] = f64::from_bits(0x7ff8_0000_0000_0002);
+            args.bufs_f.truncate(bufs);
+            args.params_i = p.to_vec();
+            (mem, args)
+        };
+        let what = format!("{wrap:?} {body:?} {p:?}");
+        assert_outcomes_agree(&spec, &prog, &wd, setup, faults, &what)
+    };
+    let ok = |wrap, p: Params| {
+        let got = run(wrap, Body::Spaces, p, None, 2);
+        assert!(got.is_ok(), "{wrap:?} {p:?}: {got:?}");
+        assert!(run(wrap, Body::Dot, p, None, 2).is_ok(), "{wrap:?} {p:?}");
+        got.unwrap()
+    };
+    let unit: Params = [0, 40, 1, 1, 0, 1, 1, 3, 1, 1, 5, 1, 1, 7];
+    let with = |at: usize, v: [i64; 3]| {
+        let mut p = unit;
+        p[at..at + 3].copy_from_slice(&v);
+        p
+    };
+    // A product that wraps and the inverse that undoes it: stride 1 for x,
+    // the shared and the local array, 3 for y.
+    let a = 0x9E37_79B9_7F4A_7C15u64 as i64;
+    let b = inverse_mod_2_64(a);
+    let wrapping: Params = [0, 40, a, b, 2, a, b, 0, b, a, 1, a, b.wrapping_mul(3), 0];
+    let strides: [Params; 5] = [
+        unit,
+        // Negative: x and the shared array walk down, y down by two.
+        [0, 40, -1, 1, 39, 1, -1, 63, -1, -1, 5, -2, 1, 100],
+        // Zero: every iteration hits the same elements.
+        [0, 40, 0, 1, 9, 1, 0, 2, 0, 0, 0, 0, 7, 11],
+        wrapping,
+        // A start other than zero.
+        [3, 43, 2, 1, 0, 1, 1, 3, 1, 1, 5, 1, 3, 7],
+    ];
+    for wrap in [Wrap::Range, Wrap::Vec, Wrap::Nested] {
+        for p in strides {
+            // `for.vec` counts from zero.
+            if wrap != Wrap::Vec || p[0] == 0 {
+                ok(wrap, p);
+            }
+        }
+        // Zero, one, two trips, an end below the start, and trip counts
+        // around the eight at which a loop starts to run fused.
+        for (s, e) in [
+            (5, 5),
+            (5, 6),
+            (5, 7),
+            (0, 1),
+            (0, 2),
+            (9, 2),
+            (0, 7),
+            (0, 8),
+            (5, 14),
+        ] {
+            if wrap != Wrap::Vec || s == 0 {
+                let mut p = unit;
+                (p[0], p[1]) = (s, e);
+                ok(wrap, p);
+            }
+        }
+        // The first, a middle and the last iteration out of bounds, in each
+        // space: the fault must name that iteration's index.
+        for (p, text) in [
+            (
+                with(2, [1, 1, -1]),
+                "ld.global.f64: index -1 out of bounds (len 4200)",
+            ),
+            (
+                with(2, [105, 1, 105]),
+                "ld.global.f64: index 4200 out of bounds (len 4200)",
+            ),
+            (
+                with(5, [2, 1, 0]),
+                "st.shared.f64: index 64 out of bounds (len 64)",
+            ),
+            (
+                with(5, [-1, 1, 38]),
+                "st.shared.f64: index -1 out of bounds (len 64)",
+            ),
+            (
+                with(8, [1, 1, 25]),
+                "ld.local.f64: index 64 out of bounds (len 64)",
+            ),
+            (
+                with(11, [1, 1, 4161]),
+                "st.global.f64: index 4200 out of bounds (len 4200)",
+            ),
+            // k * (2^63 + 1) is k for even k and far below zero for odd k.
+            (
+                with(2, [i64::MIN + 1, 1, 0]),
+                "ld.global.f64: index -9223372036854775807 out of bounds",
+            ),
+        ] {
+            let got = run(wrap, Body::Spaces, p, None, 2);
+            assert!(got.clone().unwrap_err().contains(text), "{wrap:?}: {got:?}");
+            // The inner product reads x and y only.
+            let global = text.contains("global");
+            assert_eq!(
+                run(wrap, Body::Dot, p, None, 2).is_err(),
+                global,
+                "{wrap:?}"
+            );
+        }
+        // A non-index read of a counter-dependent value.
+        for p in [unit, wrapping] {
+            assert!(run(wrap, Body::Tainted, p, None, 2).is_ok());
+        }
+        // Injected ECC on the loads of x, fuel running dry mid-loop, and an
+        // unbound y hit by the first store.
+        let ecc = LaunchFaults {
+            ecc: FaultPlan {
+                ecc_rate: 0.2,
+                ..FaultPlan::quiet(7)
+            }
+            .ecc_ctx(0),
+            watchdog_fuel: None,
+        };
+        for body in [Body::Spaces, Body::Dot] {
+            let got = run(wrap, body, unit, Some(ecc), 2);
+            assert!(got.unwrap_err().contains("uncorrectable ECC"), "{wrap:?}");
+        }
+        for (fuel, fits) in [(300, false), (100_000, true)] {
+            let dry = LaunchFaults {
+                ecc: None,
+                watchdog_fuel: Some(fuel),
+            };
+            let got = run(wrap, Body::Spaces, unit, Some(dry), 2);
+            assert_eq!(got.is_ok(), fits, "{wrap:?} fuel={fuel}: {got:?}");
+        }
+        let got = run(wrap, Body::Spaces, unit, None, 1);
+        assert!(got.unwrap_err().contains("slot 1 not bound"), "{wrap:?}");
+    }
+    // The probe. A loop driving its own region logs its first iteration and
+    // its second apart: unit strides vectorize, y's stride of 3 does not.
+    let (vec, ..) = ok(Wrap::Vec, unit);
+    let (not, ..) = ok(Wrap::Vec, wrapping);
+    assert!(vec.vec_issue > 0 && not.vec_issue == 0, "{vec:?} {not:?}");
+    // Inside a probing region one log takes the whole loop: 40 trips repeat
+    // address for address from the region's first iteration to its second,
+    // 2100 trips overflow the 4096-entry log and seal it.
+    let (short, ..) = ok(Wrap::Nested, unit);
+    let long: Params = [0, 2100, 1, 1, 0, 0, 1, 3, 0, 1, 5, 1, 1, 7];
+    let (sealed, ..) = ok(Wrap::Nested, long);
+    assert!(
+        short.vec_issue > 0 && sealed.vec_issue == 0,
+        "{short:?} {sealed:?}"
+    );
+}
+
 /// A lane that has left a per-lane `for` keeps having its trip test
 /// evaluated while its neighbours iterate; with bounds next to `i64::MAX`
 /// that test used to overflow (debug: panic; release: the finished lane
