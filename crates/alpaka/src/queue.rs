@@ -527,10 +527,9 @@ impl Queue {
                 .on_queue(self.id),
             );
         }
-        loop {
-            if ev.is_done() {
-                break;
-            }
+        // The signal wakes this thread at once; the turns are only there to
+        // notice a worker that died, or an error that stuck, before it came.
+        while !ev.wait_timeout(std::time::Duration::from_millis(1)) {
             if let QImpl::Cpu(q) = &self.inner {
                 if q.worker_dead() {
                     if let Some(e) = q.peek_error() {
@@ -542,7 +541,6 @@ impl Queue {
             if self.sticky.lock().is_some() {
                 return self.check_sticky_ctx();
             }
-            std::thread::sleep(std::time::Duration::from_micros(50));
         }
         if let QImpl::Cpu(q) = &self.inner {
             if let Some(e) = q.peek_error() {

@@ -1,12 +1,14 @@
 //! Engine-tier comparison: interpreter throughput with the tree-walking
 //! reference engine, the pre-decoded warp program (`Engine::Lowered`) and
-//! the direct-threaded compiled tier (`Engine::Compiled`) on five workload
+//! the direct-threaded compiled tier (`Engine::Compiled`) on six workload
 //! shapes — streaming DAXPY, the 4096-block DGEMM of `sim_throughput`, the
 //! tiled DGEMM in its Fig. 8 CPU mapping (`t = 1`, `e = 64`: one thread per
 //! block, shared-memory tiles, a `for.vec` accumulate loop), the
-//! barrier-heavy block scan, and the atomic-scatter histogram — at 1
-//! interpreter thread, plus the histogram again at 4 threads (the
-//! deterministic parallel-atomics path).
+//! barrier-heavy block scan, the atomic-scatter histogram, and the ASE
+//! Monte-Carlo kernel in its Fig. 10 CPU mapping (`t = 1` on a 2-socket E5
+//! node: a data-dependent `while` ray march per ray) — at 1 interpreter
+//! thread, plus the histogram again at 4 threads (the deterministic
+//! parallel-atomics path).
 //!
 //! All three engines are asserted bit-identical (buffers, `LaunchStats`,
 //! `TimeBreakdown`) on every workload — and across 1 vs 4 interpreter
@@ -47,6 +49,17 @@ const SCAN_BLOCK_THREADS: usize = 64; // each block scans 2 * threads elements
 const HIST_BLOCKS: usize = 2048;
 const HIST_ELEMS: usize = 128; // samples = blocks * elems, exact fit (no guard)
 const HIST_BINS: usize = 64;
+
+/// The ASE problem: 256 sample points of 16 rays, some 40 march steps each;
+/// one thread per block, 16 points per thread.
+fn ase() -> hase::AseProblem {
+    hase::AseProblem {
+        points: 16,
+        rays: 16,
+        ..Default::default()
+    }
+}
+const ASE_ELEMS: usize = 16;
 
 /// One benchmarked workload: a lowered-and-optimized program, its work
 /// division and device model, and a fresh-memory setup per launch.
@@ -141,6 +154,21 @@ fn histogram_setup() -> (DeviceMem, SimArgs) {
     (mem, args)
 }
 
+fn ase_setup() -> (DeviceMem, SimArgs) {
+    let p = ase();
+    let mut mem = DeviceMem::new();
+    let gain = mem.alloc_f(p.grid * p.grid);
+    mem.f_mut(gain).copy_from_slice(&p.gain_field());
+    let flux = mem.alloc_f(p.n_points());
+    let args = SimArgs {
+        bufs_f: vec![gain, flux],
+        bufs_i: vec![],
+        params_f: vec![p.size, p.step, p.spont],
+        params_i: vec![p.grid as i64, p.points as i64, p.rays as i64, p.seed],
+    };
+    (mem, args)
+}
+
 fn lowered<K: alpaka_core::kernel::Kernel>(k: &K, dim: usize) -> Program {
     let mut prog = trace_kernel(k, dim);
     optimize(&mut prog);
@@ -188,6 +216,14 @@ fn workloads() -> Vec<Workload> {
             wd: WorkDiv::d1(HIST_BLOCKS, 1, HIST_ELEMS),
             spec: DeviceSpec::e5_2630v3(),
             setup: histogram_setup,
+        },
+        Workload {
+            name: "ase_cpu",
+            prog: lowered(&hase::AseKernel, 1),
+            wd: WorkDiv::d1(ase().n_points() / ASE_ELEMS, 1, ASE_ELEMS),
+            // The 2-socket node `repro_fig10` runs the CPU mapping on.
+            spec: alpaka_bench::node(DeviceSpec::e5_2630v3(), 2, "2x Intel Xeon E5-2630v3"),
+            setup: ase_setup,
         },
     ]
 }

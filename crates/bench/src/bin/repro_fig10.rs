@@ -9,15 +9,9 @@
 //! those nodes.
 
 use alpaka::{AccKind, Device, LaunchMode};
-use alpaka_bench::{gflops, Table};
+use alpaka_bench::{gflops, node, Table};
 use alpaka_sim::DeviceSpec;
 use hase::AseProblem;
-
-fn node(mut spec: DeviceSpec, sockets: usize, label: &str) -> DeviceSpec {
-    spec.sms *= sockets;
-    spec.name = label.to_string();
-    spec
-}
 
 fn main() {
     println!("# Fig. 10 — HASE (Monte-Carlo ASE) performance portability\n");

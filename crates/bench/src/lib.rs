@@ -314,6 +314,18 @@ pub fn dev_cpu_blocks() -> Device {
     Device::with_workers(AccKind::CpuBlocks, host_workers())
 }
 
+/// A multi-socket node of `spec` CPUs: `sockets` times the cores, one device
+/// (how Fig. 10 runs its CPU mappings).
+pub fn node(
+    mut spec: alpaka_sim::DeviceSpec,
+    sockets: usize,
+    label: &str,
+) -> alpaka_sim::DeviceSpec {
+    spec.sms *= sockets;
+    spec.name = label.to_string();
+    spec
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -6,9 +6,9 @@
 //! [`compile`] re-threads a validated [`WarpProgram`] (from `crate::lower`)
 //! into a small tree of [`CNode`]s — structured control flow with all
 //! operand slots pre-resolved — whose hot leaves are [`FusedLoop`]s:
-//! uniform-counter `for` loops whose straight-line bodies are compiled to a
-//! compact step list executed without the per-op decode-and-account loop of
-//! the lowered interpreter. A fused loop
+//! uniform-counter `for` loops and `while` loops whose straight-line bodies
+//! are compiled to a compact step list executed without the per-op
+//! decode-and-account loop of the lowered interpreter. A fused loop
 //!
 //! * charges fuel, instruction issue, flops and special-function counts as
 //!   one *batched* update per loop execution (`trips × per-iteration`
@@ -31,9 +31,14 @@
 //! * treats an else-less `If` over a fusible straight line as a *guard* — a
 //!   forward skip in the step list — so the tail-guarded element loop
 //!   `for_elements { if i < n { .. } }` fuses too: such a loop charges
-//!   `trips × unguarded + taken × guarded` (see [`exec_fused`]), and
-//! * runs a guard-free body whose every access index is affine in the loop
-//!   counter as an affine [`Stream`]: the index arithmetic is evaluated
+//!   `trips × unguarded + taken × guarded` (see [`exec_fused`]),
+//! * runs a `While` over fusible straight lines as the step list's second
+//!   loop form — `cond steps; exit unless cond; body steps`, the exit a step
+//!   of its own ([`SStep::Exit`]) so the body may hold guards — with the same
+//!   batched charge, `iterations × (1 + cond) + taken × body`: the ray march
+//!   of the ASE kernel (Fig. 10), whose trip count is data-dependent, and
+//! * runs a guard-free `For` body whose every access index is affine in the
+//!   loop counter as an affine [`Stream`]: the index arithmetic is evaluated
 //!   twice at loop entry to aim one cursor per access, every access range
 //!   is bounds-checked once, and the loop walks the cursors. This is the
 //!   one matcher for hot loops: the tiled DGEMM's `ld.shared, ld.local,
@@ -47,19 +52,24 @@
 //! gate requires a plan whenever a program contains atomics. Either way the
 //! buffers, stats and error surfaces match the lowered engine bit for bit.
 //!
-//! The step list runs loops of at least [`MIN_FUSED_TRIPS`] trips, with fuel
-//! for every iteration (all guards taken) and every buffer slot bound; a stream additionally needs every cursor in
+//! The step list runs `For` loops of at least [`MIN_FUSED_TRIPS`] trips with
+//! fuel for every iteration (all guards taken), and of a `While` as many
+//! iterations as the fuel pays for on those terms (entering costs what the
+//! interpreter's entry does, so there is no minimum), in both cases with
+//! every buffer slot bound; a stream additionally needs every cursor in
 //! bounds for the whole loop and no ECC injection armed. Everything else —
-//! barriers, `while` loops, branches with an else side or nested control
-//! flow, short loops, near-exhausted fuel — runs the lowered interpreter's own
-//! `exec_ops`/`exec_for_lowered` on the *same* state (whose data ops are
-//! the lane kernels of `crate::lanes`), and a stream that cannot run hands
-//! its loop to the step list, which faults at the exact iteration; so
-//! buffers, [`LaunchStats`], `TimeBreakdown`, traces and structured fault
-//! errors are bit-identical across all three engines (the determinism suite
-//! pins this four ways: engines × worker counts). While a vectorization
-//! region is probing (its first two iterations log addresses), the turbo
-//! loop mirrors the probe log inline, access for access.
+//! barriers, branches with an else side or nested control flow, short `For`s,
+//! near-exhausted fuel, the rest of a `While` that outlives its fuel budget —
+//! runs the lowered interpreter's own `exec_ops` on the *same* state (whose
+//! data ops are the lane kernels of `crate::lanes`), handed the loop op
+//! itself, and a stream that cannot run hands its loop to the step list,
+//! which faults at the exact iteration; so buffers, [`LaunchStats`],
+//! `TimeBreakdown`, traces and structured fault errors are bit-identical
+//! across all three engines (the determinism suite pins this four ways:
+//! engines × worker counts). While a vectorization region is probing (its
+//! first two iterations log addresses), the turbo loop mirrors the probe log
+//! inline, access for access; a `While` never drives a region, so inside a
+//! probing iteration all of it goes to one log.
 //!
 //! When a launch is traced or profiled, the compiled engine is not used at
 //! all — `run_kernel_launch_faulty` keeps `LaunchCtx::compiled` empty and
@@ -80,10 +90,8 @@ use crate::fault::SimError;
 use crate::interp::{Caches, LaunchCtx, Machine, MemAccess, RegionAcc, WorkerOut, R};
 use crate::lanes::{self, rd1, rd1f, rd1i, rmw_f, rmw_i, wr1, Site};
 use crate::lower::{
-    exec_for_lowered, exec_ops, idx, is_u, run_warp_blocks, CacheCounters, LOp, LowState, MaskBuf,
-    WarpProgram,
+    exec_ops, idx, is_u, run_warp_blocks, CacheCounters, LOp, LowState, MaskBuf, WarpProgram,
 };
-use crate::spec::DeviceSpec;
 use crate::stats::LaunchStats;
 
 // ---------------------------------------------------------------------------
@@ -129,6 +137,14 @@ enum CNode {
         start: u32,
         end: u32,
         vectorize: bool,
+        body: Vec<CNode>,
+    },
+    /// A `while` whose body contains fused work but is not itself a step
+    /// list: the condition range `c0..b0` runs on the interpreter.
+    While {
+        cond: u32,
+        c0: usize,
+        b0: usize,
         body: Vec<CNode>,
     },
     /// A contiguous straight-line run of fusible ops: executed as a step
@@ -195,15 +211,28 @@ impl Charge {
     }
 }
 
-/// A uniform-counter loop compiled to a step list with batched accounting.
+/// The two loops the step list runs.
+#[derive(Clone, Copy)]
+enum Form {
+    /// `for counter in start..end`, the trip count known at entry.
+    For {
+        counter: u32,
+        start: u32,
+        end: u32,
+        vectorize: bool,
+    },
+    /// `cond steps; exit unless cond; body steps`, repeated: the exit is the
+    /// step [`SStep::Exit`], the body's charge the guard charge it names.
+    While,
+}
+
+/// A loop compiled to a step list with batched accounting.
 struct FusedLoop {
-    counter: u32,
-    start: u32,
-    end: u32,
-    vectorize: bool,
-    /// Body op range in `wp.ops`, for the exact-parity fallback path.
-    b0: usize,
-    bend: usize,
+    form: Form,
+    /// The loop op and its ranges in `wp.ops`: what the interpreter runs
+    /// when the step list cannot, or can no longer.
+    lo: usize,
+    hi: usize,
     /// The body's live ops — `Account`s stripped (their charges are the
     /// constants below), dead pure writes eliminated — in superop form over
     /// pre-resolved memory sites, for the single-lane turbo path.
@@ -215,10 +244,11 @@ struct FusedLoop {
     /// Index into the per-worker prepared-site table.
     id: usize,
     /// Charged every iteration: the ops outside any guard (the loop's own
-    /// per-iteration burn of one fuel unit comes on top).
+    /// per-iteration burn of one fuel unit comes on top). For a `While`
+    /// these are the condition's ops, charged once more when it fails.
     per_iter: Charge,
     /// Charged per iteration in which guard `g` is taken; indexed by
-    /// [`SStep::Guard::charge`].
+    /// [`SStep::Guard::charge`] and [`SStep::Exit::charge`].
     guards: Vec<Charge>,
 }
 
@@ -246,6 +276,12 @@ enum SStep {
     Guard {
         cond: u32,
         skip: u16,
+        charge: u16,
+    },
+    /// A `While`'s exit: leave the loop when `cond` is false, otherwise
+    /// `guards[charge]` — the body — on top of the iteration.
+    Exit {
+        cond: u32,
         charge: u16,
     },
     BinF {
@@ -515,7 +551,7 @@ fn for_each_src(op: &LOp, mut f: impl FnMut(u32)) {
             f(t);
             f(e);
         }
-        LOp::StVar { val, .. } | LOp::If { cond: val, .. } => f(val),
+        LOp::StVar { val, .. } | LOp::If { cond: val, .. } | LOp::While { cond: val, .. } => f(val),
         LOp::AtomicF { i, val, .. } | LOp::AtomicI { i, val, .. } => {
             f(i);
             f(val);
@@ -575,17 +611,22 @@ fn dst_of(op: &LOp) -> Option<u32> {
 /// region, or the folded step would run when its producer would not have.
 ///
 /// `steps` holds guards as `LOp::If { cond, then_len, .. }` over the next
-/// `then_len` steps; guard `g` (in order) charges `guards[g]`.
+/// `then_len` steps and a `While`'s exit as a bare `LOp::While { cond, .. }`
+/// over everything after it; guard or exit `g` (in order) charges
+/// `guards[g]`.
 fn build_turbo(steps: &[LOp]) -> (Vec<SStep>, Vec<SiteRef>) {
     let n = steps.len();
     // Region of each step: 0 outside any guard, `g + 1` inside guard `g`.
     let mut region = vec![0usize; n];
     let mut n_guards = 0;
     for (i, op) in steps.iter().enumerate() {
-        if let LOp::If { then_len, .. } = *op {
-            n_guards += 1;
-            region[i + 1..=i + then_len as usize].fill(n_guards);
-        }
+        let len = match *op {
+            LOp::If { then_len, .. } => then_len as usize,
+            LOp::While { .. } => n - i - 1,
+            _ => continue,
+        };
+        n_guards += 1;
+        region[i + 1..=i + len].fill(n_guards);
     }
     let mut def: HashMap<u32, usize> = HashMap::new();
     let mut readers: HashMap<u32, Vec<usize>> = HashMap::new();
@@ -729,6 +770,13 @@ fn build_turbo(steps: &[LOp]) -> (Vec<SStep>, Vec<SiteRef>) {
                 SStep::Guard {
                     cond,
                     skip: 0,
+                    charge: charge - 1,
+                }
+            }
+            LOp::While { cond, .. } => {
+                charge += 1;
+                SStep::Exit {
+                    cond,
                     charge: charge - 1,
                 }
             }
@@ -934,49 +982,87 @@ fn build_stream(steps: &[LOp], counter: u32) -> Option<Stream> {
     })
 }
 
-/// Compile a uniform-counter `For` whose body is a straight line of fusible
-/// ops, optionally with *guards* — else-less `If`s over a fusible straight
-/// line, the tail-guard shape `for_elements { if i < n { .. } }`. At one
-/// lane a guard is a forward skip in the step list, so such loops fuse too.
-/// `None` when anything in the body needs the interpreter.
-#[allow(clippy::too_many_arguments)]
-fn try_fuse(
-    wp: &WarpProgram,
-    counter: u32,
-    start: u32,
-    end: u32,
-    vectorize: bool,
-    b0: usize,
-    bend: usize,
-    id: usize,
-) -> Option<FusedLoop> {
-    let body = &wp.ops[b0..bend];
-    // Guard skips are 16-bit step counts.
-    if body.len() > usize::from(u16::MAX) {
+/// Compile the loop op at `at` — a uniform-counter `For`, or a `While` — whose
+/// ranges are straight lines of fusible ops, optionally with *guards* —
+/// else-less `If`s over a fusible straight line, the tail-guard shape
+/// `for_elements { if i < n { .. } }`. At one lane a guard is a forward skip
+/// in the step list and a `While` is the guarded loop `cond steps; exit
+/// unless cond; body steps`, so such loops fuse too. `None` when anything in
+/// the loop needs the interpreter.
+fn try_fuse(wp: &WarpProgram, at: usize, n_fused: &mut usize) -> Option<FusedLoop> {
+    let (form, hi, body) = match wp.ops[at] {
+        LOp::For {
+            counter,
+            start,
+            end,
+            body_len,
+            vectorize,
+        } if is_u(counter) => {
+            let form = Form::For {
+                counter,
+                start,
+                end,
+                vectorize,
+            };
+            let hi = at + 1 + body_len as usize;
+            (form, hi, wp.ops[at + 1..hi].to_vec())
+        }
+        LOp::While {
+            cond,
+            cond_len,
+            body_len,
+        } => {
+            // The exit sits between the condition's ops and the body's, as
+            // a bare `While`.
+            let hi = at + 1 + (cond_len + body_len) as usize;
+            let (c, b) = wp.ops[at + 1..hi].split_at(cond_len as usize);
+            let exit = LOp::While {
+                cond,
+                cond_len: 0,
+                body_len: 0,
+            };
+            (Form::While, hi, [c, &[exit], b].concat())
+        }
+        _ => return None,
+    };
+    let body = &body[..];
+    // Guard skips are 16-bit step counts, and the only `While` a step list
+    // can hold is the exit.
+    let inner = |op: &LOp| matches!(op, LOp::While { .. });
+    if body.len() > usize::from(u16::MAX) || wp.ops[at + 1..hi].iter().any(inner) {
         return None;
     }
-    // Split the body into its unguarded line and the guards' lines.
+    // Split the body into its unguarded line and the guards' lines; past a
+    // `While`'s exit the unguarded ops are the loop body's, charged with it.
     let mut per_iter = Charge::default();
     let mut guards = Vec::new();
+    let mut own = None;
     let mut pc = 0;
     while pc < body.len() {
-        let (line, charge) = match body[pc] {
+        // The ops `body[pc]` heads (itself, if it is a plain op) and the
+        // guard they are charged with.
+        let (head, len, to) = match body[pc] {
+            LOp::While { .. } => {
+                own = Some(guards.len());
+                (1, 0, own)
+            }
             LOp::If {
                 then_len,
                 else_len: 0,
                 ..
-            } => {
-                pc += 1;
-                guards.push(Charge::default());
-                (&body[pc..][..then_len as usize], guards.last_mut()?)
-            }
-            _ => (&body[pc..=pc], &mut per_iter),
+            } => (1, then_len as usize, Some(guards.len())),
+            _ => (0, 1, own),
         };
+        let line = &body[pc + head..][..len];
         if !line.iter().all(fusible) {
             return None;
         }
-        charge.add(Charge::of(line), 1);
-        pc += line.len();
+        if to == Some(guards.len()) {
+            guards.push(Charge::default());
+        }
+        to.map_or(&mut per_iter, |g| &mut guards[g])
+            .add(Charge::of(line), 1);
+        pc += head + len;
     }
     // Dead-write elimination: a value the body defines but never reads is
     // out of scope once the loop ends (IR validation enforces lexical
@@ -1028,18 +1114,19 @@ fn try_fuse(
         });
     }
     let (turbo, sites) = build_turbo(&steps);
-    let stream = build_stream(&steps, counter);
+    let stream = match form {
+        Form::For { counter, .. } => build_stream(&steps, counter),
+        Form::While => None,
+    };
+    *n_fused += 1;
     Some(FusedLoop {
-        counter,
-        start,
-        end,
-        vectorize,
-        b0,
-        bend,
+        form,
+        lo: at,
+        hi,
         turbo,
         sites,
         stream,
-        id,
+        id: *n_fused - 1,
         per_iter,
         guards,
     })
@@ -1052,7 +1139,7 @@ fn try_fuse(
 fn contains_fused(nodes: &[CNode]) -> bool {
     nodes.iter().any(|n| match n {
         CNode::Fused(_) => true,
-        CNode::For { body, .. } => contains_fused(body),
+        CNode::For { body, .. } | CNode::While { body, .. } => contains_fused(body),
         CNode::If { then, els, .. } => contains_fused(then) || contains_fused(els),
         CNode::Range { .. } | CNode::Steps(_) => false,
     })
@@ -1089,7 +1176,9 @@ fn compile_range(wp: &WarpProgram, lo: usize, hi: usize, n_fused: &mut usize) ->
     let mut run_start = lo;
     let mut pc = lo;
     while pc < hi {
-        match wp.ops[pc] {
+        // The structured node a control op becomes, if it holds fused work,
+        // and the op after it.
+        let (node, end) = match wp.ops[pc] {
             LOp::If {
                 cond,
                 then_len,
@@ -1100,12 +1189,8 @@ fn compile_range(wp: &WarpProgram, lo: usize, hi: usize, n_fused: &mut usize) ->
                 let end = e0 + else_len as usize;
                 let then = compile_range(wp, t0, e0, n_fused);
                 let els = compile_range(wp, e0, end, n_fused);
-                if contains_fused(&then) || contains_fused(&els) {
-                    flush_run(wp, &mut nodes, run_start, pc);
-                    nodes.push(CNode::If { cond, then, els });
-                    run_start = end;
-                }
-                pc = end;
+                let fused = contains_fused(&then) || contains_fused(&els);
+                (fused.then_some(CNode::If { cond, then, els }), end)
             }
             LOp::For {
                 counter,
@@ -1116,40 +1201,46 @@ fn compile_range(wp: &WarpProgram, lo: usize, hi: usize, n_fused: &mut usize) ->
             } => {
                 let b0 = pc + 1;
                 let bend = b0 + body_len as usize;
-                if is_u(counter) {
-                    if let Some(fl) =
-                        try_fuse(wp, counter, start, end, vectorize, b0, bend, *n_fused)
-                    {
-                        *n_fused += 1;
-                        flush_run(wp, &mut nodes, run_start, pc);
-                        nodes.push(CNode::Fused(fl));
-                        run_start = bend;
-                    } else {
-                        let body = compile_range(wp, b0, bend, n_fused);
-                        if contains_fused(&body) {
-                            flush_run(wp, &mut nodes, run_start, pc);
-                            nodes.push(CNode::For {
-                                counter,
-                                start,
-                                end,
-                                vectorize,
-                                body,
-                            });
-                            run_start = bend;
-                        }
+                let fused = try_fuse(wp, pc, n_fused).map(CNode::Fused);
+                let node = fused.or_else(|| {
+                    // A `For` over per-lane bounds stays with the interpreter.
+                    if !is_u(counter) {
+                        return None;
                     }
-                }
-                pc = bend;
+                    let body = compile_range(wp, b0, bend, n_fused);
+                    contains_fused(&body).then_some(CNode::For {
+                        counter,
+                        start,
+                        end,
+                        vectorize,
+                        body,
+                    })
+                });
+                (node, bend)
             }
             LOp::While {
-                cond_len, body_len, ..
+                cond,
+                cond_len,
+                body_len,
             } => {
-                // While loops (data-dependent trip counts, shrinking masks)
-                // stay on the interpreter; absorbed into the range.
-                pc += 1 + cond_len as usize + body_len as usize;
+                let c0 = pc + 1;
+                let b0 = c0 + cond_len as usize;
+                let bend = b0 + body_len as usize;
+                let fused = try_fuse(wp, pc, n_fused).map(CNode::Fused);
+                let node = fused.or_else(|| {
+                    let body = compile_range(wp, b0, bend, n_fused);
+                    contains_fused(&body).then_some(CNode::While { cond, c0, b0, body })
+                });
+                (node, bend)
             }
-            _ => pc += 1,
+            _ => (None, pc + 1),
+        };
+        if let Some(node) = node {
+            flush_run(wp, &mut nodes, run_start, pc);
+            nodes.push(node);
+            run_start = end;
         }
+        pc = end;
     }
     flush_run(wp, &mut nodes, run_start, hi);
     nodes
@@ -1172,7 +1263,6 @@ fn compile(wp: &Arc<WarpProgram>) -> CompiledProgram {
 
 struct CEntry {
     prog: Program,
-    spec_name: String,
     cp: Arc<CompiledProgram>,
 }
 
@@ -1190,20 +1280,17 @@ pub fn compile_cache_counters() -> CacheCounters {
     }
 }
 
-/// The compiled form of `prog` for launches on `spec`, built at most once
-/// per `(Program, DeviceSpec)` and shared across launches and workers.
-/// `wp` is the already-cached lowered form (compilation never fails once
-/// lowering succeeded: the worst case is a single interpreter range).
-pub(crate) fn compiled_for(
-    prog: &Program,
-    spec: &DeviceSpec,
-    wp: &Arc<WarpProgram>,
-) -> Arc<CompiledProgram> {
+/// The compiled form of `prog`, built at most once per `Program` —
+/// compilation reads nothing of the device — and shared across launches,
+/// device models and workers. `wp` is the already-cached lowered form
+/// (compilation never fails once lowering succeeded: the worst case is a
+/// single interpreter range).
+pub(crate) fn compiled_for(prog: &Program, wp: &Arc<WarpProgram>) -> Arc<CompiledProgram> {
     let cache = CCACHE.get_or_init(|| Mutex::new(Vec::new()));
     {
         let guard = cache.lock().unwrap_or_else(|e| e.into_inner());
         for e in guard.iter() {
-            if e.spec_name == spec.name && e.prog == *prog {
+            if e.prog == *prog {
                 COMPILE_HITS.fetch_add(1, Ordering::Relaxed);
                 return Arc::clone(&e.cp);
             }
@@ -1214,7 +1301,7 @@ pub(crate) fn compiled_for(
     let mut guard = cache.lock().unwrap_or_else(|e| e.into_inner());
     // Keep the cache duplicate-free under racing inserts, and FIFO-bounded.
     for e in guard.iter() {
-        if e.spec_name == spec.name && e.prog == *prog {
+        if e.prog == *prog {
             return Arc::clone(&e.cp);
         }
     }
@@ -1223,7 +1310,6 @@ pub(crate) fn compiled_for(
     }
     guard.push(CEntry {
         prog: prog.clone(),
-        spec_name: spec.name.clone(),
         cp: Arc::clone(&cp),
     });
     cp
@@ -1322,12 +1408,17 @@ fn cexec_nodes(
                 close_region(m, opened);
                 result?;
             }
-            CNode::Fused(fl) => {
-                let opened = open_region(m, fl.vectorize);
-                let result = exec_fused(m, st, wp, fl, mask, opened, prep);
-                close_region(m, opened);
-                result?;
-            }
+            CNode::While { cond, c0, b0, body } => loop {
+                // One lane: the loop's mask is the parent's until the lane
+                // leaves, which ends the loop; no region bookkeeping.
+                m.burn()?;
+                exec_ops(m, st, wp, *c0, *b0, 0, mask)?;
+                if rd1(st, *cond) == 0 {
+                    break;
+                }
+                cexec_nodes(m, st, wp, body, mask, prep)?;
+            },
+            CNode::Fused(fl) => exec_fused(m, st, wp, fl, mask, prep)?,
         }
     }
     Ok(())
@@ -1375,54 +1466,73 @@ fn close_region(m: &mut Machine<'_>, opened: bool) {
 /// 8, 2.5x faster at 16.
 const MIN_FUSED_TRIPS: u64 = 8;
 
-/// Execute one fused loop. The fast path — at least [`MIN_FUSED_TRIPS`]
-/// trips, every buffer slot bound, enough fuel for every iteration even if
-/// every guard is taken — runs the turbo step list with batched accounting:
-/// `trips × per_iter + Σ taken × guard`. Anything else falls back to the
-/// lowered interpreter's loop on the same state for exact parity (an
-/// unbound slot then faults at the exact step that first touches it).
+/// Execute one fused loop. The step list runs a `For` of at least
+/// [`MIN_FUSED_TRIPS`] trips with fuel for every one of them even if every
+/// guard is taken, and of a `While` — whose trip count is unknown at entry —
+/// as many iterations as the fuel pays for on those terms, in both cases with
+/// every buffer slot bound, and books `iterations × per_iter + Σ taken ×
+/// guard` in one batch. Anything else, and what is left of a `While` whose
+/// budget ran out before its exit fired, is the interpreter's, handed the
+/// loop op itself on the same state for exact parity: an unbound slot then
+/// faults at the exact step that first touches it, and a `While` re-entered
+/// at an iteration boundary finds its whole state in vars and registers.
 fn exec_fused(
     m: &mut Machine<'_>,
     st: &mut LowState,
     wp: &WarpProgram,
     fl: &FusedLoop,
     mask: &MaskBuf,
-    probe: bool,
     prep: &mut PrepTable,
 ) -> R<()> {
-    let s0 = st.udi(fl.start);
-    let e0 = st.udi(fl.end);
-    let trips: u64 = if e0 > s0 {
-        // i64 differences always fit u64 when positive.
-        u64::try_from(e0 as i128 - s0 as i128).expect("positive i64 range fits u64")
-    } else {
-        0
-    };
     let all_taken = 1 + fl.per_iter.n + fl.guards.iter().map(|g| g.n).sum::<u64>();
-    let fast = trips >= MIN_FUSED_TRIPS
-        && trips.checked_mul(all_taken).is_some_and(|n| m.fuel >= n)
+    let (k, trips) = match fl.form {
+        Form::For { start, end, .. } => {
+            let (s0, e0) = (st.udi(start), st.udi(end));
+            // i64 differences always fit u64 when positive.
+            let trips = u64::try_from(e0 as i128 - s0 as i128).unwrap_or(0);
+            let fits = trips >= MIN_FUSED_TRIPS
+                && trips.checked_mul(all_taken).is_some_and(|n| m.fuel >= n);
+            (s0, if fits { trips } else { 0 })
+        }
+        Form::While => (0, m.fuel / all_taken),
+    };
+    let fast = trips > 0
         && (prep[fl.id].is_some() || {
             prep[fl.id] = prepare_sites(m, &fl.sites).ok();
             prep[fl.id].is_some()
         });
     if !fast {
-        return exec_for_lowered(
-            m, st, wp, fl.counter, fl.start, fl.end, fl.b0, fl.bend, 0, mask, probe,
-        );
+        return exec_ops(m, st, wp, fl.lo, fl.hi, 0, mask);
     }
     debug_assert!(
         m.profile.is_none(),
         "traced launches must run the lowered engine"
     );
     let sites = prep[fl.id].as_deref().expect("prepared above");
-    let mut total = run_turbo(m, st, fl, sites, mask, (s0, trips), probe)?;
-    total.add(fl.per_iter, trips);
-    // One batched burn and booking for the whole loop: identical to the
-    // per-iteration burns and `Account` ops of the interpreted path because
-    // nothing in between can observe the fuel level or the stat sums
-    // (errors abort the launch before they are reported).
-    m.fuel -= trips + total.n;
-    total.book(m, mask);
+    // The interpreter's `While` leaves the enclosing region alone.
+    let opened = match fl.form {
+        Form::For { vectorize, .. } => Some(open_region(m, vectorize)),
+        Form::While => None,
+    };
+    let result = run_turbo(m, st, fl, sites, mask, (k, trips), opened == Some(true)).map(
+        |(mut total, begun, finished)| {
+            total.add(fl.per_iter, begun);
+            // One batched burn and booking for the whole loop: identical to
+            // the per-iteration burns and `Account` ops of the interpreted
+            // path because nothing in between can observe the fuel level or
+            // the stat sums (errors abort the launch before they are
+            // reported).
+            m.fuel -= begun + total.n;
+            total.book(m, mask);
+            finished
+        },
+    );
+    if let Some(opened) = opened {
+        close_region(m, opened);
+    }
+    if !result? {
+        exec_ops(m, st, wp, fl.lo, fl.hi, 0, mask)?;
+    }
     Ok(())
 }
 
@@ -1513,12 +1623,15 @@ fn aim(
 /// The turbo loop: superop steps over pre-resolved sites, with the memory
 /// view, cache, ECC context and line geometry hoisted out of the loop.
 /// Preconditions (checked by `exec_fused`): fuel for all `trips` iterations
-/// from `k`, no profiling. An affine [`Stream`] that [`aim`]s in bounds
-/// (and is not ECC-armed: the decision is per address) runs its residual
-/// steps over cursors — no index arithmetic, no per-access bounds check,
-/// access counts booked once. Probe logging (a region's first two
+/// from `k`, no profiling. A `For` runs them all; a `While` until its exit
+/// step fires, with `trips` the most it may begin. An affine [`Stream`] that
+/// [`aim`]s in bounds (and is not ECC-armed: the decision is per address)
+/// runs its residual steps over cursors — no index arithmetic, no
+/// per-access bounds check, access counts booked once. Probe logging (a region's first two
 /// iterations) is mirrored inline, access for access. Returns what the
-/// taken guards charge on top of the per-iteration constants.
+/// taken guards charge on top of the per-iteration constants, the
+/// iterations begun, and whether the loop is over (a `While` that used up
+/// `trips` without leaving is not).
 fn run_turbo(
     m: &mut Machine<'_>,
     st: &mut LowState,
@@ -1527,7 +1640,7 @@ fn run_turbo(
     mask: &MaskBuf,
     (mut k, trips): (i64, u64),
     bump_iter: bool,
-) -> R<Charge> {
+) -> R<(Charge, u64, bool)> {
     let ecc = m.ecc;
     let blk = m.cur_block_lin;
     let tid0 = st.tid[0];
@@ -1561,10 +1674,13 @@ fn run_turbo(
         pos: 0,
         stride: 0,
     }; MAX_CURSORS];
-    let stream = fl
-        .stream
-        .as_ref()
-        .filter(|s| ecc.is_none() && aim(st, s, fl.counter, sites, (k, trips), &mut cur));
+    let counter = match fl.form {
+        Form::For { counter, .. } => Some(counter),
+        Form::While => None,
+    };
+    let stream = fl.stream.as_ref().zip(counter).and_then(|(s, c)| {
+        (ecc.is_none() && aim(st, s, c, sites, (k, trips), &mut cur)).then_some(s)
+    });
     let steps = stream.map_or(&fl.turbo, |s| &s.steps);
     // The log a global access's address goes to while the enclosing region
     // probes; re-resolved per segment of iterations below.
@@ -1646,8 +1762,9 @@ fn run_turbo(
 
     let (hits0, misses0) = cache.as_ref().map_or((0, 0), |c| (c.hits, c.misses));
     let mut taken = Charge::default();
+    let (mut begun, mut finished) = (trips, counter.is_some());
     let mut left = trips;
-    while left > 0 {
+    'run: while left > 0 {
         // The probe log is fixed across a segment of iterations: a loop that
         // drives its own region moves to the next log after each of its
         // first two iterations, any other loop never does.
@@ -1703,7 +1820,9 @@ fn run_turbo(
             *var = acc.to_bits();
         } else {
             for _ in 0..n {
-                st.wu(fl.counter, k as u64);
+                if let Some(c) = counter {
+                    st.wu(c, k as u64);
+                }
                 let mut it = steps.iter();
                 while let Some(sp) = it.next() {
                     match *sp {
@@ -1755,6 +1874,14 @@ fn run_turbo(
                             } else {
                                 it = it.as_slice()[skip as usize..].iter();
                             }
+                        }
+                        SStep::Exit { cond, charge } => {
+                            if rd1(st, cond) == 0 {
+                                // A `While` counts `k` from zero.
+                                (begun, finished) = (k as u64 + 1, true);
+                                break 'run;
+                            }
+                            taken.add(fl.guards[charge as usize], 1);
                         }
                         SStep::BinF { op, d, a, b } => {
                             let r = sem::fbin(op, rd1f(st, a), rd1f(st, b));
@@ -1914,7 +2041,7 @@ fn run_turbo(
             None => stats.dram_bytes += lines * line_bytes,
         }
     }
-    Ok(taken)
+    Ok((taken, begun, finished))
 }
 
 #[cfg(test)]
@@ -1965,13 +2092,38 @@ mod tests {
                     o.st_gf(y, i, r);
                 });
             });
+            // The ASE ray march: while 0 <= pos < a && steps < n
+            // { flux += exp(opt); opt += gain[cell(pos)]; pos += a; .. }
+            let (pos, opt, steps) = (o.var_f(a), o.var_f(zero_f), o.var_i(zero));
+            o.while_(
+                |o| {
+                    let (pv, sv) = (o.vget_f(pos), o.vget_i(steps));
+                    let (c1, c2, c3) = (o.ge_f(pv, zero_f), o.lt_f(pv, a), o.lt_i(sv, n));
+                    let c = o.and_b(c1, c2);
+                    o.and_b(c, c3)
+                },
+                |o| {
+                    let (pv, ov, sv) = (o.vget_f(pos), o.vget_f(opt), o.vget_i(steps));
+                    let cell = o.f2i(pv);
+                    let (cx, cy) = (o.max_i(cell, zero), o.min_i(cell, row));
+                    let at = o.mul_i(cy, n);
+                    let at = o.add_i(at, cx);
+                    let (g, amp) = (o.ld_gf(x, at), o.exp_f(ov));
+                    let (no, np) = (o.add_f(amp, g), o.add_f(pv, a));
+                    o.vset_f(opt, no);
+                    o.vset_f(pos, np);
+                    let ns = o.add_i(sv, tx);
+                    o.vset_i(steps, ns);
+                },
+            );
         }
     }
 
     /// What the paper's kernels compile to must not silently change: the
     /// tiled DGEMM's accumulate loop (`t = 1`) and the naive DGEMM's inner
     /// product are affine streams, DAXPY's tail-guarded element loop is a
-    /// guarded step list.
+    /// guarded step list, the ASE ray march a `While` step list — which is
+    /// what puts Fig. 10's kernel on this tier at all.
     #[test]
     fn the_papers_loops_fuse_as_expected() {
         let mut prog = alpaka_kir::trace_kernel(&PaperLoops, 1);
@@ -1983,8 +2135,8 @@ mod tests {
                 _ => None,
             })
             .collect();
-        let [tiled, naive, daxpy] = &loops[..] else {
-            panic!("{} loops fused, not three", loops.len());
+        let [tiled, naive, daxpy, march] = &loops[..] else {
+            panic!("{} loops fused, not four", loops.len());
         };
         let s = tiled.stream.as_ref().expect("the accumulate loop streams");
         assert_eq!((s.index_ops.len(), s.shared, s.dot), (3, 1, None));
@@ -2009,5 +2161,16 @@ mod tests {
             daxpy.turbo[..],
             [_, _, SStep::Guard { skip: 4, .. }, ..]
         ));
+        // The condition's seven ops, the exit, then the body, whose gain load
+        // takes its `cy * n + cx` with it.
+        assert!(matches!(march.form, Form::While) && march.guards.len() == 1);
+        assert!(matches!(march.turbo[7], SStep::Exit { charge: 0, .. }));
+        let folded = |s: &SStep| matches!(s, SStep::LdFMulAdd { .. });
+        assert_eq!(march.turbo[8..].iter().filter(|s| folded(s)).count(), 1);
+
+        let mut ase = alpaka_kir::trace_kernel(&hase::AseKernel, 1);
+        alpaka_kir::optimize(&mut ase);
+        let wp = crate::lower::lowered_for(&ase).expect("a valid program");
+        assert!(compiled_for(&ase, &wp).has_fused());
     }
 }

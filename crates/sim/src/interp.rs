@@ -2018,19 +2018,20 @@ pub fn run_kernel_launch_faulty(
     };
     let lowered = match engine {
         Engine::Reference => None,
-        Engine::Lowered | Engine::Compiled => crate::lower::lowered_for(prog, spec),
+        Engine::Lowered | Engine::Compiled => crate::lower::lowered_for(prog),
     };
     // Traced/profiled launches run the lowered tier even under
     // `Engine::Compiled`: its per-instruction replay is what makes trace
     // and profile streams identical across engines by construction. A
-    // compiled program that fused nothing would also replay the flat op
-    // list one dispatch layer deeper than the lowered interpreter — pure
-    // overhead — so those launches dispatch to the lowered tier too, as
-    // does every launch with more than one thread per block: fused loops
-    // run at one lane only, so the tier follows from the work division.
+    // compiled program that fused nothing — no `For` and no `While` over
+    // straight lines — would also replay the flat op list one dispatch
+    // layer deeper than the lowered interpreter — pure overhead — so those
+    // launches dispatch to the lowered tier too, as does every launch with
+    // more than one thread per block: fused loops run at one lane only, so
+    // the tier follows from the work division.
     let compiled = match (engine, &lowered, &numbering) {
         (Engine::Compiled, Some(wp), None) if threads_per_block == 1 => {
-            Some(crate::compile::compiled_for(prog, spec, wp)).filter(|cp| cp.has_fused())
+            Some(crate::compile::compiled_for(prog, wp)).filter(|cp| cp.has_fused())
         }
         _ => None,
     };

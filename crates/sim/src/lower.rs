@@ -46,7 +46,6 @@ use crate::interp::{
     R,
 };
 use crate::lanes;
-use crate::spec::DeviceSpec;
 
 /// Register-slot encoding: the top bit selects the scalar (uniform) file,
 /// the low bits are the `ValId`/`VarId` index.
@@ -287,7 +286,7 @@ impl LOp {
 }
 
 /// A lowered program: flat op stream plus the constant preload. Produced by
-/// [`lower`], cached per `(Program, DeviceSpec)` by `lowered_for`, shared
+/// [`lower`], cached per `Program` by `lowered_for`, shared
 /// across interpreter workers via `Arc`.
 #[derive(Debug)]
 pub struct WarpProgram {
@@ -799,7 +798,6 @@ pub fn lower(prog: &Program) -> Option<WarpProgram> {
 
 struct CacheEntry {
     prog: Program,
-    spec_name: String,
     /// `None` records a failed lowering (invalid IR) so the reference
     /// fallback is also decided once per program.
     wp: Option<Arc<WarpProgram>>,
@@ -830,14 +828,15 @@ pub fn lowering_cache_counters() -> CacheCounters {
     }
 }
 
-/// The lowered form of `prog` for launches on `spec`, decoded at most once
-/// per `(Program, DeviceSpec)` and shared across launches and workers.
-pub(crate) fn lowered_for(prog: &Program, spec: &DeviceSpec) -> Option<Arc<WarpProgram>> {
+/// The lowered form of `prog`, decoded at most once per `Program` — lowering
+/// reads nothing of the device — and shared across launches, device models
+/// and workers.
+pub(crate) fn lowered_for(prog: &Program) -> Option<Arc<WarpProgram>> {
     let cache = CACHE.get_or_init(|| Mutex::new(Vec::new()));
     {
         let guard = cache.lock().unwrap_or_else(|e| e.into_inner());
         for e in guard.iter() {
-            if e.spec_name == spec.name && e.prog == *prog {
+            if e.prog == *prog {
                 LOWER_HITS.fetch_add(1, Ordering::Relaxed);
                 return e.wp.clone();
             }
@@ -852,7 +851,7 @@ pub(crate) fn lowered_for(prog: &Program, spec: &DeviceSpec) -> Option<Arc<WarpP
     // waste one of the FIFO cap's slots and make eviction age out live
     // entries early).
     for e in guard.iter() {
-        if e.spec_name == spec.name && e.prog == *prog {
+        if e.prog == *prog {
             return e.wp.clone();
         }
     }
@@ -862,7 +861,6 @@ pub(crate) fn lowered_for(prog: &Program, spec: &DeviceSpec) -> Option<Arc<WarpP
     }
     guard.push(CacheEntry {
         prog: prog.clone(),
-        spec_name: spec.name.clone(),
         wp: wp.clone(),
     });
     wp
@@ -1402,7 +1400,7 @@ fn exec_ops_as<const ONE: bool>(
 }
 
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn exec_for_lowered(
+fn exec_for_lowered(
     m: &mut Machine<'_>,
     st: &mut LowState,
     wp: &WarpProgram,
@@ -1724,10 +1722,9 @@ mod tests {
     #[test]
     fn lowered_cache_is_shared() {
         let p = daxpy_like();
-        let spec = DeviceSpec::k20();
         let before = lowering_cache_counters();
-        let a = lowered_for(&p, &spec).unwrap();
-        let b = lowered_for(&p, &spec).unwrap();
+        let a = lowered_for(&p).unwrap();
+        let b = lowered_for(&p).unwrap();
         assert!(Arc::ptr_eq(&a, &b));
         let after = lowering_cache_counters();
         // The second lookup is a guaranteed hit; the first may be a hit or
@@ -1755,24 +1752,23 @@ mod tests {
 
     #[test]
     fn lowered_cache_evicts_oldest_beyond_cap() {
-        let spec = DeviceSpec::k20();
         // Tags no other test uses, so these entries are fresh inserts.
         let base = 7_000_000;
         let first = distinct_program(base);
-        let a = lowered_for(&first, &spec).unwrap();
+        let a = lowered_for(&first).unwrap();
         // Fill the cache with CACHE_CAP more distinct programs: `first`
         // must age out (concurrent tests can only evict it sooner).
         for i in 1..=CACHE_CAP as i64 {
-            lowered_for(&distinct_program(base + i), &spec).unwrap();
+            lowered_for(&distinct_program(base + i)).unwrap();
         }
-        let b = lowered_for(&first, &spec).unwrap();
+        let b = lowered_for(&first).unwrap();
         assert!(
             !Arc::ptr_eq(&a, &b),
             "entry should have been evicted and re-lowered"
         );
         // Unrelated to eviction but same scope: the re-inserted entry is
         // now shared again.
-        let c = lowered_for(&first, &spec).unwrap();
+        let c = lowered_for(&first).unwrap();
         assert!(Arc::ptr_eq(&b, &c));
     }
 }

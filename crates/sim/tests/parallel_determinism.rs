@@ -1381,6 +1381,216 @@ fn guarded_fusion_matches_the_oracle() {
     assert!(all.vec_issue > stats.vec_issue, "{all:?}");
 }
 
+/// What [`March`] puts around its `while`: nothing, a plain `for`, a `for.vec`
+/// that probes for vectorization, or another `while` — which the compiled
+/// tier interprets, with the inner loop still a step list.
+#[derive(Clone, Copy, PartialEq, Debug)]
+enum Around {
+    Nothing,
+    For,
+    ForVec,
+    While,
+}
+
+/// The marching-loop shape of the ASE kernel, every number a parameter:
+/// `k = start; while k < end + block * skew { acc += x[k * m + b + e];
+/// if k % gm < gt { y[k * sm + sb] = acc }; k += 1 }`, repeated for `e` in
+/// `0..reps` by whatever is [`Around`] it, then `out[block] = acc`.
+/// `varying` starts `k` at `start + tid`: zero more at one thread per block,
+/// but a condition the lowering cannot call uniform.
+struct March {
+    around: Around,
+    varying: bool,
+}
+
+impl Kernel for March {
+    fn name(&self) -> &str {
+        "march"
+    }
+    fn run<O: KernelOps>(&self, o: &mut O) {
+        let (x, out, y) = (o.buf_f(0), o.buf_f(1), o.buf_f(2));
+        let p: Vec<O::I> = (0..10).map(|s| o.param_i(s)).collect();
+        let (block, tid) = (o.block_idx(0), o.thread_idx(0));
+        let (zero, one, zero_f) = (o.lit_i(0), o.lit_i(1), o.lit_f(0.0));
+        let skew = o.mul_i(block, p[2]);
+        let end = o.add_i(p[1], skew);
+        let start = if self.varying {
+            o.add_i(p[0], tid)
+        } else {
+            p[0]
+        };
+        let (k, acc) = (o.var_i(start), o.var_f(zero_f));
+        let mut march = |o: &mut O, e: O::I| {
+            o.vset_i(k, start);
+            o.while_(
+                |o| {
+                    let kv = o.vget_i(k);
+                    o.lt_i(kv, end)
+                },
+                |o| {
+                    let kv = o.vget_i(k);
+                    let i = o.mul_i(kv, p[3]);
+                    let i = o.add_i(i, p[4]);
+                    let i = o.add_i(i, e);
+                    let (v, a) = (o.ld_gf(x, i), o.vget_f(acc));
+                    let a = o.add_f(a, v);
+                    o.vset_f(acc, a);
+                    let r = o.rem_i(kv, p[5]);
+                    let c = o.lt_i(r, p[6]);
+                    o.if_(c, |o| {
+                        let j = o.mul_i(kv, p[7]);
+                        let j = o.add_i(j, p[8]);
+                        o.st_gf(y, j, a);
+                    });
+                    let kn = o.add_i(kv, one);
+                    o.vset_i(k, kn);
+                },
+            );
+        };
+        match self.around {
+            Around::Nothing => march(o, zero),
+            Around::For => o.for_range(zero, p[9], march),
+            Around::ForVec => o.for_elements(0, march),
+            Around::While => {
+                let e = o.var_i(zero);
+                o.while_(
+                    |o| {
+                        let ev = o.vget_i(e);
+                        o.lt_i(ev, p[9])
+                    },
+                    |o| {
+                        let ev = o.vget_i(e);
+                        march(o, ev);
+                        let en = o.add_i(ev, one);
+                        o.vset_i(e, en);
+                    },
+                );
+            }
+        }
+        let total = o.vget_f(acc);
+        o.st_gf(out, block, total);
+    }
+}
+
+#[test]
+fn while_fusion_matches_the_oracle() {
+    const LEN: i64 = 71 * 71;
+    let spec = DeviceSpec::e5_2630v3();
+    // `[start, end, skew, m, b, gm, gt, sm, sb, reps]`
+    type Params = [i64; 10];
+    let run = |around, varying, p: Params, faults: Option<LaunchFaults>, bufs: usize| {
+        let elems = if around == Around::ForVec { p[9] } else { 1 };
+        let wd = WorkDiv::d1(2, 1, elems as usize);
+        let mut prog = trace_kernel(&March { around, varying }, 1);
+        optimize(&mut prog);
+        let setup = || {
+            let (mem, mut args) = dgemm_setup(71);
+            args.bufs_f.truncate(bufs);
+            args.params_i = p.to_vec();
+            (mem, args)
+        };
+        let what = format!("{around:?} varying={varying} {p:?} {faults:?}");
+        assert_outcomes_agree(&spec, &prog, &wd, setup, faults, &what)
+    };
+    let all = [Around::Nothing, Around::For, Around::ForVec, Around::While];
+    // 40 trips in block 0 and 43 in block 1, the guard taken every other.
+    let unit: Params = [0, 40, 3, 1, 0, 2, 1, 1, 0, 3];
+    let with = |at: usize, v: &[i64]| {
+        let mut p = unit;
+        p[at..at + v.len()].copy_from_slice(v);
+        p
+    };
+    let watchdog = |fuel| LaunchFaults {
+        ecc: None,
+        watchdog_fuel: Some(fuel),
+    };
+    for around in all {
+        for varying in [false, true] {
+            // Zero, one, two and many trips, an end below the start; the
+            // guard never, always and sometimes taken.
+            for (s, e) in [(5, 5), (5, 6), (5, 7), (0, 40), (9, 2)] {
+                for g in [[1, 0], [1, 1], [2, 1], [3, 2]] {
+                    let mut p = with(5, &g);
+                    (p[0], p[1]) = (s, e);
+                    let got = run(around, varying, p, None, 3);
+                    assert!(got.is_ok(), "{around:?} {p:?}: {got:?}");
+                }
+            }
+        }
+        // The first, a middle and the last iteration out of bounds, in the
+        // load and in the store behind the guard: the fault names the index
+        // of that iteration.
+        for (p, text) in [
+            (with(4, &[-1]), "ld.global.f64: index -1 out of"),
+            (with(4, &[LEN - 20]), "ld.global.f64: index 5041 out of"),
+            (
+                with(2, &[0, 1, LEN - 39]),
+                "ld.global.f64: index 5041 out of",
+            ),
+            (with(8, &[-2]), "st.global.f64: index -2 out of"),
+            (with(8, &[LEN - 20]), "st.global.f64: index 5041 out of"),
+            (
+                with(2, &[0, 1, 0, 1, 1, 1, LEN - 39]),
+                "st.global.f64: index 5041 out of",
+            ),
+        ] {
+            let got = run(around, true, p, None, 3);
+            assert!(
+                got.clone().unwrap_err().contains(text),
+                "{around:?}: {got:?}"
+            );
+        }
+        let ecc = LaunchFaults {
+            ecc: FaultPlan {
+                ecc_rate: 0.2,
+                ..FaultPlan::quiet(7)
+            }
+            .ecc_ctx(0),
+            watchdog_fuel: None,
+        };
+        let got = run(around, false, unit, Some(ecc), 3);
+        assert!(got.unwrap_err().contains("uncorrectable ECC"), "{around:?}");
+        // An unbound y only matters once the guard is taken.
+        assert!(run(around, false, with(5, &[1, 0]), None, 2).is_ok());
+        let got = run(around, false, unit, None, 2);
+        assert!(got.unwrap_err().contains("slot 2 not bound"), "{around:?}");
+    }
+    // Every fuel level from nothing to plenty, six trips per block: among
+    // them the ones that run dry mid-iteration, that pay for exactly `k`
+    // iterations with every guard taken, and for `k` iterations and the
+    // final condition only. Running out must not depend on the engine.
+    for around in [Around::Nothing, Around::While] {
+        for g in [[1, 1], [2, 1]] {
+            let mut p = with(5, &g);
+            (p[1], p[2], p[9]) = (6, 0, 2);
+            let ok: Vec<bool> = (0..800)
+                .map(|fuel| run(around, false, p, Some(watchdog(fuel)), 3).is_ok())
+                .collect();
+            let first = ok.iter().position(|&ok| ok).expect("800 units are plenty");
+            assert!(first > 100 && ok[first..].iter().all(|&ok| ok), "{first}");
+        }
+    }
+    // The probe. Inside a probing `for.vec` the whole `while` is one segment
+    // of the element iteration that holds it: its loads stride by two, yet
+    // from one element to the next every address moves by one — vectorized.
+    // 2100 trips overflow the 4096-entry log and seal it.
+    let strided = with(2, &[0, 2]);
+    let (vec, ..) = run(Around::ForVec, false, strided, None, 3).unwrap();
+    let (sealed, ..) = run(
+        Around::ForVec,
+        false,
+        with(1, &[2100, 0, 2, 0, 1, 1]),
+        None,
+        3,
+    )
+    .unwrap();
+    let (plain, ..) = run(Around::For, false, strided, None, 3).unwrap();
+    assert!(
+        vec.vec_issue > 0 && sealed.vec_issue == 0 && plain.vec_issue == 0,
+        "{vec:?} {sealed:?} {plain:?}"
+    );
+}
+
 /// How [`Streams`] wraps its loop: a plain `for`, a `for.vec` that drives
 /// its own vectorization probe, or a plain `for` inside a probing `for.vec`.
 #[derive(Clone, Copy, PartialEq, Debug)]

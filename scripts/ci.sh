@@ -30,7 +30,8 @@ echo "== engine-parity, atomics and fault suites under ALPAKA_SIM_THREADS=1 and 
 # the fault campaign must reproduce from its seed, under ANY interpreter
 # thread count; pin both extremes explicitly. parallel_determinism also
 # holds the lane-kernel proptest (every op x operand kind x mask shape x
-# lane count vs. the reference engine) and the guarded-fusion parity cases.
+# lane count vs. the reference engine) and the guarded-, stream- and
+# while-fusion parity cases.
 for t in 1 4; do
   echo "-- ALPAKA_SIM_THREADS=$t --"
   ALPAKA_SIM_THREADS=$t cargo test -q -p alpaka-sim --test parallel_determinism
@@ -103,6 +104,20 @@ echo "== no-metrics path records zero families =="
 # example's metrics-off path end to end.
 env -u ALPAKA_SIM_METRICS -u ALPAKA_SIM_FAULTS cargo run -q --release --example metrics_top \
   >/dev/null
+
+echo "== Fig. 10 pinned: repro_fig10 against EXPERIMENTS.md =="
+# The binary asserts bit-identical flux on all four nodes itself; its table
+# is simulated-clock output (t_sim, GFLOPS, speedup), deterministic on any
+# host and under any engine, so the four rows must equal the recorded block
+# byte for byte. First instalment of ROADMAP 4(a).
+fig10_rows() { grep -E '^\| (CUDA native|Alpaka\()' || true; }
+fig10_run="$(cargo run -q --release -p alpaka-bench --bin repro_fig10 | fig10_rows)"
+fig10_doc="$(sed -n '/^# Fig. 10 /,/^```/p' EXPERIMENTS.md | fig10_rows)"
+test "$(wc -l <<<"$fig10_run")" -eq 4 || { echo "repro_fig10 printed no 4-row table"; exit 1; }
+diff <(echo "$fig10_run") <(echo "$fig10_doc") || {
+  echo "repro_fig10's table differs from the Fig. 10 block in EXPERIMENTS.md"
+  exit 1
+}
 
 echo "== bench smoke (guards only, no timing) =="
 # Runs each bench's --test smoke mode — sim_lowering's three-engine
