@@ -1,8 +1,10 @@
 //! Engine-tier comparison: interpreter throughput with the tree-walking
 //! reference engine, the pre-decoded warp program (`Engine::Lowered`) and
-//! the direct-threaded compiled tier (`Engine::Compiled`) on six workload
-//! shapes — streaming DAXPY, the 4096-block DGEMM of `sim_throughput`, the
-//! tiled DGEMM in its Fig. 8 CPU mapping (`t = 1`, `e = 64`: one thread per
+//! the direct-threaded compiled tier (`Engine::Compiled`) on seven workload
+//! shapes — streaming DAXPY in its CPU mapping and in its GPU mapping (64
+//! threads of one element on `k20`, the shape `short_blocks` runs: lane
+//! kernels over lane-affine runs), the 4096-block DGEMM of `sim_throughput`,
+//! the tiled DGEMM in its Fig. 8 CPU mapping (`t = 1`, `e = 64`: one thread per
 //! block, shared-memory tiles, a `for.vec` accumulate loop), the
 //! barrier-heavy block scan, the atomic-scatter histogram, and the ASE
 //! Monte-Carlo kernel in its Fig. 10 CPU mapping (`t = 1` on a 2-socket E5
@@ -185,6 +187,13 @@ fn workloads() -> Vec<Workload> {
             setup: daxpy_setup,
         },
         Workload {
+            name: "daxpy_gpu",
+            prog: lowered(&DaxpyKernel, 1),
+            wd: WorkDiv::d1(DAXPY_N / 64, 64, 1),
+            spec: DeviceSpec::k20(),
+            setup: daxpy_setup,
+        },
+        Workload {
             name: "dgemm_naive",
             prog: lowered(&DgemmNaive, 1),
             wd: DgemmNaive::workdiv(BLOCKS, 1),
@@ -321,7 +330,7 @@ fn bench_sim_lowering(c: &mut Criterion) {
         return;
     }
 
-    let dgemm = &all[1];
+    let dgemm = &all[2];
     assert_eq!(dgemm.name, "dgemm_naive");
     let mut group = c.benchmark_group("sim_dgemm_lowering_4096_blocks");
     group.throughput(Throughput::Elements(BLOCKS as u64));

@@ -1426,15 +1426,13 @@ fn cexec_nodes(
 
 /// Mirror of the lowered engine's region bookkeeping around a `For` op:
 /// open a vectorization probe for outermost element loops on SIMD CPU
-/// models, otherwise track nesting depth inside an open region.
+/// models (a loop nested in an open region belongs to it).
 #[inline]
 fn open_region(m: &mut Machine<'_>, vectorize: bool) -> bool {
     let opened =
         vectorize && m.spec.kind == DeviceKind::Cpu && m.spec.simd_width > 1 && m.region.is_none();
     if opened {
         m.region = Some(RegionAcc::default());
-    } else if let Some(r) = &mut m.region {
-        r.depth += 1;
     }
     opened
 }
@@ -1453,8 +1451,6 @@ fn close_region(m: &mut Machine<'_>, opened: bool) {
             m.stats.scalar_flops += r.flops;
             m.stats.special_ops += r.special;
         }
-    } else if let Some(reg) = &mut m.region {
-        reg.depth = reg.depth.saturating_sub(1);
     }
 }
 
@@ -1645,17 +1641,8 @@ fn run_turbo(
     let blk = m.cur_block_lin;
     let tid0 = st.tid[0];
     let line_bytes = m.spec.line_bytes as u64;
-    // Same quotient either way; the shift avoids a hardware divide per
-    // access on the (universal) power-of-two line sizes.
-    let line_shift = if line_bytes.is_power_of_two() {
-        Some(line_bytes.trailing_zeros())
-    } else {
-        None
-    };
-    let line_of = |a: u64| match line_shift {
-        Some(s) => a >> s,
-        None => a / line_bytes,
-    };
+    let line_shift = m.line_shift;
+    let line_of = |a: u64| a >> line_shift;
     let cur_sm = m.cur_sm;
     let Machine {
         stats,

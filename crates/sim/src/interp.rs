@@ -311,8 +311,6 @@ pub(crate) struct RegionAcc {
     pub(crate) issue: u64,
     pub(crate) flops: u64,
     pub(crate) special: u64,
-    /// Element-loop nesting depth within the region.
-    pub(crate) depth: u32,
     /// Address log of the first two iterations of the outermost loop.
     pub(crate) iter: u32,
     pub(crate) addrs0: Vec<u64>,
@@ -321,7 +319,7 @@ pub(crate) struct RegionAcc {
 }
 
 impl RegionAcc {
-    fn probing(&self) -> bool {
+    pub(crate) fn probing(&self) -> bool {
         self.iter < 2 && !self.probe_failed
     }
 
@@ -428,6 +426,30 @@ impl BlockState {
     }
 }
 
+/// A maximal affine stretch of one memory op's index column: lanes
+/// `lane0..lane0 + n` access elements `first + j * stride`, every one of
+/// them in bounds (`lanes::find_runs` checked both ends).
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Run {
+    pub(crate) lane0: usize,
+    pub(crate) n: usize,
+    pub(crate) first: usize,
+    pub(crate) stride: i64,
+}
+
+impl Run {
+    /// The run cut at warp boundaries: (first lane, lane count) per warp.
+    fn pieces(self, warp_w: usize) -> impl Iterator<Item = (usize, usize)> {
+        let (mut lane, end) = (self.lane0, self.lane0 + self.n);
+        std::iter::from_fn(move || {
+            let stop = ((lane / warp_w + 1) * warp_w).min(end);
+            let piece = (lane, stop - lane);
+            lane = stop;
+            (piece.1 > 0).then_some(piece)
+        })
+    }
+}
+
 pub(crate) struct Machine<'a> {
     prog: &'a Program,
     pub(crate) spec: &'a DeviceSpec,
@@ -441,6 +463,8 @@ pub(crate) struct Machine<'a> {
     pub(crate) stats: LaunchStats,
     pub(crate) region: Option<RegionAcc>,
     pub(crate) caches: Caches,
+    /// `log2(spec.line_bytes)`: the launch checked it is a power of two.
+    pub(crate) line_shift: u32,
     pub(crate) cur_sm: usize,
     pub(crate) fuel: u64,
     /// True when `fuel` came from a fault plan's watchdog budget: running
@@ -640,13 +664,12 @@ impl<'a> Machine<'a> {
             log.extend(addrs.iter().map(|&(_, a)| a));
             *failed = log.len() > 4096;
         }
-        let line = self.spec.line_bytes as u64;
-        let shift = line.is_power_of_two().then(|| line.trailing_zeros());
+        let shift = self.line_shift;
         let mut lines = std::mem::take(&mut self.scratch_lines);
         let mut warp_end = 0;
         let (mut last, mut top) = (0, 0);
         for &(lane, a) in addrs {
-            let l = shift.map_or_else(|| a / line, |s| a >> s);
+            let l = a >> shift;
             let new_warp = lane >= warp_end;
             if new_warp {
                 warp_end = (lane / self.warp_w + 1) * self.warp_w;
@@ -672,7 +695,40 @@ impl<'a> Machine<'a> {
             log.push(addr);
             *failed = log.len() > 4096;
         }
-        self.line_access(addr / self.spec.line_bytes as u64);
+        self.line_access(addr >> self.line_shift);
+    }
+
+    /// [`Machine::mem_access`] for an index column that is a list of
+    /// [`Run`]s over consecutive lanes, into the buffer at byte address
+    /// `base`. A run's lines are monotone, so within a warp its distinct
+    /// lines are its adjacent-dedupe, in order; only a run that starts
+    /// mid-warp, behind another, searches what the warp touched before it.
+    /// The caller keeps probing regions away: their log is per lane.
+    pub(crate) fn mem_access_runs(&mut self, runs: &[Run], base: u64) {
+        let (warp_w, shift) = (self.warp_w, self.line_shift);
+        let mut lines = std::mem::take(&mut self.scratch_lines);
+        let mut opens_warp = true;
+        for run in runs {
+            let mut a = base + run.first as u64 * 8;
+            let step = run.stride.wrapping_mul(8) as u64;
+            for (lane, n) in run.pieces(warp_w) {
+                if opens_warp {
+                    lines.clear();
+                }
+                let mut last = u64::MAX;
+                for _ in 0..n {
+                    let l = a >> shift;
+                    a = a.wrapping_add(step);
+                    if l != last && (opens_warp || !lines.contains(&l)) {
+                        lines.push(l);
+                        self.line_access(l);
+                    }
+                    last = l;
+                }
+                opens_warp = (lane + n) % warp_w == 0;
+            }
+        }
+        self.scratch_lines = lines;
     }
 
     /// Account a global access where every active lane touches the same byte
@@ -688,9 +744,8 @@ impl<'a> Machine<'a> {
             }
             *failed = log.len() > 4096;
         }
-        let line_idx = addr / self.spec.line_bytes as u64;
         for _ in 0..warp_issues {
-            self.line_access(line_idx);
+            self.line_access(addr >> self.line_shift);
         }
     }
 
@@ -735,6 +790,79 @@ impl<'a> Machine<'a> {
             }
         }
         self.scratch_banks = seen;
+    }
+
+    /// The conflict cycles of a list of [`Run`]s in closed form. A warp's
+    /// `k` lanes of one run at stride `s` fall round-robin into `32 / g`
+    /// banks, `g = gcd(s mod 32, 32)` — those congruent to the run's
+    /// indices mod `g` — all indices distinct, or they are one index in its
+    /// one bank, at stride 0 (`g = 32`): the degree is `ceil(k / banks)`.
+    /// Runs that meet inside a warp at one stride in different classes mod
+    /// `g` (the columns of a transposed tile, a cell per row of threads)
+    /// share no bank, so the warp's degree is the largest of theirs, and one
+    /// that repeats the warp's first (a tile row read by every row of
+    /// threads) adds no index. `None` for any other meeting.
+    fn conflict_cycles(&self, runs: &[Run]) -> Option<u64> {
+        let warp_w = self.warp_w;
+        let mut cycles = 0;
+        // The warp being filled: where it ends, its first piece, a bit per
+        // class taken, the degree so far.
+        let (mut end, mut opener, mut taken, mut degree) = (0, (0, 0, 0), 0u32, 1);
+        for run in runs {
+            let g = 1 << run.stride.trailing_zeros().min(5);
+            for (lane, k) in run.pieces(warp_w) {
+                let first = run.first as i64 + (lane - run.lane0) as i64 * run.stride;
+                let class = 1 << (first & (g - 1));
+                let mine = if run.stride == 0 {
+                    1
+                } else {
+                    k.div_ceil(32 / g as usize)
+                };
+                let (stride, first0, k0) = opener;
+                if lane >= end {
+                    cycles += degree as u64 - 1;
+                    end = (lane / warp_w + 1) * warp_w;
+                    (opener, taken, degree) = ((run.stride, first, k), class, mine);
+                } else if run.stride != stride {
+                    return None;
+                } else if first == first0 && k <= k0 {
+                    continue;
+                } else if taken & class != 0 {
+                    return None;
+                } else {
+                    taken |= class;
+                    degree = degree.max(mine);
+                }
+            }
+        }
+        Some(cycles + degree as u64 - 1)
+    }
+
+    /// [`Machine::shared_access`] for a list of [`Run`]s: in closed form
+    /// ([`Machine::conflict_cycles`]), or else through the bank lists with
+    /// `elems` as scratch — where the lanes of a stride-0 run, being one
+    /// index, are listed once per warp.
+    pub(crate) fn shared_access_runs(&mut self, runs: &[Run], elems: &mut Vec<(usize, i64)>) {
+        let mut unlisted: u64 = runs.iter().map(|r| r.n as u64).sum();
+        if let Some(cycles) = self.conflict_cycles(runs) {
+            self.stats.bank_conflict_cycles += cycles;
+            self.prof_add(|c| c.bank_conflict_cycles += cycles);
+        } else {
+            elems.clear();
+            for run in runs {
+                let first = run.first as i64;
+                if run.stride == 0 {
+                    elems.extend(run.pieces(self.warp_w).map(|(lane, _)| (lane, first)));
+                } else {
+                    let lane = |j| (run.lane0 + j, first + j as i64 * run.stride);
+                    elems.extend((0..run.n).map(lane));
+                }
+            }
+            unlisted -= elems.len() as u64;
+            self.shared_access(elems);
+        }
+        self.stats.shared_accesses += unlisted;
+        self.prof_add(|c| c.shared_accesses += unlisted);
     }
 
     pub(crate) fn buf_f(&self, slot: u32) -> R<SimBufF> {
@@ -1418,8 +1546,6 @@ impl<'a> Machine<'a> {
             && self.region.is_none();
         if opened_region {
             self.region = Some(RegionAcc::default());
-        } else if let Some(r) = &mut self.region {
-            r.depth += 1;
         }
 
         let result = self.exec_for_inner(bs, counter, start, end, body, mask, opened_region);
@@ -1436,8 +1562,6 @@ impl<'a> Machine<'a> {
                 self.stats.scalar_flops += r.flops;
                 self.stats.special_ops += r.special;
             }
-        } else if let Some(reg) = &mut self.region {
-            reg.depth = reg.depth.saturating_sub(1);
         }
         result
     }
@@ -1669,7 +1793,7 @@ pub(crate) fn make_machine<'a>(
     worker: usize,
 ) -> Machine<'a> {
     let spec = ctx.spec;
-    let sms = spec.sms.max(1);
+    let sms = spec.sms;
     let caches = match spec.cache_scope {
         CacheScope::None => Caches::None,
         // Only the SMs this worker owns, compacted: global SM `s` lives at
@@ -1704,6 +1828,7 @@ pub(crate) fn make_machine<'a>(
         stats: LaunchStats::default(),
         region: None,
         caches,
+        line_shift: spec.line_bytes.trailing_zeros(),
         cur_sm: 0,
         fuel: ctx.fuel,
         watchdog: ctx.watchdog,
@@ -1745,7 +1870,7 @@ fn interpret_blocks(
     }
     let spec = ctx.spec;
     let prog = ctx.prog;
-    let sms = spec.sms.max(1);
+    let sms = spec.sms;
     let lanes = ctx.lanes;
     let mut m = make_machine(ctx, mem, team, worker);
     let mut bs = BlockState {
@@ -1967,6 +2092,20 @@ pub fn run_kernel_launch_faulty(
     faults: Option<LaunchFaults>,
 ) -> Result<SimReport, SimError> {
     let host_t0 = Instant::now();
+    // `DeviceSpec`'s fields are public: the access models shift by
+    // `log2(line_bytes)`, and blocks divide into warps and over SMs.
+    let (name, line) = (&spec.name, spec.line_bytes);
+    if !line.is_power_of_two() {
+        return Err(serr!(
+            "{name}: `line_bytes` must be a power of two, got {line}"
+        ));
+    }
+    if spec.warp_width == 0 || spec.sms == 0 {
+        let (w, sms) = (spec.warp_width, spec.sms);
+        return Err(serr!(
+            "{name}: `warp_width` ({w}) and `sms` ({sms}) must be at least 1"
+        ));
+    }
     let threads_per_block = wd.threads_per_block();
     if threads_per_block > spec.max_threads_per_block {
         return Err(serr!(
@@ -2008,7 +2147,7 @@ pub fn run_kernel_launch_faulty(
         }
     };
 
-    let warp_w = spec.warp_width.max(1);
+    let warp_w = spec.warp_width;
     // Profiling piggybacks on the tracing switch so the default launch
     // path stays allocation-free.
     let numbering = if alpaka_core::trace::enabled() {
@@ -2063,10 +2202,7 @@ pub fn run_kernel_launch_faulty(
 
     // A worker without SMs would idle, so the team never exceeds the SM
     // count (nor the block count).
-    let team = threads
-        .max(1)
-        .min(spec.sms.max(1))
-        .min(indices.len().max(1));
+    let team = threads.max(1).min(spec.sms).min(indices.len().max(1));
     // Atomics no longer force the serial path by themselves: a launch
     // with a deferral plan parallelizes like any other. Only non-reducible
     // atomic programs (and shared-cache devices) stay serial.
@@ -2399,7 +2535,13 @@ mod tests {
                 .wrapping_add(1442695040888963407);
             (state >> 33) % n
         };
-        for spec in [DeviceSpec::k20(), DeviceSpec::e5_2630v3()] {
+        // Warp width {32, 1} x line size {128, 64}.
+        let (k20, e5) = (DeviceSpec::k20(), DeviceSpec::e5_2630v3());
+        let other_line = |s: &DeviceSpec| DeviceSpec {
+            line_bytes: 192 - s.line_bytes,
+            ..s.clone()
+        };
+        for spec in [other_line(&k20), other_line(&e5), k20, e5] {
             let warp_w = spec.warp_width;
             let ctx = LaunchCtx {
                 spec: &spec,
@@ -2474,6 +2616,50 @@ mod tests {
             // The streams exercised what they were meant to.
             assert!(new.stats.cache_hits > 0 && new.stats.cache_misses > 0);
             assert!(warp_w == 1 || new.stats.bank_conflict_cycles > 0);
+
+            // 2500 run lists as `lanes::find_runs` hands them over — one to
+            // three back-to-back runs from any first lane — through the
+            // closed forms and, lane by lane, through the references.
+            const STRIDES: [i64; 12] = [0, 1, -1, 2, -2, 16, -16, 32, -32, 33, 1 << 20, -(1 << 20)];
+            (old.region, new.region) = (None, None);
+            let (mut closed, mut scratch) = (0, vec![]);
+            for round in 0..2_500 {
+                let (mut lane, mut runs, mut elems) = (rnd(96) as usize, vec![], vec![]);
+                let max_runs = [1, 1, 2, 3][rnd(4) as usize];
+                while lane < 96 && runs.len() < max_runs {
+                    let n = 1 + rnd((96 - lane) as u64) as usize;
+                    // Half the runs behind another keep its stride.
+                    let stride = match runs.last() {
+                        Some(Run { stride, .. }) if rnd(2) == 0 => *stride,
+                        _ => STRIDES[rnd(12) as usize],
+                    };
+                    // A quarter of them start where it started.
+                    let first = match runs.last() {
+                        Some(Run { first, .. }) if rnd(4) == 0 => *first,
+                        _ => (1 << 30) + rnd(4096) as usize,
+                    };
+                    runs.push(Run {
+                        lane0: lane,
+                        n,
+                        first,
+                        stride,
+                    });
+                    elems.extend((0..n).map(|j| (lane + j, first as i64 + j as i64 * stride)));
+                    lane += n;
+                }
+                let base = 8 * rnd(1 << 16);
+                let addrs: Vec<(usize, u64)> = elems
+                    .iter()
+                    .map(|&(l, i)| (l, base + i as u64 * 8))
+                    .collect();
+                mem_access_ref(&mut old, &addrs);
+                new.mem_access_runs(&runs, base);
+                shared_access_ref(&mut old, &elems);
+                closed += new.conflict_cycles(&runs).is_some() as u32;
+                new.shared_access_runs(&runs, &mut scratch);
+                assert_eq!(old.stats, new.stats, "round {round}: {runs:?}");
+            }
+            assert!(closed > 500 && (warp_w == 1 || closed < 2_000), "{closed}");
         }
     }
 }

@@ -7,14 +7,28 @@
 //! uniform scalars and which are columns ([`Src`]), which operator of a
 //! binary family (`IBin`/`FBin`/`Cmp`/`BBin`) runs — the lane loop is
 //! monomorphised per variant, so the `alpaka_kir::semantics` call inside it
-//! folds to the one operation — and, for global memory, the buffer's cells,
-//! length and base address ([`Site`]). What stays **per lane** is what the
-//! model observes per lane: the bounds check, the injected-ECC decision, the
-//! faulting thread's coordinates, sequential lane order for stores and
-//! atomics, and the exact `(lane, address)` list handed to the coalescer and
-//! the bank model. (`FUn`'s operator switch and `sem::fma`'s CPU-feature
-//! test also stay in the loop: the first is noise next to `exp`/`sin`, the
-//! second cannot move without a second copy of `fma` outside `alpaka-kir`.)
+//! folds to the one operation — for global memory, the buffer's cells,
+//! length and base address ([`Site`]), and, for the four memory kernels,
+//! whether the index column is a handful of *affine runs* ([`find_runs`]:
+//! over a dense mask span, `first + j * stride` per run, both ends
+//! range-checked once). A run moves its data in one strided loop and the
+//! coalescer and the bank model answer for it per warp
+//! (`Machine::mem_access_runs`, `Machine::shared_access_runs`) — what a warp
+//! does at once costs once. Column ops visit the mask's span only: a plain
+//! loop when the span has no hole, the active-lane list when it has; the
+//! per-lane memory kernels always walk the list ([`try_active`] says why).
+//!
+//! What stays **per lane** is what the model observes per lane, in every op
+//! that is not a run (a gather, a sparse mask, an end out of range, an ECC
+//! plan armed on a load, a CPU model's vectorization probe logging): the
+//! bounds check, the injected-ECC decision, the faulting thread's
+//! coordinates, sequential lane order for stores and atomics, and the exact
+//! `(lane, address)` list handed to the coalescer and the bank model. So a
+//! fault keeps its lane, text and coordinates, and statistics, profiles and
+//! traces do not depend on which path ran. (`FUn`'s operator switch and
+//! `sem::fma`'s CPU-feature test also stay in the loop: the first is noise
+//! next to `exp`/`sin`, the second cannot move without a second copy of
+//! `fma` outside `alpaka-kir`.)
 //!
 //! A uniform destination has one value for the whole block, and so has every
 //! op of a one-lane block (`ONE`): both are evaluated once through
@@ -30,8 +44,8 @@ use alpaka_kir::semantics as sem;
 
 use crate::atomics::AtomicsPriv;
 use crate::fault::SimError;
-use crate::interp::{Machine, MemAccess, R};
-use crate::lower::{first_active, flush_addrs, flush_elems, idx, is_u, LOp, LowState, MaskBuf};
+use crate::interp::{Machine, MemAccess, RegionAcc, Run, R};
+use crate::lower::{flush_addrs, flush_elems, idx, is_u, LOp, LowState, MaskBuf};
 use crate::serr;
 
 // ---------------------------------------------------------------------------
@@ -116,30 +130,30 @@ fn split<'a>(
     (dcol, regs)
 }
 
-/// `dst[l] = f(l)` for every active lane: a plain (vectorisable) loop under
-/// a full mask, a masked write otherwise.
+/// `dst[l] = f(l)` for every active lane: a plain (vectorisable) loop over a
+/// dense span — a full mask, a `tid < d` guard — the active-lane list
+/// otherwise.
 #[inline(always)]
 fn fill(dst: &mut [u64], mask: &MaskBuf, f: impl Fn(usize) -> u64) {
-    if mask.full {
-        for (l, o) in dst.iter_mut().enumerate() {
-            *o = f(l);
+    if mask.dense() {
+        for l in mask.lo..mask.hi.min(dst.len()) {
+            dst[l] = f(l);
         }
     } else {
-        for (l, (o, &on)) in dst.iter_mut().zip(&mask.bits).enumerate() {
-            if on {
-                *o = f(l);
-            }
+        for &l in &mask.list {
+            dst[l as usize] = f(l as usize);
         }
     }
 }
 
-/// Run `f` for every active lane in lane order, stopping at the first error.
+/// Run `f` for every active lane in lane order, stopping at the first
+/// error. One loop, over the list even when the span is dense: a second
+/// copy of a memory kernel's per-lane body costs more than the indirection
+/// (the body stops being inlined: +20 % on a 16-lane gather).
 #[inline(always)]
 fn try_active(mask: &MaskBuf, mut f: impl FnMut(usize) -> R<()>) -> R<()> {
-    for l in 0..mask.bits.len() {
-        if mask.full || mask.bits[l] {
-            f(l)?;
-        }
+    for &l in &mask.list {
+        f(l as usize)?;
     }
     Ok(())
 }
@@ -482,6 +496,68 @@ fn out_of_bounds(what: &str, ix: i64, len: usize, tid: [i64; 3]) -> SimError {
     serr!("{what}: index {ix} out of bounds (len {len})").at_thread(tid)
 }
 
+/// A column with a run of fewer lanes than this before its last is not
+/// worth cutting up (nor scanning further: the narrow 2-D blocks a
+/// work-division sweep tries end here at once): the per-lane kernels take
+/// the op.
+const MIN_RUN: usize = 8;
+
+/// The one place that decides, per memory op, whether its index column
+/// moves as affine [`Run`]s: over a dense span, cut the column where its
+/// wrapping difference changes, and range-check each run's first and last
+/// element once, in `i128` (as `compile.rs::aim` does; everything between
+/// them lies between them). False — not a column, holes in the span, a
+/// short run, an end out of `0..len` — sends the whole op down the per-lane
+/// path, which finds the lane at fault. (Not inlined: inside the four
+/// kernels it costs their per-lane loops registers, 25 % on a 16-lane
+/// gather.)
+#[inline(never)]
+fn find_runs(ix: Src<'_>, mask: &MaskBuf, len: usize, runs: &mut Vec<Run>) -> bool {
+    let Src::V(col) = ix else { return false };
+    if !mask.dense() {
+        return false;
+    }
+    let col = &col[mask.lo..mask.hi];
+    let in_range = 0..len as i128;
+    runs.clear();
+    let mut s = 0;
+    while s < col.len() {
+        let stride = col.get(s + 1).map_or(0, |next| next.wrapping_sub(col[s]));
+        let mut e = s + 1;
+        while e < col.len() && col[e].wrapping_sub(col[e - 1]) == stride {
+            e += 1;
+        }
+        if e - s < MIN_RUN && e < col.len() {
+            return false;
+        }
+        let (first, stride) = (col[s] as i64, stride as i64);
+        let last = first as i128 + stride as i128 * (e - s - 1) as i128;
+        if !(in_range.contains(&first.into()) && in_range.contains(&last)) {
+            return false;
+        }
+        runs.push(Run {
+            lane0: mask.lo + s,
+            n: e - s,
+            first: first as usize,
+            stride,
+        });
+        s = e;
+    }
+    !runs.is_empty()
+}
+
+/// `f(lane, element)` for every lane of `runs`, in lane order.
+#[inline(always)]
+fn each_lane(runs: &[Run], mut f: impl FnMut(usize, usize)) {
+    for run in runs {
+        let mut k = run.first;
+        for l in run.lane0..run.lane0 + run.n {
+            f(l, k);
+            k = k.wrapping_add(run.stride as usize);
+        }
+    }
+}
+
 /// A thread-index read fills a column; every other special register is one
 /// value for the whole block.
 fn special(m: &Machine<'_>, st: &mut LowState, mask: &MaskBuf, d: u32, r: SpecialReg) {
@@ -631,6 +707,12 @@ fn count_global(m: &mut Machine<'_>, mask: &MaskBuf, store: bool) {
     }
 }
 
+/// A vectorization probe (CPU models only) is logging global addresses.
+#[inline(always)]
+fn probing(m: &Machine<'_>) -> bool {
+    m.region.as_ref().is_some_and(RegionAcc::probing)
+}
+
 /// `d = site[i]` (`what` names the access in faults: `ld.global.f64`/`.s64`;
 /// cells are raw bits, so both element types share the kernel).
 #[inline(always)]
@@ -648,7 +730,7 @@ fn ld_global<const ONE: bool>(
     }
     // One cell for the whole block; a fault belongs to the first lane the
     // per-lane order would reach.
-    let tid = st.tid[first_active(mask)];
+    let tid = st.tid[mask.lo];
     let (cell, a) = site.cell(what, rd1i(st, i), tid)?;
     m.ecc_check(a, what, tid)?;
     wr1(st, d, cell.load(Relaxed));
@@ -667,17 +749,27 @@ fn ld_global_lanes(
     i: u32,
 ) -> R<()> {
     let (dc, r) = split(&mut st.vregs, &st.uregs, st.lanes, d);
-    let (ix, tid, addrs) = (r.src(i), &st.tid, &mut st.addrs);
-    addrs.clear();
-    try_active(mask, |l| {
-        let (cell, a) = site.cell(what, ix.at(l) as i64, tid[l])?;
-        m.ecc_check(a, what, tid[l])?;
-        dc[l] = cell.load(Relaxed);
-        addrs.push((l, a));
-        Ok(())
-    })?;
+    let (ix, tid, addrs, runs) = (r.src(i), &st.tid, &mut st.addrs, &mut st.runs);
+    // An armed ECC plan decides per address, a probing region logs per lane.
+    if m.ecc.is_none() && !probing(m) && find_runs(ix, mask, site.len, runs) {
+        each_lane(runs, |l, k| {
+            // SAFETY: `find_runs` checked both ends of every run against
+            // `site.len`, and `each_lane` walks between them.
+            dc[l] = unsafe { site.cell_unchecked(k) }.load(Relaxed);
+        });
+        m.mem_access_runs(runs, site.base);
+    } else {
+        addrs.clear();
+        try_active(mask, |l| {
+            let (cell, a) = site.cell(what, ix.at(l) as i64, tid[l])?;
+            m.ecc_check(a, what, tid[l])?;
+            dc[l] = cell.load(Relaxed);
+            addrs.push((l, a));
+            Ok(())
+        })?;
+        flush_addrs(m, addrs);
+    }
     count_global(m, mask, false);
-    flush_addrs(m, addrs);
     Ok(())
 }
 
@@ -695,7 +787,7 @@ fn st_global<const ONE: bool>(
     if !(ONE || is_u(i)) {
         return st_global_lanes(m, st, mask, what, site, i, val);
     }
-    let (cell, a) = site.cell(what, rd1i(st, i), st.tid[first_active(mask)])?;
+    let (cell, a) = site.cell(what, rd1i(st, i), st.tid[mask.lo])?;
     if ONE || is_u(val) {
         cell.store(rd1(st, val), Relaxed);
     } else {
@@ -720,16 +812,25 @@ fn st_global_lanes(
     val: u32,
 ) -> R<()> {
     let r = regs_of(&st.vregs, &st.uregs, st.lanes);
-    let (ix, val, tid, addrs) = (r.src(i), r.src(val), &st.tid, &mut st.addrs);
-    addrs.clear();
-    try_active(mask, |l| {
-        let (cell, a) = site.cell(what, ix.at(l) as i64, tid[l])?;
-        cell.store(val.at(l), Relaxed);
-        addrs.push((l, a));
-        Ok(())
-    })?;
+    let (ix, val, tid) = (r.src(i), r.src(val), &st.tid);
+    let (addrs, runs) = (&mut st.addrs, &mut st.runs);
+    if !probing(m) && find_runs(ix, mask, site.len, runs) {
+        each_lane(runs, |l, k| {
+            // SAFETY: as in `ld_global_lanes`.
+            unsafe { site.cell_unchecked(k) }.store(val.at(l), Relaxed);
+        });
+        m.mem_access_runs(runs, site.base);
+    } else {
+        addrs.clear();
+        try_active(mask, |l| {
+            let (cell, a) = site.cell(what, ix.at(l) as i64, tid[l])?;
+            cell.store(val.at(l), Relaxed);
+            addrs.push((l, a));
+            Ok(())
+        })?;
+        flush_addrs(m, addrs);
+    }
     count_global(m, mask, true);
-    flush_addrs(m, addrs);
     Ok(())
 }
 
@@ -869,7 +970,7 @@ fn ld_shared<const ONE: bool>(
     if !(ONE || is_u(d)) {
         return ld_shared_lanes(m, st, mask, what, d, sh, i);
     }
-    ld_shared1(st, what, (d, sh, i), first_active(mask))?;
+    ld_shared1(st, what, (d, sh, i), mask.lo)?;
     // One cell, one bank: accesses counted, no conflicts.
     count_shared(m, mask.active);
     Ok(())
@@ -886,15 +987,20 @@ fn ld_shared_lanes(
 ) -> R<()> {
     let arr = &st.shared[sh as usize];
     let (dc, r) = split(&mut st.vregs, &st.uregs, st.lanes, d);
-    let (ix, tid, elems) = (r.src(i), &st.tid, &mut st.elems);
-    elems.clear();
-    try_active(mask, |l| {
-        let k = in_bounds(what, ix.at(l) as i64, arr.len(), tid[l])?;
-        dc[l] = arr[k];
-        elems.push((l, k as i64));
-        Ok(())
-    })?;
-    flush_elems(m, elems);
+    let (ix, tid, elems, runs) = (r.src(i), &st.tid, &mut st.elems, &mut st.runs);
+    if find_runs(ix, mask, arr.len(), runs) {
+        each_lane(runs, |l, k| dc[l] = arr[k]);
+        m.shared_access_runs(runs, elems);
+    } else {
+        elems.clear();
+        try_active(mask, |l| {
+            let k = in_bounds(what, ix.at(l) as i64, arr.len(), tid[l])?;
+            dc[l] = arr[k];
+            elems.push((l, k as i64));
+            Ok(())
+        })?;
+        flush_elems(m, elems);
+    }
     Ok(())
 }
 
@@ -913,10 +1019,10 @@ fn st_shared<const ONE: bool>(
         return st_shared_lanes(m, st, mask, what, sh, i, val);
     }
     if ONE || is_u(val) {
-        st_shared1(st, what, (sh, i, val), first_active(mask))?;
+        st_shared1(st, what, (sh, i, val), mask.lo)?;
     } else {
         let len = st.shared[sh as usize].len();
-        let k = in_bounds(what, rd1i(st, i), len, st.tid[first_active(mask)])?;
+        let k = in_bounds(what, rd1i(st, i), len, st.tid[mask.lo])?;
         let val = regs_of(&st.vregs, &st.uregs, st.lanes).src(val);
         let cell = &mut st.shared[sh as usize][k];
         let _ = try_active(mask, |l| {
@@ -938,15 +1044,21 @@ fn st_shared_lanes(
     val: u32,
 ) -> R<()> {
     let r = regs_of(&st.vregs, &st.uregs, st.lanes);
-    let (ix, val, tid, elems) = (r.src(i), r.src(val), &st.tid, &mut st.elems);
+    let (ix, val, tid) = (r.src(i), r.src(val), &st.tid);
+    let (elems, runs) = (&mut st.elems, &mut st.runs);
     let arr = &mut st.shared[sh as usize];
-    elems.clear();
-    try_active(mask, |l| {
-        let k = in_bounds(what, ix.at(l) as i64, arr.len(), tid[l])?;
-        arr[k] = val.at(l);
-        elems.push((l, k as i64));
-        Ok(())
-    })?;
-    flush_elems(m, elems);
+    if find_runs(ix, mask, arr.len(), runs) {
+        each_lane(runs, |l, k| arr[k] = val.at(l));
+        m.shared_access_runs(runs, elems);
+    } else {
+        elems.clear();
+        try_active(mask, |l| {
+            let k = in_bounds(what, ix.at(l) as i64, arr.len(), tid[l])?;
+            arr[k] = val.at(l);
+            elems.push((l, k as i64));
+            Ok(())
+        })?;
+        flush_elems(m, elems);
+    }
     Ok(())
 }

@@ -42,8 +42,8 @@ use alpaka_core::trace::BlockSpan;
 use crate::fault::SimError;
 use crate::interp::RegionAcc;
 use crate::interp::{
-    make_machine, stats_issue_cycles, trip_live, LaunchCtx, Machine, MapI64, MemAccess, WorkerOut,
-    R,
+    make_machine, stats_issue_cycles, trip_live, LaunchCtx, Machine, MapI64, MemAccess, Run,
+    WorkerOut, R,
 };
 use crate::lanes;
 
@@ -870,16 +870,32 @@ pub(crate) fn lowered_for(prog: &Program) -> Option<Arc<WarpProgram>> {
 // Execution
 // ---------------------------------------------------------------------------
 
-/// A lane mask with its per-warp accounting precomputed.
+/// A lane mask: its live lanes in order, with the span they lie in and the
+/// per-warp accounting precomputed.
 #[derive(Default)]
 pub(crate) struct MaskBuf {
-    pub(crate) bits: Vec<bool>,
-    /// Total active lanes.
+    /// The active lanes, ascending.
+    pub(crate) list: Vec<u32>,
+    /// Total active lanes (`list.len()`).
     pub(crate) active: u64,
     /// Warps with at least one active lane (issue slots per instruction).
     pub(crate) warp_issues: u64,
-    /// All lanes active (enables the no-check lane loop and barriers).
+    /// All lanes active (barriers require it).
     pub(crate) full: bool,
+    /// Every active lane lies in `lo..hi`; `lo` is the first one — the lane
+    /// the reference engine's in-order per-lane loop would fault at for a
+    /// uniform (all-lanes-identical) access. `0..0` when no lane is active.
+    pub(crate) lo: usize,
+    pub(crate) hi: usize,
+}
+
+impl MaskBuf {
+    /// The span has no hole: every lane of `lo..hi` is active (a full mask,
+    /// every `tid < d` guard), so column ops walk it and not the list.
+    #[inline(always)]
+    pub(crate) fn dense(&self) -> bool {
+        (self.hi - self.lo) as u64 == self.active
+    }
 }
 
 /// Per-worker execution state of the lowered engine: split register files
@@ -903,6 +919,8 @@ pub(crate) struct LowState {
     pub(crate) addrs: Vec<(usize, u64)>,
     /// Reusable (lane, element index) scratch for bank accounting.
     pub(crate) elems: Vec<(usize, i64)>,
+    /// Reusable scratch for the affine runs of a memory op's index column.
+    pub(crate) runs: Vec<Run>,
 }
 
 impl LowState {
@@ -913,6 +931,11 @@ impl LowState {
         } else {
             self.vregs[s as usize * self.lanes + l]
         }
+    }
+    /// Varying register `s`, all lanes.
+    #[inline]
+    pub(crate) fn col(&self, s: u32) -> &[u64] {
+        &self.vregs[s as usize * self.lanes..][..self.lanes]
     }
     #[inline]
     pub(crate) fn rdi(&self, s: u32, l: usize) -> i64 {
@@ -939,175 +962,71 @@ impl LowState {
         self.vregs[d as usize * self.lanes + l] = bits;
     }
 
-    /// Grow the mask pool so `masks[depth]` exists (bits sized to `lanes`).
+    /// Grow the mask pool so `masks[depth]` exists.
     pub(crate) fn ensure_mask(&mut self, depth: usize) {
         while self.masks.len() <= depth {
-            self.masks.push(MaskBuf {
-                bits: vec![false; self.lanes],
-                ..Default::default()
-            });
+            self.masks.push(MaskBuf::default());
         }
     }
 }
 
-/// Fill `child` with the lanes of `parent` whose `cond` equals `polarity`,
-/// counting one divergent branch per warp whose active lanes disagree
-/// (only on the first of the two fill passes). Returns (any-true,
-/// any-false) over the parent's active lanes.
-pub(crate) fn fill_branch_mask(
+/// Rebuild `child` as the lanes of `parent` — of `child` itself when there
+/// is none: a while loop shrinking its own mask — whose `test` equals
+/// `keep`, counting one divergent branch per warp whose active lanes
+/// disagree (`count_div`: only on the first of an `If`'s two passes).
+/// Returns (any-true, any-false) over the parent's active lanes.
+pub(crate) fn build_mask(
     m: &mut Machine<'_>,
-    st: &LowState,
-    cond: u32,
-    parent: &MaskBuf,
+    parent: Option<&MaskBuf>,
     child: &mut MaskBuf,
-    polarity: bool,
+    keep: bool,
     count_div: bool,
+    test: impl Fn(usize) -> bool,
 ) -> (bool, bool) {
-    let lanes = st.lanes;
     let warp_w = m.warp_w;
-    let mut active = 0u64;
-    let mut wi = 0u64;
-    let mut any_t_g = false;
-    let mut any_f_g = false;
-    let mut lo = 0;
-    while lo < lanes {
-        let hi = (lo + warp_w).min(lanes);
-        let mut any_t = false;
-        let mut any_f = false;
-        let mut warp_act = 0u64;
-        for l in lo..hi {
-            let mut b = false;
-            if parent.bits[l] {
-                let t = st.vregs[cond as usize * lanes + l] != 0;
-                if t {
-                    any_t = true;
-                } else {
-                    any_f = true;
-                }
-                b = t == polarity;
-            }
-            child.bits[l] = b;
-            if b {
-                warp_act += 1;
-            }
-        }
-        if count_div && any_t && any_f {
-            m.stats.divergent_branches += 1;
-            m.prof_add(|c| c.divergent_branches += 1);
-        }
-        any_t_g |= any_t;
-        any_f_g |= any_f;
-        if warp_act > 0 {
-            wi += 1;
-            active += warp_act;
-        }
-        lo = hi;
+    let n = parent.map_or(child.list.len(), |p| p.list.len());
+    if parent.is_some() {
+        child.list.resize(n, 0);
     }
-    child.active = active;
+    let (mut kept, mut wi) = (0, 0u64);
+    let (mut any_t, mut any_f) = (false, false);
+    // The warp being walked: where it ends, its lanes seen, those testing
+    // true, and the lanes kept before it.
+    let (mut warp_end, mut on, mut yes, mut kept0) = (0, 0u64, 0u64, 0);
+    for r in 0..=n {
+        // Past the last lane sits a sentinel that closes the last warp.
+        let l = match parent {
+            _ if r == n => usize::MAX,
+            Some(p) => p.list[r] as usize,
+            None => child.list[r] as usize,
+        };
+        if l >= warp_end {
+            if count_div && yes > 0 && yes < on {
+                m.stats.divergent_branches += 1;
+                m.prof_add(|c| c.divergent_branches += 1);
+            }
+            any_t |= yes > 0;
+            any_f |= yes < on;
+            wi += (kept > kept0) as u64;
+            if r == n {
+                break;
+            }
+            (warp_end, on, yes, kept0) = ((l / warp_w + 1) * warp_w, 0, 0, kept);
+        }
+        let t = test(l);
+        on += 1;
+        yes += t as u64;
+        // Compacting in place is safe: `kept <= r`.
+        child.list[kept] = l as u32;
+        kept += (t == keep) as usize;
+    }
+    child.list.truncate(kept);
+    child.active = kept as u64;
     child.warp_issues = wi;
-    child.full = active as usize == lanes;
-    (any_t_g, any_f_g)
-}
-
-/// Fill `child` with the lanes of `parent` still inside a per-lane trip
-/// count (`start + iter < end`), counting divergence exactly as the
-/// reference loop does. Returns whether any lane remains.
-pub(crate) fn fill_for_mask(
-    m: &mut Machine<'_>,
-    st: &LowState,
-    start: u32,
-    endv: u32,
-    iter: i64,
-    parent: &MaskBuf,
-    child: &mut MaskBuf,
-) -> bool {
-    let lanes = st.lanes;
-    let warp_w = m.warp_w;
-    let mut active = 0u64;
-    let mut wi = 0u64;
-    let mut lo = 0;
-    while lo < lanes {
-        let hi = (lo + warp_w).min(lanes);
-        let mut any_t = false;
-        let mut any_f = false;
-        let mut warp_act = 0u64;
-        for l in lo..hi {
-            let mut b = false;
-            if parent.bits[l] {
-                b = trip_live(st.rdi(start, l), iter, st.rdi(endv, l));
-                if b {
-                    any_t = true;
-                } else {
-                    any_f = true;
-                }
-            }
-            child.bits[l] = b;
-            if b {
-                warp_act += 1;
-            }
-        }
-        if any_t && any_f {
-            m.stats.divergent_branches += 1;
-            m.prof_add(|c| c.divergent_branches += 1);
-        }
-        if warp_act > 0 {
-            wi += 1;
-            active += warp_act;
-        }
-        lo = hi;
-    }
-    child.active = active;
-    child.warp_issues = wi;
-    child.full = active as usize == lanes;
-    active > 0
-}
-
-/// Shrink a while-loop mask by its freshly computed condition, counting
-/// divergence against the pre-shrink mask. Returns whether any lane stays.
-pub(crate) fn shrink_while_mask(
-    m: &mut Machine<'_>,
-    st: &LowState,
-    cond: u32,
-    mask: &mut MaskBuf,
-) -> bool {
-    let lanes = st.lanes;
-    let warp_w = m.warp_w;
-    let mut active = 0u64;
-    let mut wi = 0u64;
-    let mut lo = 0;
-    while lo < lanes {
-        let hi = (lo + warp_w).min(lanes);
-        let mut any_t = false;
-        let mut any_f = false;
-        let mut warp_act = 0u64;
-        for l in lo..hi {
-            if mask.bits[l] {
-                let t = st.vregs[cond as usize * lanes + l] != 0;
-                if t {
-                    any_t = true;
-                } else {
-                    any_f = true;
-                    mask.bits[l] = false;
-                }
-                if t {
-                    warp_act += 1;
-                }
-            }
-        }
-        if any_t && any_f {
-            m.stats.divergent_branches += 1;
-            m.prof_add(|c| c.divergent_branches += 1);
-        }
-        if warp_act > 0 {
-            wi += 1;
-            active += warp_act;
-        }
-        lo = hi;
-    }
-    mask.active = active;
-    mask.warp_issues = wi;
-    mask.full = active as usize == lanes;
-    active > 0
+    child.full = parent.map_or(child.full, |p| p.full) && kept == n;
+    child.lo = child.list.first().map_or(0, |&l| l as usize);
+    child.hi = child.list.last().map_or(0, |&l| l as usize + 1);
+    (any_t, any_f)
 }
 
 /// Flush a gathered per-lane address list to the coalescing model, taking
@@ -1134,24 +1053,12 @@ pub(crate) fn flush_elems(m: &mut Machine<'_>, elems: &[(usize, i64)]) {
     }
 }
 
-/// First active lane of a mask — the lane the reference engine's in-order
-/// per-lane loop would fault at for a uniform (all-lanes-identical) access,
-/// used so uniform fast paths attribute faults to the same thread.
-#[inline]
-pub(crate) fn first_active(mask: &MaskBuf) -> usize {
-    if mask.full {
-        0
-    } else {
-        mask.bits.iter().position(|&b| b).unwrap_or(0)
-    }
-}
-
 pub(crate) fn copy_mask(dst: &mut MaskBuf, src: &MaskBuf) {
-    dst.bits.clear();
-    dst.bits.extend_from_slice(&src.bits);
+    dst.list.clone_from(&src.list);
     dst.active = src.active;
     dst.warp_issues = src.warp_issues;
     dst.full = src.full;
+    (dst.lo, dst.hi) = (src.lo, src.hi);
 }
 
 /// Execute `ops[lo..hi]` under the mask stored at `masks[depth]`; the mask
@@ -1171,7 +1078,7 @@ pub(crate) fn exec_range(
     // serial per-thread evaluator.
     let r = exec_ops(m, st, wp, lo, hi, depth, &mask).map_err(|e| {
         if e.thread.is_none() && matches!(e.kind, crate::fault::SimErrorKind::Fault { .. }) {
-            e.at_thread(st.tid[first_active(&mask)])
+            e.at_thread(st.tid[mask.lo])
         } else {
             e
         }
@@ -1282,7 +1189,8 @@ fn exec_ops_as<const ONE: bool>(
                     st.ensure_mask(depth + 1);
                     let (any_t, any_f) = {
                         let mut child = std::mem::take(&mut st.masks[depth + 1]);
-                        let r = fill_branch_mask(m, st, cond, mask, &mut child, true, true);
+                        let c = st.col(cond);
+                        let r = build_mask(m, Some(mask), &mut child, true, true, |l| c[l] != 0);
                         st.masks[depth + 1] = child;
                         r
                     };
@@ -1291,7 +1199,8 @@ fn exec_ops_as<const ONE: bool>(
                     }
                     if any_f && else_len > 0 {
                         let mut child = std::mem::take(&mut st.masks[depth + 1]);
-                        fill_branch_mask(m, st, cond, mask, &mut child, false, false);
+                        let c = st.col(cond);
+                        build_mask(m, Some(mask), &mut child, false, false, |l| c[l] != 0);
                         st.masks[depth + 1] = child;
                         exec_range(m, st, wp, e0, end, depth + 1)?;
                     }
@@ -1316,8 +1225,6 @@ fn exec_ops_as<const ONE: bool>(
                     && m.region.is_none();
                 if opened {
                     m.region = Some(RegionAcc::default());
-                } else if let Some(r) = &mut m.region {
-                    r.depth += 1;
                 }
                 let result = exec_for_lowered(
                     m, st, wp, counter, start, end, b0, bend, depth, mask, opened,
@@ -1335,8 +1242,6 @@ fn exec_ops_as<const ONE: bool>(
                         m.stats.scalar_flops += r.flops;
                         m.stats.special_ops += r.special;
                     }
-                } else if let Some(reg) = &mut m.region {
-                    reg.depth = reg.depth.saturating_sub(1);
                 }
                 result?;
                 pc = bend;
@@ -1379,7 +1284,10 @@ fn exec_ops_as<const ONE: bool>(
                         m.cur_instr = my_id;
                         let any = {
                             let mut child = std::mem::take(&mut st.masks[depth + 1]);
-                            let any = shrink_while_mask(m, st, cond, &mut child);
+                            // Divergence is counted against the pre-shrink mask.
+                            let c = st.col(cond);
+                            let (any, _) =
+                                build_mask(m, None, &mut child, true, true, |l| c[l] != 0);
                             st.masks[depth + 1] = child;
                             any
                         };
@@ -1435,19 +1343,16 @@ fn exec_for_lowered(
     // Statically varying bounds: replicate the reference engine's dynamic
     // uniformity scan — runtime-uniform trip counts still run in lockstep
     // (and keep the vectorization probe alive).
-    let lanes = st.lanes;
     let mut s0e0: Option<(i64, i64)> = None;
     let mut uniform = true;
-    for l in 0..lanes {
-        if mask.bits[l] {
-            let s = st.rdi(start, l);
-            let e = st.rdi(endv, l);
-            match s0e0 {
-                None => s0e0 = Some((s, e)),
-                Some((ps, pe)) => {
-                    if ps != s || pe != e {
-                        uniform = false;
-                    }
+    for &l in &mask.list {
+        let s = st.rdi(start, l as usize);
+        let e = st.rdi(endv, l as usize);
+        match s0e0 {
+            None => s0e0 = Some((s, e)),
+            Some((ps, pe)) => {
+                if ps != s || pe != e {
+                    uniform = false;
                 }
             }
         }
@@ -1485,16 +1390,18 @@ fn exec_for_lowered(
             m.burn()?;
             m.cur_instr = my_id;
             let mut child = std::mem::take(&mut st.masks[depth + 1]);
-            let any = fill_for_mask(m, st, start, endv, iter, mask, &mut child);
+            // The lanes still inside their trip count, divergence counted
+            // exactly as the reference loop does.
+            let (any, _) = build_mask(m, Some(mask), &mut child, true, true, |l| {
+                trip_live(st.rdi(start, l), iter, st.rdi(endv, l))
+            });
             if !any {
                 st.masks[depth + 1] = child;
                 break;
             }
-            for l in 0..lanes {
-                if child.bits[l] {
-                    let s = st.rdi(start, l);
-                    st.wv(counter, l, (s + iter) as u64);
-                }
+            for &l in &child.list {
+                let s = st.rdi(start, l as usize);
+                st.wv(counter, l as usize, (s + iter) as u64);
             }
             st.masks[depth + 1] = child;
             exec_range(m, st, wp, b0, bend, depth + 1)?;
@@ -1538,7 +1445,7 @@ pub(crate) fn run_warp_blocks(
     mut exec_block: impl FnMut(&mut Machine<'_>, &mut LowState) -> R<()>,
 ) -> Result<WorkerOut, (usize, SimError)> {
     let prog = ctx.prog;
-    let sms = ctx.spec.sms.max(1);
+    let sms = ctx.spec.sms;
     let lanes = ctx.lanes;
     let mut m = make_machine(ctx, mem, team, worker);
     let mut st = LowState {
@@ -1558,13 +1465,16 @@ pub(crate) fn run_warp_blocks(
             .collect(),
         bidx: [0; 3],
         masks: vec![MaskBuf {
-            bits: vec![true; lanes],
+            list: (0..lanes as u32).collect(),
             active: lanes as u64,
             warp_issues: ctx.n_warps as u64,
             full: true,
+            lo: 0,
+            hi: lanes,
         }],
         addrs: Vec::new(),
         elems: Vec::new(),
+        runs: Vec::new(),
     };
     // Constants are block-invariant: preload them once per worker.
     for &(r, bits) in &wp.const_init {

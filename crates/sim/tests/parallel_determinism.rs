@@ -992,6 +992,48 @@ fn assert_outcomes_agree(
     want
 }
 
+/// `DeviceSpec`'s fields are public. A line size the models cannot shift
+/// by, or no warp lanes or SMs to divide a block among, used to panic with
+/// a divide by zero inside the launch; it is a structured error now.
+#[test]
+fn a_spec_the_models_cannot_divide_by_is_rejected() {
+    let mut prog = trace_kernel(&Daxpy, 1);
+    optimize(&mut prog);
+    let wd = WorkDiv::d1(4, 64, 1);
+    let k20 = DeviceSpec::k20;
+    let bad = [
+        (
+            "line_bytes",
+            DeviceSpec {
+                line_bytes: 0,
+                ..k20()
+            },
+        ),
+        (
+            "line_bytes",
+            DeviceSpec {
+                line_bytes: 96,
+                ..k20()
+            },
+        ),
+        (
+            "warp_width",
+            DeviceSpec {
+                warp_width: 0,
+                ..k20()
+            },
+        ),
+        ("sms", DeviceSpec { sms: 0, ..k20() }),
+    ];
+    for (field, spec) in bad {
+        for engine in [Engine::Reference, Engine::Lowered, Engine::Compiled] {
+            let err = outcome(&spec, &prog, &wd, daxpy_setup(256), engine, None).unwrap_err();
+            let names = err.contains(&spec.name) && err.contains(&format!("`{field}`"));
+            assert!(names, "{field} under {engine:?}: {err}");
+        }
+    }
+}
+
 #[derive(Clone, Copy, PartialEq)]
 enum T {
     F,
@@ -1260,6 +1302,355 @@ fn op_setup(lanes: usize, shift: i64, seed: &[u64]) -> (DeviceMem, SimArgs) {
         params_i: (0..3).map(|_| IS[pick() % 10]).chain([shift]).collect(),
     };
     (mem, args)
+}
+
+/// Elements in each of [`LaneMem`]'s buffers and shared arrays.
+const MEM_LEN: i64 = 1024;
+
+/// The index shapes of the four memory kernels, every number a parameter
+/// (i64 slots in field order): the lanes with `lo <= tid < hi` and
+/// `(tid - lo) % step == 0` run, for each element `e`, `ld.global`,
+/// `st.global`, `ld.shared` and `st.shared` (f64 and s64 alike) at
+/// `a * (tid % m) + b * (tid / m) + c + e * es` — `es_ld` for the loads,
+/// `es_st` for the stores; op number `sel` at `slide` more, and lane `k` of
+/// it at another `off`. The shared arrays start as copies of the inputs and
+/// end up in the third pair of buffers.
+#[derive(Clone, Copy, Debug)]
+struct LaneMem {
+    a: i64,
+    b: i64,
+    m: i64,
+    c: i64,
+    es_ld: i64,
+    es_st: i64,
+    sel: i64,
+    slide: i64,
+    k: i64,
+    off: i64,
+    lo: i64,
+    hi: i64,
+    step: i64,
+}
+
+impl LaneMem {
+    /// What the sweep's cases start from (and any value traces the
+    /// kernel): lane `tid` at element `tid`, nothing odd, no lane live.
+    const SHAPE: LaneMem = LaneMem {
+        a: 1,
+        b: 0,
+        m: 1 << 40,
+        c: 0,
+        es_ld: 0,
+        es_st: 0,
+        sel: 0,
+        slide: 0,
+        k: -1,
+        off: 0,
+        lo: 0,
+        hi: 0,
+        step: 1,
+    };
+    const OPS: [&'static str; 4] = [
+        "ld.global.f64",
+        "st.global.f64",
+        "ld.shared.f64",
+        "st.shared.f64",
+    ];
+
+    fn params(&self) -> Vec<i64> {
+        let p = *self;
+        vec![
+            p.a, p.b, p.m, p.c, p.es_ld, p.es_st, p.sel, p.slide, p.k, p.off, p.lo, p.hi, p.step,
+        ]
+    }
+
+    /// Lane `tid`'s index in op `op` at element `e`.
+    fn index(&self, tid: i64, op: i64, e: i64) -> i64 {
+        let es = if op % 2 == 0 { self.es_ld } else { self.es_st };
+        let odd = if tid == self.k { self.off } else { 0 };
+        let extra = if op == self.sel { self.slide + odd } else { 0 };
+        self.a * (tid % self.m) + self.b * (tid / self.m) + self.c + e * es + extra
+    }
+
+    fn live(&self, lanes: i64) -> Vec<i64> {
+        let on = |t: &i64| self.lo <= *t && *t < self.hi && (t - self.lo) % self.step == 0;
+        (0..lanes).filter(on).collect()
+    }
+
+    /// The op and thread the lane-ordered engines fault at first, if any.
+    fn first_fault(&self, lanes: i64, elems: i64) -> Option<(i64, i64)> {
+        let live = self.live(lanes);
+        let visits = (0..elems).flat_map(|e| (0..4).map(move |op| (e, op)));
+        visits
+            .flat_map(|(e, op)| live.iter().map(move |&t| (e, op, t)))
+            .find(|&(e, op, t)| !(0..MEM_LEN).contains(&self.index(t, op, e)))
+            .map(|(_, op, t)| (op, t))
+    }
+}
+
+impl Kernel for LaneMem {
+    fn name(&self) -> &str {
+        "lane-mem"
+    }
+    fn run<O: KernelOps>(&self, o: &mut O) {
+        let f: Vec<O::BufF> = (0..3).map(|s| o.buf_f(s)).collect();
+        let i: Vec<O::BufI> = (0..3).map(|s| o.buf_i(s)).collect();
+        let p: Vec<O::I> = (0..13).map(|s| o.param_i(s)).collect();
+        let [a, b, m, c, es_ld, es_st, sel, slide, k, off, lo, hi, step] = p[..] else {
+            unreachable!()
+        };
+        let (sf, si) = (o.shared_f(MEM_LEN as usize), o.shared_i(MEM_LEN as usize));
+        let (tid, lanes) = (o.thread_idx(0), o.block_thread_extent(0));
+        let (zero, len) = (o.lit_i(0), o.lit_i(MEM_LEN));
+        // Every cell `at`, a block's worth per trip, under the full mask.
+        let each_cell = |o: &mut O, body: &mut dyn FnMut(&mut O, O::I)| {
+            let trips = o.div_i(len, lanes);
+            let trips = o.offset_i(trips, 1);
+            o.for_range(zero, trips, |o, j| {
+                let at = o.mul_i(j, lanes);
+                let at = o.add_i(at, tid);
+                let inside = o.lt_i(at, len);
+                o.if_(inside, |o| body(o, at));
+            });
+        };
+        each_cell(o, &mut |o, at| {
+            let (v, w) = (o.ld_gf(f[0], at), o.ld_gi(i[0], at));
+            o.st_sf(sf, at, v);
+            o.st_si(si, at, w);
+        });
+        o.sync_block_threads();
+        let live = {
+            let (above, below) = (o.ge_i(tid, lo), o.lt_i(tid, hi));
+            let d = o.sub_i(tid, lo);
+            let r = o.rem_i(d, step);
+            let on = o.eq_i(r, zero);
+            let span = o.and_b(above, below);
+            o.and_b(span, on)
+        };
+        let base = {
+            let (row, col) = (o.rem_i(tid, m), o.div_i(tid, m));
+            let (r, q) = (o.mul_i(a, row), o.mul_i(b, col));
+            let rq = o.add_i(r, q);
+            o.add_i(rq, c)
+        };
+        let extra = {
+            let is_k = o.eq_i(tid, k);
+            let odd = o.select_i(is_k, off, zero);
+            o.add_i(slide, odd)
+        };
+        o.for_elements(0, |o, e| {
+            // Indices for every lane, live or not: an engine that runs the
+            // dead ones shows in the stores.
+            let ix: Vec<O::I> = (0..4)
+                .map(|op| {
+                    let es = if op % 2 == 0 { es_ld } else { es_st };
+                    let step = o.mul_i(e, es);
+                    let here = o.add_i(base, step);
+                    let op = o.lit_i(op);
+                    let selected = o.eq_i(sel, op);
+                    let d = o.select_i(selected, extra, zero);
+                    o.add_i(here, d)
+                })
+                .collect();
+            o.if_(live, |o| {
+                // Values differ by lane, so a collision shows who won.
+                let (v, w) = (o.ld_gf(f[0], ix[0]), o.ld_gi(i[0], ix[0]));
+                let t = o.i2f(tid);
+                let (v, w) = (o.add_f(v, t), o.add_i(w, tid));
+                o.st_gf(f[1], ix[1], v);
+                o.st_gi(i[1], ix[1], w);
+                let (s, q) = (o.ld_sf(sf, ix[2]), o.ld_si(si, ix[2]));
+                let (s, q) = (o.add_f(s, v), o.xor_i(q, w));
+                o.st_sf(sf, ix[3], s);
+                o.st_si(si, ix[3], q);
+            });
+        });
+        o.sync_block_threads();
+        each_cell(o, &mut |o, at| {
+            let (v, w) = (o.ld_sf(sf, at), o.ld_si(si, at));
+            o.st_gf(f[2], at, v);
+            o.st_gi(i[2], at, w);
+        });
+    }
+}
+
+fn lane_mem_setup(case: &LaneMem, seed: &[u64]) -> (DeviceMem, SimArgs) {
+    let mut mem = DeviceMem::new();
+    let bufs_f: Vec<_> = (0..3).map(|_| mem.alloc_f(MEM_LEN as usize)).collect();
+    let bufs_i: Vec<_> = (0..3).map(|_| mem.alloc_i(MEM_LEN as usize)).collect();
+    for k in 0..MEM_LEN as usize {
+        let bits = seed[k % seed.len()].rotate_left(k as u32) ^ k as u64;
+        mem.f_mut(bufs_f[0])[k] = (bits >> 40) as f64 * 0.5 - 1e6;
+        mem.i_mut(bufs_i[0])[k] = bits as i64;
+    }
+    let args = SimArgs {
+        bufs_f,
+        bufs_i,
+        params_f: vec![],
+        params_i: case.params(),
+    };
+    (mem, args)
+}
+
+/// One spec and element count of the memory kernels' sweep: index shapes
+/// {affine at stride 1, -1, 2 or -2; two runs per warp, as tile rows and
+/// as the columns of a transposed tile; one run per warp at stride 32; a
+/// row read by every row of threads; a cell per row of threads; one cell
+/// for all} x masks {full, dense prefix, dense middle,
+/// sparse, one lane, none} x {in bounds, one lane off the run, one lane
+/// out of bounds at the first/middle/last live lane, the run slid one past
+/// either end} with the odd index in each of the four ops in turn, then
+/// ECC armed. Loads and stores step differently from one element to the
+/// next, so each alone can sink a CPU model's vectorization probe.
+fn lane_mem_sweep(spec: &DeviceSpec, lanes: usize, elems: usize, seed: &[u64]) {
+    let mut prog = trace_kernel(&LaneMem::SHAPE, 1);
+    optimize(&mut prog);
+    let wd = WorkDiv::d1(2, lanes, elems);
+    let (n, e) = (lanes as i64, elems as i64);
+    let flat = 1 << 40;
+    let stride = [1, -1, 2, -2][seed[0] as usize % 4];
+    let shapes = [
+        (stride, 0, flat),
+        (1, 36, 16),
+        (16, 1, 16),
+        (32, 1, 32),
+        (1, 0, 16),
+        (0, 1, 16),
+        (0, 0, flat),
+    ];
+    let masks = [
+        (0, n, 1),
+        (0, (2 * n / 3).max(1), 1),
+        (n / 4, (3 * n / 4).max(n / 4 + 1), 1),
+        (0, n, 3),
+        (5 % n, 5 % n + 1, 1),
+        (0, 0, 1),
+    ];
+    let mut turn = seed[1] as usize;
+    for (a, b, m) in shapes {
+        for (j, (lo, hi, step)) in masks.into_iter().enumerate() {
+            let (es_ld, es_st) = [(0, 5), (5, 0), (1, 1), (5, 5)][(turn + j) % 4];
+            let mut case = LaneMem {
+                a,
+                b,
+                m,
+                es_ld,
+                es_st,
+                lo,
+                hi,
+                step,
+                ..LaneMem::SHAPE
+            };
+            // Eight cells of margin below the smallest index.
+            case.c = 8 - (0..n).map(|t| case.index(t, -1, 0)).min().unwrap();
+            let live = case.live(n);
+            let victims = [0, live.len() / 2, live.len().saturating_sub(1)];
+            // (ecc, slide one past the end / one before the start, victim,
+            // off): in place; one lane off the run, then also ECC armed; one
+            // lane far out of bounds; the run slid so that its largest index
+            // is one past the end, then its smallest one before the start.
+            let mut odd = vec![(false, None, None, 0), (false, None, Some(1), 3)];
+            odd.push((true, None, Some(1), 3));
+            let far = [3 * MEM_LEN, -3 * MEM_LEN, 3 * MEM_LEN];
+            odd.extend(
+                victims
+                    .iter()
+                    .zip(far)
+                    .map(|(&v, off)| (false, None, Some(v), off)),
+            );
+            odd.extend([true, false].map(|past| (false, Some(past), None, 0)));
+            for (kind, (ecc, slid, victim, off)) in odd.into_iter().enumerate() {
+                // In place every time, every other of the rest in turn.
+                turn += 1;
+                if kind > 0 && turn % 2 == 0 {
+                    continue;
+                }
+                case.sel = (turn % 4) as i64;
+                case.k = victim.and_then(|v| live.get(v)).copied().unwrap_or(-1);
+                (case.slide, case.off) = (0, off);
+                let cells = |&t| (0..e).map(move |el| case.index(t, case.sel, el));
+                let ix = live.iter().flat_map(cells);
+                case.slide = match slid {
+                    Some(true) => ix.max().map_or(0, |max| MEM_LEN - max),
+                    Some(false) => ix.min().map_or(0, |min| -1 - min),
+                    None => 0,
+                };
+                lane_mem_case(spec, &prog, &wd, &case, seed, ecc);
+            }
+        }
+    }
+}
+
+/// One launch of the sweep: the engines agree, and on what the indices say
+/// must happen — the first fault in lane order, or the last lane winning.
+fn lane_mem_case(
+    spec: &DeviceSpec,
+    prog: &Program,
+    wd: &WorkDiv,
+    case: &LaneMem,
+    seed: &[u64],
+    ecc: bool,
+) {
+    let (lanes, elems) = (wd.threads[2] as i64, wd.elems[2] as i64);
+    let faults = ecc.then(|| LaunchFaults {
+        ecc: FaultPlan::quiet(seed[2]).with_ecc_rate(2e-3).ecc_ctx(0),
+        watchdog_fuel: None,
+    });
+    let what = format!("{} {wd:?} {case:?} ecc={ecc}", spec.name);
+    let setup = || lane_mem_setup(case, seed);
+    let got = assert_outcomes_agree(spec, prog, wd, setup, faults, &what);
+    if ecc {
+        return;
+    }
+    match (case.first_fault(lanes, elems), got) {
+        (None, Ok((.., bufs))) => {
+            // Lanes store in order, elements in order: the last live lane
+            // of the last element to hit the cell wins it.
+            let last = case.live(lanes).last().copied();
+            if let (Some(last), true) = (last, case.a == 0 && case.b == 0 && case.k < 0) {
+                let e = if case.es_st == 0 { elems - 1 } else { 0 };
+                let src = case.index(last, 0, e) as usize;
+                let dst = case.index(last, 1, e) as usize;
+                let want = f64::from_bits(bufs[0][src]) + last as f64;
+                assert_eq!(bufs[1][dst], want.to_bits(), "{what}");
+            }
+        }
+        (Some((op, t)), Err(e)) => {
+            let at = format!("thread: Some([0, 0, {t}])");
+            let named = e.contains(LaneMem::OPS[op as usize]) && e.contains(&at);
+            assert!(named, "{what}: {e}");
+        }
+        (want, got) => panic!("{what}: expected a fault at {want:?}, got {got:?}"),
+    }
+}
+
+/// The memory kernels' side of `lane_kernels_match_the_oracle`: the sweep
+/// of [`lane_mem_sweep`] x lanes {1, 31, 32, 48, 64, 256} on the K20, and
+/// at three of them on two CPU-kind specs that allow many lanes (lock-step
+/// width 1 and 32), whose three-element `for.vec` probes its first two
+/// trips — the region's verdict is in the statistics the engines must
+/// agree on.
+#[test]
+fn lane_kernels_match_the_oracle_on_affine_runs() {
+    let cpu = |warp_width| DeviceSpec {
+        warp_width,
+        max_threads_per_block: 256,
+        ..DeviceSpec::e5_2630v3()
+    };
+    let all = [1usize, 31, 32, 48, 64, 256];
+    let specs = [
+        (DeviceSpec::k20(), 1, &all[..]),
+        (cpu(1), 3, &all[1..4]),
+        (cpu(32), 3, &all[2..5]),
+    ];
+    for (v, (spec, elems, lanes)) in specs.into_iter().enumerate() {
+        for &lanes in lanes {
+            let word =
+                |j: u64| (lanes as u64 * 31 + v as u64 + j).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+            let seed: Vec<u64> = (1..6).map(word).collect();
+            lane_mem_sweep(&spec, lanes, elems, &seed);
+        }
+    }
 }
 
 proptest! {
@@ -1606,8 +1997,9 @@ enum Wrap {
 /// `v = x[..]; sh[..] = v; w = sh[..]; acc[..] += v * w; y[..] = acc[..]`.
 /// `Tainted`: the stored value also reads the shared index — a non-index use
 /// of a counter-dependent value, which must keep the loop off cursors.
-/// `Dot`: the inner product `sum += x[..] * y[..]` instead, `y[0] = sum`
-/// after the loop.
+/// `Dot`: the inner product `sum += x[..] * y[..]` instead, and after the
+/// loop `y[STREAMS_LEN - 1] = sum` — a cell no in-bounds stream of the test
+/// reads, so blocks interpreted in parallel do not race on it.
 #[derive(Clone, Copy, PartialEq, Debug)]
 enum Body {
     Spaces,
@@ -1619,6 +2011,9 @@ struct Streams {
     wrap: Wrap,
     body: Body,
 }
+
+/// Elements in each of [`Streams`]' two buffers.
+const STREAMS_LEN: usize = 4200;
 
 impl Kernel for Streams {
     fn name(&self) -> &str {
@@ -1668,7 +2063,7 @@ impl Kernel for Streams {
             Wrap::Nested => o.for_elements(0, |o, _| o.for_range(p[0], p[1], &mut body)),
         }
         if kind == Body::Dot {
-            let (at, total) = (o.lit_i(0), o.vget_f(sum));
+            let (at, total) = (o.lit_i(STREAMS_LEN as i64 - 1), o.vget_f(sum));
             o.st_gf(y, at, total);
         }
     }
@@ -1686,7 +2081,7 @@ fn inverse_mod_2_64(a: i64) -> i64 {
 
 #[test]
 fn affine_streams_match_the_oracle() {
-    const LEN: usize = 4200;
+    const LEN: usize = STREAMS_LEN;
     let spec = DeviceSpec::e5_2630v3();
     // `[start, end, x: (m1, m2, b), sh: .., acc: .., y: ..]`
     type Params = [i64; 14];

@@ -30,8 +30,10 @@ echo "== engine-parity, atomics and fault suites under ALPAKA_SIM_THREADS=1 and 
 # the fault campaign must reproduce from its seed, under ANY interpreter
 # thread count; pin both extremes explicitly. parallel_determinism also
 # holds the lane-kernel proptest (every op x operand kind x mask shape x
-# lane count vs. the reference engine) and the guarded-, stream- and
-# while-fusion parity cases.
+# lane count vs. the reference engine), its memory-op sweep over lane-affine
+# runs (index shape x span mask x lane count x out of bounds at the first,
+# middle and last live lane, ECC armed, a probing for.vec on a CPU-kind spec)
+# and the guarded-, stream- and while-fusion parity cases.
 for t in 1 4; do
   echo "-- ALPAKA_SIM_THREADS=$t --"
   ALPAKA_SIM_THREADS=$t cargo test -q -p alpaka-sim --test parallel_determinism
