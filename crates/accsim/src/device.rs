@@ -15,9 +15,9 @@ use alpaka_core::kernel::{Kernel, ScalarArgs};
 use alpaka_core::workdiv::WorkDiv;
 use alpaka_kir::{optimize, trace_kernel_spec, PassStats, Program, SpecConsts};
 use alpaka_sim::{
-    resolve_sim_engine, resolve_sim_threads, run_kernel_launch_faulty, transfer_time, DeviceMem,
-    DeviceSpec, Engine, ExecMode, FaultPlan, LaunchFaults, SimArgs, SimBufF, SimBufI, SimError,
-    SimErrorKind, SimReport,
+    resolve_sim_threads, run_kernel_launch_faulty, transfer_time, DeviceMem, DeviceSpec, Engine,
+    ExecMode, FaultPlan, LaunchFaults, SimArgs, SimBufF, SimBufI, SimError, SimErrorKind,
+    SimReport,
 };
 use parking_lot::Mutex;
 
@@ -66,10 +66,8 @@ pub struct SimDevice {
     /// Configured interpreter threads; the `ALPAKA_SIM_THREADS` environment
     /// variable still overrides this at each launch.
     threads: usize,
-    /// Interpreter engine used for launches from this handle; `None` means
-    /// the default (`Engine::Compiled`, overridable per process via the
-    /// `ALPAKA_SIM_ENGINE` environment variable).
-    engine: Option<Engine>,
+    /// Interpreter engine used for launches from this handle.
+    engine: Engine,
 }
 
 impl SimDevice {
@@ -94,23 +92,17 @@ impl SimDevice {
                 recover_armed: false,
             })),
             threads: threads.max(1),
-            engine: None,
+            engine: Engine::Compiled,
         }
     }
 
     /// Select the interpreter engine for launches from this handle
-    /// (builder form), bypassing the `ALPAKA_SIM_ENGINE` override. All
-    /// engines are bit-identical in results and statistics;
-    /// `Engine::Reference` is the tree-walking oracle.
+    /// (builder form). The default is `Engine::Compiled`;
+    /// `Engine::Reference` is the tree-walking oracle, bit-identical in
+    /// results and statistics.
     pub fn with_engine(mut self, engine: Engine) -> Self {
-        self.engine = Some(engine);
+        self.engine = engine;
         self
-    }
-
-    /// The interpreter engine this handle launches with when the
-    /// `ALPAKA_SIM_ENGINE` override is unset.
-    pub fn engine(&self) -> Engine {
-        self.engine.unwrap_or(Engine::Compiled)
     }
 
     /// Number of kernel launches attempted on this device so far (shared
@@ -383,11 +375,6 @@ impl SimDevice {
             }
             None => None,
         };
-        let engine = match self.engine {
-            Some(e) => e,
-            None => resolve_sim_engine(Engine::Compiled)
-                .map_err(|e| to_core_error(&compiled.program.name, e))?,
-        };
         let report = run_kernel_launch_faulty(
             &self.spec,
             &mut st.mem,
@@ -396,7 +383,7 @@ impl SimDevice {
             &sim_args,
             mode,
             resolve_sim_threads(self.threads),
-            engine,
+            self.engine,
             faults,
         )
         .map_err(|e| to_core_error(&compiled.program.name, e))?;

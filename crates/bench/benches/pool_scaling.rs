@@ -119,14 +119,14 @@ fn splice_bench_json(entry: &str) {
             let trimmed = prev.trim_end().trim_end_matches('}').trim_end();
             format!("{trimmed},\n  \"pool_scaling\": {entry}\n}}\n")
         }
-        Err(_) => format!("{{\n  \"schema_version\": 1,\n  \"pool_scaling\": {entry}\n}}\n"),
+        Err(_) => format!("{{\n  \"schema_version\": 2,\n  \"pool_scaling\": {entry}\n}}\n"),
     };
     // Splicing must never corrupt the trajectory file: the result has to
     // stay valid JSON and keep its schema_version marker.
     alpaka_trace::validate_json(&body)
         .expect("pool_scaling splice produced invalid BENCH_sim.json");
     assert!(
-        body.contains("\"schema_version\": 1"),
+        body.contains("\"schema_version\": 2"),
         "pool_scaling splice dropped schema_version from BENCH_sim.json"
     );
     let mut f = std::fs::File::create(path).expect("write BENCH_sim.json");

@@ -1,7 +1,8 @@
-//! Engine-tier comparison: interpreter throughput with the tree-walking
-//! reference engine, the pre-decoded warp program (`Engine::Lowered`) and
-//! the direct-threaded compiled tier (`Engine::Compiled`) on seven workload
-//! shapes — streaming DAXPY in its CPU mapping and in its GPU mapping (64
+//! Engine comparison: interpreter throughput with the tree-walking
+//! reference engine and the compiled engine (`Engine::Compiled`: the
+//! pre-decoded warp program, with fused loops where blocks have one thread)
+//! on seven workload shapes — streaming DAXPY in its CPU mapping and in its
+//! GPU mapping (64
 //! threads of one element on `k20`, the shape `short_blocks` runs: lane
 //! kernels over lane-affine runs), the 4096-block DGEMM of `sim_throughput`,
 //! the tiled DGEMM in its Fig. 8 CPU mapping (`t = 1`, `e = 64`: one thread per
@@ -12,17 +13,15 @@
 //! thread, plus the histogram again at 4 threads (the deterministic
 //! parallel-atomics path).
 //!
-//! All three engines are asserted bit-identical (buffers, `LaunchStats`,
+//! Both engines are asserted bit-identical (buffers, `LaunchStats`,
 //! `TimeBreakdown`) on every workload — and across 1 vs 4 interpreter
 //! threads — before anything is timed, so the bench cannot compare
 //! different computations. Besides the criterion timings, the bench writes
 //! `BENCH_sim.json` at the repo root — blocks/s and instrs/s from the
 //! simulator's own `HostPerf` counters for each engine and workload plus
-//! the speedups — so the perf trajectory is tracked across PRs. The
-//! pre-existing top-level keys (the DGEMM reference/lowered entries and
-//! `speedup_blocks_per_sec`) keep their meaning; the compiled tier, the
-//! per-workload table, the histogram's `*_t4` entries and its
-//! `speedup_parallel` key are additive.
+//! `speedup_compiled_vs_reference` — so the perf trajectory is tracked
+//! across PRs; the histogram also carries `*_t4` entries and
+//! `speedup_parallel`.
 //!
 //! `cargo bench --bench sim_lowering -- --test` runs the parity guards only
 //! (the CI smoke mode).
@@ -267,11 +266,11 @@ fn run(w: &Workload, engine: Engine) -> (SimReport, Vec<Vec<u64>>) {
     run_threads(w, engine, 1)
 }
 
-/// Parity guard: all three engines bit-identical on `w` — at 1 and 4
+/// Parity guard: both engines bit-identical on `w` — at 1 and 4
 /// interpreter threads — before any timing.
 fn assert_engine_parity(w: &Workload) {
     let (reference, ref_bits) = run(w, Engine::Reference);
-    for engine in [Engine::Reference, Engine::Lowered, Engine::Compiled] {
+    for engine in [Engine::Reference, Engine::Compiled] {
         for threads in [1usize, 4] {
             let (rep, bits) = run_threads(w, engine, threads);
             assert_eq!(
@@ -295,12 +294,10 @@ fn assert_engine_parity(w: &Workload) {
 
 /// Median-by-throughput `HostPerf` per engine over `k` fresh launches,
 /// with the engines interleaved round-robin so clock/cache drift across
-/// the measurement window biases no engine (daxpy's compiled tier
-/// dispatches to the lowered engine, so any systematic gap there would be
-/// pure measurement order).
-fn host_perf_all(w: &Workload, threads: usize, k: usize) -> [HostPerf; 3] {
-    let engines = [Engine::Reference, Engine::Lowered, Engine::Compiled];
-    let mut perfs: [Vec<HostPerf>; 3] = [Vec::new(), Vec::new(), Vec::new()];
+/// the measurement window biases neither engine.
+fn host_perf_all(w: &Workload, threads: usize, k: usize) -> [HostPerf; 2] {
+    let engines = [Engine::Reference, Engine::Compiled];
+    let mut perfs: [Vec<HostPerf>; 2] = [Vec::new(), Vec::new()];
     for _ in 0..k {
         for (e, p) in engines.iter().zip(perfs.iter_mut()) {
             p.push(run_threads(w, *e, threads).0.host);
@@ -337,7 +334,6 @@ fn bench_sim_lowering(c: &mut Criterion) {
     group.sample_size(10);
     for (engine, label) in [
         (Engine::Reference, "reference"),
-        (Engine::Lowered, "lowered"),
         (Engine::Compiled, "compiled"),
     ] {
         group.bench_function(BenchmarkId::new("engine", label), |b| {
@@ -350,59 +346,43 @@ fn bench_sim_lowering(c: &mut Criterion) {
     // every (workload, engine) pair, and the machine-readable trajectory
     // file at the repo root.
     let mut table = String::new();
-    let mut dgemm_line = String::new();
     for w in &all {
-        let [rf, lo, co] = host_perf_all(w, 1, 5);
-        let sp_low = lo.blocks_per_sec / rf.blocks_per_sec;
-        let sp_comp = co.blocks_per_sec / lo.blocks_per_sec;
+        let [rf, co] = host_perf_all(w, 1, 5);
+        let speedup = co.blocks_per_sec / rf.blocks_per_sec;
         eprintln!(
-            "sim_lowering[{}]: reference={:.0} lowered={:.0} compiled={:.0} blocks/s \
-             (lowered/ref {sp_low:.2}x, compiled/lowered {sp_comp:.2}x)",
-            w.name, rf.blocks_per_sec, lo.blocks_per_sec, co.blocks_per_sec
+            "sim_lowering[{}]: reference={:.0} compiled={:.0} blocks/s (compiled/ref {speedup:.2}x)",
+            w.name, rf.blocks_per_sec, co.blocks_per_sec
         );
         if !table.is_empty() {
             table.push_str(",\n");
         }
         // The atomic-scatter workload is the one whose blocks can now run
-        // in parallel: record all three engines at 4 interpreter threads
-        // too, and the compiled tier's 4-vs-1-thread scaling.
+        // in parallel: record both engines at 4 interpreter threads too,
+        // and the compiled engine's 4-vs-1-thread scaling.
         let parallel = if w.name == "histogram" {
-            let [rf4, lo4, co4] = host_perf_all(w, 4, 5);
+            let [rf4, co4] = host_perf_all(w, 4, 5);
             let sp_par = co4.blocks_per_sec / co.blocks_per_sec;
             eprintln!(
-                "sim_lowering[{}@4t]: reference={:.0} lowered={:.0} compiled={:.0} blocks/s \
+                "sim_lowering[{}@4t]: reference={:.0} compiled={:.0} blocks/s \
                  (compiled 4t/1t {sp_par:.2}x)",
-                w.name, rf4.blocks_per_sec, lo4.blocks_per_sec, co4.blocks_per_sec
+                w.name, rf4.blocks_per_sec, co4.blocks_per_sec
             );
             format!(
-                ",\n      \"reference_t4\": {},\n      \"lowered_t4\": {},\n      \
-                 \"compiled_t4\": {},\n      \"speedup_parallel\": {sp_par:.3}",
+                ",\n      \"reference_t4\": {},\n      \"compiled_t4\": {},\n      \
+                 \"speedup_parallel\": {sp_par:.3}",
                 json_entry(&rf4),
-                json_entry(&lo4),
                 json_entry(&co4),
             )
         } else {
             String::new()
         };
         table.push_str(&format!(
-            "    \"{}\": {{\n      \"reference\": {},\n      \"lowered\": {},\n      \
-             \"compiled\": {},\n      \"speedup_lowered_vs_reference\": {sp_low:.3},\n      \
-             \"speedup_compiled_vs_lowered\": {sp_comp:.3}{parallel}\n    }}",
+            "    \"{}\": {{\n      \"reference\": {},\n      \"compiled\": {},\n      \
+             \"speedup_compiled_vs_reference\": {speedup:.3}{parallel}\n    }}",
             w.name,
             json_entry(&rf),
-            json_entry(&lo),
             json_entry(&co),
         ));
-        if w.name == "dgemm_naive" {
-            dgemm_line = format!(
-                "  \"reference\": {},\n  \"lowered\": {},\n  \"compiled\": {},\n  \
-                 \"speedup_blocks_per_sec\": {sp_low:.3},\n  \
-                 \"speedup_compiled_vs_lowered\": {sp_comp:.3},\n",
-                json_entry(&rf),
-                json_entry(&lo),
-                json_entry(&co),
-            );
-        }
     }
 
     // Parallel speedups are wall-clock: on a single-CPU host the worker
@@ -413,9 +393,7 @@ fn bench_sim_lowering(c: &mut Criterion) {
     let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
     let path = format!("{root}/BENCH_sim.json");
     let json = format!(
-        "{{\n  \"schema_version\": 1,\n  \"workload\": \"dgemm_naive\",\n  \"blocks\": {BLOCKS},\n  \
-         \"n\": {N},\n  \
-         \"device\": \"e5_2630v3\",\n  \"threads\": 1,\n  \"host_cpus\": {host_cpus},\n{dgemm_line}  \
+        "{{\n  \"schema_version\": 2,\n  \"threads\": 1,\n  \"host_cpus\": {host_cpus},\n  \
          \"workloads\": {{\n{table}\n  }}\n}}\n",
     );
     // The file is diffed and spliced by other benches; never write a body

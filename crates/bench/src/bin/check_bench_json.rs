@@ -12,7 +12,7 @@
 
 use std::process::ExitCode;
 
-const SCHEMA_VERSION: u32 = 1;
+const SCHEMA_VERSION: u32 = 2;
 
 fn fail(msg: String) -> ExitCode {
     eprintln!("check_bench_json: {msg}");
@@ -40,7 +40,7 @@ fn main() -> ExitCode {
     // missing pool_scaling entry is fine (sim_lowering rewrites the file
     // from scratch); a present-but-mangled one is caught by the JSON
     // validation above.
-    for key in ["\"workload\"", "\"workloads\"", "\"host_cpus\""] {
+    for key in ["\"workloads\"", "\"host_cpus\""] {
         if !body.contains(key) {
             return fail(format!("{path} is missing the {key} section"));
         }

@@ -214,11 +214,11 @@ pub fn json_snapshot(snap: &MetricsSnapshot, opts: &JsonOpts) -> String {
 
 /// Drop the engine-dependent metric lines from a rendered export
 /// (Prometheus text or JSON snapshot — both are line-oriented):
-/// `alpaka_sim_cache_*` mirrors the process-wide lowering/compile caches,
-/// whose values depend on which engine ran and what else the process
-/// executed, and `alpaka_launch_fallback_total` records compiled-engine
-/// downgrades that by definition never fire on the other engines. Every
-/// other family is byte-identical across threads, engines and pool sizes.
+/// `alpaka_sim_cache_*` mirrors the process-wide program cache, whose
+/// values depend on which engine ran and what else the process executed,
+/// and `alpaka_launch_fallback_total` records serial fallbacks, which fire
+/// only when more than one interpreter worker was asked for. Every other
+/// family is byte-identical across threads, engines and pool sizes.
 /// The trailing-comma fixup keeps filtered JSON valid.
 pub fn strip_engine_dependent(rendered: &str) -> String {
     let kept: Vec<&str> = rendered

@@ -44,13 +44,11 @@ use alpaka_kir::{atomics_summary, AtomicsSummary, NonReducibleReason, Program};
 use crate::interp::SimArgs;
 use crate::memory::DeviceMem;
 
-/// Why a launch did not use the parallel block path (or fell back from a
-/// faster engine), recorded on `SimReport` so flat thread-scaling is
-/// diagnosable instead of silent.
+/// Why a launch did not use the parallel block path, recorded on
+/// `SimReport` so flat thread-scaling is diagnosable instead of silent.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FallbackReason {
-    /// No fallback: the launch ran the engine and parallelism it was
-    /// eligible for.
+    /// No fallback: the launch ran the parallelism it was eligible for.
     #[default]
     None,
     /// The device models a single shared cache (`CacheScope::Shared`),
@@ -59,9 +57,6 @@ pub enum FallbackReason {
     /// The program's global atomics are not commutative-reducible (or the
     /// launch bindings alias a target buffer), so blocks ran serially.
     AtomicsNonReducible,
-    /// The program failed IR validation; the reference tree-walker ran
-    /// instead of the lowered/compiled tier.
-    ValidationFailed,
 }
 
 /// How one target buffer's deferred atomics are accumulated.

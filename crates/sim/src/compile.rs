@@ -1,7 +1,8 @@
-//! The compiled execution tier: direct-threaded warp programs with fused
-//! uniform loops, for launches of **one thread per block** (the CPU mapping
-//! of the paper's kernels; `run_kernel_launch_faulty` picks the tier from
-//! the work division and hands every other launch to the lowered engine).
+//! The fused tier of `Engine::Compiled`: direct-threaded warp programs with
+//! fused uniform loops, for launches of **one thread per block** (the CPU
+//! mapping of the paper's kernels; `run_kernel_launch_faulty` picks the tier
+//! from the work division and runs every other launch, and every traced or
+//! profiled one, on the lowered interpreter of `crate::lower`).
 //!
 //! [`compile`] re-threads a validated [`WarpProgram`] (from `crate::lower`)
 //! into a small tree of [`CNode`]s — structured control flow with all
@@ -50,7 +51,7 @@
 //! atomic accumulates into the worker's private shadow/log or applies in
 //! place — the in-place path only ever runs serially, because the parallel
 //! gate requires a plan whenever a program contains atomics. Either way the
-//! buffers, stats and error surfaces match the lowered engine bit for bit.
+//! buffers, stats and error surfaces match the lowered interpreter bit for bit.
 //!
 //! The step list runs `For` loops of at least [`MIN_FUSED_TRIPS`] trips with
 //! fuel for every iteration (all guards taken), and of a `While` as many
@@ -65,33 +66,26 @@
 //! itself, and a stream that cannot run hands its loop to the step list,
 //! which faults at the exact iteration; so buffers, [`LaunchStats`],
 //! `TimeBreakdown`, traces and structured fault errors are bit-identical
-//! across all three engines (the determinism suite pins this four ways:
-//! engines × worker counts). While a vectorization region is probing (its
-//! first two iterations log addresses), the turbo loop mirrors the probe log
-//! inline, access for access; a `While` never drives a region, so inside a
-//! probing iteration all of it goes to one log.
-//!
-//! When a launch is traced or profiled, the compiled engine is not used at
-//! all — `run_kernel_launch_faulty` keeps `LaunchCtx::compiled` empty and
-//! the launch executes on the lowered engine, making trace/profile streams
-//! identical across engines by construction (the same way the lowered
-//! engine replays per-instruction accounting only when profiling).
+//! between the two engines and between this tier and the lowered one (the
+//! determinism suite pins this four ways: engines × worker counts). While a
+//! vectorization region is probing (its first two iterations log addresses),
+//! the turbo loop mirrors the probe log inline, access for access; a `While`
+//! never drives a region, so inside a probing iteration all of it goes to
+//! one log.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
 
 use alpaka_core::acc::DeviceKind;
-use alpaka_kir::ir::{AtomicOp, FBin, IBin, Program};
+use alpaka_kir::ir::{AtomicOp, FBin, IBin};
 use alpaka_kir::semantics as sem;
 
 use crate::cache::CacheSim;
 use crate::fault::SimError;
 use crate::interp::{Caches, LaunchCtx, Machine, MemAccess, RegionAcc, WorkerOut, R};
 use crate::lanes::{self, rd1, rd1f, rd1i, rmw_f, rmw_i, wr1, Site};
-use crate::lower::{
-    exec_ops, idx, is_u, run_warp_blocks, CacheCounters, LOp, LowState, MaskBuf, WarpProgram,
-};
+use crate::lower::{exec_ops, idx, is_u, run_warp_blocks, LOp, LowState, MaskBuf, WarpProgram};
 use crate::stats::LaunchStats;
 
 // ---------------------------------------------------------------------------
@@ -107,16 +101,6 @@ pub(crate) struct CompiledProgram {
     root: Vec<CNode>,
     /// Number of fused loops; sizes the per-worker prepared-site table.
     n_fused: usize,
-}
-
-impl CompiledProgram {
-    /// True when compilation found at least one fusible loop. A program
-    /// that fused nothing would run the flat op list through one extra
-    /// dispatch layer — strictly slower than the lowered interpreter — so
-    /// the launch driver dispatches such launches to the lowered tier.
-    pub(crate) fn has_fused(&self) -> bool {
-        self.n_fused > 0
-    }
 }
 
 /// One node of the compiled control tree.
@@ -1170,7 +1154,7 @@ fn flush_run(wp: &WarpProgram, nodes: &mut Vec<CNode>, lo: usize, hi: usize) {
 /// Structure `ops[lo..hi]` into nodes, fusing what the step list can carry
 /// and leaving everything else as interpreter ranges. Control constructs
 /// with no fused descendant are absorbed into the surrounding range — the
-/// interpreter executes them exactly as the lowered engine would.
+/// interpreter executes them exactly as the lowered tier would.
 fn compile_range(wp: &WarpProgram, lo: usize, hi: usize, n_fused: &mut usize) -> Vec<CNode> {
     let mut nodes = Vec::new();
     let mut run_start = lo;
@@ -1246,81 +1230,26 @@ fn compile_range(wp: &WarpProgram, lo: usize, hi: usize, n_fused: &mut usize) ->
     nodes
 }
 
-/// Compile a lowered program into its direct-threaded form.
-fn compile(wp: &Arc<WarpProgram>) -> CompiledProgram {
+/// Compile a lowered program into its direct-threaded form; `None` when no
+/// loop fused — the tree would replay the flat op list one dispatch layer
+/// deeper than the lowered interpreter, so the launch runs that instead.
+/// Cached next to the lowered form, see `lower::cached_for`.
+pub(crate) fn compile(wp: &Arc<WarpProgram>) -> Option<CompiledProgram> {
     let mut n_fused = 0usize;
     let root = compile_range(wp, 0, wp.ops.len(), &mut n_fused);
-    CompiledProgram {
+    (n_fused > 0).then(|| CompiledProgram {
         wp: Arc::clone(wp),
         root,
         n_fused,
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Cache
-// ---------------------------------------------------------------------------
-
-struct CEntry {
-    prog: Program,
-    cp: Arc<CompiledProgram>,
-}
-
-static CCACHE: OnceLock<Mutex<Vec<CEntry>>> = OnceLock::new();
-const CCACHE_CAP: usize = 32;
-
-static COMPILE_HITS: AtomicU64 = AtomicU64::new(0);
-static COMPILE_MISSES: AtomicU64 = AtomicU64::new(0);
-
-/// Cumulative hit/miss counters of the compiled-program cache.
-pub fn compile_cache_counters() -> CacheCounters {
-    CacheCounters {
-        hits: COMPILE_HITS.load(Ordering::Relaxed),
-        misses: COMPILE_MISSES.load(Ordering::Relaxed),
-    }
-}
-
-/// The compiled form of `prog`, built at most once per `Program` —
-/// compilation reads nothing of the device — and shared across launches,
-/// device models and workers. `wp` is the already-cached lowered form
-/// (compilation never fails once lowering succeeded: the worst case is a
-/// single interpreter range).
-pub(crate) fn compiled_for(prog: &Program, wp: &Arc<WarpProgram>) -> Arc<CompiledProgram> {
-    let cache = CCACHE.get_or_init(|| Mutex::new(Vec::new()));
-    {
-        let guard = cache.lock().unwrap_or_else(|e| e.into_inner());
-        for e in guard.iter() {
-            if e.prog == *prog {
-                COMPILE_HITS.fetch_add(1, Ordering::Relaxed);
-                return Arc::clone(&e.cp);
-            }
-        }
-    }
-    COMPILE_MISSES.fetch_add(1, Ordering::Relaxed);
-    let cp = Arc::new(compile(wp));
-    let mut guard = cache.lock().unwrap_or_else(|e| e.into_inner());
-    // Keep the cache duplicate-free under racing inserts, and FIFO-bounded.
-    for e in guard.iter() {
-        if e.prog == *prog {
-            return Arc::clone(&e.cp);
-        }
-    }
-    while guard.len() >= CCACHE_CAP {
-        guard.remove(0);
-    }
-    guard.push(CEntry {
-        prog: prog.clone(),
-        cp: Arc::clone(&cp),
-    });
-    cp
+    })
 }
 
 // ---------------------------------------------------------------------------
 // Execution
 // ---------------------------------------------------------------------------
 
-/// Compiled-engine counterpart of `interpret_blocks_lowered`: the shared
-/// per-worker block loop, executing each block through the compiled tree.
+/// The fused tier's block loop: the shared per-worker loop
+/// (`run_warp_blocks`), executing each block through the compiled tree.
 /// Blocks have one thread (the launch driver compiles nothing else), so
 /// every node runs under the block's full one-lane mask at depth 0.
 pub(crate) fn interpret_blocks_compiled(
@@ -1335,7 +1264,7 @@ pub(crate) fn interpret_blocks_compiled(
     let mut prep: Vec<Option<Box<[Site]>>> = (0..cp.n_fused).map(|_| None).collect();
     run_warp_blocks(ctx, mem, team, worker, indices, &cp.wp, |m, st| {
         let mask = std::mem::take(&mut st.masks[0]);
-        // Same fault-attribution rule as the lowered engine's `exec_range`.
+        // Same fault-attribution rule as the lowered tier's `exec_range`.
         let r = cexec_nodes(m, st, &cp.wp, &cp.root, &mask, &mut prep).map_err(|e| {
             if e.thread.is_none() && matches!(e.kind, crate::fault::SimErrorKind::Fault { .. }) {
                 e.at_thread(st.tid[0])
@@ -1424,7 +1353,7 @@ fn cexec_nodes(
     Ok(())
 }
 
-/// Mirror of the lowered engine's region bookkeeping around a `For` op:
+/// Mirror of the lowered tier's region bookkeeping around a `For` op:
 /// open a vectorization probe for outermost element loops on SIMD CPU
 /// models (a loop nested in an open region belongs to it).
 #[inline]
@@ -1502,7 +1431,7 @@ fn exec_fused(
     }
     debug_assert!(
         m.profile.is_none(),
-        "traced launches must run the lowered engine"
+        "traced launches must run the lowered tier"
     );
     let sites = prep[fl.id].as_deref().expect("prepared above");
     // The interpreter's `While` leaves the enclosing region alone.
@@ -2116,7 +2045,8 @@ mod tests {
         let mut prog = alpaka_kir::trace_kernel(&PaperLoops, 1);
         alpaka_kir::optimize(&mut prog);
         let wp = Arc::new(crate::lower::lower(&prog).expect("a valid program"));
-        let loops: Vec<FusedLoop> = (compile(&wp).root.into_iter())
+        let compiled = compile(&wp).expect("loops that fuse");
+        let loops: Vec<FusedLoop> = (compiled.root.into_iter())
             .filter_map(|n| match n {
                 CNode::Fused(fl) => Some(fl),
                 _ => None,
@@ -2157,7 +2087,7 @@ mod tests {
 
         let mut ase = alpaka_kir::trace_kernel(&hase::AseKernel, 1);
         alpaka_kir::optimize(&mut ase);
-        let wp = crate::lower::lowered_for(&ase).expect("a valid program");
-        assert!(compiled_for(&ase, &wp).has_fused());
+        let cached = crate::lower::cached_for(&ase).expect("a valid program");
+        assert!(cached.compiled().is_some());
     }
 }

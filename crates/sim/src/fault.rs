@@ -5,7 +5,7 @@
 //! linear block index, byte address, allocation ordinal, ...) with a
 //! splitmix64-style mixer. Nothing depends on worker count, engine choice or
 //! scheduling order, so a campaign replays bit-identically under any
-//! `ALPAKA_SIM_THREADS` and under both the lowered and reference engines.
+//! `ALPAKA_SIM_THREADS` and under both the compiled and reference engines.
 //!
 //! The plan models five failure classes seen on real accelerators:
 //! - transient detected-uncorrectable ECC events on global f64/i64 loads

@@ -19,6 +19,12 @@
 //! Results are bit-identical to the reference evaluator in
 //! `alpaka_kir::eval` (shared scalar semantics), which cross-backend tests
 //! rely on.
+//!
+//! There are two engines ([`Engine`]): the tree-walker in this file is the
+//! oracle, reachable only through `Engine::Reference`; production launches
+//! (`Engine::Compiled`) run `crate::lower`'s interpreter or the fused tier
+//! of `crate::compile` on top of it, as [`run_kernel_launch_faulty`]
+//! decides. All share the accounting models (`Machine`).
 
 // The interpreter's hot loops iterate lane indices under an active mask and
 // index several parallel per-lane arrays at once — the explicit-index form
@@ -119,13 +125,13 @@ pub struct SimReport {
     /// Per-block issue-cycle spans (block-linear order); present only when
     /// tracing is enabled. Never scaled by block sampling.
     pub spans: Vec<BlockSpan>,
-    /// Process-wide cumulative hit/miss counters of the lowered-program
-    /// cache, snapshotted when this launch finished.
+    /// Process-wide cumulative hit/miss counters of the program cache's
+    /// lowered forms, snapshotted when this launch finished.
     pub lowering_cache: crate::lower::CacheCounters,
-    /// Likewise for the compiled-program cache.
+    /// Likewise for its compiled forms.
     pub compile_cache: crate::lower::CacheCounters,
-    /// Why this launch ran serially (or on a slower engine) despite being
-    /// asked for more; `FallbackReason::None` when nothing was downgraded.
+    /// Why this launch ran serially despite being asked for more;
+    /// `FallbackReason::None` when nothing was downgraded.
     pub fallback: crate::atomics::FallbackReason,
     /// Retry/fail-over provenance when this launch completed under the
     /// resilience layer; `None` for plain launches.
@@ -179,34 +185,6 @@ fn resolve_sim_threads_inner(env: Option<&str>, configured: usize) -> (usize, bo
             _ => (configured.max(1), true),
         },
         None => (configured.max(1), false),
-    }
-}
-
-/// Engine to use given a configured choice: the `ALPAKA_SIM_ENGINE`
-/// environment variable wins when set to `reference`, `lowered` or
-/// `compiled` (case-insensitive); otherwise `configured` is used. Unlike
-/// `ALPAKA_SIM_THREADS` — where any thread count is safe to fall back from
-/// — a misspelled engine would silently benchmark the wrong tier, so an
-/// unknown value is an error, not a warning.
-pub fn resolve_sim_engine(configured: Engine) -> Result<Engine, SimError> {
-    let env = std::env::var("ALPAKA_SIM_ENGINE").ok();
-    resolve_sim_engine_inner(env.as_deref(), configured)
-}
-
-/// Pure core of [`resolve_sim_engine`].
-fn resolve_sim_engine_inner(env: Option<&str>, configured: Engine) -> Result<Engine, SimError> {
-    let Some(raw) = env else {
-        return Ok(configured);
-    };
-    match raw.trim().to_ascii_lowercase().as_str() {
-        "" => Ok(configured),
-        "reference" => Ok(Engine::Reference),
-        "lowered" => Ok(Engine::Lowered),
-        "compiled" => Ok(Engine::Compiled),
-        _ => Err(serr!(
-            "ALPAKA_SIM_ENGINE={raw:?} is not a valid engine (expected \"reference\", \
-             \"lowered\", or \"compiled\")"
-        )),
     }
 }
 
@@ -511,7 +489,7 @@ impl<'a> Machine<'a> {
         Ok(())
     }
 
-    /// Burn `n` instructions of fuel at once (used by the lowered engine to
+    /// Burn `n` instructions of fuel at once (used by the lowered tier to
     /// charge a straight-line run in one step).
     pub(crate) fn burn_n(&mut self, n: u64) -> R<()> {
         if self.fuel < n {
@@ -1712,26 +1690,29 @@ fn sample_indices(total: usize, k: usize) -> Vec<usize> {
     idx
 }
 
-/// Which interpreter executes the blocks of a launch.
-///
-/// All engines produce bit-identical buffers, [`LaunchStats`] and
-/// [`TimeBreakdown`]; `Reference` and `Lowered` exist so tests and
-/// benchmarks can compare against the interpreters each faster tier
-/// replaced.
+/// Which interpreter executes the blocks of a launch: production or
+/// oracle. Both produce bit-identical buffers, [`LaunchStats`] and
+/// [`TimeBreakdown`], and both refuse a program that fails IR validation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Engine {
-    /// Pre-lowered warp programs (see `crate::lower`): the program is
-    /// flattened and uniformity-analyzed once, then executed per block.
-    Lowered,
-    /// Direct tree-walking interpretation of the structured IR.
+    /// Direct tree-walking interpretation of the structured IR: the
+    /// reference tests and benchmarks compare against.
     Reference,
-    /// Direct-threaded compiled programs (see `crate::compile`): the
-    /// lowered form is further re-threaded into structured nodes whose
-    /// uniform straight-line loops run as fused step lists with batched
-    /// accounting. The default engine. Traced/profiled launches execute on
-    /// the lowered tier instead (identical streams by construction), and
-    /// programs failing IR validation fall back to `Reference`.
+    /// Pre-lowered warp programs (see `crate::lower`), with the loops of
+    /// one-thread blocks re-threaded into fused step lists (see
+    /// `crate::compile`). The default.
     Compiled,
+}
+
+/// How the blocks of one launch execute: chosen once per launch, in
+/// [`run_kernel_launch_faulty`].
+pub(crate) enum Tier {
+    /// `Engine::Reference`'s tree-walker.
+    Reference,
+    /// The lowered interpreter (`lower::exec_ops` over the lane kernels).
+    Lowered(Arc<crate::lower::WarpProgram>),
+    /// The compiled tree: fused loops, lowered ranges in between.
+    Fused(Arc<crate::compile::CompiledProgram>),
 }
 
 /// Launch geometry and bindings shared by every interpreter worker.
@@ -1747,12 +1728,7 @@ pub(crate) struct LaunchCtx<'a> {
     pub(crate) lanes: usize,
     pub(crate) grid_ext: Vecn<3>,
     pub(crate) thread_ext: Vecn<3>,
-    /// Pre-lowered form of `prog`, when the launch runs the lowered or
-    /// compiled engine.
-    pub(crate) lowered: Option<std::sync::Arc<crate::lower::WarpProgram>>,
-    /// Compiled form of `prog`, when the launch runs the compiled engine
-    /// (untraced launches only; see [`Engine::Compiled`]).
-    pub(crate) compiled: Option<std::sync::Arc<crate::compile::CompiledProgram>>,
+    pub(crate) tier: Tier,
     /// Per-worker instruction budget and whether it is a fault-plan
     /// watchdog budget (exhaustion then reports `Timeout`).
     pub(crate) fuel: u64,
@@ -1862,11 +1838,14 @@ fn interpret_blocks(
     worker: usize,
     indices: &[usize],
 ) -> Result<WorkerOut, (usize, SimError)> {
-    if let Some(cp) = &ctx.compiled {
-        return crate::compile::interpret_blocks_compiled(ctx, mem, team, worker, indices, cp);
-    }
-    if let Some(wp) = &ctx.lowered {
-        return crate::lower::interpret_blocks_lowered(ctx, mem, team, worker, indices, wp);
+    match &ctx.tier {
+        Tier::Fused(cp) => {
+            return crate::compile::interpret_blocks_compiled(ctx, mem, team, worker, indices, cp)
+        }
+        Tier::Lowered(wp) => {
+            return crate::lower::interpret_blocks_lowered(ctx, mem, team, worker, indices, wp)
+        }
+        Tier::Reference => {}
     }
     let spec = ctx.spec;
     let prog = ctx.prog;
@@ -2030,16 +2009,7 @@ pub fn run_kernel_launch_threads(
     mode: ExecMode,
     threads: usize,
 ) -> Result<SimReport, SimError> {
-    run_kernel_launch_engine(
-        spec,
-        mem,
-        prog,
-        wd,
-        args,
-        mode,
-        threads,
-        resolve_sim_engine(Engine::Compiled)?,
-    )
+    run_kernel_launch_engine(spec, mem, prog, wd, args, mode, threads, Engine::Compiled)
 }
 
 /// Fault-injection knobs scoped to a single launch, derived from a
@@ -2053,15 +2023,9 @@ pub struct LaunchFaults {
     pub watchdog_fuel: Option<u64>,
 }
 
-/// [`run_kernel_launch_threads`] with an explicit [`Engine`] choice
-/// (bypassing the `ALPAKA_SIM_ENGINE` override).
-///
-/// `Engine::Compiled` (the default everywhere else) pre-lowers and then
-/// re-threads the program, `Engine::Lowered` stops at the pre-lowered
-/// interpreter, and `Engine::Reference` forces the tree-walking
-/// interpreter; the first two fall back to the reference interpreter if
-/// the program fails IR validation. Results are bit-identical in every
-/// case.
+/// [`run_kernel_launch_threads`] with an explicit [`Engine`] choice:
+/// `Engine::Compiled` is the default everywhere else, `Engine::Reference`
+/// the tree-walking oracle. Results are bit-identical.
 #[allow(clippy::too_many_arguments)]
 pub fn run_kernel_launch_engine(
     spec: &DeviceSpec,
@@ -2128,6 +2092,27 @@ pub fn run_kernel_launch_faulty(
             wd.dim
         ));
     }
+    // Invalid IR is an error on both engines: neither checks the ids it
+    // indexes registers by. The compiled engine runs the fused tier when
+    // the blocks have one thread (fused loops run at one lane only, so the
+    // tier follows from the work division), the launch is untraced (the
+    // lowered tier's per-instruction replay is what trace and profile
+    // streams are made of) and some loop of the program fused.
+    let traced = alpaka_core::trace::enabled();
+    let tier = match engine {
+        Engine::Reference => {
+            crate::lower::check_ir(prog)?;
+            Tier::Reference
+        }
+        Engine::Compiled => {
+            let cached = crate::lower::cached_for(prog)?;
+            let fused = (threads_per_block == 1 && !traced).then(|| cached.compiled());
+            match fused.flatten() {
+                Some(cp) => Tier::Fused(cp),
+                None => Tier::Lowered(Arc::clone(&cached.wp)),
+            }
+        }
+    };
 
     let total_blocks = wd.block_count();
     let (indices, scale, sampled): (Vec<usize>, f64, bool) = match mode {
@@ -2150,30 +2135,7 @@ pub fn run_kernel_launch_faulty(
     let warp_w = spec.warp_width;
     // Profiling piggybacks on the tracing switch so the default launch
     // path stays allocation-free.
-    let numbering = if alpaka_core::trace::enabled() {
-        Some(Arc::new(Numbering::new(prog)))
-    } else {
-        None
-    };
-    let lowered = match engine {
-        Engine::Reference => None,
-        Engine::Lowered | Engine::Compiled => crate::lower::lowered_for(prog),
-    };
-    // Traced/profiled launches run the lowered tier even under
-    // `Engine::Compiled`: its per-instruction replay is what makes trace
-    // and profile streams identical across engines by construction. A
-    // compiled program that fused nothing — no `For` and no `While` over
-    // straight lines — would also replay the flat op list one dispatch
-    // layer deeper than the lowered interpreter — pure overhead — so those
-    // launches dispatch to the lowered tier too, as does every launch with
-    // more than one thread per block: fused loops run at one lane only, so
-    // the tier follows from the work division.
-    let compiled = match (engine, &lowered, &numbering) {
-        (Engine::Compiled, Some(wp), None) if threads_per_block == 1 => {
-            Some(crate::compile::compiled_for(prog, wp)).filter(|cp| cp.has_fused())
-        }
-        _ => None,
-    };
+    let numbering = traced.then(|| Arc::new(Numbering::new(prog)));
     // Classify the program's global atomics: a reducible plan lets every
     // engine defer them (worker-private accumulation, ordered reduction
     // below) and so lets the block loop parallelize.
@@ -2191,8 +2153,7 @@ pub fn run_kernel_launch_faulty(
         lanes: threads_per_block,
         grid_ext: Vecn(wd.blocks),
         thread_ext: Vecn(wd.threads),
-        lowered,
-        compiled,
+        tier,
         fuel: faults.and_then(|f| f.watchdog_fuel).unwrap_or(DEFAULT_FUEL),
         watchdog: faults.is_some_and(|f| f.watchdog_fuel.is_some()),
         ecc: faults.and_then(|f| f.ecc),
@@ -2213,8 +2174,6 @@ pub fn run_kernel_launch_faulty(
         crate::atomics::FallbackReason::SharedCacheScope
     } else if team > 1 && has_atomics && ctx.atomics.is_none() {
         crate::atomics::FallbackReason::AtomicsNonReducible
-    } else if engine != Engine::Reference && ctx.lowered.is_none() {
-        crate::atomics::FallbackReason::ValidationFailed
     } else {
         crate::atomics::FallbackReason::None
     };
@@ -2296,6 +2255,7 @@ pub fn run_kernel_launch_faulty(
         (Some(p), Some(n)) => Some(KernelProfile::new(prog.name.clone(), n, p.into_vec())),
         _ => None,
     };
+    let (lowering_cache, compile_cache) = crate::lower::cache_counters();
     Ok(SimReport {
         stats,
         time,
@@ -2303,8 +2263,8 @@ pub fn run_kernel_launch_faulty(
         host,
         profile,
         spans,
-        lowering_cache: crate::lower::lowering_cache_counters(),
-        compile_cache: crate::compile::compile_cache_counters(),
+        lowering_cache,
+        compile_cache,
         fallback,
         resilience: None,
     })
@@ -2323,53 +2283,6 @@ impl MapI64 for Vecn<3> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn sim_engine_env_unset_uses_configured() {
-        assert_eq!(
-            resolve_sim_engine_inner(None, Engine::Compiled).unwrap(),
-            Engine::Compiled
-        );
-        assert_eq!(
-            resolve_sim_engine_inner(None, Engine::Reference).unwrap(),
-            Engine::Reference
-        );
-        // An empty value (e.g. `ALPAKA_SIM_ENGINE= cmd`) counts as unset.
-        assert_eq!(
-            resolve_sim_engine_inner(Some(""), Engine::Lowered).unwrap(),
-            Engine::Lowered
-        );
-    }
-
-    #[test]
-    fn sim_engine_valid_env_wins() {
-        assert_eq!(
-            resolve_sim_engine_inner(Some("reference"), Engine::Compiled).unwrap(),
-            Engine::Reference
-        );
-        assert_eq!(
-            resolve_sim_engine_inner(Some("lowered"), Engine::Compiled).unwrap(),
-            Engine::Lowered
-        );
-        assert_eq!(
-            resolve_sim_engine_inner(Some("compiled"), Engine::Reference).unwrap(),
-            Engine::Compiled
-        );
-        // Trimmed and case-insensitive, like the threads override.
-        assert_eq!(
-            resolve_sim_engine_inner(Some(" Compiled "), Engine::Reference).unwrap(),
-            Engine::Compiled
-        );
-    }
-
-    #[test]
-    fn sim_engine_unknown_env_is_an_error() {
-        let err = resolve_sim_engine_inner(Some("jit"), Engine::Compiled).unwrap_err();
-        let msg = err.to_string();
-        assert!(msg.contains("ALPAKA_SIM_ENGINE"), "{msg}");
-        assert!(msg.contains("\"jit\""), "{msg}");
-        assert!(msg.contains("compiled"), "{msg}");
-    }
 
     #[test]
     fn sim_threads_env_unset_uses_configured() {
@@ -2555,8 +2468,7 @@ mod tests {
                 lanes: 96,
                 grid_ext: Vecn([1, 1, 1]),
                 thread_ext: Vecn([1, 1, 96]),
-                lowered: None,
-                compiled: None,
+                tier: Tier::Reference,
                 fuel: 0,
                 watchdog: false,
                 ecc: None,

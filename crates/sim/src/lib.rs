@@ -32,14 +32,13 @@ pub mod stats;
 
 pub use atomics::{non_reducible_reason_str, FallbackReason};
 pub use cache::CacheSim;
-pub use compile::compile_cache_counters;
 pub use fault::{EccCtx, FaultPlan, SimError, SimErrorKind};
 pub use interp::{
-    program_uses_global_atomics, resolve_sim_engine, resolve_sim_threads, run_kernel_launch,
-    run_kernel_launch_engine, run_kernel_launch_faulty, run_kernel_launch_threads, AttemptRecord,
-    Engine, ExecMode, HostPerf, LaunchFaults, ResilienceInfo, SimArgs, SimReport,
+    program_uses_global_atomics, resolve_sim_threads, run_kernel_launch, run_kernel_launch_engine,
+    run_kernel_launch_faulty, run_kernel_launch_threads, AttemptRecord, Engine, ExecMode, HostPerf,
+    LaunchFaults, ResilienceInfo, SimArgs, SimReport,
 };
-pub use lower::{lower, lowering_cache_counters, CacheCounters, WarpProgram};
+pub use lower::{lower, CacheCounters, WarpProgram};
 pub use memory::{DeviceMem, SharedMem, SimBufF, SimBufI};
 pub use profile::{InstrCounters, KernelProfile, Numbering};
 pub use spec::{CacheScope, DeviceSpec};

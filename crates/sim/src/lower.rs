@@ -1,5 +1,8 @@
-//! Pre-lowered warp programs: the compile-once / execute-many fast path of
-//! the interpreter.
+//! Pre-lowered warp programs: the compile-once / execute-many interpreter
+//! every `Engine::Compiled` launch starts from. It is not an engine of its
+//! own: it runs the blocks of multi-lane launches, of traced launches and
+//! of programs with nothing to fuse, and everything `crate::compile` hands
+//! back; the program cache at the end of the lowering half holds both forms.
 //!
 //! [`lower`] turns a validated [`Program`] into a [`WarpProgram`] — a flat
 //! array of pre-decoded ops with all operand slots resolved — using the
@@ -23,8 +26,8 @@
 //! are bit-identical to the tree-walking reference interpreter in
 //! `crate::interp` and to `alpaka_kir::eval`; the determinism suite in
 //! `tests/parallel_determinism.rs` pins this. Programs that fail IR
-//! validation are not lowered (the caller falls back to the reference
-//! engine, preserving its error behavior).
+//! validation are not lowered: the launch fails with the validator's text
+//! (`check_ir`) on either engine.
 
 // Lockstep execution iterates lane indices under an active mask across
 // several parallel per-lane arrays; the explicit-index form is clearest.
@@ -39,6 +42,7 @@ use alpaka_kir::{uniformity, validate, Uniformity};
 
 use alpaka_core::trace::BlockSpan;
 
+use crate::compile::{compile, CompiledProgram};
 use crate::fault::SimError;
 use crate::interp::RegionAcc;
 use crate::interp::{
@@ -286,7 +290,7 @@ impl LOp {
 }
 
 /// A lowered program: flat op stream plus the constant preload. Produced by
-/// [`lower`], cached per `Program` by `lowered_for`, shared
+/// [`lower`], cached per `Program` by `cached_for`, shared
 /// across interpreter workers via `Arc`.
 #[derive(Debug)]
 pub struct WarpProgram {
@@ -763,12 +767,16 @@ impl<'a> Lowerer<'a> {
     }
 }
 
-/// Lower `prog` to its pre-decoded warp form. Returns `None` when the
-/// program fails IR validation — the lowerer relies on single assignment
-/// and in-range resource indices, so such programs keep the reference
-/// interpreter's behavior instead.
-pub fn lower(prog: &Program) -> Option<WarpProgram> {
-    validate(prog).ok()?;
+/// The validator's verdict on `prog` as a launch error naming the kernel.
+/// The lowerer and the tree-walker both index registers and resource tables
+/// by ids they do not check, so no engine runs a program that fails this.
+pub(crate) fn check_ir(prog: &Program) -> Result<(), SimError> {
+    validate(prog).map_err(|e| crate::serr!("kernel `{}` is not valid IR: {}", prog.name, e.0))
+}
+
+/// Lower `prog` to its pre-decoded warp form, or say why it is not valid IR.
+pub(crate) fn lower_checked(prog: &Program) -> Result<WarpProgram, SimError> {
+    check_ir(prog)?;
     let u = uniformity(prog);
     let mut lw = Lowerer {
         u: &u,
@@ -782,7 +790,7 @@ pub fn lower(prog: &Program) -> Option<WarpProgram> {
         next_id: 0,
     };
     lw.lower_block(&prog.body);
-    Some(WarpProgram {
+    Ok(WarpProgram {
         ops: lw.ops,
         const_init: lw.const_init,
         n_vals: prog.n_vals as usize,
@@ -792,26 +800,35 @@ pub fn lower(prog: &Program) -> Option<WarpProgram> {
     })
 }
 
-// ---------------------------------------------------------------------------
-// Lowered-program cache
-// ---------------------------------------------------------------------------
-
-struct CacheEntry {
-    prog: Program,
-    /// `None` records a failed lowering (invalid IR) so the reference
-    /// fallback is also decided once per program.
-    wp: Option<Arc<WarpProgram>>,
+/// [`lower_checked`] without the reason: `None` when `prog` is not valid
+/// IR. (`benchmark/` times this call and applies `?` to it in a function
+/// returning `Option`, so the signature is part of the frozen surface.)
+pub fn lower(prog: &Program) -> Option<WarpProgram> {
+    lower_checked(prog).ok()
 }
 
-static CACHE: OnceLock<Mutex<Vec<CacheEntry>>> = OnceLock::new();
+// ---------------------------------------------------------------------------
+// Program cache
+// ---------------------------------------------------------------------------
+
+/// One cached program: its lowered form, and the compiled form the first
+/// launch that can run fused loops builds from it.
+pub(crate) struct CachedProgram {
+    prog: Program,
+    pub(crate) wp: Arc<WarpProgram>,
+    /// `Some(None)` records that nothing fused, so that too is decided once.
+    compiled: OnceLock<Option<Arc<CompiledProgram>>>,
+}
+
+static CACHE: OnceLock<Mutex<Vec<Arc<CachedProgram>>>> = OnceLock::new();
 pub(crate) const CACHE_CAP: usize = 32;
 
-/// Process-wide hit/miss tallies of a compile-once program cache (the
-/// lowered-program cache here, the compiled-program cache in
-/// `crate::compile`), snapshotted onto every `SimReport`.
+/// Process-wide hit/miss tallies of the program cache, snapshotted onto
+/// every `SimReport`: one pair for the lowered forms, one for the compiled
+/// forms built on top of them.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheCounters {
-    /// Lookups served from the cache (including remembered failures).
+    /// Lookups served from the cache.
     pub hits: u64,
     /// Lookups that had to lower/compile the program anew.
     pub misses: u64,
@@ -819,51 +836,59 @@ pub struct CacheCounters {
 
 static LOWER_HITS: AtomicU64 = AtomicU64::new(0);
 static LOWER_MISSES: AtomicU64 = AtomicU64::new(0);
+static COMPILE_HITS: AtomicU64 = AtomicU64::new(0);
+static COMPILE_MISSES: AtomicU64 = AtomicU64::new(0);
 
-/// Cumulative hit/miss counters of the lowered-program cache.
-pub fn lowering_cache_counters() -> CacheCounters {
-    CacheCounters {
-        hits: LOWER_HITS.load(Ordering::Relaxed),
-        misses: LOWER_MISSES.load(Ordering::Relaxed),
-    }
+/// Cumulative `(lowered-form, compiled-form)` hit/miss counters.
+pub(crate) fn cache_counters() -> (CacheCounters, CacheCounters) {
+    let read = |hits: &AtomicU64, misses: &AtomicU64| CacheCounters {
+        hits: hits.load(Ordering::Relaxed),
+        misses: misses.load(Ordering::Relaxed),
+    };
+    (
+        read(&LOWER_HITS, &LOWER_MISSES),
+        read(&COMPILE_HITS, &COMPILE_MISSES),
+    )
 }
 
-/// The lowered form of `prog`, decoded at most once per `Program` — lowering
+/// The cache entry of `prog`, lowered at most once per `Program` — lowering
 /// reads nothing of the device — and shared across launches, device models
-/// and workers.
-pub(crate) fn lowered_for(prog: &Program) -> Option<Arc<WarpProgram>> {
+/// and workers. A program that is not valid IR is an error and takes no
+/// slot. The lock is held while a miss lowers: a racing launch of the same
+/// program waits and then hits, so the cache stays duplicate-free.
+pub(crate) fn cached_for(prog: &Program) -> Result<Arc<CachedProgram>, SimError> {
     let cache = CACHE.get_or_init(|| Mutex::new(Vec::new()));
-    {
-        let guard = cache.lock().unwrap_or_else(|e| e.into_inner());
-        for e in guard.iter() {
-            if e.prog == *prog {
-                LOWER_HITS.fetch_add(1, Ordering::Relaxed);
-                return e.wp.clone();
-            }
-        }
+    let mut guard = cache.lock().unwrap_or_else(|e| e.into_inner());
+    if let Some(e) = guard.iter().find(|e| e.prog == *prog) {
+        LOWER_HITS.fetch_add(1, Ordering::Relaxed);
+        return Ok(Arc::clone(e));
     }
     LOWER_MISSES.fetch_add(1, Ordering::Relaxed);
-    // Lower outside the lock.
-    let wp = lower(prog).map(Arc::new);
-    let mut guard = cache.lock().unwrap_or_else(|e| e.into_inner());
-    // A racing worker may have inserted the same entry while we lowered;
-    // returning its copy keeps the cache duplicate-free (a duplicate would
-    // waste one of the FIFO cap's slots and make eviction age out live
-    // entries early).
-    for e in guard.iter() {
-        if e.prog == *prog {
-            return e.wp.clone();
-        }
-    }
+    let entry = Arc::new(CachedProgram {
+        wp: Arc::new(lower_checked(prog)?),
+        prog: prog.clone(),
+        compiled: OnceLock::new(),
+    });
     // FIFO eviction: drop oldest entries until the new one fits the cap.
     while guard.len() >= CACHE_CAP {
         guard.remove(0);
     }
-    guard.push(CacheEntry {
-        prog: prog.clone(),
-        wp: wp.clone(),
-    });
-    wp
+    guard.push(Arc::clone(&entry));
+    Ok(entry)
+}
+
+impl CachedProgram {
+    /// The compiled form, built on first use; `None` when nothing fused.
+    pub(crate) fn compiled(&self) -> Option<Arc<CompiledProgram>> {
+        let tally = match self.compiled.get() {
+            Some(_) => &COMPILE_HITS,
+            None => &COMPILE_MISSES,
+        };
+        tally.fetch_add(1, Ordering::Relaxed);
+        self.compiled
+            .get_or_init(|| compile(&self.wp).map(Arc::new))
+            .clone()
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -898,7 +923,7 @@ impl MaskBuf {
     }
 }
 
-/// Per-worker execution state of the lowered engine: split register files
+/// Per-worker execution state of the lowered tier: split register files
 /// (uniform scalars vs. per-lane), block-shared arrays, and the recycled
 /// mask / address scratch.
 pub(crate) struct LowState {
@@ -1415,8 +1440,9 @@ fn exec_for_lowered(
 // Per-worker block loop
 // ---------------------------------------------------------------------------
 
-/// Lowered-engine counterpart of `interp::interpret_blocks`: identical SM
-/// partitioning, block order, per-block array resets and error reporting.
+/// The lowered tier's block loop. A function of this module on purpose:
+/// with the same closure written out in `interp.rs`, `hase_ase`'s fused
+/// phase measured 7 % slower (code placement only; PR 16).
 pub(crate) fn interpret_blocks_lowered(
     ctx: &LaunchCtx<'_>,
     mem: MemAccess<'_>,
@@ -1430,7 +1456,8 @@ pub(crate) fn interpret_blocks_lowered(
     })
 }
 
-/// The per-worker block loop shared by the lowered and compiled engines:
+/// The per-worker block loop shared by the lowered and fused tiers, the
+/// counterpart of `interp::interpret_blocks`:
 /// identical SM partitioning, block order, per-block array resets, span
 /// collection and error reporting regardless of how a block's program text
 /// is executed (`exec_block` runs exactly one block against the prepared
@@ -1594,7 +1621,59 @@ mod tests {
             *val = ValId(9);
         }
         p.n_vals = 10;
+        let err = lower_checked(&p).err().expect("invalid IR");
+        assert!(err.msg.contains("used out of scope"), "{err}");
         assert!(lower(&p).is_none());
+    }
+
+    /// IR the validator rejects is a launch error naming the kernel and the
+    /// violation — on both engines, at one and at several lanes — and
+    /// nothing of it runs: the valid store ahead of the bad statement does
+    /// not reach the buffer.
+    #[test]
+    fn invalid_ir_is_a_launch_error_on_both_engines() {
+        use crate::interp::{run_kernel_launch_engine, Engine, ExecMode, SimArgs};
+        let bad_val = Stmt::StGF {
+            buf: 0,
+            idx: ValId(0),
+            val: ValId(7),
+        };
+        let bad_shared = Stmt::StSF {
+            sh: 3,
+            idx: ValId(0),
+            val: ValId(3),
+        };
+        let cases = [
+            (bad_val, "%7 used out of scope"),
+            (bad_shared, "@sh3 out of range"),
+        ];
+        for (bad, violation) in cases {
+            let mut p = daxpy_like();
+            p.body.0.push(bad);
+            for engine in [Engine::Compiled, Engine::Reference] {
+                for lanes in [1usize, 4] {
+                    let mut mem = crate::memory::DeviceMem::new();
+                    let buf = mem.alloc_f(4);
+                    mem.f_mut(buf).fill(1.0);
+                    let args = SimArgs {
+                        bufs_f: vec![buf],
+                        params_f: vec![2.0],
+                        ..SimArgs::default()
+                    };
+                    let wd = alpaka_core::workdiv::WorkDiv::d1(1, lanes, 1);
+                    let spec = crate::spec::DeviceSpec::k20();
+                    let mode = ExecMode::Full;
+                    let err = run_kernel_launch_engine(
+                        &spec, &mut mem, &p, &wd, &args, mode, lanes, engine,
+                    )
+                    .expect_err("invalid IR must not launch");
+                    let at = format!("{engine:?} at {lanes} lane(s): {err}");
+                    assert!(err.msg.contains("kernel `t`"), "{at}");
+                    assert!(err.msg.contains(violation), "{at}");
+                    assert_eq!(mem.f(buf), [1.0; 4], "{at}");
+                }
+            }
+        }
     }
 
     #[test]
@@ -1632,16 +1711,21 @@ mod tests {
     #[test]
     fn lowered_cache_is_shared() {
         let p = daxpy_like();
-        let before = lowering_cache_counters();
-        let a = lowered_for(&p).unwrap();
-        let b = lowered_for(&p).unwrap();
+        let (before, _) = cache_counters();
+        let a = cached_for(&p).unwrap();
+        let b = cached_for(&p).unwrap();
         assert!(Arc::ptr_eq(&a, &b));
-        let after = lowering_cache_counters();
+        let (after, _) = cache_counters();
         // The second lookup is a guaranteed hit; the first may be a hit or
         // a miss depending on what other tests ran first. Counters are
         // process-wide, so only assert monotone growth and ≥1 new hit.
         assert!(after.hits >= before.hits + 1);
         assert!(after.misses >= before.misses);
+        // The compiled form lives in the same entry: decided by the first
+        // asker (nothing fuses here), a counted hit for the second.
+        let (_, before) = cache_counters();
+        assert!(a.compiled().is_none() && b.compiled().is_none());
+        assert!(cache_counters().1.hits > before.hits);
     }
 
     /// A distinct (never-cached-before) valid program: daxpy_like with a
@@ -1665,20 +1749,20 @@ mod tests {
         // Tags no other test uses, so these entries are fresh inserts.
         let base = 7_000_000;
         let first = distinct_program(base);
-        let a = lowered_for(&first).unwrap();
+        let a = cached_for(&first).unwrap();
         // Fill the cache with CACHE_CAP more distinct programs: `first`
         // must age out (concurrent tests can only evict it sooner).
         for i in 1..=CACHE_CAP as i64 {
-            lowered_for(&distinct_program(base + i)).unwrap();
+            cached_for(&distinct_program(base + i)).unwrap();
         }
-        let b = lowered_for(&first).unwrap();
+        let b = cached_for(&first).unwrap();
         assert!(
             !Arc::ptr_eq(&a, &b),
             "entry should have been evicted and re-lowered"
         );
         // Unrelated to eviction but same scope: the re-inserted entry is
         // now shared again.
-        let c = lowered_for(&first).unwrap();
+        let c = cached_for(&first).unwrap();
         assert!(Arc::ptr_eq(&b, &c));
     }
 }

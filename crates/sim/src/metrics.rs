@@ -3,9 +3,9 @@
 //!
 //! Everything recorded here comes from the simulated cost model
 //! (`LaunchStats`, `TimeBreakdown`), so the resulting snapshot is
-//! byte-identical across `ALPAKA_SIM_THREADS`, all three engines and pool
-//! sizes. The two deliberate exceptions are the process-wide
-//! lowering/compile cache gauges (`alpaka_sim_cache_*`): their values
+//! byte-identical across `ALPAKA_SIM_THREADS`, both engines and pool
+//! sizes. The two deliberate exceptions are the process-wide program-cache
+//! gauges (`alpaka_sim_cache_*`, lowered and compiled forms): their values
 //! depend on which engine ran and on everything else the process executed,
 //! exactly like wall time in traces — exporters and parity tests mask that
 //! family. `HostPerf` (wall-clock interpreter throughput) is never
@@ -22,7 +22,6 @@ pub fn fallback_reason_name(r: FallbackReason) -> &'static str {
         FallbackReason::None => "none",
         FallbackReason::SharedCacheScope => "shared_cache_scope",
         FallbackReason::AtomicsNonReducible => "atomics_non_reducible",
-        FallbackReason::ValidationFailed => "validation_failed",
     }
 }
 

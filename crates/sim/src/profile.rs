@@ -4,7 +4,7 @@
 //! attribute every counter they charge to the *source KIR statement* that
 //! caused it, keyed by a canonical instruction index. The index is the
 //! pre-order position of the statement in the program tree ([`Numbering`]),
-//! which the lowered engine reproduces independently during lowering — so
+//! which the compiled engine reproduces independently during lowering — so
 //! the two engines (and any `ALPAKA_SIM_THREADS` team size) produce
 //! identical [`KernelProfile`]s, and the profile's totals tie out against
 //! [`LaunchStats`] exactly (see [`KernelProfile::check_against`]).

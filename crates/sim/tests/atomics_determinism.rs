@@ -1,6 +1,6 @@
 //! Deterministic parallel atomics: reducible atomic programs must run the
 //! parallel block path and stay *bit-identical* — buffers (float rounding
-//! included), `LaunchStats` and `TimeBreakdown` — across all three engines
+//! included), `LaunchStats` and `TimeBreakdown` — across both engines
 //! and `ALPAKA_SIM_THREADS` ∈ {1, 2, 4, 8}, and identical to the serial
 //! reference. Non-reducible programs (Exch, observed results, plainly
 //! accessed targets, aliased bindings) must keep the serial fallback and
@@ -311,7 +311,7 @@ fn assert_matrix<K: Kernel>(
     .unwrap();
     let (base_f, base_i) = buffer_bits(&mem0, &args0);
 
-    for engine in [Engine::Reference, Engine::Lowered, Engine::Compiled] {
+    for engine in [Engine::Reference, Engine::Compiled] {
         for threads in [1usize, 2, 4, 8] {
             let (mut mem, args) = setup();
             let rep = run_kernel_launch_engine(
@@ -668,7 +668,7 @@ proptest! {
             &spec, &mut mem0, &prog, &wd, &args0, ExecMode::Full, 1, Engine::Reference,
         ).unwrap();
         let base_bits = buffer_bits(&mem0, &args0);
-        for engine in [Engine::Reference, Engine::Lowered, Engine::Compiled] {
+        for engine in [Engine::Reference, Engine::Compiled] {
             for threads in [1usize, 4] {
                 let (mut mem, args) = setup();
                 let rep = run_kernel_launch_engine(

@@ -477,14 +477,14 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Lowered vs. reference engine
+// Compiled vs. reference engine
 // ---------------------------------------------------------------------------
 
-/// Run `kernel` from identical initial memory through all three execution
-/// engines — tree-walking reference, pre-decoded (lowered) and
-/// direct-threaded compiled — and require bit-identical buffers,
-/// `LaunchStats` and `TimeBreakdown` across the set. Returns the lowered
-/// run's report and memory for further checks.
+/// Run `kernel` from identical initial memory through both engines —
+/// tree-walking reference and compiled (lowered or fused tier, as the work
+/// division decides) — and require bit-identical buffers, `LaunchStats` and
+/// `TimeBreakdown`. Returns the compiled run's report and memory for
+/// further checks.
 fn assert_engines_agree<K: Kernel>(
     kernel: &K,
     spec: &DeviceSpec,
@@ -496,7 +496,6 @@ fn assert_engines_agree<K: Kernel>(
     let mut prog = trace_kernel(kernel, wd.dim);
     optimize(&mut prog);
 
-    let mut out: Option<(SimReport, DeviceMem)> = None;
     let (mut mem_r, args) = setup();
     let reference = run_kernel_launch_engine(
         spec,
@@ -510,42 +509,33 @@ fn assert_engines_agree<K: Kernel>(
     )
     .unwrap();
 
-    for engine in [Engine::Lowered, Engine::Compiled] {
-        let (mut mem_e, args_e) = setup();
-        let rep =
-            run_kernel_launch_engine(spec, &mut mem_e, &prog, wd, &args_e, mode, threads, engine)
-                .unwrap();
+    let (mut mem_e, args_e) = setup();
+    let rep = run_kernel_launch_engine(
+        spec,
+        &mut mem_e,
+        &prog,
+        wd,
+        &args_e,
+        mode,
+        threads,
+        Engine::Compiled,
+    )
+    .unwrap();
 
-        assert_eq!(
-            reference.stats,
-            rep.stats,
-            "LaunchStats diverged between Reference and {engine:?} ({})",
-            kernel.name()
-        );
-        assert_eq!(
-            reference.time,
-            rep.time,
-            "TimeBreakdown diverged between Reference and {engine:?} ({})",
-            kernel.name()
-        );
-        assert_eq!(reference.sampled, rep.sampled);
-        for (slot, b) in args.bufs_f.iter().enumerate() {
-            let r: Vec<u64> = mem_r.f(*b).iter().map(|v| v.to_bits()).collect();
-            let e: Vec<u64> = mem_e.f(*b).iter().map(|v| v.to_bits()).collect();
-            assert_eq!(r, e, "f64 buffer slot {slot} diverged on {engine:?}");
-        }
-        for (slot, b) in args.bufs_i.iter().enumerate() {
-            assert_eq!(
-                mem_r.i(*b),
-                mem_e.i(*b),
-                "i64 buffer slot {slot} diverged on {engine:?}"
-            );
-        }
-        if engine == Engine::Lowered {
-            out = Some((rep, mem_e));
-        }
+    let name = kernel.name();
+    assert_eq!(reference.stats, rep.stats, "LaunchStats diverged ({name})");
+    assert_eq!(reference.time, rep.time, "TimeBreakdown diverged ({name})");
+    assert_eq!(reference.sampled, rep.sampled);
+    for (slot, b) in args.bufs_f.iter().enumerate() {
+        let r: Vec<u64> = mem_r.f(*b).iter().map(|v| v.to_bits()).collect();
+        let e: Vec<u64> = mem_e.f(*b).iter().map(|v| v.to_bits()).collect();
+        assert_eq!(r, e, "f64 buffer slot {slot} diverged ({name})");
     }
-    out.unwrap()
+    for (slot, b) in args.bufs_i.iter().enumerate() {
+        let (r, e) = (mem_r.i(*b), mem_e.i(*b));
+        assert_eq!(r, e, "i64 buffer slot {slot} diverged ({name})");
+    }
+    (rep, mem_e)
 }
 
 #[test]
@@ -713,11 +703,11 @@ fn engines_agree_under_parallel_and_sampled_execution() {
     );
 }
 
-/// Build the three-way contract explicitly: lowered engine == reference
+/// Build the three-way contract explicitly: compiled engine == reference
 /// engine == `alpaka_kir::eval`, on a 1-thread-per-block launch where the
 /// per-thread evaluator's ordering contract is exact.
 #[test]
-fn lowered_engine_matches_eval_reference() {
+fn engines_match_eval_reference() {
     use alpaka_kir::eval::{eval_thread_fuel, EvalInputs, EvalMem, SpecialValues};
 
     let n = 512usize;
@@ -763,7 +753,7 @@ fn lowered_engine_matches_eval_reference() {
     let y = args.bufs_f[1];
     let sim_bits: Vec<u64> = mem.f(y).iter().map(|v| v.to_bits()).collect();
     let eval_bits: Vec<u64> = emem.bufs_f[1].iter().map(|v| v.to_bits()).collect();
-    assert_eq!(sim_bits, eval_bits, "lowered interpreter vs eval");
+    assert_eq!(sim_bits, eval_bits, "compiled engine vs eval");
 }
 
 proptest! {
@@ -852,7 +842,7 @@ proptest! {
     }
 
     /// Engine parity on machine-generated programs: whatever shape the
-    /// generator emits (loops, vars, stores, selects), the lowered and
+    /// generator emits (loops, vars, stores, selects), the compiled and
     /// reference engines agree bit-for-bit on buffers, stats and time.
     #[test]
     fn engines_agree_on_random_programs(
@@ -863,7 +853,7 @@ proptest! {
         let p = alpaka_kir::testgen::gen_program(&seed, len);
         let wd = WorkDiv::d1(blocks, 1, 1);
         let mut results = vec![];
-        for engine in [Engine::Reference, Engine::Lowered, Engine::Compiled] {
+        for engine in [Engine::Reference, Engine::Compiled] {
             let mut mem = DeviceMem::new();
             let buf = mem.alloc_f(16);
             let args = SimArgs {
@@ -888,11 +878,6 @@ proptest! {
         }
         prop_assert_eq!(
             &results[0], &results[1],
-            "lowered engine diverged for program:\n{}",
-            alpaka_kir::print_program(&p)
-        );
-        prop_assert_eq!(
-            &results[0], &results[2],
             "compiled engine diverged for program:\n{}",
             alpaka_kir::print_program(&p)
         );
@@ -971,8 +956,8 @@ fn outcome(
     .map_err(|e| format!("{e:?}"))
 }
 
-/// The lowered and compiled engines must reproduce the reference engine's
-/// outcome exactly. Returns it.
+/// The compiled engine must reproduce the reference engine's outcome
+/// exactly. Returns it.
 fn assert_outcomes_agree(
     spec: &DeviceSpec,
     prog: &Program,
@@ -982,13 +967,11 @@ fn assert_outcomes_agree(
     what: &str,
 ) -> Outcome {
     let want = outcome(spec, prog, wd, setup(), Engine::Reference, faults);
-    for engine in [Engine::Lowered, Engine::Compiled] {
-        let got = outcome(spec, prog, wd, setup(), engine, faults);
-        assert_eq!(
-            want, got,
-            "{what}: {engine:?} diverged from the reference engine"
-        );
-    }
+    let got = outcome(spec, prog, wd, setup(), Engine::Compiled, faults);
+    assert_eq!(
+        want, got,
+        "{what}: the compiled engine diverged from the reference engine"
+    );
     want
 }
 
@@ -1026,7 +1009,7 @@ fn a_spec_the_models_cannot_divide_by_is_rejected() {
         ("sms", DeviceSpec { sms: 0, ..k20() }),
     ];
     for (field, spec) in bad {
-        for engine in [Engine::Reference, Engine::Lowered, Engine::Compiled] {
+        for engine in [Engine::Reference, Engine::Compiled] {
             let err = outcome(&spec, &prog, &wd, daxpy_setup(256), engine, None).unwrap_err();
             let names = err.contains(&spec.name) && err.contains(&format!("`{field}`"));
             assert!(names, "{field} under {engine:?}: {err}");

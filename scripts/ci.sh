@@ -8,6 +8,15 @@ cd "$(dirname "$0")/.."
 echo "== cargo fmt --check =="
 cargo fmt --check
 
+echo "== the engine knobs PR 16 removed stay removed =="
+# Two engines (compiled, reference) and one program cache. The history in
+# ROADMAP.md/CHANGES.md and this line itself are outside the search.
+if grep -rnE 'Engine::Lowered|ALPAKA_SIM_ENGINE|resolve_sim_engine|ValidationFailed' \
+  crates tests examples README.md DESIGN.md; then
+  echo "a removed engine, switch or fallback is back (matches above)"
+  exit 1
+fi
+
 echo "== cargo clippy (all targets, warnings are errors) =="
 cargo clippy --all-targets -- -D warnings
 
@@ -25,10 +34,11 @@ echo "== workspace tests =="
 cargo test -q --workspace -- --test-threads=1
 
 echo "== engine-parity, atomics and fault suites under ALPAKA_SIM_THREADS=1 and =4 =="
-# Reference, lowered and compiled engines must agree bit-for-bit, the
-# atomics privatization path must replay the serial application order, and
-# the fault campaign must reproduce from its seed, under ANY interpreter
-# thread count; pin both extremes explicitly. parallel_determinism also
+# The reference and compiled engines must agree bit-for-bit (the compiled
+# engine on its lowered and its fused tier, as the suites' work divisions
+# decide), the atomics privatization path must replay the serial application
+# order, and the fault campaign must reproduce from its seed, under ANY
+# interpreter thread count; pin both extremes explicitly. parallel_determinism also
 # holds the lane-kernel proptest (every op x operand kind x mask shape x
 # lane count vs. the reference engine), its memory-op sweep over lane-affine
 # runs (index shape x span mask x lane count x out of bounds at the first,
@@ -122,7 +132,7 @@ diff <(echo "$fig10_run") <(echo "$fig10_doc") || {
 }
 
 echo "== bench smoke (guards only, no timing) =="
-# Runs each bench's --test smoke mode — sim_lowering's three-engine
+# Runs each bench's --test smoke mode — sim_lowering's two-engine
 # bit-parity guard, trace_overhead's zero-cost guard (untraced facade
 # within 2% of the raw simulator call, disabled metrics facade records
 # nothing), pool_scaling's pool parity guard — then validates

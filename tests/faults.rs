@@ -216,7 +216,7 @@ impl Kernel for FaultAtThread {
 }
 
 /// Satellite (b): every faulting kernel must yield the same error kind and
-/// the same block/thread coordinates from the lowered engine, the
+/// the same block/thread coordinates from the compiled engine, the
 /// reference tree-walking engine (at 1 and 3 interpreter workers each),
 /// and — where the scalar kir evaluator can express the launch — the same
 /// coordinates as a plain per-thread evaluation in linear order.
@@ -307,7 +307,7 @@ mod parity {
         let base = sim_fault(&p, wd, buf_lens, Engine::Reference, 1);
         assert_eq!(base.block, Some(want_block), "{}: {base:?}", p.name);
         assert_eq!(base.thread, Some(want_thread), "{}: {base:?}", p.name);
-        for engine in [Engine::Reference, Engine::Lowered] {
+        for engine in [Engine::Reference, Engine::Compiled] {
             for threads in [1usize, 3] {
                 let e = sim_fault(&p, wd, buf_lens, engine, threads);
                 assert_eq!(

@@ -5,7 +5,7 @@
 //! tiled DGEMM, a resilient launch that survives a deterministic injected
 //! OOM, and a fault-free 8-shard pool launch — must render byte-identical
 //! Prometheus and JSON snapshots across interpreter worker counts {1, 4}
-//! × engines {Reference, Lowered, Compiled} × pool sizes {1, 2, 4}, after
+//! × engines {Reference, Compiled} × pool sizes {1, 2, 4}, after
 //! stripping the documented engine-dependent families
 //! (`alpaka_metrics::strip_engine_dependent`). Separately, a seeded device
 //! loss must produce a byte-identical post-mortem across engines and
@@ -138,7 +138,7 @@ fn render(cap: &MetricsCapture) -> String {
 #[test]
 fn snapshots_are_byte_identical_across_workers_engines_and_pool_sizes() {
     let _turn = serial();
-    let reference = render(&run_workload(1, Engine::Lowered, 1));
+    let reference = render(&run_workload(1, Engine::Compiled, 1));
     assert!(
         reference.contains("alpaka_launches_total"),
         "workload recorded nothing:\n{reference}"
@@ -156,9 +156,9 @@ fn snapshots_are_byte_identical_across_workers_engines_and_pool_sizes() {
         "{reference}"
     );
     for workers in [1, 4] {
-        for engine in [Engine::Reference, Engine::Lowered, Engine::Compiled] {
+        for engine in [Engine::Reference, Engine::Compiled] {
             for pool_size in [1, 2, 4] {
-                if (workers, engine, pool_size) == (1, Engine::Lowered, 1) {
+                if (workers, engine, pool_size) == (1, Engine::Compiled, 1) {
                     continue;
                 }
                 let got = render(&run_workload(workers, engine, pool_size));
@@ -175,7 +175,7 @@ fn snapshots_are_byte_identical_across_workers_engines_and_pool_sizes() {
 #[test]
 fn workload_records_expected_families() {
     let _turn = serial();
-    let cap = run_workload(2, Engine::Lowered, 2);
+    let cap = run_workload(2, Engine::Compiled, 2);
     let snap = &cap.snapshot;
     // Two queue launches + one resilient retry pair + 8 pool shards worth
     // of activity, all visible in the registry.
@@ -216,12 +216,12 @@ fn run_chaos(engine: Engine) -> MetricsCapture {
 #[test]
 fn postmortem_is_deterministic_across_engines_and_reruns() {
     let _turn = serial();
-    let reference = postmortem(&run_chaos(Engine::Lowered));
+    let reference = postmortem(&run_chaos(Engine::Compiled));
     assert!(reference.contains("launch failure(s):"), "{reference}");
     assert!(reference.contains("[device]"), "{reference}");
     assert!(reference.contains("flight recorder"), "{reference}");
     assert!(reference.contains("retry_attempt"), "{reference}");
-    for engine in [Engine::Lowered, Engine::Reference, Engine::Compiled] {
+    for engine in [Engine::Compiled, Engine::Reference] {
         let got = postmortem(&run_chaos(engine));
         assert_eq!(got, reference, "post-mortem diverged on {engine:?}");
     }

@@ -14,7 +14,7 @@ use alpaka::{
 use alpaka_kernels::{DaxpyKernel, DgemmNaive, HistogramGlobalExact, ScanBlocks};
 use alpaka_sim::LaunchStats;
 
-const ENGINES: [Engine; 3] = [Engine::Reference, Engine::Lowered, Engine::Compiled];
+const ENGINES: [Engine; 2] = [Engine::Reference, Engine::Compiled];
 
 /// Every test here launches on simulated devices, and the trace sink that
 /// `trace::capture` drains is process-global: a launch running beside a
@@ -255,12 +255,12 @@ fn histogram_pool_deterministic() {
 fn more_shards_than_blocks_is_fine() {
     let _turn = serial();
     let spec = daxpy_spec();
-    let (want_f, _) = serial_run(AccKind::sim_e5_2630v3(), Engine::Lowered, &spec);
+    let (want_f, _) = serial_run(AccKind::sim_e5_2630v3(), Engine::Compiled, &spec);
     let (out, _) = pool_run(
         AccKind::sim_e5_2630v3(),
         2,
         1,
-        Engine::Lowered,
+        Engine::Compiled,
         &spec,
         1000,
         PoolPolicy::default(),
@@ -431,12 +431,12 @@ fn fault_on_secondary_member_migrates() {
     let _turn = serial();
     let spec = dgemm_spec();
     let kind = AccKind::sim_e5_2630v3();
-    let (want_f, _) = serial_run(kind.clone(), Engine::Lowered, &spec);
+    let (want_f, _) = serial_run(kind.clone(), Engine::Compiled, &spec);
     let (out, _) = pool_run(
         kind.clone(),
         3,
         1,
-        Engine::Lowered,
+        Engine::Compiled,
         &spec,
         6,
         PoolPolicy::default(),
@@ -476,7 +476,7 @@ fn all_members_lost_is_structured() {
         AccKind::sim_e5_2630v3(),
         2,
         1,
-        Engine::Lowered,
+        Engine::Compiled,
         &spec,
         4,
         PoolPolicy::default(),
@@ -499,7 +499,7 @@ fn quarantined_member_recovers_after_cooldown() {
     let _turn = serial();
     let spec = daxpy_spec();
     let kind = AccKind::sim_e5_2630v3();
-    let (want_f, _) = serial_run(kind.clone(), Engine::Lowered, &spec);
+    let (want_f, _) = serial_run(kind.clone(), Engine::Compiled, &spec);
     let policy = PoolPolicy {
         cooldown_shards: 2,
         ..PoolPolicy::default()
@@ -508,7 +508,7 @@ fn quarantined_member_recovers_after_cooldown() {
         kind.clone(),
         2,
         1,
-        Engine::Lowered,
+        Engine::Compiled,
         &spec,
         8,
         policy,
@@ -542,7 +542,7 @@ fn pool_deadline_names_pending_shards() {
         AccKind::sim_e5_2630v3(),
         2,
         1,
-        Engine::Lowered,
+        Engine::Compiled,
         &spec,
         8,
         policy,
@@ -600,7 +600,7 @@ fn queue_reset_clears_recovered_device() {
     q.wait().unwrap();
 
     // And the result is the fault-free one.
-    let (want_f, _) = serial_run(AccKind::sim_k20(), Engine::Lowered, &spec);
+    let (want_f, _) = serial_run(AccKind::sim_k20(), Engine::Compiled, &spec);
     assert_eq!(bits_f(&[yb.download()]), bits_f(&want_f[1..2]));
 }
 

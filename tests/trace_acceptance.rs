@@ -65,7 +65,7 @@ fn run_traced_dgemm(kind: AccKind, workers: usize, engine: Engine) -> (Vec<Trace
 #[test]
 fn traced_dgemm_chrome_export_has_worker_and_queue_lanes() {
     let workers = 4;
-    let (events, report) = run_traced_dgemm(AccKind::sim_e5_2630v3(), workers, Engine::Lowered);
+    let (events, report) = run_traced_dgemm(AccKind::sim_e5_2630v3(), workers, Engine::Compiled);
     assert!(!events.is_empty());
     let json = chrome_trace(&events, &ChromeOpts::default());
     validate_json(&json).unwrap_or_else(|e| panic!("invalid chrome JSON: {e}"));
@@ -94,12 +94,10 @@ fn traced_dgemm_chrome_export_has_worker_and_queue_lanes() {
 
 #[test]
 fn traced_dgemm_profile_ties_out_against_launch_stats() {
-    // The compiled engine drops out of its fast paths under profiling and
-    // must still tie out per-instruction; check it alongside lowered.
-    for engine in [Engine::Lowered, Engine::Compiled] {
-        let (_, report) = run_traced_dgemm(AccKind::sim_e5_2630v3(), 2, engine);
-        profile_ties_out(&report);
-    }
+    // The compiled engine drops out of its fused tier under profiling and
+    // must still tie out per-instruction.
+    let (_, report) = run_traced_dgemm(AccKind::sim_e5_2630v3(), 2, Engine::Compiled);
+    profile_ties_out(&report);
 }
 
 fn profile_ties_out(report: &SimReport) {
@@ -122,8 +120,6 @@ fn profile_ties_out(report: &SimReport) {
 #[test]
 fn traced_dgemm_is_byte_identical_across_threads_and_engines() {
     let configs = [
-        (1, Engine::Lowered),
-        (4, Engine::Lowered),
         (1, Engine::Reference),
         (4, Engine::Reference),
         (1, Engine::Compiled),
@@ -167,14 +163,12 @@ fn traced_daxpy_event_stream_is_deterministic() {
         });
         events
     };
-    let reference = run(1, Engine::Lowered);
+    let reference = run(1, Engine::Compiled);
     assert!(!reference.is_empty());
     for (workers, engine) in [
-        (4, Engine::Lowered),
+        (4, Engine::Compiled),
         (1, Engine::Reference),
         (4, Engine::Reference),
-        (1, Engine::Compiled),
-        (4, Engine::Compiled),
     ] {
         let got = run(workers, engine);
         assert_eq!(got.len(), reference.len(), "{workers} {engine:?}");
