@@ -5,7 +5,19 @@
 //! transfer cost), *compiles* kernels (here: traces the single-source DSL
 //! into `alpaka-kir` and runs the optimizer — the `nvcc` analogue) and
 //! launches them on the SIMT interpreter of `alpaka-sim`.
+//!
+//! **Compile once, launch many** (the paper's Listing 5). A
+//! [`CompiledKernel`] carries everything that is a function of its program
+//! alone, so [`SimDevice::launch`] looks nothing up, takes no process-wide
+//! lock and copies no program. [`SimDevice::run`] (under every queue, pool
+//! shard and `time_launch`) traces the kernel (0.5-3 us), hashes the *traced*
+//! program (<= 2.4 us) and finds the kernel compiled the first time in a
+//! per-device memo. The traced program is the key because it is the exact
+//! thing `optimize` is a pure function of: kernels need no cache-key method
+//! or `Hash` bound, and two kernel types sharing a name cannot alias.
 
+use std::collections::hash_map::DefaultHasher;
+use std::hash::{BuildHasher, BuildHasherDefault};
 use std::sync::Arc;
 
 use alpaka_core::acc::AccCaps;
@@ -15,11 +27,24 @@ use alpaka_core::kernel::{Kernel, ScalarArgs};
 use alpaka_core::workdiv::WorkDiv;
 use alpaka_kir::{optimize, trace_kernel_spec, PassStats, Program, SpecConsts};
 use alpaka_sim::{
-    resolve_sim_threads, run_kernel_launch_faulty, transfer_time, DeviceMem, DeviceSpec, Engine,
-    ExecMode, FaultPlan, LaunchFaults, SimArgs, SimBufF, SimBufI, SimError, SimErrorKind,
+    resolve_sim_threads, transfer_time, CacheCounters, DeviceMem, DeviceSpec, Engine, ExecMode,
+    FaultPlan, LaunchFaults, Prepared, SimArgs, SimBufF, SimBufI, SimError, SimErrorKind,
     SimReport,
 };
 use parking_lot::Mutex;
+
+/// Compiled kernels a device remembers, least recently used out first: 32
+/// like `alpaka-sim`'s program cache (sweep-sized costs +78 % peak RSS).
+const MEMO_CAP: usize = 32;
+
+/// What `run()` compiled before. An entry is its key — a fingerprint to find
+/// it by; the traced program, with the kernel's specialisation, to be sure —
+/// and the kernel; the most recently used entry is last.
+#[derive(Default)]
+struct Memo {
+    entries: Vec<(u64, Program, Arc<CompiledKernel>)>,
+    counters: CacheCounters,
+}
 
 struct State {
     mem: DeviceMem,
@@ -39,6 +64,14 @@ struct State {
     /// recovery cooldown: the next `Queue::reset` (or `revive`) may then
     /// clear the sticky `lost` flag.
     recover_armed: bool,
+}
+
+/// `wd`'s block and element extents as trace-time constants.
+fn specialised(wd: &WorkDiv) -> SpecConsts {
+    SpecConsts {
+        block_thread_extent: Some(wd.threads),
+        thread_elem_extent: Some(wd.elems),
+    }
 }
 
 /// Map an interpreter-level [`SimError`] to the structured facade error,
@@ -68,6 +101,8 @@ pub struct SimDevice {
     threads: usize,
     /// Interpreter engine used for launches from this handle.
     engine: Engine,
+    /// Shared by all clones of this handle.
+    memo: Arc<Mutex<Memo>>,
 }
 
 impl SimDevice {
@@ -93,6 +128,7 @@ impl SimDevice {
             })),
             threads: threads.max(1),
             engine: Engine::Compiled,
+            memo: Arc::default(),
         }
     }
 
@@ -291,20 +327,11 @@ impl SimDevice {
         specialize: bool,
     ) -> CompiledKernel {
         let spec_consts = if specialize {
-            SpecConsts {
-                block_thread_extent: Some(wd.threads),
-                thread_elem_extent: Some(wd.elems),
-            }
+            specialised(wd)
         } else {
             SpecConsts::default()
         };
-        let mut program = trace_kernel_spec(kernel, wd.dim, spec_consts);
-        let pass_stats = optimize(&mut program);
-        CompiledKernel {
-            program,
-            pass_stats,
-            spec_consts,
-        }
+        CompiledKernel::new(trace_kernel_spec(kernel, wd.dim, spec_consts), spec_consts)
     }
 
     /// Execute a compiled kernel. Advances the simulated clock by the
@@ -375,23 +402,28 @@ impl SimDevice {
             }
             None => None,
         };
-        let report = run_kernel_launch_faulty(
-            &self.spec,
-            &mut st.mem,
-            &compiled.program,
-            wd,
-            &sim_args,
-            mode,
-            resolve_sim_threads(self.threads),
-            self.engine,
-            faults,
-        )
-        .map_err(|e| to_core_error(&compiled.program.name, e))?;
+        let report = compiled
+            .prepared
+            .launch(
+                &self.spec,
+                &mut st.mem,
+                &compiled.program,
+                wd,
+                &sim_args,
+                mode,
+                resolve_sim_threads(self.threads),
+                self.engine,
+                faults,
+            )
+            .map_err(|e| to_core_error(&compiled.program.name, e))?;
         st.clock_s += report.time.total_s;
         Ok(report)
     }
 
-    /// Convenience: compile (specialized) and launch in one step.
+    /// Compile (specialized) and launch in one step. The kernel is traced
+    /// every time; the rest is done once per distinct traced program while
+    /// the device's memo remembers it (a hit is the fingerprint, then exact
+    /// comparison — never the hash alone).
     pub fn run<K: Kernel + ?Sized>(
         &self,
         kernel: &K,
@@ -399,8 +431,46 @@ impl SimDevice {
         args: &SimLaunchArgs,
         mode: ExecMode,
     ) -> Result<SimReport> {
-        let compiled = self.compile(kernel, wd, true);
+        let spec_consts = specialised(wd);
+        let traced = trace_kernel_spec(kernel, wd.dim, spec_consts);
+        let fingerprint = BuildHasherDefault::<DefaultHasher>::default()
+            .hash_one((&traced, wd.threads, wd.elems));
+        let compiled = self.memoized(fingerprint, traced, spec_consts);
         self.launch(&compiled, wd, args, mode)
+    }
+
+    /// The compiled form of `traced` from the memo, compiled on a miss.
+    fn memoized(
+        &self,
+        fingerprint: u64,
+        traced: Program,
+        spec_consts: SpecConsts,
+    ) -> Arc<CompiledKernel> {
+        let mut memo = self.memo.lock();
+        let found = memo.entries.iter().position(|(f, t, k)| {
+            *f == fingerprint && k.spec_consts == spec_consts && *t == traced
+        });
+        if let Some(at) = found {
+            let entry = memo.entries.remove(at);
+            let kernel = Arc::clone(&entry.2);
+            memo.entries.push(entry);
+            memo.counters.hits += 1;
+            return kernel;
+        }
+        memo.counters.misses += 1;
+        let kernel = Arc::new(CompiledKernel::new(traced.clone(), spec_consts));
+        if memo.entries.len() >= MEMO_CAP {
+            memo.entries.remove(0);
+        }
+        memo.entries
+            .push((fingerprint, traced, Arc::clone(&kernel)));
+        kernel
+    }
+
+    /// Hits and misses of this device's memo of compiled kernels so far
+    /// (shared by all clones of the handle): one lookup per [`run`](Self::run).
+    pub fn memo_counters(&self) -> CacheCounters {
+        self.memo.lock().counters
     }
 }
 
@@ -410,11 +480,27 @@ impl core::fmt::Debug for SimDevice {
     }
 }
 
-/// A kernel traced and optimized for a device (the "compiled PTX").
+/// A kernel traced and optimized for a device (the "compiled PTX"), with
+/// everything a launch derives from the program alone.
 pub struct CompiledKernel {
+    /// Read-only in effect: `prepared` is not re-derived if this changes.
     pub program: Program,
     pub pass_stats: PassStats,
     spec_consts: SpecConsts,
+    prepared: Prepared,
+}
+
+impl CompiledKernel {
+    fn new(mut program: Program, spec_consts: SpecConsts) -> Self {
+        let pass_stats = optimize(&mut program);
+        let prepared = Prepared::new(&program);
+        CompiledKernel {
+            program,
+            pass_stats,
+            spec_consts,
+            prepared,
+        }
+    }
 }
 
 /// Device-resident f64 buffer handle (shallow clone).
@@ -549,5 +635,45 @@ impl SimLaunchArgs {
     pub fn scalar_i(mut self, v: i64) -> Self {
         self.scalars.i.push(v);
         self
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use alpaka_core::ops::{KernelOps, KernelOpsExt};
+
+    /// `b[i] += k`.
+    struct Add(f64);
+    impl Kernel for Add {
+        fn run<O: KernelOps>(&self, o: &mut O) {
+            let b = o.buf_f(0);
+            let i = o.global_thread_idx(0);
+            let x = o.ld_gf(b, i);
+            let k = o.lit_f(self.0);
+            let r = o.add_f(x, k);
+            o.st_gf(b, i, r);
+        }
+    }
+
+    /// The fingerprint narrows the search and nothing more: two kernels
+    /// forced onto one fingerprint get a memo entry each, and a launch of
+    /// either runs its own program.
+    #[test]
+    fn a_fingerprint_collision_is_two_memo_entries() {
+        let dev = SimDevice::new(DeviceSpec::k20());
+        let wd = WorkDiv::d1(1, 4, 1);
+        let sc = specialised(&wd);
+        let get = |k: f64| dev.memoized(7, trace_kernel_spec(&Add(k), 1, sc), sc);
+        let (one, ten) = (get(1.0), get(10.0));
+        assert!(!Arc::ptr_eq(&one, &ten), "distinct programs must not alias");
+        assert!(Arc::ptr_eq(&ten, &get(10.0)) && Arc::ptr_eq(&one, &get(1.0)));
+        assert_eq!(dev.memo_counters(), CacheCounters { hits: 2, misses: 2 });
+        let buf = dev.alloc_f64(BufLayout::d1(4));
+        let args = SimLaunchArgs::new().buf_f(&buf);
+        dev.launch(&ten, &wd, &args, ExecMode::Full).unwrap();
+        assert_eq!(buf.to_dense(), [10.0; 4]);
+        dev.launch(&one, &wd, &args, ExecMode::Full).unwrap();
+        assert_eq!(buf.to_dense(), [11.0; 4]);
     }
 }

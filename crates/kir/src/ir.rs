@@ -167,7 +167,12 @@ pub enum AtomicOp {
 }
 
 /// The operation performed by an [`Instr`]. Every variant produces a value.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// Equality and hashing are structural and *bitwise*: `ConstF` compares by
+/// bit pattern, so `0.0` and `-0.0` differ and a NaN literal equals itself.
+/// `Eq + Hash` therefore hold from here up to [`Program`] — the one identity
+/// `cse` deduplicates by and the program caches key on.
+#[derive(Debug, Clone)]
 pub enum Op {
     ConstF(f64),
     ConstI(i64),
@@ -232,6 +237,46 @@ pub enum Op {
 }
 
 impl Op {
+    /// What `Eq` and `Hash` see: variant, its constant (floats as bits),
+    /// slot or sub-operator, and the operands in order.
+    fn key(&self) -> (core::mem::Discriminant<Op>, u64, [u32; 3]) {
+        let payload = match self {
+            Op::ConstF(v) => v.to_bits(),
+            Op::ConstI(v) => *v as u64,
+            Op::ConstB(v) => u64::from(*v),
+            Op::Special(r) => match *r {
+                SpecialReg::GridBlockExtent(a) => u64::from(a),
+                SpecialReg::BlockThreadExtent(a) => 1 << 8 | u64::from(a),
+                SpecialReg::ThreadElemExtent(a) => 2 << 8 | u64::from(a),
+                SpecialReg::BlockIdx(a) => 3 << 8 | u64::from(a),
+                SpecialReg::ThreadIdx(a) => 4 << 8 | u64::from(a),
+            },
+            Op::ParamF(s) | Op::ParamI(s) => u64::from(*s),
+            Op::LdGF { buf: s, .. } | Op::LdGI { buf: s, .. } => u64::from(*s),
+            Op::LdSF { sh: s, .. } | Op::LdSI { sh: s, .. } | Op::LdLF { loc: s, .. } => {
+                u64::from(*s)
+            }
+            Op::LdVarF(v) | Op::LdVarI(v) => u64::from(v.0),
+            Op::BinF(o, ..) => *o as u64,
+            Op::UnF(o, _) => *o as u64,
+            Op::BinI(o, ..) => *o as u64,
+            Op::CmpF(c, ..) | Op::CmpI(c, ..) => *c as u64,
+            Op::BinB(o, ..) => *o as u64,
+            Op::AtomicGF { op, buf, .. } | Op::AtomicGI { op, buf, .. } => {
+                (*op as u64) << 32 | u64::from(*buf)
+            }
+            Op::Fma(..) | Op::NegI(_) | Op::NotB(_) | Op::SelF(..) | Op::SelI(..) => 0,
+            Op::I2F(_) | Op::F2I(_) | Op::U2UnitF(_) => 0,
+        };
+        let mut operands = [u32::MAX; 3];
+        let mut n = 0;
+        self.for_each_operand(|v| {
+            operands[n] = v.0;
+            n += 1;
+        });
+        (core::mem::discriminant(self), payload, operands)
+    }
+
     /// Operations with side effects must survive dead-code elimination even
     /// when their result value is unused.
     pub fn has_side_effect(&self) -> bool {
@@ -350,15 +395,29 @@ impl Op {
     }
 }
 
+impl PartialEq for Op {
+    fn eq(&self, other: &Self) -> bool {
+        self.key() == other.key()
+    }
+}
+
+impl Eq for Op {}
+
+impl core::hash::Hash for Op {
+    fn hash<H: core::hash::Hasher>(&self, state: &mut H) {
+        self.key().hash(state);
+    }
+}
+
 /// A single-assignment instruction: `dst = op(...)`.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Instr {
     pub dst: ValId,
     pub op: Op,
 }
 
 /// A structured statement.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Stmt {
     /// Value-producing instruction.
     I(Instr),
@@ -429,7 +488,7 @@ pub enum Stmt {
 }
 
 /// A sequence of statements (one lexical scope).
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
 pub struct Block(pub Vec<Stmt>);
 
 impl Block {
@@ -478,27 +537,27 @@ impl Block {
 }
 
 /// Metadata for a mutable register.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct VarInfo {
     pub ty: Ty,
 }
 
 /// Metadata for a block-shared array.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SharedInfo {
     pub ty: Ty,
     pub len: usize,
 }
 
 /// Metadata for a thread-private scratch array.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct LocalInfo {
     pub ty: Ty,
     pub len: usize,
 }
 
 /// A complete traced kernel.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Program {
     pub name: String,
     /// Launch dimensionality the kernel was traced for (1–3).
@@ -552,6 +611,76 @@ mod tests {
         let mut seen = vec![];
         op.for_each_operand(|v| seen.push(v.0));
         assert_eq!(seen, vec![11, 12, 13]);
+    }
+
+    /// `Eq`/`Hash` go through a hand-written key: every field must be in it.
+    /// Each op below differs from its neighbours in one field only.
+    #[test]
+    fn op_identity_is_structural_and_bitwise() {
+        use std::collections::HashSet;
+        let (a, b, c) = (ValId(1), ValId(2), ValId(3));
+        let atomic = |op, buf, idx, val| Op::AtomicGI { op, buf, idx, val };
+        let distinct = [
+            Op::ConstF(0.0),
+            Op::ConstF(-0.0),
+            Op::ConstF(f64::NAN),
+            Op::ConstI(0),
+            Op::ConstI(1),
+            Op::ConstB(false),
+            Op::ConstB(true),
+            Op::Special(SpecialReg::GridBlockExtent(8)),
+            Op::Special(SpecialReg::BlockThreadExtent(0)),
+            Op::Special(SpecialReg::BlockIdx(1)),
+            Op::Special(SpecialReg::BlockIdx(2)),
+            Op::Special(SpecialReg::ThreadIdx(2)),
+            Op::ParamF(0),
+            Op::ParamI(0),
+            Op::ParamI(1),
+            Op::BinF(FBin::Add, a, b),
+            Op::BinF(FBin::Sub, a, b),
+            Op::BinF(FBin::Add, b, a),
+            Op::BinI(IBin::Add, a, b),
+            Op::CmpF(Cmp::Lt, a, b),
+            Op::CmpI(Cmp::Lt, a, b),
+            Op::CmpI(Cmp::Le, a, b),
+            Op::Fma(a, b, c),
+            Op::Fma(a, b, b),
+            Op::SelF(a, b, c),
+            Op::SelI(a, b, c),
+            Op::UnF(FUn::Neg, a),
+            Op::UnF(FUn::Abs, a),
+            Op::NegI(a),
+            Op::I2F(a),
+            Op::LdGF { buf: 0, idx: a },
+            Op::LdGF { buf: 1, idx: a },
+            Op::LdGF { buf: 0, idx: b },
+            Op::LdGI { buf: 0, idx: a },
+            Op::LdSF { sh: 0, idx: a },
+            Op::LdSF { sh: 1, idx: a },
+            Op::LdLF { loc: 0, idx: a },
+            Op::LdVarF(VarId(0)),
+            Op::LdVarF(VarId(1)),
+            Op::LdVarI(VarId(0)),
+            atomic(AtomicOp::Add, 0, a, b),
+            atomic(AtomicOp::Min, 0, a, b),
+            atomic(AtomicOp::Add, 1, a, b),
+            atomic(AtomicOp::Add, 0, b, b),
+            atomic(AtomicOp::Add, 0, a, a),
+            Op::AtomicGF {
+                op: AtomicOp::Add,
+                buf: 0,
+                idx: a,
+                val: b,
+            },
+        ];
+        for (i, x) in distinct.iter().enumerate() {
+            for (j, y) in distinct.iter().enumerate() {
+                assert_eq!(x == y, i == j, "{x:?} vs {y:?}");
+            }
+        }
+        let set: HashSet<&Op> = distinct.iter().collect();
+        assert_eq!(set.len(), distinct.len());
+        assert!(set.contains(&Op::ConstF(f64::NAN)), "a NaN equals itself");
     }
 
     #[test]

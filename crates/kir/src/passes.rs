@@ -18,11 +18,53 @@
 //! Passes preserve semantics exactly; the property tests in this crate
 //! prove it by running random programs through [`crate::eval`] before and
 //! after optimization.
+//!
+//! Every pass is one walk over the tree (`dce` one per prune round), because
+//! a first launch pays for `optimize` and a tuning sweep pays on every
+//! launch: per-value state is a table indexed by `ValId`, `cse` a hash map
+//! (keyed by [`Op`]'s bitwise identity) with an undo log per scope, liveness
+//! one reverse walk. ~50 ns per statement per pass where string keys, linear
+//! scope searches and a forward fixpoint took 250-900;
+//! `tests/pass_outputs.rs` pins that the output is what those produced.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 use crate::ir::*;
 use crate::semantics as sem;
+
+/// Per-id state as a dense table. An id past the end holds `T::default()`
+/// and storing to one grows the table, so ids a pass mints as it runs — or
+/// an invalid program invents — need no special case.
+#[derive(Default)]
+struct Table<T>(Vec<T>);
+
+impl<T: Copy + Default> Table<T> {
+    fn get(&self, id: u32) -> T {
+        self.0.get(id as usize).copied().unwrap_or_default()
+    }
+
+    /// Store `v` at `id`; returns what was there.
+    fn set(&mut self, id: u32, v: T) -> T {
+        let i = id as usize;
+        if i >= self.0.len() {
+            self.0.resize(i + 1, T::default());
+        }
+        std::mem::replace(&mut self.0[i], v)
+    }
+}
+
+/// `v`, or the value `alias` says it (transitively) stands for. Chains are
+/// short; the bound guards against accidental cycles anyway.
+fn resolve(alias: &Table<Option<u32>>, v: ValId) -> ValId {
+    let mut cur = v.0;
+    for _ in 0..64 {
+        match alias.get(cur) {
+            Some(next) => cur = next,
+            None => break,
+        }
+    }
+    ValId(cur)
+}
 
 /// Aggregate statistics of an [`optimize`] run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -95,8 +137,13 @@ pub struct FoldStats {
 }
 
 struct Folder {
-    consts: HashMap<u32, CVal>,
-    alias: HashMap<u32, u32>,
+    /// The constant each value is known to hold.
+    consts: Table<Option<CVal>>,
+    alias: Table<Option<u32>>,
+    /// Renames of the loop body being cloned, and which entries to clear
+    /// once the clone is done (one clone is in flight at a time).
+    renames: Table<Option<u32>>,
+    renamed: Vec<u32>,
     next_val: u32,
     max_trip: i64,
     max_unroll_instrs: usize,
@@ -108,8 +155,10 @@ struct Folder {
 /// stays under `max_unroll_instrs` instructions.
 pub fn unroll_and_fold(p: &mut Program, max_trip: usize, max_unroll_instrs: usize) -> FoldStats {
     let mut f = Folder {
-        consts: HashMap::new(),
-        alias: HashMap::new(),
+        consts: Table::default(),
+        alias: Table::default(),
+        renames: Table::default(),
+        renamed: Vec::new(),
         next_val: p.n_vals,
         max_trip: max_trip as i64,
         max_unroll_instrs,
@@ -125,19 +174,11 @@ pub fn unroll_and_fold(p: &mut Program, max_trip: usize, max_unroll_instrs: usiz
 
 impl Folder {
     fn resolve(&self, v: ValId) -> ValId {
-        let mut cur = v.0;
-        // Alias chains are short; guard against accidental cycles anyway.
-        for _ in 0..64 {
-            match self.alias.get(&cur) {
-                Some(&next) => cur = next,
-                None => break,
-            }
-        }
-        ValId(cur)
+        resolve(&self.alias, v)
     }
 
     fn cst(&self, v: ValId) -> Option<CVal> {
-        self.consts.get(&self.resolve(v).0).copied()
+        self.consts.get(self.resolve(v).0)
     }
 
     fn cst_i(&self, v: ValId) -> Option<i64> {
@@ -178,22 +219,22 @@ impl Folder {
                         Op::ConstB(v) => Some(CVal::B(v)),
                         _ => None,
                     } {
-                        self.consts.insert(instr.dst.0, c);
+                        self.consts.set(instr.dst.0, Some(c));
                         out.push(Stmt::I(instr));
                     } else if let Some(c) = self.try_fold(&instr.op) {
-                        self.consts.insert(instr.dst.0, c);
+                        self.consts.set(instr.dst.0, Some(c));
                         instr.op = c.to_op();
                         self.stats.folded += 1;
                         out.push(Stmt::I(instr));
                     } else if let Some(simp) = self.try_simplify(&instr.op) {
                         match simp {
                             Simp::Alias(v) => {
-                                self.alias.insert(instr.dst.0, v.0);
+                                self.alias.set(instr.dst.0, Some(v.0));
                                 self.stats.aliased += 1;
                                 // Instruction dropped: uses are rewritten.
                             }
                             Simp::Const(c) => {
-                                self.consts.insert(instr.dst.0, c);
+                                self.consts.set(instr.dst.0, Some(c));
                                 instr.op = c.to_op();
                                 self.stats.folded += 1;
                                 out.push(Stmt::I(instr));
@@ -279,9 +320,11 @@ impl Folder {
                             self.stats.unrolled += 1;
                             for k in s0..e0 {
                                 let cid = self.fresh();
-                                let mut map = HashMap::new();
-                                map.insert(counter.0, cid);
-                                let cloned = clone_block_fresh(&body, &mut map, &mut self.next_val);
+                                self.rename(counter, cid);
+                                let cloned = self.clone_block_fresh(&body);
+                                for v in self.renamed.drain(..) {
+                                    self.renames.set(v, None);
+                                }
                                 let mut pre = Vec::with_capacity(cloned.0.len() + 1);
                                 pre.push(Stmt::I(Instr {
                                     dst: cid,
@@ -453,138 +496,140 @@ enum Simp {
     Const(CVal),
 }
 
-/// Deep-clone a block with fresh ValIds for every definition; `map` carries
-/// pre-seeded substitutions (the loop counter) and accumulates def renames.
-/// Unmapped operands refer to values defined outside the block and are kept.
-fn clone_block_fresh(b: &Block, map: &mut HashMap<u32, ValId>, next: &mut u32) -> Block {
-    let fresh = |next: &mut u32| {
-        let id = ValId(*next);
-        *next += 1;
-        id
-    };
-    let remap = |v: ValId, map: &HashMap<u32, ValId>| map.get(&v.0).copied().unwrap_or(v);
-    let mut out = Vec::with_capacity(b.0.len());
-    for s in &b.0 {
-        let cloned = match s {
-            Stmt::I(i) => {
-                let mut op = i.op.clone();
-                op.map_operands(|v| remap(v, map));
-                let dst = fresh(next);
-                map.insert(i.dst.0, dst);
-                Stmt::I(Instr { dst, op })
-            }
-            Stmt::StGF { buf, idx, val } => Stmt::StGF {
-                buf: *buf,
-                idx: remap(*idx, map),
-                val: remap(*val, map),
-            },
-            Stmt::StGI { buf, idx, val } => Stmt::StGI {
-                buf: *buf,
-                idx: remap(*idx, map),
-                val: remap(*val, map),
-            },
-            Stmt::StSF { sh, idx, val } => Stmt::StSF {
-                sh: *sh,
-                idx: remap(*idx, map),
-                val: remap(*val, map),
-            },
-            Stmt::StLF { loc, idx, val } => Stmt::StLF {
-                loc: *loc,
-                idx: remap(*idx, map),
-                val: remap(*val, map),
-            },
-            Stmt::StSI { sh, idx, val } => Stmt::StSI {
-                sh: *sh,
-                idx: remap(*idx, map),
-                val: remap(*val, map),
-            },
-            Stmt::StVarF { var, val } => Stmt::StVarF {
-                var: *var,
-                val: remap(*val, map),
-            },
-            Stmt::StVarI { var, val } => Stmt::StVarI {
-                var: *var,
-                val: remap(*val, map),
-            },
-            Stmt::Sync => Stmt::Sync,
-            Stmt::Comment(c) => Stmt::Comment(c.clone()),
-            Stmt::If {
-                cond,
-                then_b,
-                else_b,
-            } => {
-                let cond = remap(*cond, map);
-                let t = clone_block_fresh(then_b, map, next);
-                let e = clone_block_fresh(else_b, map, next);
+impl Folder {
+    /// Record that the clone in flight renames `old` to `new`.
+    fn rename(&mut self, old: ValId, new: ValId) {
+        self.renames.set(old.0, Some(new.0));
+        self.renamed.push(old.0);
+    }
+
+    /// Deep-clone a block with fresh ValIds for every definition. `renames`
+    /// carries the pre-seeded substitution (the loop counter) and accumulates
+    /// the renamed definitions; operands it does not map refer to values
+    /// defined outside the block and are kept.
+    fn clone_block_fresh(&mut self, b: &Block) -> Block {
+        let mut out = Vec::with_capacity(b.0.len());
+        for s in &b.0 {
+            let remap = |v: ValId| self.renames.get(v.0).map_or(v, ValId);
+            let cloned = match s {
+                Stmt::I(i) => {
+                    let mut op = i.op.clone();
+                    op.map_operands(remap);
+                    let dst = self.fresh();
+                    self.rename(i.dst, dst);
+                    Stmt::I(Instr { dst, op })
+                }
+                Stmt::StGF { buf, idx, val } => Stmt::StGF {
+                    buf: *buf,
+                    idx: remap(*idx),
+                    val: remap(*val),
+                },
+                Stmt::StGI { buf, idx, val } => Stmt::StGI {
+                    buf: *buf,
+                    idx: remap(*idx),
+                    val: remap(*val),
+                },
+                Stmt::StSF { sh, idx, val } => Stmt::StSF {
+                    sh: *sh,
+                    idx: remap(*idx),
+                    val: remap(*val),
+                },
+                Stmt::StLF { loc, idx, val } => Stmt::StLF {
+                    loc: *loc,
+                    idx: remap(*idx),
+                    val: remap(*val),
+                },
+                Stmt::StSI { sh, idx, val } => Stmt::StSI {
+                    sh: *sh,
+                    idx: remap(*idx),
+                    val: remap(*val),
+                },
+                Stmt::StVarF { var, val } => Stmt::StVarF {
+                    var: *var,
+                    val: remap(*val),
+                },
+                Stmt::StVarI { var, val } => Stmt::StVarI {
+                    var: *var,
+                    val: remap(*val),
+                },
+                Stmt::Sync => Stmt::Sync,
+                Stmt::Comment(c) => Stmt::Comment(c.clone()),
                 Stmt::If {
                     cond,
-                    then_b: t,
-                    else_b: e,
+                    then_b,
+                    else_b,
+                } => {
+                    let cond = remap(*cond);
+                    let t = self.clone_block_fresh(then_b);
+                    let e = self.clone_block_fresh(else_b);
+                    Stmt::If {
+                        cond,
+                        then_b: t,
+                        else_b: e,
+                    }
                 }
-            }
-            Stmt::ForRange {
-                counter,
-                start,
-                end,
-                body,
-                vectorize,
-            } => {
-                let start = remap(*start, map);
-                let end = remap(*end, map);
-                let new_counter = fresh(next);
-                map.insert(counter.0, new_counter);
-                let body = clone_block_fresh(body, map, next);
                 Stmt::ForRange {
-                    counter: new_counter,
+                    counter,
                     start,
                     end,
                     body,
-                    vectorize: *vectorize,
+                    vectorize,
+                } => {
+                    let start = remap(*start);
+                    let end = remap(*end);
+                    let new_counter = self.fresh();
+                    self.rename(*counter, new_counter);
+                    let body = self.clone_block_fresh(body);
+                    Stmt::ForRange {
+                        counter: new_counter,
+                        start,
+                        end,
+                        body,
+                        vectorize: *vectorize,
+                    }
                 }
-            }
-            Stmt::While {
-                cond_block,
-                cond,
-                body,
-            } => {
-                let cb = clone_block_fresh(cond_block, map, next);
-                let cond = remap(*cond, map);
-                let bb = clone_block_fresh(body, map, next);
                 Stmt::While {
-                    cond_block: cb,
+                    cond_block,
                     cond,
-                    body: bb,
+                    body,
+                } => {
+                    let cb = self.clone_block_fresh(cond_block);
+                    let cond = self.renames.get(cond.0).map_or(*cond, ValId);
+                    let bb = self.clone_block_fresh(body);
+                    Stmt::While {
+                        cond_block: cb,
+                        cond,
+                        body: bb,
+                    }
                 }
-            }
-        };
-        out.push(cloned);
+            };
+            out.push(cloned);
+        }
+        Block(out)
     }
-    Block(out)
 }
 
 // ---------------------------------------------------------------------
 // Common-subexpression elimination
 // ---------------------------------------------------------------------
 
-/// Key identifying a pure computation (operands already canonicalized).
-fn cse_key(op: &Op) -> Option<String> {
-    // Pure, memory-independent ops only: constants, specials, parameters
-    // and arithmetic. Loads (global/shared/local/var) depend on mutable
-    // state and are never deduplicated; atomics have side effects.
-    match op {
+/// Whether `op` is a pure computation `cse` may deduplicate: constants,
+/// specials, parameters and arithmetic. Loads (global/shared/local/var)
+/// depend on mutable state and are never deduplicated; atomics have side
+/// effects.
+fn is_pure(op: &Op) -> bool {
+    !matches!(
+        op,
         Op::LdGF { .. }
-        | Op::LdGI { .. }
-        | Op::LdSF { .. }
-        | Op::LdSI { .. }
-        | Op::LdLF { .. }
-        | Op::LdVarF(_)
-        | Op::LdVarI(_)
-        | Op::AtomicGF { .. }
-        | Op::AtomicGI { .. } => None,
-        // NaN-carrying float constants hash by bit pattern.
-        Op::ConstF(v) => Some(format!("cf{:016x}", v.to_bits())),
-        other => Some(format!("{other:?}")),
-    }
+            | Op::LdGI { .. }
+            | Op::LdSF { .. }
+            | Op::LdSI { .. }
+            | Op::LdLF { .. }
+            | Op::LdVarF(_)
+            | Op::LdVarI(_)
+            | Op::AtomicGF { .. }
+            | Op::AtomicGI { .. }
+    )
 }
 
 /// Deduplicate identical pure computations within each lexical scope
@@ -593,36 +638,35 @@ fn cse_key(op: &Op) -> Option<String> {
 /// extent queries freely; this pass is what keeps that style free.
 pub fn cse(p: &mut Program) -> usize {
     struct Cse {
-        alias: HashMap<u32, u32>,
+        alias: Table<Option<u32>>,
+        /// The pure ops in scope and the value each defines. A duplicate is
+        /// dropped, never entered, so a key is present at most once.
+        seen: HashMap<Op, ValId>,
+        /// The keys of `seen` in insertion order: a block leaves scope by
+        /// removing what was logged since it was entered.
+        log: Vec<Op>,
         removed: usize,
     }
     impl Cse {
         fn resolve(&self, v: ValId) -> ValId {
-            let mut cur = v.0;
-            for _ in 0..64 {
-                match self.alias.get(&cur) {
-                    Some(&n) => cur = n,
-                    None => break,
-                }
-            }
-            ValId(cur)
+            resolve(&self.alias, v)
         }
 
-        fn block(&mut self, b: &mut Block, scope: &mut Vec<(String, ValId)>) {
-            let mark = scope.len();
+        fn block(&mut self, b: &mut Block) {
+            let mark = self.log.len();
             let stmts = std::mem::take(&mut b.0);
             for mut s in stmts {
                 match &mut s {
                     Stmt::I(instr) => {
                         instr.op.map_operands(|v| self.resolve(v));
-                        if let Some(key) = cse_key(&instr.op) {
-                            if let Some((_, existing)) = scope.iter().rev().find(|(k, _)| *k == key)
-                            {
-                                self.alias.insert(instr.dst.0, existing.0);
+                        if is_pure(&instr.op) {
+                            if let Some(existing) = self.seen.get(&instr.op) {
+                                self.alias.set(instr.dst.0, Some(existing.0));
                                 self.removed += 1;
                                 continue; // drop the duplicate
                             }
-                            scope.push((key, instr.dst));
+                            self.seen.insert(instr.op.clone(), instr.dst);
+                            self.log.push(instr.op.clone());
                         }
                         b.0.push(s);
                     }
@@ -646,10 +690,10 @@ pub fn cse(p: &mut Program) -> usize {
                         else_b,
                     } => {
                         *cond = self.resolve(*cond);
-                        self.block(then_b, scope);
-                        // The sibling branch must not see then-branch defs.
-                        scope.truncate(mark_of(scope, then_b));
-                        self.block(else_b, scope);
+                        // Each branch leaves scope when its walk returns, so
+                        // the sibling never sees then-branch definitions.
+                        self.block(then_b);
+                        self.block(else_b);
                         b.0.push(s);
                     }
                     Stmt::ForRange {
@@ -657,7 +701,7 @@ pub fn cse(p: &mut Program) -> usize {
                     } => {
                         *start = self.resolve(*start);
                         *end = self.resolve(*end);
-                        self.block(body, scope);
+                        self.block(body);
                         b.0.push(s);
                     }
                     Stmt::While {
@@ -665,29 +709,27 @@ pub fn cse(p: &mut Program) -> usize {
                         cond,
                         body,
                     } => {
-                        self.block(cond_block, scope);
+                        self.block(cond_block);
                         *cond = self.resolve(*cond);
-                        self.block(body, scope);
+                        self.block(body);
                         b.0.push(s);
                     }
                 }
             }
-            scope.truncate(mark);
+            for key in self.log.drain(mark..) {
+                self.seen.remove(&key);
+            }
         }
-    }
-    // Helper kept trivial: nested blocks already truncate their own scope
-    // on exit, so the mark after a child call is simply the current length.
-    fn mark_of(scope: &[(String, ValId)], _b: &Block) -> usize {
-        scope.len()
     }
 
     let mut c = Cse {
-        alias: HashMap::new(),
+        alias: Table::default(),
+        seen: HashMap::new(),
+        log: Vec::new(),
         removed: 0,
     };
-    let mut scope = Vec::new();
     let mut body = std::mem::take(&mut p.body);
-    c.block(&mut body, &mut scope);
+    c.block(&mut body);
     p.body = body;
     c.removed
 }
@@ -696,77 +738,40 @@ pub fn cse(p: &mut Program) -> usize {
 // Dead-code elimination
 // ---------------------------------------------------------------------
 
+/// What one prune round keeps: live values, and the registers and local
+/// arrays that are ever read.
+#[derive(Default)]
+struct Liveness {
+    live: Table<bool>,
+    read_vars: Table<bool>,
+    read_locals: Table<bool>,
+}
+
 /// Remove pure instructions whose value is never used, stores to registers
 /// never read, and control statements that became empty. Returns the number
 /// of removed statements.
 pub fn dce(p: &mut Program) -> usize {
     let mut removed_total = 0;
     loop {
-        // Registers and local arrays that are ever read.
-        let mut read_vars: HashSet<u32> = HashSet::new();
-        let mut read_locals: HashSet<u32> = HashSet::new();
+        let mut l = Liveness::default();
+        // A load counts as a read even when its own result is dead: the
+        // load goes in this round, the store it kept alive in the next.
         p.body.visit(&mut |s| {
             if let Stmt::I(i) = s {
                 match i.op {
                     Op::LdVarF(v) | Op::LdVarI(v) => {
-                        read_vars.insert(v.0);
+                        l.read_vars.set(v.0, true);
                     }
                     Op::LdLF { loc, .. } => {
-                        read_locals.insert(loc);
+                        l.read_locals.set(loc, true);
                     }
                     _ => {}
                 }
             }
         });
+        mark_live(&p.body, &mut l);
 
-        // Liveness fixpoint over value ids.
-        let mut live: HashSet<u32> = HashSet::new();
-        loop {
-            let before = live.len();
-            p.body.visit(&mut |s| match s {
-                Stmt::I(i) => {
-                    if i.op.has_side_effect() || live.contains(&i.dst.0) {
-                        i.op.for_each_operand(|v| {
-                            live.insert(v.0);
-                        });
-                    }
-                }
-                Stmt::StGF { idx, val, .. }
-                | Stmt::StSF { idx, val, .. }
-                | Stmt::StGI { idx, val, .. }
-                | Stmt::StSI { idx, val, .. } => {
-                    live.insert(idx.0);
-                    live.insert(val.0);
-                }
-                Stmt::StVarF { var, val } | Stmt::StVarI { var, val } => {
-                    if read_vars.contains(&var.0) {
-                        live.insert(val.0);
-                    }
-                }
-                Stmt::StLF { loc, idx, val } => {
-                    if read_locals.contains(loc) {
-                        live.insert(idx.0);
-                        live.insert(val.0);
-                    }
-                }
-                Stmt::If { cond, .. } => {
-                    live.insert(cond.0);
-                }
-                Stmt::ForRange { start, end, .. } => {
-                    live.insert(start.0);
-                    live.insert(end.0);
-                }
-                Stmt::While { cond, .. } => {
-                    live.insert(cond.0);
-                }
-                Stmt::Sync | Stmt::Comment(_) => {}
-            });
-            if live.len() == before {
-                break;
-            }
-        }
-
-        let removed = prune_block(&mut p.body, &live, &read_vars, &read_locals);
+        let removed = prune_block(&mut p.body, &l);
         removed_total += removed;
         if removed == 0 {
             break;
@@ -775,26 +780,84 @@ pub fn dce(p: &mut Program) -> usize {
     removed_total
 }
 
-fn prune_block(
-    b: &mut Block,
-    live: &HashSet<u32>,
-    read_vars: &HashSet<u32>,
-    read_locals: &HashSet<u32>,
-) -> usize {
+/// One walk in reverse execution order. A value is defined before all its
+/// uses (the scope rule), so by the time the walk reaches a definition every
+/// statement that can make it live has been seen.
+fn mark_live(b: &Block, l: &mut Liveness) {
+    for s in b.0.iter().rev() {
+        match s {
+            Stmt::I(i) => {
+                if i.op.has_side_effect() || l.live.get(i.dst.0) {
+                    i.op.for_each_operand(|v| {
+                        l.live.set(v.0, true);
+                    });
+                }
+            }
+            Stmt::StGF { idx, val, .. }
+            | Stmt::StSF { idx, val, .. }
+            | Stmt::StGI { idx, val, .. }
+            | Stmt::StSI { idx, val, .. } => {
+                l.live.set(idx.0, true);
+                l.live.set(val.0, true);
+            }
+            Stmt::StVarF { var, val } | Stmt::StVarI { var, val } => {
+                if l.read_vars.get(var.0) {
+                    l.live.set(val.0, true);
+                }
+            }
+            Stmt::StLF { loc, idx, val } => {
+                if l.read_locals.get(*loc) {
+                    l.live.set(idx.0, true);
+                    l.live.set(val.0, true);
+                }
+            }
+            Stmt::If {
+                cond,
+                then_b,
+                else_b,
+            } => {
+                l.live.set(cond.0, true);
+                mark_live(else_b, l);
+                mark_live(then_b, l);
+            }
+            Stmt::ForRange {
+                start, end, body, ..
+            } => {
+                l.live.set(start.0, true);
+                l.live.set(end.0, true);
+                mark_live(body, l);
+            }
+            Stmt::While {
+                cond_block,
+                cond,
+                body,
+            } => {
+                // `cond` is defined in the condition block, whose values the
+                // body may use too: the use, then the body, then the block.
+                l.live.set(cond.0, true);
+                mark_live(body, l);
+                mark_live(cond_block, l);
+            }
+            Stmt::Sync | Stmt::Comment(_) => {}
+        }
+    }
+}
+
+fn prune_block(b: &mut Block, l: &Liveness) -> usize {
     let mut removed = 0;
     let stmts = std::mem::take(&mut b.0);
     for mut s in stmts {
         let keep = match &mut s {
-            Stmt::I(i) => i.op.has_side_effect() || live.contains(&i.dst.0),
-            Stmt::StVarF { var, .. } | Stmt::StVarI { var, .. } => read_vars.contains(&var.0),
-            Stmt::StLF { loc, .. } => read_locals.contains(loc),
+            Stmt::I(i) => i.op.has_side_effect() || l.live.get(i.dst.0),
+            Stmt::StVarF { var, .. } | Stmt::StVarI { var, .. } => l.read_vars.get(var.0),
+            Stmt::StLF { loc, .. } => l.read_locals.get(*loc),
             Stmt::If { then_b, else_b, .. } => {
-                removed += prune_block(then_b, live, read_vars, read_locals);
-                removed += prune_block(else_b, live, read_vars, read_locals);
+                removed += prune_block(then_b, l);
+                removed += prune_block(else_b, l);
                 !(then_b.is_empty() && else_b.is_empty())
             }
             Stmt::ForRange { body, .. } => {
-                removed += prune_block(body, live, read_vars, read_locals);
+                removed += prune_block(body, l);
                 !body.is_empty()
             }
             Stmt::While {
@@ -803,8 +866,8 @@ fn prune_block(
                 // A while loop's termination depends on its condition;
                 // never remove it (it may be intentionally non-trivial),
                 // but clean its blocks.
-                removed += prune_block(cond_block, live, read_vars, read_locals);
-                removed += prune_block(body, live, read_vars, read_locals);
+                removed += prune_block(cond_block, l);
+                removed += prune_block(body, l);
                 true
             }
             _ => true,
@@ -974,126 +1037,122 @@ fn scan_uniform(b: &Block, divergent: bool, u: &mut Uniformity, changed: &mut bo
 /// Renumber all value ids (and register vars) into canonical pre-order so
 /// structurally identical programs print identically.
 pub fn renumber(p: &mut Program) {
-    let mut vmap: HashMap<u32, u32> = HashMap::new();
-    let mut next: u32 = 0;
-    let mut var_order: Vec<u32> = Vec::new();
-    let mut var_seen: HashSet<u32> = HashSet::new();
-    renumber_block(
-        &mut p.body,
-        &mut vmap,
-        &mut next,
-        &mut var_order,
-        &mut var_seen,
-    );
-    p.n_vals = next;
+    let mut r = Renumber {
+        vals: Table::default(),
+        next: 0,
+        var_order: Vec::new(),
+        var_seen: Table::default(),
+    };
+    r.block(&mut p.body);
+    p.n_vals = r.next;
 
     // Compact and reorder vars by first use.
-    let mut var_map: HashMap<u32, u32> = HashMap::new();
-    let mut new_vars = Vec::with_capacity(var_order.len());
-    for (new_id, old_id) in var_order.iter().enumerate() {
-        var_map.insert(*old_id, new_id as u32);
+    let mut var_map = Table::default();
+    let mut new_vars = Vec::with_capacity(r.var_order.len());
+    for (new_id, old_id) in r.var_order.iter().enumerate() {
+        var_map.set(*old_id, Some(new_id as u32));
         new_vars.push(p.vars[*old_id as usize]);
     }
     p.vars = new_vars;
     remap_vars_block(&mut p.body, &var_map);
 }
 
-fn note_var(v: VarId, order: &mut Vec<u32>, seen: &mut HashSet<u32>) {
-    if seen.insert(v.0) {
-        order.push(v.0);
-    }
+struct Renumber {
+    /// Old value id -> new value id, for the definitions seen so far.
+    vals: Table<Option<u32>>,
+    next: u32,
+    /// Register vars in order of first use.
+    var_order: Vec<u32>,
+    var_seen: Table<bool>,
 }
 
-fn renumber_block(
-    b: &mut Block,
-    vmap: &mut HashMap<u32, u32>,
-    next: &mut u32,
-    var_order: &mut Vec<u32>,
-    var_seen: &mut HashSet<u32>,
-) {
-    let def = |v: &mut ValId, vmap: &mut HashMap<u32, u32>, next: &mut u32| {
-        let id = *next;
-        *next += 1;
-        vmap.insert(v.0, id);
-        *v = ValId(id);
-    };
-    let use_ = |v: &mut ValId, vmap: &HashMap<u32, u32>| {
-        let mapped = vmap
-            .get(&v.0)
-            .unwrap_or_else(|| panic!("renumber: use of undefined {v:?}"));
-        *v = ValId(*mapped);
-    };
-    for s in &mut b.0 {
-        match s {
-            Stmt::I(i) => {
-                i.op.map_operands(|v| {
-                    ValId(
-                        *vmap
-                            .get(&v.0)
-                            .unwrap_or_else(|| panic!("renumber: use of undefined {v:?}")),
-                    )
-                });
-                match i.op {
-                    Op::LdVarF(v) | Op::LdVarI(v) => note_var(v, var_order, var_seen),
-                    _ => {}
+impl Renumber {
+    fn note_var(&mut self, v: VarId) {
+        if !self.var_seen.set(v.0, true) {
+            self.var_order.push(v.0);
+        }
+    }
+
+    fn def(&mut self, v: &mut ValId) {
+        self.vals.set(v.0, Some(self.next));
+        *v = ValId(self.next);
+        self.next += 1;
+    }
+
+    fn used(&self, v: ValId) -> ValId {
+        match self.vals.get(v.0) {
+            Some(to) => ValId(to),
+            None => panic!("renumber: use of undefined {v:?}"),
+        }
+    }
+
+    fn block(&mut self, b: &mut Block) {
+        for s in &mut b.0 {
+            match s {
+                Stmt::I(i) => {
+                    i.op.map_operands(|v| self.used(v));
+                    if let Op::LdVarF(v) | Op::LdVarI(v) = i.op {
+                        self.note_var(v);
+                    }
+                    self.def(&mut i.dst);
                 }
-                def(&mut i.dst, vmap, next);
-            }
-            Stmt::StGF { idx, val, .. }
-            | Stmt::StGI { idx, val, .. }
-            | Stmt::StSF { idx, val, .. }
-            | Stmt::StSI { idx, val, .. }
-            | Stmt::StLF { idx, val, .. } => {
-                use_(idx, vmap);
-                use_(val, vmap);
-            }
-            Stmt::StVarF { var, val } | Stmt::StVarI { var, val } => {
-                note_var(*var, var_order, var_seen);
-                use_(val, vmap);
-            }
-            Stmt::Sync | Stmt::Comment(_) => {}
-            Stmt::If {
-                cond,
-                then_b,
-                else_b,
-            } => {
-                use_(cond, vmap);
-                renumber_block(then_b, vmap, next, var_order, var_seen);
-                renumber_block(else_b, vmap, next, var_order, var_seen);
-            }
-            Stmt::ForRange {
-                counter,
-                start,
-                end,
-                body,
-                ..
-            } => {
-                use_(start, vmap);
-                use_(end, vmap);
-                def(counter, vmap, next);
-                renumber_block(body, vmap, next, var_order, var_seen);
-            }
-            Stmt::While {
-                cond_block,
-                cond,
-                body,
-            } => {
-                renumber_block(cond_block, vmap, next, var_order, var_seen);
-                use_(cond, vmap);
-                renumber_block(body, vmap, next, var_order, var_seen);
+                Stmt::StGF { idx, val, .. }
+                | Stmt::StGI { idx, val, .. }
+                | Stmt::StSF { idx, val, .. }
+                | Stmt::StSI { idx, val, .. }
+                | Stmt::StLF { idx, val, .. } => {
+                    *idx = self.used(*idx);
+                    *val = self.used(*val);
+                }
+                Stmt::StVarF { var, val } | Stmt::StVarI { var, val } => {
+                    self.note_var(*var);
+                    *val = self.used(*val);
+                }
+                Stmt::Sync | Stmt::Comment(_) => {}
+                Stmt::If {
+                    cond,
+                    then_b,
+                    else_b,
+                } => {
+                    *cond = self.used(*cond);
+                    self.block(then_b);
+                    self.block(else_b);
+                }
+                Stmt::ForRange {
+                    counter,
+                    start,
+                    end,
+                    body,
+                    ..
+                } => {
+                    *start = self.used(*start);
+                    *end = self.used(*end);
+                    self.def(counter);
+                    self.block(body);
+                }
+                Stmt::While {
+                    cond_block,
+                    cond,
+                    body,
+                } => {
+                    self.block(cond_block);
+                    *cond = self.used(*cond);
+                    self.block(body);
+                }
             }
         }
     }
 }
 
-fn remap_vars_block(b: &mut Block, var_map: &HashMap<u32, u32>) {
+fn remap_vars_block(b: &mut Block, var_map: &Table<Option<u32>>) {
+    let to = |v: VarId| VarId(var_map.get(v.0).expect("every var in use was noted"));
     for s in &mut b.0 {
         match s {
             Stmt::I(i) => match &mut i.op {
-                Op::LdVarF(v) | Op::LdVarI(v) => *v = VarId(var_map[&v.0]),
+                Op::LdVarF(v) | Op::LdVarI(v) => *v = to(*v),
                 _ => {}
             },
-            Stmt::StVarF { var, .. } | Stmt::StVarI { var, .. } => *var = VarId(var_map[&var.0]),
+            Stmt::StVarF { var, .. } | Stmt::StVarI { var, .. } => *var = to(*var),
             Stmt::If { then_b, else_b, .. } => {
                 remap_vars_block(then_b, var_map);
                 remap_vars_block(else_b, var_map);
@@ -1163,11 +1222,11 @@ pub enum AtomicsSummary {
 /// observe a cell between individual atomic applications.
 pub fn atomics_summary(p: &Program) -> AtomicsSummary {
     let mut targets: Vec<(AtomicTarget, bool)> = Vec::new(); // (target, mixed)
-    let mut atomic_dsts: HashSet<u32> = HashSet::new();
-    let mut used: HashSet<u32> = HashSet::new();
+    let mut atomic_dsts: Vec<u32> = Vec::new();
+    let mut used = Table::<bool>::default();
     let mut exch = false;
-    // (is_f, slot) pairs touched by plain loads/stores.
-    let mut plain: HashSet<(bool, u32)> = HashSet::new();
+    // Slots touched by plain loads/stores, per buffer namespace.
+    let (mut plain_f, mut plain_i) = (Table::<bool>::default(), Table::default());
 
     let mut note_target = |is_f: bool, slot: u32, op: AtomicOp| match targets
         .iter_mut()
@@ -1192,58 +1251,58 @@ pub fn atomics_summary(p: &Program) -> AtomicsSummary {
     p.body.visit(&mut |s| match s {
         Stmt::I(i) => {
             i.op.for_each_operand(|v| {
-                used.insert(v.0);
+                used.set(v.0, true);
             });
             match &i.op {
                 Op::AtomicGF { op, buf, .. } => {
                     exch |= *op == AtomicOp::Exch;
-                    atomic_dsts.insert(i.dst.0);
+                    atomic_dsts.push(i.dst.0);
                     note_target(true, *buf, *op);
                 }
                 Op::AtomicGI { op, buf, .. } => {
                     exch |= *op == AtomicOp::Exch;
-                    atomic_dsts.insert(i.dst.0);
+                    atomic_dsts.push(i.dst.0);
                     note_target(false, *buf, *op);
                 }
                 Op::LdGF { buf, .. } => {
-                    plain.insert((true, *buf));
+                    plain_f.set(*buf, true);
                 }
                 Op::LdGI { buf, .. } => {
-                    plain.insert((false, *buf));
+                    plain_i.set(*buf, true);
                 }
                 _ => {}
             }
         }
         Stmt::StGF { buf, idx, val } => {
-            plain.insert((true, *buf));
-            used.insert(idx.0);
-            used.insert(val.0);
+            plain_f.set(*buf, true);
+            used.set(idx.0, true);
+            used.set(val.0, true);
         }
         Stmt::StGI { buf, idx, val } => {
-            plain.insert((false, *buf));
-            used.insert(idx.0);
-            used.insert(val.0);
+            plain_i.set(*buf, true);
+            used.set(idx.0, true);
+            used.set(val.0, true);
         }
         Stmt::StSF { idx, val, .. } | Stmt::StSI { idx, val, .. } => {
-            used.insert(idx.0);
-            used.insert(val.0);
+            used.set(idx.0, true);
+            used.set(val.0, true);
         }
         Stmt::StLF { idx, val, .. } => {
-            used.insert(idx.0);
-            used.insert(val.0);
+            used.set(idx.0, true);
+            used.set(val.0, true);
         }
         Stmt::StVarF { val, .. } | Stmt::StVarI { val, .. } => {
-            used.insert(val.0);
+            used.set(val.0, true);
         }
         Stmt::If { cond, .. } => {
-            used.insert(cond.0);
+            used.set(cond.0, true);
         }
         Stmt::ForRange { start, end, .. } => {
-            used.insert(start.0);
-            used.insert(end.0);
+            used.set(start.0, true);
+            used.set(end.0, true);
         }
         Stmt::While { cond, .. } => {
-            used.insert(cond.0);
+            used.set(cond.0, true);
         }
         Stmt::Sync | Stmt::Comment(_) => {}
     });
@@ -1254,13 +1313,11 @@ pub fn atomics_summary(p: &Program) -> AtomicsSummary {
     if exch {
         return AtomicsSummary::NonReducible(NonReducibleReason::NonCommutativeOp);
     }
-    if atomic_dsts.iter().any(|d| used.contains(d)) {
+    if atomic_dsts.iter().any(|d| used.get(*d)) {
         return AtomicsSummary::NonReducible(NonReducibleReason::ResultObserved);
     }
-    if targets
-        .iter()
-        .any(|(t, _)| plain.contains(&(t.is_f, t.slot)))
-    {
+    let plain = |t: &AtomicTarget| if t.is_f { &plain_f } else { &plain_i }.get(t.slot);
+    if targets.iter().any(|(t, _)| plain(t)) {
         return AtomicsSummary::NonReducible(NonReducibleReason::TargetAccessed);
     }
     AtomicsSummary::Reducible(targets.into_iter().map(|(t, _)| t).collect())

@@ -3,7 +3,7 @@
 //! in debug builds before executing a program; the pass tests use it to
 //! prove transformations keep the IR well-formed.
 
-use std::collections::HashMap;
+use core::fmt::Display;
 
 use crate::ir::*;
 
@@ -21,12 +21,12 @@ impl std::error::Error for ValidateError {}
 
 struct Checker<'p> {
     p: &'p Program,
-    /// Type of each currently-in-scope value.
-    tys: HashMap<ValId, Ty>,
+    /// `tys[v]`: type of `ValId(v)` while it is in scope.
+    tys: Vec<Option<Ty>>,
     /// Values defined per open scope, for popping.
     scopes: Vec<Vec<ValId>>,
-    /// Every value ever defined (single-assignment check).
-    defined_once: HashMap<ValId, ()>,
+    /// `defined_once[v]`: `ValId(v)` was ever defined (single assignment).
+    defined_once: Vec<bool>,
 }
 
 impl<'p> Checker<'p> {
@@ -38,25 +38,25 @@ impl<'p> Checker<'p> {
         if v.0 >= self.p.n_vals {
             return self.err(format!("{v:?} >= n_vals {}", self.p.n_vals));
         }
-        if self.defined_once.insert(v, ()).is_some() {
+        if std::mem::replace(&mut self.defined_once[v.0 as usize], true) {
             return self.err(format!("{v:?} defined more than once"));
         }
-        self.tys.insert(v, ty);
+        self.tys[v.0 as usize] = Some(ty);
         self.scopes.last_mut().unwrap().push(v);
         Ok(())
     }
 
-    fn use_val(&self, v: ValId, want: Ty, ctx: &str) -> Result<(), ValidateError> {
-        match self.tys.get(&v) {
+    fn use_val(&self, v: ValId, want: Ty, ctx: impl Display) -> Result<(), ValidateError> {
+        match self.tys.get(v.0 as usize).copied().flatten() {
             None => self.err(format!("{v:?} used out of scope in {ctx}")),
-            Some(&ty) if ty != want => {
+            Some(ty) if ty != want => {
                 self.err(format!("{v:?} is {ty:?}, expected {want:?} in {ctx}"))
             }
             _ => Ok(()),
         }
     }
 
-    fn check_var(&self, var: VarId, want: Ty, ctx: &str) -> Result<(), ValidateError> {
+    fn check_var(&self, var: VarId, want: Ty, ctx: impl Display) -> Result<(), ValidateError> {
         match self.p.vars.get(var.0 as usize) {
             None => self.err(format!("{var:?} out of range in {ctx}")),
             Some(info) if info.ty != want => self.err(format!(
@@ -67,7 +67,7 @@ impl<'p> Checker<'p> {
         }
     }
 
-    fn check_shared(&self, sh: u32, want: Ty, ctx: &str) -> Result<(), ValidateError> {
+    fn check_shared(&self, sh: u32, want: Ty, ctx: impl Display) -> Result<(), ValidateError> {
         match self.p.shared.get(sh as usize) {
             None => self.err(format!("@sh{sh} out of range in {ctx}")),
             Some(info) if info.ty != want => self.err(format!(
@@ -80,7 +80,8 @@ impl<'p> Checker<'p> {
 
     fn check_op(&mut self, instr: &Instr) -> Result<(), ValidateError> {
         use Op::*;
-        let ctx = format!("{:?} = {:?}", instr.dst, instr.op);
+        // Rendered only if a check fails.
+        let ctx = format_args!("{:?} = {:?}", instr.dst, instr.op);
         match &instr.op {
             ConstF(_) | ConstI(_) | ConstB(_) | Special(_) => {}
             ParamF(s) => {
@@ -94,8 +95,8 @@ impl<'p> Checker<'p> {
                 }
             }
             BinF(_, a, b) => {
-                self.use_val(*a, Ty::F64, &ctx)?;
-                self.use_val(*b, Ty::F64, &ctx)?;
+                self.use_val(*a, Ty::F64, ctx)?;
+                self.use_val(*b, Ty::F64, ctx)?;
             }
             UnF(_, _) | I2F(_) | F2I(_) | U2UnitF(_) | NegI(_) | NotB(_) => {
                 let (a, want) = match &instr.op {
@@ -104,67 +105,67 @@ impl<'p> Checker<'p> {
                     NotB(a) => (*a, Ty::Bool),
                     _ => unreachable!(),
                 };
-                self.use_val(a, want, &ctx)?;
+                self.use_val(a, want, ctx)?;
             }
             Fma(a, b, c) => {
-                self.use_val(*a, Ty::F64, &ctx)?;
-                self.use_val(*b, Ty::F64, &ctx)?;
-                self.use_val(*c, Ty::F64, &ctx)?;
+                self.use_val(*a, Ty::F64, ctx)?;
+                self.use_val(*b, Ty::F64, ctx)?;
+                self.use_val(*c, Ty::F64, ctx)?;
             }
             BinI(_, a, b) => {
-                self.use_val(*a, Ty::I64, &ctx)?;
-                self.use_val(*b, Ty::I64, &ctx)?;
+                self.use_val(*a, Ty::I64, ctx)?;
+                self.use_val(*b, Ty::I64, ctx)?;
             }
             CmpF(_, a, b) => {
-                self.use_val(*a, Ty::F64, &ctx)?;
-                self.use_val(*b, Ty::F64, &ctx)?;
+                self.use_val(*a, Ty::F64, ctx)?;
+                self.use_val(*b, Ty::F64, ctx)?;
             }
             CmpI(_, a, b) => {
-                self.use_val(*a, Ty::I64, &ctx)?;
-                self.use_val(*b, Ty::I64, &ctx)?;
+                self.use_val(*a, Ty::I64, ctx)?;
+                self.use_val(*b, Ty::I64, ctx)?;
             }
             BinB(_, a, b) => {
-                self.use_val(*a, Ty::Bool, &ctx)?;
-                self.use_val(*b, Ty::Bool, &ctx)?;
+                self.use_val(*a, Ty::Bool, ctx)?;
+                self.use_val(*b, Ty::Bool, ctx)?;
             }
             SelF(c, t, e) => {
-                self.use_val(*c, Ty::Bool, &ctx)?;
-                self.use_val(*t, Ty::F64, &ctx)?;
-                self.use_val(*e, Ty::F64, &ctx)?;
+                self.use_val(*c, Ty::Bool, ctx)?;
+                self.use_val(*t, Ty::F64, ctx)?;
+                self.use_val(*e, Ty::F64, ctx)?;
             }
             SelI(c, t, e) => {
-                self.use_val(*c, Ty::Bool, &ctx)?;
-                self.use_val(*t, Ty::I64, &ctx)?;
-                self.use_val(*e, Ty::I64, &ctx)?;
+                self.use_val(*c, Ty::Bool, ctx)?;
+                self.use_val(*t, Ty::I64, ctx)?;
+                self.use_val(*e, Ty::I64, ctx)?;
             }
             LdGF { buf, idx } => {
                 if *buf >= self.p.n_bufs_f {
                     return self.err(format!("f64 buffer slot {buf} >= {}", self.p.n_bufs_f));
                 }
-                self.use_val(*idx, Ty::I64, &ctx)?;
+                self.use_val(*idx, Ty::I64, ctx)?;
             }
             LdGI { buf, idx } => {
                 if *buf >= self.p.n_bufs_i {
                     return self.err(format!("i64 buffer slot {buf} >= {}", self.p.n_bufs_i));
                 }
-                self.use_val(*idx, Ty::I64, &ctx)?;
+                self.use_val(*idx, Ty::I64, ctx)?;
             }
             LdSF { sh, idx } => {
-                self.check_shared(*sh, Ty::F64, &ctx)?;
-                self.use_val(*idx, Ty::I64, &ctx)?;
+                self.check_shared(*sh, Ty::F64, ctx)?;
+                self.use_val(*idx, Ty::I64, ctx)?;
             }
             LdSI { sh, idx } => {
-                self.check_shared(*sh, Ty::I64, &ctx)?;
-                self.use_val(*idx, Ty::I64, &ctx)?;
+                self.check_shared(*sh, Ty::I64, ctx)?;
+                self.use_val(*idx, Ty::I64, ctx)?;
             }
             LdLF { loc, idx } => {
                 if *loc as usize >= self.p.locals.len() {
                     return self.err(format!("local array {loc} out of range in {ctx}"));
                 }
-                self.use_val(*idx, Ty::I64, &ctx)?;
+                self.use_val(*idx, Ty::I64, ctx)?;
             }
-            LdVarF(v) => self.check_var(*v, Ty::F64, &ctx)?,
-            LdVarI(v) => self.check_var(*v, Ty::I64, &ctx)?,
+            LdVarF(v) => self.check_var(*v, Ty::F64, ctx)?,
+            LdVarI(v) => self.check_var(*v, Ty::I64, ctx)?,
             AtomicGF { op, buf, idx, val } => {
                 if *buf >= self.p.n_bufs_f {
                     return self.err(format!("f64 buffer slot {buf} >= {}", self.p.n_bufs_f));
@@ -175,15 +176,15 @@ impl<'p> Checker<'p> {
                 ) {
                     return self.err(format!("{op:?} atomic is integer-only, used on f64 buffer"));
                 }
-                self.use_val(*idx, Ty::I64, &ctx)?;
-                self.use_val(*val, Ty::F64, &ctx)?;
+                self.use_val(*idx, Ty::I64, ctx)?;
+                self.use_val(*val, Ty::F64, ctx)?;
             }
             AtomicGI { buf, idx, val, .. } => {
                 if *buf >= self.p.n_bufs_i {
                     return self.err(format!("i64 buffer slot {buf} >= {}", self.p.n_bufs_i));
                 }
-                self.use_val(*idx, Ty::I64, &ctx)?;
-                self.use_val(*val, Ty::I64, &ctx)?;
+                self.use_val(*idx, Ty::I64, ctx)?;
+                self.use_val(*val, Ty::I64, ctx)?;
             }
         }
         // The produced type must agree with the op's declared result type.
@@ -257,9 +258,7 @@ impl<'p> Checker<'p> {
                     self.scopes.push(Vec::new());
                     self.define(*counter, Ty::I64)?;
                     self.check_block(body)?;
-                    for v in self.scopes.pop().unwrap() {
-                        self.tys.remove(&v);
-                    }
+                    self.close_scope();
                 }
                 Stmt::While {
                     cond_block,
@@ -283,16 +282,19 @@ impl<'p> Checker<'p> {
                     }
                     self.use_val(*cond, Ty::Bool, "while cond")?;
                     self.check_block(body)?;
-                    for v in self.scopes.pop().unwrap() {
-                        self.tys.remove(&v);
-                    }
+                    self.close_scope();
                 }
             }
         }
-        for v in self.scopes.pop().unwrap() {
-            self.tys.remove(&v);
-        }
+        self.close_scope();
         Ok(())
+    }
+
+    /// Pop the innermost scope: its values are no longer usable.
+    fn close_scope(&mut self) {
+        for v in self.scopes.pop().expect("a scope is open") {
+            self.tys[v.0 as usize] = None;
+        }
     }
 }
 
@@ -300,9 +302,9 @@ impl<'p> Checker<'p> {
 pub fn validate(p: &Program) -> Result<(), ValidateError> {
     let mut c = Checker {
         p,
-        tys: HashMap::new(),
+        tys: vec![None; p.n_vals as usize],
         scopes: vec![Vec::new()],
-        defined_once: HashMap::new(),
+        defined_once: vec![false; p.n_vals as usize],
     };
     c.check_block(&p.body)?;
     Ok(())

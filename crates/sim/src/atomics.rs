@@ -39,7 +39,7 @@ use std::sync::Arc;
 
 use alpaka_kir::ir::AtomicOp;
 use alpaka_kir::semantics as sem;
-use alpaka_kir::{atomics_summary, AtomicsSummary, NonReducibleReason, Program};
+use alpaka_kir::{AtomicsSummary, NonReducibleReason, Program};
 
 use crate::interp::SimArgs;
 use crate::memory::DeviceMem;
@@ -102,11 +102,12 @@ fn identity_i(op: AtomicOp) -> i64 {
     }
 }
 
-/// Build the launch-time deferral plan for `prog` under the bindings
-/// `args`, or `None` when the launch must keep direct (serial-order)
-/// atomics: the program is statically non-reducible, a target slot is
-/// unbound, or two bound slots alias the same buffer (the per-slot
-/// analysis can't see through that).
+/// Build the launch-time deferral plan for `prog` (whose
+/// `alpaka_kir::atomics_summary` is `summary`, computed once per prepared
+/// program) under the bindings `args`, or `None` when the launch must keep
+/// direct (serial-order) atomics: the program is statically non-reducible,
+/// a target slot is unbound, or two bound slots alias the same buffer (the
+/// per-slot analysis can't see through that).
 pub(crate) fn plan_for(
     summary: &AtomicsSummary,
     mem: &DeviceMem,
@@ -293,19 +294,6 @@ pub(crate) fn apply_deferred(
             *cell = sem::atomic_i(e.op, *cell, e.bits as i64);
         }
     }
-}
-
-/// `atomics_summary` plus the launch-time bindings check, producing the
-/// plan (if deferrable) and the fallback reason to report when the launch
-/// wanted parallelism but can't have it.
-pub(crate) fn classify(
-    prog: &Program,
-    mem: &DeviceMem,
-    args: &SimArgs,
-) -> (AtomicsSummary, Option<Arc<AtomicsPlan>>) {
-    let summary = atomics_summary(prog);
-    let plan = plan_for(&summary, mem, args, prog);
-    (summary, plan)
 }
 
 /// Human-readable reason string for `FallbackReason::AtomicsNonReducible`

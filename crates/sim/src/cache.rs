@@ -28,10 +28,18 @@ pub struct CacheSim {
     pub misses: u64,
 }
 
+#[cfg(test)]
+thread_local! {
+    /// Caches built on this thread (a one-worker launch runs on its caller's).
+    pub(crate) static BUILT: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
 impl CacheSim {
     /// Build a cache of `capacity_kib` KiB with `assoc` ways and
     /// `line_bytes` lines. Set count is rounded up to a power of two.
     pub fn new(capacity_kib: usize, assoc: usize, line_bytes: usize) -> Self {
+        #[cfg(test)]
+        BUILT.with(|n| n.set(n.get() + 1));
         let assoc = assoc.max(1);
         let lines = (capacity_kib * 1024 / line_bytes).max(assoc);
         let sets = (lines / assoc).next_power_of_two();
@@ -42,6 +50,23 @@ impl CacheSim {
             tags: vec![u64::MAX; sets * assoc],
             stamp: vec![0; sets * assoc],
             hint: vec![0; sets],
+            tick: 0,
+            hits: 0,
+            misses: 0,
+        }
+    }
+
+    /// The stand-in for an SM's cache until a block lands there
+    /// (`Machine::enter_block`): no storage, `line_bytes() == 0`, never
+    /// accessed.
+    pub(crate) fn unbuilt() -> Self {
+        CacheSim {
+            sets: 0,
+            assoc: 0,
+            line_bytes: 0,
+            tags: Vec::new(),
+            stamp: Vec::new(),
+            hint: Vec::new(),
             tick: 0,
             hits: 0,
             misses: 0,

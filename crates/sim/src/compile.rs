@@ -1,6 +1,6 @@
 //! The fused tier of `Engine::Compiled`: direct-threaded warp programs with
 //! fused uniform loops, for launches of **one thread per block** (the CPU
-//! mapping of the paper's kernels; `run_kernel_launch_faulty` picks the tier
+//! mapping of the paper's kernels; `Prepared::launch` picks the tier
 //! from the work division and runs every other launch, and every traced or
 //! profiled one, on the lowered interpreter of `crate::lower`).
 //!
@@ -1233,7 +1233,7 @@ fn compile_range(wp: &WarpProgram, lo: usize, hi: usize, n_fused: &mut usize) ->
 /// Compile a lowered program into its direct-threaded form; `None` when no
 /// loop fused — the tree would replay the flat op list one dispatch layer
 /// deeper than the lowered interpreter, so the launch runs that instead.
-/// Cached next to the lowered form, see `lower::cached_for`.
+/// Kept next to the lowered form, see `lower::Prepared`.
 pub(crate) fn compile(wp: &Arc<WarpProgram>) -> Option<CompiledProgram> {
     let mut n_fused = 0usize;
     let root = compile_range(wp, 0, wp.ops.len(), &mut n_fused);
@@ -2085,9 +2085,11 @@ mod tests {
         let folded = |s: &SStep| matches!(s, SStep::LdFMulAdd { .. });
         assert_eq!(march.turbo[8..].iter().filter(|s| folded(s)).count(), 1);
 
-        let mut ase = alpaka_kir::trace_kernel(&hase::AseKernel, 1);
-        alpaka_kir::optimize(&mut ase);
-        let cached = crate::lower::cached_for(&ase).expect("a valid program");
-        assert!(cached.compiled().is_some());
+        let mut ase_prog = alpaka_kir::trace_kernel(&hase::AseKernel, 1);
+        alpaka_kir::optimize(&mut ase_prog);
+        let cached = crate::lower::cached_for(&ase_prog);
+        let ase = &cached.prepared;
+        let wp = ase.lowered(&ase_prog).expect("a valid program");
+        assert!(ase.compiled(&wp).is_some());
     }
 }

@@ -23,8 +23,9 @@
 //! There are two engines ([`Engine`]): the tree-walker in this file is the
 //! oracle, reachable only through `Engine::Reference`; production launches
 //! (`Engine::Compiled`) run `crate::lower`'s interpreter or the fused tier
-//! of `crate::compile` on top of it, as [`run_kernel_launch_faulty`]
-//! decides. All share the accounting models (`Machine`).
+//! of `crate::compile` on top of it, as `Prepared::launch` (the one launch
+//! function, at the end of this file) decides. All share the accounting
+//! models (`Machine`).
 
 // The interpreter's hot loops iterate lane indices under an active mask and
 // index several parallel per-lane arrays at once — the explicit-index form
@@ -44,6 +45,7 @@ use alpaka_kir::semantics as sem;
 
 use crate::cache::CacheSim;
 use crate::fault::{EccCtx, SimError};
+use crate::lower::Prepared;
 use crate::memory::{DeviceMem, SharedMem, SimBufF, SimBufI};
 use crate::profile::{merge_counters, InstrCounters, KernelProfile, Numbering};
 use crate::serr;
@@ -593,6 +595,21 @@ impl<'a> Machine<'a> {
             if any_t && any_f {
                 self.stats.divergent_branches += 1;
                 self.prof_add(|c| c.divergent_branches += 1);
+            }
+        }
+    }
+
+    /// Start block `lin` on this worker's SM slot `sm`, building the slot's
+    /// cache model if no block landed there yet (the Phi model's 60 caches
+    /// are 30 MiB to fill; a sampled launch touches four). A per-SM cache
+    /// lives for one launch either way, so what it sees is unchanged.
+    pub(crate) fn enter_block(&mut self, sm: usize, lin: usize) {
+        self.cur_sm = sm;
+        self.cur_block_lin = lin;
+        if let Caches::PerSm(cs) = &mut self.caches {
+            if cs[sm].line_bytes() == 0 {
+                let s = self.spec;
+                cs[sm] = CacheSim::new(s.cache_kib, s.cache_assoc, s.line_bytes);
             }
         }
     }
@@ -1648,27 +1665,6 @@ pub(crate) fn trip_live(start: i64, iter: i64, end: i64) -> bool {
     start.checked_add(iter).is_some_and(|k| k < end)
 }
 
-/// True when `prog` contains a global atomic anywhere in its body. Such
-/// programs run on the serial path: the interpreter's atomics are plain
-/// read-modify-write sequences, and for floating point even a locked
-/// parallel ordering would change rounding versus the serial block order.
-pub fn program_uses_global_atomics(prog: &Program) -> bool {
-    fn block_has(b: &Block) -> bool {
-        b.0.iter().any(|stmt| match stmt {
-            Stmt::I(instr) => {
-                matches!(instr.op, Op::AtomicGF { .. } | Op::AtomicGI { .. })
-            }
-            Stmt::If { then_b, else_b, .. } => block_has(then_b) || block_has(else_b),
-            Stmt::ForRange { body, .. } => block_has(body),
-            Stmt::While {
-                cond_block, body, ..
-            } => block_has(cond_block) || block_has(body),
-            _ => false,
-        })
-    }
-    block_has(&prog.body)
-}
-
 /// Strictly increasing linear block indices for `ExecMode::SampleBlocks`:
 /// ~`k` blocks evenly spaced over `0..total`, never duplicated, never out
 /// of range. `k` is clamped to `1..=total`.
@@ -1705,7 +1701,7 @@ pub enum Engine {
 }
 
 /// How the blocks of one launch execute: chosen once per launch, in
-/// [`run_kernel_launch_faulty`].
+/// `Prepared::launch`.
 pub(crate) enum Tier {
     /// `Engine::Reference`'s tree-walker.
     Reference,
@@ -1760,8 +1756,8 @@ pub(crate) fn stats_issue_cycles(s: &LaunchStats) -> u64 {
     s.scalar_issue + s.vec_issue + s.bank_conflict_cycles + s.syncs * 8 + s.atomics * 16
 }
 
-/// Build one worker's [`Machine`]: stats accumulator, cache models for the
-/// SMs this worker owns, and the reusable accounting scratch.
+/// Build one worker's [`Machine`]: stats accumulator, a slot per SM this
+/// worker owns for its cache model, and the reusable accounting scratch.
 pub(crate) fn make_machine<'a>(
     ctx: &'a LaunchCtx<'_>,
     mem: MemAccess<'a>,
@@ -1777,7 +1773,7 @@ pub(crate) fn make_machine<'a>(
         CacheScope::PerSm => Caches::PerSm(
             (0..sms)
                 .filter(|s| s % team == worker)
-                .map(|_| CacheSim::new(spec.cache_kib, spec.cache_assoc, spec.line_bytes))
+                .map(|_| CacheSim::unbuilt())
                 .collect(),
         ),
         // A device-wide cache cannot be split; the caller never parallelizes
@@ -1920,8 +1916,7 @@ fn interpret_blocks(
             }
         }
         ran_a_block = true;
-        m.cur_sm = sm / team;
-        m.cur_block_lin = lin;
+        m.enter_block(sm / team, lin);
         bs.bidx = ctx.grid_ext.delinearize(lin).map_i64();
         let cycles_before = stats_issue_cycles(&m.stats);
         m.exec_block(&mut bs, &prog.body, &full_mask).map_err(|e| {
@@ -2040,9 +2035,10 @@ pub fn run_kernel_launch_engine(
     run_kernel_launch_faulty(spec, mem, prog, wd, args, mode, threads, engine, None)
 }
 
-/// [`run_kernel_launch_engine`] with per-launch fault injection. This is
-/// the full entry point the simulated device calls; every other launch
-/// function delegates here with `faults: None`.
+/// [`run_kernel_launch_engine`] with per-launch fault injection: the entry
+/// point for a bare `&Program`, whose [`Prepared`] form the compiled engine
+/// keeps in the process-wide program cache (the oracle needs none kept).
+/// Every other launch function delegates here with `faults: None`.
 #[allow(clippy::too_many_arguments)]
 pub fn run_kernel_launch_faulty(
     spec: &DeviceSpec,
@@ -2055,219 +2051,251 @@ pub fn run_kernel_launch_faulty(
     engine: Engine,
     faults: Option<LaunchFaults>,
 ) -> Result<SimReport, SimError> {
-    let host_t0 = Instant::now();
-    // `DeviceSpec`'s fields are public: the access models shift by
-    // `log2(line_bytes)`, and blocks divide into warps and over SMs.
-    let (name, line) = (&spec.name, spec.line_bytes);
-    if !line.is_power_of_two() {
-        return Err(serr!(
-            "{name}: `line_bytes` must be a power of two, got {line}"
-        ));
-    }
-    if spec.warp_width == 0 || spec.sms == 0 {
-        let (w, sms) = (spec.warp_width, spec.sms);
-        return Err(serr!(
-            "{name}: `warp_width` ({w}) and `sms` ({sms}) must be at least 1"
-        ));
-    }
-    let threads_per_block = wd.threads_per_block();
-    if threads_per_block > spec.max_threads_per_block {
-        return Err(serr!(
-            "{} supports at most {} threads per block, got {threads_per_block}",
-            spec.name,
-            spec.max_threads_per_block
-        ));
-    }
-    if prog.shared_bytes() > spec.shared_mem_per_block {
-        return Err(serr!(
-            "kernel needs {} B shared memory, device has {} B per block",
-            prog.shared_bytes(),
-            spec.shared_mem_per_block
-        ));
-    }
-    if prog.dims != wd.dim {
-        return Err(serr!(
-            "program traced for {}-D launches, work division is {}-D",
-            prog.dims,
-            wd.dim
-        ));
-    }
-    // Invalid IR is an error on both engines: neither checks the ids it
-    // indexes registers by. The compiled engine runs the fused tier when
-    // the blocks have one thread (fused loops run at one lane only, so the
-    // tier follows from the work division), the launch is untraced (the
-    // lowered tier's per-instruction replay is what trace and profile
-    // streams are made of) and some loop of the program fused.
-    let traced = alpaka_core::trace::enabled();
-    let tier = match engine {
-        Engine::Reference => {
-            crate::lower::check_ir(prog)?;
-            Tier::Reference
-        }
+    let (cached, fresh);
+    let prepared = match engine {
         Engine::Compiled => {
-            let cached = crate::lower::cached_for(prog)?;
-            let fused = (threads_per_block == 1 && !traced).then(|| cached.compiled());
-            match fused.flatten() {
-                Some(cp) => Tier::Fused(cp),
-                None => Tier::Lowered(Arc::clone(&cached.wp)),
+            cached = crate::lower::cached_for(prog);
+            &cached.prepared
+        }
+        Engine::Reference => {
+            fresh = Prepared::new(prog);
+            &fresh
+        }
+    };
+    prepared.launch(spec, mem, prog, wd, args, mode, threads, engine, faults)
+}
+
+impl Prepared {
+    /// The one launch function: run `prog`, the program this handle was made
+    /// from, on what the handle holds. The simulated device calls this for
+    /// its compiled kernels; [`run_kernel_launch_faulty`] finds a handle first.
+    #[allow(clippy::too_many_arguments)]
+    pub fn launch(
+        &self,
+        spec: &DeviceSpec,
+        mem: &mut DeviceMem,
+        prog: &Program,
+        wd: &WorkDiv,
+        args: &SimArgs,
+        mode: ExecMode,
+        threads: usize,
+        engine: Engine,
+        faults: Option<LaunchFaults>,
+    ) -> Result<SimReport, SimError> {
+        let host_t0 = Instant::now();
+        // `DeviceSpec`'s fields are public: the access models shift by
+        // `log2(line_bytes)`, and blocks divide into warps and over SMs.
+        let (name, line) = (&spec.name, spec.line_bytes);
+        if !line.is_power_of_two() {
+            return Err(serr!(
+                "{name}: `line_bytes` must be a power of two, got {line}"
+            ));
+        }
+        if spec.warp_width == 0 || spec.sms == 0 {
+            let (w, sms) = (spec.warp_width, spec.sms);
+            return Err(serr!(
+                "{name}: `warp_width` ({w}) and `sms` ({sms}) must be at least 1"
+            ));
+        }
+        let threads_per_block = wd.threads_per_block();
+        if threads_per_block > spec.max_threads_per_block {
+            return Err(serr!(
+                "{} supports at most {} threads per block, got {threads_per_block}",
+                spec.name,
+                spec.max_threads_per_block
+            ));
+        }
+        if prog.shared_bytes() > spec.shared_mem_per_block {
+            return Err(serr!(
+                "kernel needs {} B shared memory, device has {} B per block",
+                prog.shared_bytes(),
+                spec.shared_mem_per_block
+            ));
+        }
+        if prog.dims != wd.dim {
+            return Err(serr!(
+                "program traced for {}-D launches, work division is {}-D",
+                prog.dims,
+                wd.dim
+            ));
+        }
+        // Invalid IR is an error on both engines: neither checks the ids it
+        // indexes registers by. The compiled engine runs the fused tier when
+        // the blocks have one thread (fused loops run at one lane only, so the
+        // tier follows from the work division), the launch is untraced (the
+        // lowered tier's per-instruction replay is what trace and profile
+        // streams are made of) and some loop of the program fused.
+        let traced = alpaka_core::trace::enabled();
+        let tier = match engine {
+            Engine::Reference => {
+                crate::lower::check_ir(prog)?;
+                Tier::Reference
             }
-        }
-    };
-
-    let total_blocks = wd.block_count();
-    let (indices, scale, sampled): (Vec<usize>, f64, bool) = match mode {
-        ExecMode::Full => ((0..total_blocks).collect(), 1.0, false),
-        ExecMode::SampleBlocks(k) => {
-            let idx = sample_indices(total_blocks, k);
-            let scale = total_blocks as f64 / idx.len().max(1) as f64;
-            (idx, scale, total_blocks > k)
-        }
-        ExecMode::BlockRange { start, end } => {
-            if start > end || end > total_blocks {
-                return Err(serr!(
-                    "block range {start}..{end} outside grid of {total_blocks} block(s)"
-                ));
+            Engine::Compiled => {
+                let wp = self.lowered(prog)?;
+                let fused = (threads_per_block == 1 && !traced).then(|| self.compiled(&wp));
+                match fused.flatten() {
+                    Some(cp) => Tier::Fused(cp),
+                    None => Tier::Lowered(wp),
+                }
             }
-            ((start..end).collect(), 1.0, false)
-        }
-    };
+        };
 
-    let warp_w = spec.warp_width;
-    // Profiling piggybacks on the tracing switch so the default launch
-    // path stays allocation-free.
-    let numbering = traced.then(|| Arc::new(Numbering::new(prog)));
-    // Classify the program's global atomics: a reducible plan lets every
-    // engine defer them (worker-private accumulation, ordered reduction
-    // below) and so lets the block loop parallelize.
-    let (atomics_summary, atomics_plan) = crate::atomics::classify(prog, mem, args);
-    let has_atomics = !matches!(atomics_summary, alpaka_kir::AtomicsSummary::NoAtomics);
-    let ctx = LaunchCtx {
-        spec,
-        prog,
-        args,
-        grid: wd.blocks.map(|v| v as i64),
-        block: wd.threads.map(|v| v as i64),
-        elems: wd.elems.map(|v| v as i64),
-        warp_w,
-        n_warps: threads_per_block.div_ceil(warp_w),
-        lanes: threads_per_block,
-        grid_ext: Vecn(wd.blocks),
-        thread_ext: Vecn(wd.threads),
-        tier,
-        fuel: faults.and_then(|f| f.watchdog_fuel).unwrap_or(DEFAULT_FUEL),
-        watchdog: faults.is_some_and(|f| f.watchdog_fuel.is_some()),
-        ecc: faults.and_then(|f| f.ecc),
-        numbering,
-        atomics: atomics_plan,
-    };
+        let total_blocks = wd.block_count();
+        let (indices, scale, sampled): (Vec<usize>, f64, bool) = match mode {
+            ExecMode::Full => ((0..total_blocks).collect(), 1.0, false),
+            ExecMode::SampleBlocks(k) => {
+                let idx = sample_indices(total_blocks, k);
+                let scale = total_blocks as f64 / idx.len().max(1) as f64;
+                (idx, scale, total_blocks > k)
+            }
+            ExecMode::BlockRange { start, end } => {
+                if start > end || end > total_blocks {
+                    return Err(serr!(
+                        "block range {start}..{end} outside grid of {total_blocks} block(s)"
+                    ));
+                }
+                ((start..end).collect(), 1.0, false)
+            }
+        };
 
-    // A worker without SMs would idle, so the team never exceeds the SM
-    // count (nor the block count).
-    let team = threads.max(1).min(spec.sms).min(indices.len().max(1));
-    // Atomics no longer force the serial path by themselves: a launch
-    // with a deferral plan parallelizes like any other. Only non-reducible
-    // atomic programs (and shared-cache devices) stay serial.
-    let parallel = team > 1
-        && spec.cache_scope != CacheScope::Shared
-        && (!has_atomics || ctx.atomics.is_some());
-    let fallback = if team > 1 && spec.cache_scope == CacheScope::Shared {
-        crate::atomics::FallbackReason::SharedCacheScope
-    } else if team > 1 && has_atomics && ctx.atomics.is_none() {
-        crate::atomics::FallbackReason::AtomicsNonReducible
-    } else {
-        crate::atomics::FallbackReason::None
-    };
+        let warp_w = spec.warp_width;
+        // Profiling piggybacks on the tracing switch so the default launch
+        // path stays allocation-free.
+        let numbering = traced.then(|| Arc::new(Numbering::new(prog)));
+        // Classify the program's global atomics: a reducible plan lets every
+        // engine defer them (worker-private accumulation, ordered reduction
+        // below) and so lets the block loop parallelize.
+        let atomics_plan = crate::atomics::plan_for(&self.atomics, mem, args, prog);
+        let has_atomics = !matches!(self.atomics, alpaka_kir::AtomicsSummary::NoAtomics);
+        let ctx = LaunchCtx {
+            spec,
+            prog,
+            args,
+            grid: wd.blocks.map(|v| v as i64),
+            block: wd.threads.map(|v| v as i64),
+            elems: wd.elems.map(|v| v as i64),
+            warp_w,
+            n_warps: threads_per_block.div_ceil(warp_w),
+            lanes: threads_per_block,
+            grid_ext: Vecn(wd.blocks),
+            thread_ext: Vecn(wd.threads),
+            tier,
+            fuel: faults.and_then(|f| f.watchdog_fuel).unwrap_or(DEFAULT_FUEL),
+            watchdog: faults.is_some_and(|f| f.watchdog_fuel.is_some()),
+            ecc: faults.and_then(|f| f.ecc),
+            numbering,
+            atomics: atomics_plan,
+        };
 
-    let (raw_stats, raw_profile, mut spans, workers, deferred) = if !parallel {
-        let out =
-            interpret_blocks(&ctx, MemAccess::Excl(mem), 1, 0, &indices).map_err(|(_, msg)| msg)?;
-        let deferred = out.atomics.into_iter().collect::<Vec<_>>();
-        (out.stats, out.profile, out.spans, 1, deferred)
-    } else {
-        let view = mem.shared_view();
-        let slots: Vec<WorkerSlot> = (0..team).map(|_| Mutex::new(None)).collect();
-        run_team(team, |w| {
-            let result = interpret_blocks(&ctx, MemAccess::Shared(&view), team, w, &indices);
-            *slots[w].lock().unwrap_or_else(|e| e.into_inner()) = Some(result);
-        })
-        .map_err(|p| serr!("simulator worker panicked: {p}"))?;
+        // A worker without SMs would idle, so the team never exceeds the SM
+        // count (nor the block count).
+        let team = threads.max(1).min(spec.sms).min(indices.len().max(1));
+        // Atomics no longer force the serial path by themselves: a launch
+        // with a deferral plan parallelizes like any other. Only non-reducible
+        // atomic programs (and shared-cache devices) stay serial.
+        let parallel = team > 1
+            && spec.cache_scope != CacheScope::Shared
+            && (!has_atomics || ctx.atomics.is_some());
+        let fallback = if team > 1 && spec.cache_scope == CacheScope::Shared {
+            crate::atomics::FallbackReason::SharedCacheScope
+        } else if team > 1 && has_atomics && ctx.atomics.is_none() {
+            crate::atomics::FallbackReason::AtomicsNonReducible
+        } else {
+            crate::atomics::FallbackReason::None
+        };
 
-        // Merge in fixed worker-index order; error on the lowest failing
-        // block so the message matches what the serial run would report.
-        let mut merged = LaunchStats::default();
-        let mut merged_prof: Option<Box<[InstrCounters]>> = None;
-        let mut merged_spans: Vec<BlockSpan> = Vec::new();
-        let mut deferred: Vec<crate::atomics::AtomicsPriv> = Vec::new();
-        let mut first_err: Option<(usize, SimError)> = None;
-        for slot in &slots {
-            match slot.lock().unwrap_or_else(|e| e.into_inner()).take() {
-                Some(Ok(out)) => {
-                    merged.add(&out.stats);
-                    if let Some(p) = out.profile {
-                        match &mut merged_prof {
-                            Some(m) => merge_counters(m, &p),
-                            None => merged_prof = Some(p),
+        let (raw_stats, raw_profile, mut spans, workers, deferred) = if !parallel {
+            let out = interpret_blocks(&ctx, MemAccess::Excl(mem), 1, 0, &indices)
+                .map_err(|(_, msg)| msg)?;
+            let deferred = out.atomics.into_iter().collect::<Vec<_>>();
+            (out.stats, out.profile, out.spans, 1, deferred)
+        } else {
+            let view = mem.shared_view();
+            let slots: Vec<WorkerSlot> = (0..team).map(|_| Mutex::new(None)).collect();
+            run_team(team, |w| {
+                let result = interpret_blocks(&ctx, MemAccess::Shared(&view), team, w, &indices);
+                *slots[w].lock().unwrap_or_else(|e| e.into_inner()) = Some(result);
+            })
+            .map_err(|p| serr!("simulator worker panicked: {p}"))?;
+
+            // Merge in fixed worker-index order; error on the lowest failing
+            // block so the message matches what the serial run would report.
+            let mut merged = LaunchStats::default();
+            let mut merged_prof: Option<Box<[InstrCounters]>> = None;
+            let mut merged_spans: Vec<BlockSpan> = Vec::new();
+            let mut deferred: Vec<crate::atomics::AtomicsPriv> = Vec::new();
+            let mut first_err: Option<(usize, SimError)> = None;
+            for slot in &slots {
+                match slot.lock().unwrap_or_else(|e| e.into_inner()).take() {
+                    Some(Ok(out)) => {
+                        merged.add(&out.stats);
+                        if let Some(p) = out.profile {
+                            match &mut merged_prof {
+                                Some(m) => merge_counters(m, &p),
+                                None => merged_prof = Some(p),
+                            }
+                        }
+                        merged_spans.extend(out.spans);
+                        deferred.extend(out.atomics);
+                    }
+                    Some(Err((lin, msg))) => {
+                        if first_err.as_ref().is_none_or(|(l, _)| lin < *l) {
+                            first_err = Some((lin, msg));
                         }
                     }
-                    merged_spans.extend(out.spans);
-                    deferred.extend(out.atomics);
+                    None => return Err("simulator worker produced no result".into()),
                 }
-                Some(Err((lin, msg))) => {
-                    if first_err.as_ref().is_none_or(|(l, _)| lin < *l) {
-                        first_err = Some((lin, msg));
-                    }
-                }
-                None => return Err("simulator worker produced no result".into()),
             }
+            if let Some((_, msg)) = first_err {
+                return Err(msg);
+            }
+            (merged, merged_prof, merged_spans, team, deferred)
+        };
+        // Reduce the workers' deferred atomics into the real buffers, in
+        // worker order — only after every block ran without error. (A failed
+        // launch thus applies none of its atomics, where the direct path
+        // would have applied those preceding the fault; no API promises
+        // buffer contents of a failed launch.)
+        if let Some(plan) = &ctx.atomics {
+            crate::atomics::apply_deferred(plan, deferred, mem, args);
         }
-        if let Some((_, msg)) = first_err {
-            return Err(msg);
-        }
-        (merged, merged_prof, merged_spans, team, deferred)
-    };
-    // Reduce the workers' deferred atomics into the real buffers, in
-    // worker order — only after every block ran without error. (A failed
-    // launch thus applies none of its atomics, where the direct path
-    // would have applied those preceding the fault; no API promises
-    // buffer contents of a failed launch.)
-    if let Some(plan) = &ctx.atomics {
-        crate::atomics::apply_deferred(plan, deferred, mem, args);
-    }
-    // Workers interleave over SMs; restore the serial block order.
-    spans.sort_by_key(|s| s.block);
+        // Workers interleave over SMs; restore the serial block order.
+        spans.sort_by_key(|s| s.block);
 
-    let interpreted_blocks = raw_stats.blocks;
-    let interpreted_instrs = raw_stats.scalar_issue + raw_stats.vec_issue;
-    let stats = if sampled {
-        raw_stats.scaled(scale)
-    } else {
-        raw_stats
-    };
-    let time = estimate_time(spec, &stats, threads_per_block, prog.shared_bytes());
-    let wall_s = host_t0.elapsed().as_secs_f64();
-    let host = HostPerf {
-        wall_s,
-        blocks_per_sec: interpreted_blocks as f64 / wall_s.max(1e-12),
-        instrs_per_sec: interpreted_instrs as f64 / wall_s.max(1e-12),
-        workers,
-    };
-    let profile = match (raw_profile, &ctx.numbering) {
-        (Some(p), Some(n)) => Some(KernelProfile::new(prog.name.clone(), n, p.into_vec())),
-        _ => None,
-    };
-    let (lowering_cache, compile_cache) = crate::lower::cache_counters();
-    Ok(SimReport {
-        stats,
-        time,
-        sampled,
-        host,
-        profile,
-        spans,
-        lowering_cache,
-        compile_cache,
-        fallback,
-        resilience: None,
-    })
+        let interpreted_blocks = raw_stats.blocks;
+        let interpreted_instrs = raw_stats.scalar_issue + raw_stats.vec_issue;
+        let stats = if sampled {
+            raw_stats.scaled(scale)
+        } else {
+            raw_stats
+        };
+        let time = estimate_time(spec, &stats, threads_per_block, prog.shared_bytes());
+        let wall_s = host_t0.elapsed().as_secs_f64();
+        let host = HostPerf {
+            wall_s,
+            blocks_per_sec: interpreted_blocks as f64 / wall_s.max(1e-12),
+            instrs_per_sec: interpreted_instrs as f64 / wall_s.max(1e-12),
+            workers,
+        };
+        let profile = match (raw_profile, &ctx.numbering) {
+            (Some(p), Some(n)) => Some(KernelProfile::new(prog.name.clone(), n, p.into_vec())),
+            _ => None,
+        };
+        let (lowering_cache, compile_cache) = crate::lower::cache_counters();
+        Ok(SimReport {
+            stats,
+            time,
+            sampled,
+            host,
+            profile,
+            spans,
+            lowering_cache,
+            compile_cache,
+            fallback,
+            resilience: None,
+        })
+    }
 }
 
 pub(crate) trait MapI64 {
@@ -2478,6 +2506,8 @@ mod tests {
             let (mut mem_a, mut mem_b) = (DeviceMem::new(), DeviceMem::new());
             let mut old = make_machine(&ctx, MemAccess::Excl(&mut mem_a), 1, 0);
             let mut new = make_machine(&ctx, MemAccess::Excl(&mut mem_b), 1, 0);
+            old.enter_block(0, 0);
+            new.enter_block(0, 0);
             for round in 0..5_000 {
                 if round % 40 == 0 {
                     let iter = rnd(3) as u32;

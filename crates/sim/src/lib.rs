@@ -34,11 +34,11 @@ pub use atomics::{non_reducible_reason_str, FallbackReason};
 pub use cache::CacheSim;
 pub use fault::{EccCtx, FaultPlan, SimError, SimErrorKind};
 pub use interp::{
-    program_uses_global_atomics, resolve_sim_threads, run_kernel_launch, run_kernel_launch_engine,
-    run_kernel_launch_faulty, run_kernel_launch_threads, AttemptRecord, Engine, ExecMode, HostPerf,
-    LaunchFaults, ResilienceInfo, SimArgs, SimReport,
+    resolve_sim_threads, run_kernel_launch, run_kernel_launch_engine, run_kernel_launch_faulty,
+    run_kernel_launch_threads, AttemptRecord, Engine, ExecMode, HostPerf, LaunchFaults,
+    ResilienceInfo, SimArgs, SimReport,
 };
-pub use lower::{lower, CacheCounters, WarpProgram};
+pub use lower::{lower, CacheCounters, Prepared, WarpProgram};
 pub use memory::{DeviceMem, SharedMem, SimBufF, SimBufI};
 pub use profile::{InstrCounters, KernelProfile, Numbering};
 pub use spec::{CacheScope, DeviceSpec};
@@ -391,6 +391,31 @@ mod tests {
         // Simulated time within 20% of the full run.
         let tr = (sampled.time.total_s - full.time.total_s).abs() / full.time.total_s;
         assert!(tr < 0.2, "time rel err {tr}");
+    }
+
+    /// A per-SM cache model is built when a block lands on its SM: the Phi
+    /// model has 60, a four-block sample touches at most four, and a
+    /// zero-block launch none.
+    #[test]
+    fn sampled_launch_builds_only_the_caches_it_uses() {
+        let spec = DeviceSpec::xeon_phi_5110p();
+        let n = 1 << 14;
+        let prog = trace_kernel(&Daxpy, 1);
+        let wd = WorkDiv::d1(n / 64, 1, 64);
+        let built = |mode: ExecMode| {
+            let (mut mem, args) = daxpy_setup(n);
+            let before = cache::BUILT.with(|b| b.get());
+            // One worker: the launch runs on this thread, where BUILT counts.
+            let rep = run_kernel_launch_threads(&spec, &mut mem, &prog, &wd, &args, mode, 1);
+            (cache::BUILT.with(|b| b.get()) - before, rep.unwrap())
+        };
+        let (caches, rep) = built(ExecMode::SampleBlocks(4));
+        assert!(rep.sampled && (1..=4).contains(&caches), "{caches}");
+        let (caches, _) = built(ExecMode::BlockRange { start: 7, end: 7 });
+        assert_eq!(caches, 0);
+        let (caches, rep) = built(ExecMode::Full);
+        assert_eq!(caches, spec.sms.min(n / 64));
+        assert!(rep.stats.cache_misses > 0);
     }
 
     #[test]

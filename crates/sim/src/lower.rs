@@ -2,7 +2,12 @@
 //! every `Engine::Compiled` launch starts from. It is not an engine of its
 //! own: it runs the blocks of multi-lane launches, of traced launches and
 //! of programs with nothing to fuse, and everything `crate::compile` hands
-//! back; the program cache at the end of the lowering half holds both forms.
+//! back.
+//!
+//! Who keeps the lowered form: a [`Prepared`], held by the caller (every
+//! kernel `alpaka-accsim` compiled: such a launch looks nothing up, takes no
+//! lock, copies no program) or, for a launch handed a bare `&Program`, by
+//! the process-wide `cached_for`. Either way a miss lowers: 3-60 us.
 //!
 //! [`lower`] turns a validated [`Program`] into a [`WarpProgram`] — a flat
 //! array of pre-decoded ops with all operand slots resolved — using the
@@ -33,12 +38,14 @@
 // several parallel per-lane arrays; the explicit-index form is clearest.
 #![allow(clippy::needless_range_loop)]
 
+use std::collections::hash_map::DefaultHasher;
+use std::hash::{BuildHasher, BuildHasherDefault};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use alpaka_core::acc::DeviceKind;
 use alpaka_kir::ir::*;
-use alpaka_kir::{uniformity, validate, Uniformity};
+use alpaka_kir::{atomics_summary, uniformity, validate, AtomicsSummary, Uniformity};
 
 use alpaka_core::trace::BlockSpan;
 
@@ -290,7 +297,7 @@ impl LOp {
 }
 
 /// A lowered program: flat op stream plus the constant preload. Produced by
-/// [`lower`], cached per `Program` by `cached_for`, shared
+/// [`lower`], kept per `Program` in its [`Prepared`], shared
 /// across interpreter workers via `Arc`.
 #[derive(Debug)]
 pub struct WarpProgram {
@@ -808,24 +815,78 @@ pub fn lower(prog: &Program) -> Option<WarpProgram> {
 }
 
 // ---------------------------------------------------------------------------
-// Program cache
+// Prepared programs and the program cache
 // ---------------------------------------------------------------------------
 
-/// One cached program: its lowered form, and the compiled form the first
-/// launch that can run fused loops builds from it.
-pub(crate) struct CachedProgram {
-    prog: Program,
-    pub(crate) wp: Arc<WarpProgram>,
+/// Everything a launch derives from its [`Program`] alone, each made once:
+/// the atomics classification (here), the lowered form (by the first
+/// compiled-engine launch), the compiled form (by the first that can run
+/// fused loops). Keep one next to a program launched many times and launch
+/// through [`Prepared::launch`]. It holds no reference to its program:
+/// every call must be given that same, unmodified program.
+pub struct Prepared {
+    pub(crate) atomics: AtomicsSummary,
+    /// The lowered form, or why the program is not valid IR.
+    lowered: OnceLock<Result<Arc<WarpProgram>, SimError>>,
     /// `Some(None)` records that nothing fused, so that too is decided once.
     compiled: OnceLock<Option<Arc<CompiledProgram>>>,
 }
 
+impl Prepared {
+    pub fn new(prog: &Program) -> Self {
+        Prepared {
+            atomics: atomics_summary(prog),
+            lowered: OnceLock::new(),
+            compiled: OnceLock::new(),
+        }
+    }
+
+    /// The lowered form of `prog`: made by the first call (a counted miss; a
+    /// racing call waits for it), handed out by every later one (a hit).
+    pub(crate) fn lowered(&self, prog: &Program) -> Result<Arc<WarpProgram>, SimError> {
+        let mut made = false;
+        let lowered = self.lowered.get_or_init(|| {
+            made = true;
+            lower_checked(prog).map(Arc::new)
+        });
+        let tally = if made { &LOWER_MISSES } else { &LOWER_HITS };
+        tally.fetch_add(1, Ordering::Relaxed);
+        lowered.clone()
+    }
+
+    /// The compiled form of `wp` (this handle's lowered form), built on
+    /// first use; `None` when nothing fused.
+    pub(crate) fn compiled(&self, wp: &Arc<WarpProgram>) -> Option<Arc<CompiledProgram>> {
+        let mut made = false;
+        let compiled = self.compiled.get_or_init(|| {
+            made = true;
+            compile(wp).map(Arc::new)
+        });
+        let tally = if made { &COMPILE_MISSES } else { &COMPILE_HITS };
+        tally.fetch_add(1, Ordering::Relaxed);
+        compiled.clone()
+    }
+}
+
+/// One cached program: the key (a fingerprint to find it by, the program to
+/// be sure) and what was prepared for it.
+pub(crate) struct CachedProgram {
+    fingerprint: u64,
+    prog: Program,
+    pub(crate) prepared: Prepared,
+}
+
 static CACHE: OnceLock<Mutex<Vec<Arc<CachedProgram>>>> = OnceLock::new();
+
+/// Entries of the program cache (and of `alpaka-accsim`'s per-device memo).
+/// Not sized for a tuning sweep on purpose: an entry retains ~30 KB, and 288
+/// lifted `workdiv_sweep`'s peak RSS from 13.5 to 24.0 MiB (+78 %; bound
+/// 10 %). A larger cyclic sweep always misses; the miss is cheap instead.
 pub(crate) const CACHE_CAP: usize = 32;
 
-/// Process-wide hit/miss tallies of the program cache, snapshotted onto
-/// every `SimReport`: one pair for the lowered forms, one for the compiled
-/// forms built on top of them.
+/// Hit/miss tallies of a program cache. The process-wide pairs on every
+/// `SimReport` count lowered and compiled forms found or made, through a
+/// held [`Prepared`] and through the cache alike.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheCounters {
     /// Lookups served from the cache.
@@ -851,44 +912,39 @@ pub(crate) fn cache_counters() -> (CacheCounters, CacheCounters) {
     )
 }
 
-/// The cache entry of `prog`, lowered at most once per `Program` — lowering
-/// reads nothing of the device — and shared across launches, device models
-/// and workers. A program that is not valid IR is an error and takes no
-/// slot. The lock is held while a miss lowers: a racing launch of the same
-/// program waits and then hits, so the cache stays duplicate-free.
-pub(crate) fn cached_for(prog: &Program) -> Result<Arc<CachedProgram>, SimError> {
+/// The cache entry of `prog`, for a launch handed a bare `&Program`: found
+/// by fingerprint (only ever a filter) and confirmed by `Program ==`, or
+/// made — one clone — in place of the oldest of `CACHE_CAP`. Nothing of an
+/// entry reads the device, so it serves every launch, device model and
+/// worker; what it prepares is made on demand, outside the lock.
+pub(crate) fn cached_for(prog: &Program) -> Arc<CachedProgram> {
+    cached_as(
+        BuildHasherDefault::<DefaultHasher>::default().hash_one(prog),
+        prog,
+    )
+}
+
+/// [`cached_for`] with the fingerprint given (tests force collisions).
+fn cached_as(fingerprint: u64, prog: &Program) -> Arc<CachedProgram> {
     let cache = CACHE.get_or_init(|| Mutex::new(Vec::new()));
     let mut guard = cache.lock().unwrap_or_else(|e| e.into_inner());
-    if let Some(e) = guard.iter().find(|e| e.prog == *prog) {
-        LOWER_HITS.fetch_add(1, Ordering::Relaxed);
-        return Ok(Arc::clone(e));
+    let found = guard
+        .iter()
+        .find(|e| e.fingerprint == fingerprint && e.prog == *prog);
+    if let Some(e) = found {
+        return Arc::clone(e);
     }
-    LOWER_MISSES.fetch_add(1, Ordering::Relaxed);
     let entry = Arc::new(CachedProgram {
-        wp: Arc::new(lower_checked(prog)?),
+        fingerprint,
         prog: prog.clone(),
-        compiled: OnceLock::new(),
+        prepared: Prepared::new(prog),
     });
     // FIFO eviction: drop oldest entries until the new one fits the cap.
     while guard.len() >= CACHE_CAP {
         guard.remove(0);
     }
     guard.push(Arc::clone(&entry));
-    Ok(entry)
-}
-
-impl CachedProgram {
-    /// The compiled form, built on first use; `None` when nothing fused.
-    pub(crate) fn compiled(&self) -> Option<Arc<CompiledProgram>> {
-        let tally = match self.compiled.get() {
-            Some(_) => &COMPILE_HITS,
-            None => &COMPILE_MISSES,
-        };
-        tally.fetch_add(1, Ordering::Relaxed);
-        self.compiled
-            .get_or_init(|| compile(&self.wp).map(Arc::new))
-            .clone()
-    }
+    entry
 }
 
 // ---------------------------------------------------------------------------
@@ -1527,8 +1583,7 @@ pub(crate) fn run_warp_blocks(
             st.loc_f.iter_mut().for_each(|a| a.fill(0.0));
         }
         ran_a_block = true;
-        m.cur_sm = sm / team;
-        m.cur_block_lin = lin;
+        m.enter_block(sm / team, lin);
         st.bidx = ctx.grid_ext.delinearize(lin).map_i64();
         let cycles_before = stats_issue_cycles(&m.stats);
         exec_block(&mut m, &mut st).map_err(|e| {
@@ -1712,9 +1767,11 @@ mod tests {
     fn lowered_cache_is_shared() {
         let p = daxpy_like();
         let (before, _) = cache_counters();
-        let a = cached_for(&p).unwrap();
-        let b = cached_for(&p).unwrap();
+        let (a, b) = (cached_for(&p), cached_for(&p));
         assert!(Arc::ptr_eq(&a, &b));
+        let wp_a = a.prepared.lowered(&p).unwrap();
+        let wp_b = b.prepared.lowered(&p).unwrap();
+        assert!(Arc::ptr_eq(&wp_a, &wp_b));
         let (after, _) = cache_counters();
         // The second lookup is a guaranteed hit; the first may be a hit or
         // a miss depending on what other tests ran first. Counters are
@@ -1724,8 +1781,37 @@ mod tests {
         // The compiled form lives in the same entry: decided by the first
         // asker (nothing fuses here), a counted hit for the second.
         let (_, before) = cache_counters();
-        assert!(a.compiled().is_none() && b.compiled().is_none());
+        assert!(a.prepared.compiled(&wp_a).is_none() && b.prepared.compiled(&wp_b).is_none());
         assert!(cache_counters().1.hits > before.hits);
+    }
+
+    /// The fingerprint only filters: two programs forced onto one
+    /// fingerprint get an entry each, and each entry lowers its own program.
+    #[test]
+    fn a_fingerprint_collision_is_not_a_hit() {
+        use alpaka_kir::ir::Op;
+        let scaled_by = |k: f64| {
+            let mut p = daxpy_like();
+            p.name = "collide".into();
+            p.body.0[1] = Stmt::I(Instr {
+                dst: ValId(1),
+                op: Op::ConstF(k),
+            });
+            p
+        };
+        let (two, three) = (scaled_by(2.0), scaled_by(3.0));
+        let (a, b) = (cached_as(0xC0111DE, &two), cached_as(0xC0111DE, &three));
+        assert!(!Arc::ptr_eq(&a, &b), "distinct programs must not alias");
+        let preload = |e: &CachedProgram, p| e.prepared.lowered(p).unwrap().const_init.clone();
+        assert_eq!(preload(&a, &two), [(1, 2f64.to_bits())]);
+        assert_eq!(preload(&b, &three), [(1, 3f64.to_bits())]);
+        assert!(Arc::ptr_eq(&b, &cached_as(0xC0111DE, &three)));
+        // Bitwise identity: the sign of a zero separates programs and a NaN
+        // literal equals itself (one entry, found again).
+        let (pz, nz) = (cached_for(&scaled_by(0.0)), cached_for(&scaled_by(-0.0)));
+        assert!(!Arc::ptr_eq(&pz, &nz));
+        let nan = scaled_by(f64::NAN);
+        assert!(Arc::ptr_eq(&cached_for(&nan), &cached_for(&nan)));
     }
 
     /// A distinct (never-cached-before) valid program: daxpy_like with a
@@ -1749,20 +1835,20 @@ mod tests {
         // Tags no other test uses, so these entries are fresh inserts.
         let base = 7_000_000;
         let first = distinct_program(base);
-        let a = cached_for(&first).unwrap();
+        let a = cached_for(&first);
         // Fill the cache with CACHE_CAP more distinct programs: `first`
         // must age out (concurrent tests can only evict it sooner).
         for i in 1..=CACHE_CAP as i64 {
-            cached_for(&distinct_program(base + i)).unwrap();
+            cached_for(&distinct_program(base + i));
         }
-        let b = cached_for(&first).unwrap();
+        let b = cached_for(&first);
         assert!(
             !Arc::ptr_eq(&a, &b),
-            "entry should have been evicted and re-lowered"
+            "entry should have been evicted and made anew"
         );
         // Unrelated to eviction but same scope: the re-inserted entry is
         // now shared again.
-        let c = cached_for(&first).unwrap();
+        let c = cached_for(&first);
         assert!(Arc::ptr_eq(&b, &c));
     }
 }

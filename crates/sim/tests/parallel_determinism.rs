@@ -16,8 +16,8 @@ use alpaka_core::ops::{KernelOps, KernelOpsExt};
 use alpaka_core::workdiv::WorkDiv;
 use alpaka_kir::{optimize, trace_kernel, uniformity};
 use alpaka_sim::{
-    program_uses_global_atomics, resolve_sim_threads, run_kernel_launch_engine,
-    run_kernel_launch_threads, DeviceMem, DeviceSpec, Engine, ExecMode, SimArgs, SimReport,
+    resolve_sim_threads, run_kernel_launch_engine, run_kernel_launch_threads, DeviceMem,
+    DeviceSpec, Engine, ExecMode, SimArgs, SimReport,
 };
 use proptest::prelude::*;
 
@@ -417,8 +417,11 @@ fn histogram_atomics_run_parallel_and_stay_correct() {
         p
     };
     assert!(
-        program_uses_global_atomics(&prog),
-        "histogram must be detected as an atomics kernel"
+        matches!(
+            alpaka_kir::atomics_summary(&prog),
+            alpaka_kir::AtomicsSummary::Reducible(_)
+        ),
+        "histogram must be detected as a reducible-atomics kernel"
     );
 
     let (_, par, mem, _) = assert_bit_identical(

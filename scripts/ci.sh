@@ -57,6 +57,12 @@ for t in 1 4; do
   # at this thread count too (the suite pins workers per device on top of
   # the ambient override; both funnel into resolve_sim_threads).
   ALPAKA_SIM_THREADS=$t cargo test -q --test metrics_acceptance
+  # Compile once, launch many, checked rather than assumed: heat2d's 200
+  # JacobiStep enqueues on sim-k20 through a non-blocking queue must be one
+  # memo miss, 199 hits, one lowering miss and cpu-serial's final grid
+  # (heat2d_compiles_once_for_200_enqueues); the rest of the file pins that
+  # the memo is invisible except in time, for every kernel of the zoo.
+  ALPAKA_SIM_THREADS=$t cargo test -q --test launch_memo
 done
 
 echo "== ALPAKA_SIM_FAULTS smoke seed =="
