@@ -248,22 +248,19 @@ impl SimDevice {
     /// subject to fault injection — see [`SimDevice::try_alloc_f64`]).
     pub fn alloc_f64(&self, layout: BufLayout) -> SimBufferF {
         let id = self.state.lock().mem.alloc_f(layout.alloc_len());
-        SimBufferF {
-            dev: self.clone(),
-            id,
-            layout,
-        }
+        SimBufferF::new(self, id, layout)
     }
 
     /// Allocate a zeroed i64 device buffer (infallible fast path; not
     /// subject to fault injection — see [`SimDevice::try_alloc_i64`]).
     pub fn alloc_i64(&self, layout: BufLayout) -> SimBufferI {
         let id = self.state.lock().mem.alloc_i(layout.alloc_len());
-        SimBufferI {
-            dev: self.clone(),
-            id,
-            layout,
-        }
+        SimBufferI::new(self, id, layout)
+    }
+
+    /// Bytes held by this device's live buffers (shared across clones).
+    pub fn allocated_bytes(&self) -> usize {
+        self.state.lock().mem.allocated_bytes()
     }
 
     /// Consume one allocation ordinal against the fault plan. Fails when
@@ -292,11 +289,7 @@ impl SimDevice {
         Self::check_alloc(&mut st)?;
         let id = st.mem.alloc_f(layout.alloc_len());
         drop(st);
-        Ok(SimBufferF {
-            dev: self.clone(),
-            id,
-            layout,
-        })
+        Ok(SimBufferF::new(self, id, layout))
     }
 
     /// Fault-aware i64 allocation; see [`SimDevice::try_alloc_f64`].
@@ -305,11 +298,7 @@ impl SimDevice {
         Self::check_alloc(&mut st)?;
         let id = st.mem.alloc_i(layout.alloc_len());
         drop(st);
-        Ok(SimBufferI {
-            dev: self.clone(),
-            id,
-            layout,
-        })
+        Ok(SimBufferI::new(self, id, layout))
     }
 
     pub(crate) fn same_device(&self, other: &SimDevice) -> bool {
@@ -361,18 +350,18 @@ impl SimDevice {
             }
         }
         for b in &args.bufs_f {
-            if !self.same_device(&b.dev) {
+            if !self.same_device(b.device()) {
                 return Err(Error::BadArg("f64 buffer bound from another device".into()));
             }
         }
         for b in &args.bufs_i {
-            if !self.same_device(&b.dev) {
+            if !self.same_device(b.device()) {
                 return Err(Error::BadArg("i64 buffer bound from another device".into()));
             }
         }
         let sim_args = SimArgs {
-            bufs_f: args.bufs_f.iter().map(|b| b.id).collect(),
-            bufs_i: args.bufs_i.iter().map(|b| b.id).collect(),
+            bufs_f: args.bufs_f.iter().map(|b| b.0.id).collect(),
+            bufs_i: args.bufs_i.iter().map(|b| b.0.id).collect(),
             params_f: args.scalars.f.clone(),
             params_i: args.scalars.i.clone(),
         };
@@ -503,110 +492,155 @@ impl CompiledKernel {
     }
 }
 
-/// Device-resident f64 buffer handle (shallow clone).
-#[derive(Clone)]
-pub struct SimBufferF {
-    dev: SimDevice,
-    id: SimBufF,
-    layout: BufLayout,
+/// Copy the `ext` region from `src` (rows `src_pitch` apart) into `dst`
+/// (rows `dst_pitch` apart); returns the bytes moved.
+fn copy_rows<T: Copy>(
+    dst: &mut [T],
+    dst_pitch: usize,
+    src: &[T],
+    src_pitch: usize,
+    ext: [usize; 3],
+) -> usize {
+    for r in 0..ext[0] * ext[1] {
+        dst[r * dst_pitch..][..ext[2]].copy_from_slice(&src[r * src_pitch..][..ext[2]]);
+    }
+    ext[0] * ext[1] * ext[2] * 8
 }
 
-/// Device-resident i64 buffer handle (shallow clone).
-#[derive(Clone)]
-pub struct SimBufferI {
-    dev: SimDevice,
-    id: SimBufI,
-    layout: BufLayout,
+fn check_region(src: &BufLayout, dst: &BufLayout) -> Result<()> {
+    if src.same_region(dst) {
+        return Ok(());
+    }
+    Err(Error::BadCopy(format!(
+        "extent mismatch: src {:?} vs dst {:?}",
+        src.extents, dst.extents
+    )))
 }
 
 macro_rules! impl_sim_buffer {
-    ($buf:ident, $elem:ty, $get:ident, $get_mut:ident) => {
+    ($buf:ident, $slot:ident, $id:ty, $elem:ty, $free:ident, $get:ident, $get_mut:ident) => {
+        #[doc = concat!("Device-resident ", stringify!($elem), " buffer handle.")]
+        ///
+        /// The handle owns its device slot. Clones are shallow and share it
+        /// (queues, pools and launch arguments hold clones, so a buffer bound
+        /// into pending work outlives the caller's handle), and the last
+        /// clone to drop frees the slot's storage. The slot id may then be
+        /// reissued; its virtual addresses never are (`alpaka_sim::memory`).
+        #[derive(Clone)]
+        pub struct $buf(Arc<$slot>);
+
+        struct $slot {
+            dev: SimDevice,
+            id: $id,
+            layout: BufLayout,
+        }
+
+        impl Drop for $slot {
+            fn drop(&mut self) {
+                // Only the owner frees its slot, so this cannot fail (and a
+                // `Drop` must not panic).
+                let _ = self.dev.state.lock().mem.$free(self.id);
+            }
+        }
+
         impl $buf {
+            fn new(dev: &SimDevice, id: $id, layout: BufLayout) -> Self {
+                $buf(Arc::new($slot {
+                    dev: dev.clone(),
+                    id,
+                    layout,
+                }))
+            }
+
             pub fn layout(&self) -> BufLayout {
-                self.layout
+                self.0.layout
             }
 
             pub fn device(&self) -> &SimDevice {
-                &self.dev
+                &self.0.dev
+            }
+
+            /// Write `src` (this buffer's region, rows `pitch` apart) into
+            /// device memory, charged as one host -> device transfer.
+            fn write_rows(&self, src: &[$elem], pitch: usize) {
+                let (dev, l) = (&self.0.dev, self.0.layout);
+                let mut st = dev.state.lock();
+                let bytes = copy_rows(st.mem.$get_mut(self.0.id), l.pitch, src, pitch, l.extents);
+                st.clock_s += transfer_time(&dev.spec, bytes);
+            }
+
+            /// The logical contents as a dense vector, charged as one
+            /// device -> host transfer when `charged`. The vector is filled
+            /// by appending rows, not zeroed first: freed buffers make the
+            /// allocator reuse memory that a zeroed vector would clear again.
+            fn dense(&self, charged: bool) -> Vec<$elem> {
+                let (dev, l) = (&self.0.dev, self.0.layout);
+                let mut st = dev.state.lock();
+                let src = st.mem.$get(self.0.id);
+                let mut out = Vec::with_capacity(l.dense_len());
+                for r in 0..l.extents[0] * l.extents[1] {
+                    out.extend_from_slice(&src[r * l.pitch..][..l.extents[2]]);
+                }
+                if charged {
+                    st.clock_s += transfer_time(&dev.spec, out.len() * 8);
+                }
+                out
             }
 
             /// Copy host -> device (deep copy with modeled transfer cost).
             pub fn write_from(&self, src: &HostBuf<$elem>) -> Result<()> {
-                if !self.layout.same_region(&src.layout()) {
-                    return Err(Error::BadCopy(format!(
-                        "extent mismatch: host {:?} vs device {:?}",
-                        src.layout().extents,
-                        self.layout.extents
+                check_region(&src.layout(), &self.0.layout)?;
+                self.write_rows(src.as_slice(), src.layout().pitch);
+                Ok(())
+            }
+
+            /// Overwrite the logical contents from a dense row-major slice:
+            /// the same transfer as [`Self::write_from`], without a host
+            /// staging buffer.
+            pub fn write_dense(&self, dense: &[$elem]) -> Result<()> {
+                let l = self.0.layout;
+                if dense.len() != l.dense_len() {
+                    return Err(Error::BadBuffer(format!(
+                        "dense data has {} elements, expected {}",
+                        dense.len(),
+                        l.dense_len()
                     )));
                 }
-                let sl = src.layout();
-                let dl = self.layout;
-                let s = src.as_slice();
-                let mut st = self.dev.state.lock();
-                let d = st.mem.$get_mut(self.id);
-                let mut bytes = 0usize;
-                for z in 0..sl.extents[0] {
-                    for y in 0..sl.extents[1] {
-                        let srow = (z * sl.extents[1] + y) * sl.pitch;
-                        let drow = (z * dl.extents[1] + y) * dl.pitch;
-                        d[drow..drow + sl.extents[2]]
-                            .copy_from_slice(&s[srow..srow + sl.extents[2]]);
-                        bytes += sl.extents[2] * 8;
-                    }
-                }
-                st.clock_s += transfer_time(&self.dev.spec, bytes);
+                self.write_rows(dense, l.extents[2]);
                 Ok(())
             }
 
             /// Copy device -> host.
             pub fn read_into(&self, dst: &HostBuf<$elem>) -> Result<()> {
-                if !self.layout.same_region(&dst.layout()) {
-                    return Err(Error::BadCopy(format!(
-                        "extent mismatch: device {:?} vs host {:?}",
-                        self.layout.extents,
-                        dst.layout().extents
-                    )));
-                }
-                let sl = self.layout;
-                let dl = dst.layout();
-                let d = dst.as_mut_slice();
-                let mut st = self.dev.state.lock();
-                let s = st.mem.$get(self.id);
-                let mut bytes = 0usize;
-                for z in 0..sl.extents[0] {
-                    for y in 0..sl.extents[1] {
-                        let srow = (z * sl.extents[1] + y) * sl.pitch;
-                        let drow = (z * dl.extents[1] + y) * dl.pitch;
-                        d[drow..drow + sl.extents[2]]
-                            .copy_from_slice(&s[srow..srow + sl.extents[2]]);
-                        bytes += sl.extents[2] * 8;
-                    }
-                }
-                st.clock_s += transfer_time(&self.dev.spec, bytes);
+                let (dev, l) = (&self.0.dev, self.0.layout);
+                check_region(&l, &dst.layout())?;
+                let (d, pitch) = (dst.as_mut_slice(), dst.layout().pitch);
+                let mut st = dev.state.lock();
+                let bytes = copy_rows(d, pitch, st.mem.$get(self.0.id), l.pitch, l.extents);
+                st.clock_s += transfer_time(&dev.spec, bytes);
                 Ok(())
             }
 
-            /// Read the logical contents into a dense vector (test helper;
-            /// also charged as a transfer).
+            /// Copy device -> device, charged as the read from `src` plus the
+            /// write to this buffer that staging through the host would cost.
+            pub fn copy_from(&self, src: &$buf) -> Result<()> {
+                let l = src.0.layout;
+                check_region(&l, &self.0.layout)?;
+                self.write_rows(&src.dense(true), l.extents[2]);
+                Ok(())
+            }
+
+            /// Read the logical contents into a dense vector. Not charged on
+            /// the simulated clock, unlike [`Self::read_into`].
             pub fn to_dense(&self) -> Vec<$elem> {
-                let l = self.layout;
-                let st = self.dev.state.lock();
-                let s = st.mem.$get(self.id);
-                let mut out = Vec::with_capacity(l.dense_len());
-                for z in 0..l.extents[0] {
-                    for y in 0..l.extents[1] {
-                        let row = (z * l.extents[1] + y) * l.pitch;
-                        out.extend_from_slice(&s[row..row + l.extents[2]]);
-                    }
-                }
-                out
+                self.dense(false)
             }
         }
     };
 }
 
-impl_sim_buffer!(SimBufferF, f64, f, f_mut);
-impl_sim_buffer!(SimBufferI, i64, i, i_mut);
+impl_sim_buffer!(SimBufferF, SlotF, SimBufF, f64, free_f, f, f_mut);
+impl_sim_buffer!(SimBufferI, SlotI, SimBufI, i64, free_i, i, i_mut);
 
 /// Launch arguments for the simulated back-end.
 #[derive(Clone, Default)]

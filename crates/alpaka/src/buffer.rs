@@ -29,28 +29,17 @@ macro_rules! impl_buffer {
             }
 
             /// Overwrite the logical contents from a dense row-major slice
-            /// (staged through a host buffer for device-resident storage —
-            /// data movement is always explicit and visible).
+            /// (charged as a host -> device transfer on simulated devices).
             pub fn upload(&self, dense: &[$elem]) -> Result<()> {
                 match self {
                     $buf::Host(b) => b.write_dense(dense),
-                    $buf::Sim(b) => {
-                        let l = b.layout();
-                        if dense.len() != l.dense_len() {
-                            return Err(Error::BadBuffer(format!(
-                                "dense data has {} elements, expected {}",
-                                dense.len(),
-                                l.dense_len()
-                            )));
-                        }
-                        let staging = HostBuf::<$elem>::alloc(l);
-                        staging.write_dense(dense)?;
-                        b.write_from(&staging)
-                    }
+                    $buf::Sim(b) => b.write_dense(dense),
                 }
             }
 
-            /// Read the logical contents out as a dense row-major vector.
+            /// Read the logical contents out as a dense row-major vector
+            /// (not charged on the simulated clock; `copy_*` into a host
+            /// buffer is).
             pub fn download(&self) -> Vec<$elem> {
                 match self {
                     $buf::Host(b) => b.to_dense(),
@@ -85,7 +74,8 @@ impl_buffer!(BufferF, f64, HostBuf<f64>, SimBufferF);
 impl_buffer!(BufferI, i64, HostBuf<i64>, SimBufferI);
 
 /// Deep copy between any two f64 buffers (host<->host, host<->device,
-/// device<->device via staging) — the uniform `mem::view::copy`.
+/// device<->device, charged as if staged through the host) — the uniform
+/// `mem::view::copy`.
 pub fn copy_f64(dst: &BufferF, src: &BufferF) -> Result<()> {
     if !dst.layout().same_region(&src.layout()) {
         return Err(Error::BadCopy(format!(
@@ -98,11 +88,7 @@ pub fn copy_f64(dst: &BufferF, src: &BufferF) -> Result<()> {
         (BufferF::Host(d), BufferF::Host(s)) => alpaka_core::buffer::copy_region(d, s),
         (BufferF::Sim(d), BufferF::Host(s)) => d.write_from(s),
         (BufferF::Host(d), BufferF::Sim(s)) => s.read_into(d),
-        (BufferF::Sim(d), BufferF::Sim(s)) => {
-            let staging = HostBuf::<f64>::alloc(s.layout());
-            s.read_into(&staging)?;
-            d.write_from(&staging)
-        }
+        (BufferF::Sim(d), BufferF::Sim(s)) => d.copy_from(s),
     }
 }
 
@@ -119,11 +105,7 @@ pub fn copy_i64(dst: &BufferI, src: &BufferI) -> Result<()> {
         (BufferI::Host(d), BufferI::Host(s)) => alpaka_core::buffer::copy_region(d, s),
         (BufferI::Sim(d), BufferI::Host(s)) => d.write_from(s),
         (BufferI::Host(d), BufferI::Sim(s)) => s.read_into(d),
-        (BufferI::Sim(d), BufferI::Sim(s)) => {
-            let staging = HostBuf::<i64>::alloc(s.layout());
-            s.read_into(&staging)?;
-            d.write_from(&staging)
-        }
+        (BufferI::Sim(d), BufferI::Sim(s)) => d.copy_from(s),
     }
 }
 
@@ -158,6 +140,55 @@ mod tests {
         copy_f64(&h2, &d2).unwrap();
         assert_eq!(h2.download(), data);
         // The simulated clock paid for all those transfers.
+        assert!(gpu.sim_clock_s() > 0.0);
+    }
+
+    /// Writing dense rows straight into device memory charges the simulated
+    /// clock exactly what the host-staged path charges.
+    #[test]
+    fn unstaged_copies_charge_the_staged_bytes() {
+        let (direct, staged) = (
+            Device::new(AccKind::sim_k20()),
+            Device::new(AccKind::sim_k20()),
+        );
+        for layout in [BufLayout::d1(1000), BufLayout::d2(37, 21, 8)] {
+            let data: Vec<f64> = (0..layout.dense_len()).map(|i| i as f64).collect();
+            let (d, s) = (direct.alloc_f64(layout), staged.alloc_f64(layout));
+            d.upload(&data).unwrap();
+            let host = HostBuf::<f64>::alloc(layout);
+            host.write_dense(&data).unwrap();
+            s.as_sim().unwrap().write_from(&host).unwrap();
+            assert_eq!(
+                direct.sim_clock_s().to_bits(),
+                staged.sim_clock_s().to_bits()
+            );
+
+            let (d2, s2) = (direct.alloc_f64(layout), staged.alloc_f64(layout));
+            copy_f64(&d2, &d).unwrap();
+            let (from, to) = (s.as_sim().unwrap(), s2.as_sim().unwrap());
+            let host = HostBuf::<f64>::alloc(layout);
+            from.read_into(&host).unwrap();
+            to.write_from(&host).unwrap();
+            assert_eq!(
+                direct.sim_clock_s().to_bits(),
+                staged.sim_clock_s().to_bits()
+            );
+            assert_eq!(d2.download(), data);
+            assert_eq!(s2.download(), data);
+        }
+    }
+
+    /// `download` is free on the simulated clock; a copy into a host buffer
+    /// is charged as a device -> host transfer. (An open model decision,
+    /// pinned so it cannot change unnoticed.)
+    #[test]
+    fn download_is_free_and_a_copy_to_the_host_is_charged() {
+        let gpu = Device::new(AccKind::sim_k20());
+        let d = gpu.alloc_f64(BufLayout::d1(4096));
+        d.download();
+        assert_eq!(gpu.sim_clock_s(), 0.0);
+        let h = Device::new(AccKind::CpuSerial).alloc_f64(BufLayout::d1(4096));
+        copy_f64(&h, &d).unwrap();
         assert!(gpu.sim_clock_s() > 0.0);
     }
 

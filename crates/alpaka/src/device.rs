@@ -343,6 +343,15 @@ impl Device {
         crate::queue::launch_sync_report(self, kernel, wd, args)
     }
 
+    /// Bytes held by this device's live buffers (simulated devices only; 0
+    /// for native ones, whose buffers are plain host memory).
+    pub fn allocated_bytes(&self) -> usize {
+        match &self.inner {
+            DeviceImpl::Cpu(_) => 0,
+            DeviceImpl::Sim(d) => d.allocated_bytes(),
+        }
+    }
+
     /// Simulated-clock accessor (0 for native devices).
     pub fn sim_clock_s(&self) -> f64 {
         match &self.inner {

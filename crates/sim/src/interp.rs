@@ -2119,6 +2119,14 @@ impl Prepared {
                 wd.dim
             ));
         }
+        // A freed slot is empty, so its accesses would read as out-of-bounds
+        // kernel faults: name the misuse instead.
+        for &b in &args.bufs_f {
+            mem.try_f(b)?;
+        }
+        for &b in &args.bufs_i {
+            mem.try_i(b)?;
+        }
         // Invalid IR is an error on both engines: neither checks the ids it
         // indexes registers by. The compiled engine runs the fused tier when
         // the blocks have one thread (fused loops run at one lane only, so the

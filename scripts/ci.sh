@@ -63,6 +63,11 @@ for t in 1 4; do
   # (heat2d_compiles_once_for_200_enqueues); the rest of the file pins that
   # the memo is invisible except in time, for every kernel of the zoo.
   ALPAKA_SIM_THREADS=$t cargo test -q --test launch_memo
+  # The device-memory lifetime contract: the last buffer handle frees its
+  # slot, so alloc/launch/drop loops, one long-lived pool and retried
+  # launches hold live device bytes flat; launch statistics do not depend on
+  # freed buffers; OOM ordinals count calls; a freed slot is BadBuffer.
+  ALPAKA_SIM_THREADS=$t cargo test -q --test device_memory
 done
 
 echo "== ALPAKA_SIM_FAULTS smoke seed =="
@@ -70,9 +75,11 @@ echo "== ALPAKA_SIM_FAULTS smoke seed =="
 # devices (explicit plans override the env; the rest must stay
 # fault-or-correct with this tiny ECC rate). The pool chaos campaign sets
 # explicit per-member plans everywhere it injects, so it must be immune to
-# the ambient seed too.
+# the ambient seed too. So must the lifetime contract, whose devices clear
+# the ambient plan or install their own.
 ALPAKA_SIM_FAULTS="seed=42,ecc=1e-9" cargo test -q --test fault_campaign
 ALPAKA_SIM_FAULTS="seed=42,ecc=1e-9" cargo test -q --test pool_chaos
+ALPAKA_SIM_FAULTS="seed=42,ecc=1e-9" cargo test -q --test device_memory
 
 echo "== traced smoke launch (ALPAKA_SIM_TRACE end to end) =="
 # The example validates the emitted Chrome JSON itself (parses, non-empty,
