@@ -7,10 +7,15 @@
 //! | `Serial`           | `AccCpuSerial`         | sequential  | collapsed (1)  |
 //! | `Blocks`           | `AccCpuOmp2Blocks`     | worker pool | collapsed (1)  |
 //! | `Threads`          | `AccCpuThreads`        | sequential  | OS threads + barrier (spawned per block) |
-//! | `BlockThreads`     | `AccCpuOmp2Threads`    | sequential  | persistent thread team + barrier |
+//! | `BlockThreads`     | `AccCpuOmp2Threads`    | sequential  | one thread team per launch, yielding generation barrier (`BarrierSync`) |
 //! | `Fibers`           | `AccCpuFibers`         | sequential  | cooperative fibers, one at a time |
+//!
+//! A block thread that panics, or finishes its kernel while siblings wait at
+//! `sync_block_threads`, fails the launch; it never hangs it.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
+use std::thread::ScopedJoinHandle;
 
 use alpaka_core::acc::{AccCaps, DeviceKind};
 use alpaka_core::buffer::{BufLayout, HostBuf};
@@ -21,7 +26,7 @@ use alpaka_core::workdiv::WorkDiv;
 
 use crate::exec::{run_thread, CpuArgs, LaunchGeometry, ResolvedArgs, SharedBlock};
 use crate::pool::{panic_message, Pool};
-use crate::sync::{BarrierSync, FiberSync, NoopSync};
+use crate::sync::{Abandoned, BarrierSync, FiberSync, NoopSync};
 
 /// Which CPU accelerator strategy a device uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -193,8 +198,42 @@ fn threads_per_block(geo: &LaunchGeometry) -> usize {
     (geo.block[0] * geo.block[1] * geo.block[2]) as usize
 }
 
-fn catching(f: impl FnOnce()) -> std::result::Result<(), String> {
-    std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).map_err(panic_message)
+/// A block thread's end: the linear index of the block it ended in, and the
+/// panic payload it stopped with, if it stopped early.
+type End = (usize, std::thread::Result<()>);
+
+/// Run one block thread's share of a launch. If it stops early, poison
+/// `barriers` first, so no sibling waits for it forever.
+fn member(barriers: &[&BarrierSync], f: impl FnOnce()) -> std::thread::Result<()> {
+    catch_unwind(AssertUnwindSafe(f)).inspect_err(|_| barriers.iter().for_each(|b| b.poison()))
+}
+
+/// Join a team of block threads. The launch error is the first kernel panic's
+/// own message; failing that, the first barrier the block diverged at, named
+/// by block and by how many threads reached it.
+fn join_team(
+    geo: &LaunchGeometry,
+    team: Vec<ScopedJoinHandle<'_, End>>,
+) -> std::result::Result<(), String> {
+    let n = threads_per_block(geo);
+    let mut stops = Vec::new();
+    for h in team {
+        let (b, end) = h.join().unwrap_or_else(|p| (0, Err(p)));
+        let Err(p) = end else { continue };
+        let at = block_coords(geo, b);
+        stops.push(match p.downcast::<Abandoned>().map(|a| *a) {
+            Err(p) => (0, panic_message(p)),
+            Ok(Abandoned::Diverged { arrived }) => {
+                let why = "reached sync_block_threads, the rest finished the kernel without it";
+                (1, format!("block {at:?}: {arrived} of {n} threads {why}"))
+            }
+            Ok(Abandoned::Poisoned) => (2, format!("block {at:?}: a thread stopped early")),
+        });
+    }
+    stops
+        .into_iter()
+        .min_by_key(|s| s.0)
+        .map_or(Ok(()), |(_, msg)| Err(msg))
 }
 
 fn run_serial<K: Kernel + ?Sized>(
@@ -203,7 +242,7 @@ fn run_serial<K: Kernel + ?Sized>(
     args: &ResolvedArgs,
 ) -> std::result::Result<(), String> {
     let shared = SharedBlock::new();
-    catching(|| {
+    member(&[], || {
         for b in 0..block_count(geo) {
             if b > 0 {
                 shared.reset();
@@ -219,6 +258,7 @@ fn run_serial<K: Kernel + ?Sized>(
             );
         }
     })
+    .map_err(panic_message)
 }
 
 fn run_blocks<K: Kernel + ?Sized>(
@@ -247,41 +287,26 @@ fn run_threads<K: Kernel + ?Sized>(
     args: &ResolvedArgs,
 ) -> std::result::Result<(), String> {
     let t = threads_per_block(geo);
-    let mut first_err: Option<String> = None;
     for b in 0..block_count(geo) {
         let bidx = block_coords(geo, b);
         let shared = SharedBlock::new();
         let sync = BarrierSync::new(t);
         std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(t);
-            for tid in 0..t {
-                let shared = &shared;
-                let sync = &sync;
-                handles.push(scope.spawn(move || {
-                    catching(|| {
-                        run_thread(
-                            kernel,
-                            geo,
-                            bidx,
-                            thread_coords(geo, tid),
-                            args,
-                            shared,
-                            sync,
-                        )
+            let (shared, sync) = (&shared, &sync);
+            let team = (0..t)
+                .map(|tid| {
+                    scope.spawn(move || {
+                        let end = member(&[sync], || {
+                            let tcoord = thread_coords(geo, tid);
+                            run_thread(kernel, geo, bidx, tcoord, args, shared, sync);
+                            sync.leave();
+                        });
+                        (b, end)
                     })
-                }));
-            }
-            for h in handles {
-                if let Err(msg) = h.join().unwrap_or_else(|p| Err(panic_message(p))) {
-                    if first_err.is_none() {
-                        first_err = Some(msg);
-                    }
-                }
-            }
-        });
-        if let Some(msg) = first_err {
-            return Err(msg);
-        }
+                })
+                .collect();
+            join_team(geo, team)
+        })?;
     }
     Ok(())
 }
@@ -295,52 +320,36 @@ fn run_block_threads<K: Kernel + ?Sized>(
     let blocks = block_count(geo);
     let shared = SharedBlock::new();
     let sync = BarrierSync::new(t);
-    // Separate barrier for inter-block orchestration so a kernel panic in
-    // one member surfaces instead of deadlocking: members that panic stop
-    // participating, which the barrier would wait for — so we keep the
-    // whole team's blocks loop inside the catch.
-    let team_barrier = std::sync::Barrier::new(t);
-    let mut first_err: Option<String> = None;
+    // The block boundary has its own barrier: were it the kernel's, a thread
+    // that skipped a `sync_block_threads` would be counted here and
+    // silently release its siblings.
+    let team_barrier = BarrierSync::new(t);
     std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(t);
-        for tid in 0..t {
-            let shared = &shared;
-            let sync = &sync;
-            let team_barrier = &team_barrier;
-            handles.push(scope.spawn(move || {
-                catching(|| {
+        let (shared, sync, team_barrier) = (&shared, &sync, &team_barrier);
+        let team = (0..t)
+            .map(|tid| {
+                scope.spawn(move || {
                     let tcoord = thread_coords(geo, tid);
-                    for b in 0..blocks {
-                        run_thread(
-                            kernel,
-                            geo,
-                            block_coords(geo, b),
-                            tcoord,
-                            args,
-                            shared,
-                            sync,
-                        );
-                        let r = team_barrier.wait();
-                        if r.is_leader() {
-                            shared.reset();
+                    let mut b = 0;
+                    let end = member(&[sync, team_barrier], || {
+                        while b < blocks {
+                            let bidx = block_coords(geo, b);
+                            run_thread(kernel, geo, bidx, tcoord, args, shared, sync);
+                            sync.leave();
+                            if team_barrier.wait() {
+                                shared.reset();
+                                sync.reset();
+                            }
+                            team_barrier.wait();
+                            b += 1;
                         }
-                        team_barrier.wait();
-                    }
+                    });
+                    (b, end)
                 })
-            }));
-        }
-        for h in handles {
-            if let Err(msg) = h.join().unwrap_or_else(|p| Err(panic_message(p))) {
-                if first_err.is_none() {
-                    first_err = Some(msg);
-                }
-            }
-        }
-    });
-    match first_err {
-        Some(msg) => Err(msg),
-        None => Ok(()),
-    }
+            })
+            .collect();
+        join_team(geo, team)
+    })
 }
 
 fn run_fibers<K: Kernel + ?Sized>(
@@ -353,40 +362,23 @@ fn run_fibers<K: Kernel + ?Sized>(
         let bidx = block_coords(geo, b);
         let shared = SharedBlock::new();
         let sync = FiberSync::new(t);
-        let mut first_err: Option<String> = None;
         std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(t);
-            for tid in 0..t {
-                let shared = &shared;
-                let sync = &sync;
-                handles.push(scope.spawn(move || {
-                    sync.enter(tid);
-                    let r = catching(|| {
-                        run_thread(
-                            kernel,
-                            geo,
-                            bidx,
-                            thread_coords(geo, tid),
-                            args,
-                            shared,
-                            sync,
-                        )
-                    });
-                    sync.exit(tid);
-                    r
-                }));
-            }
-            for h in handles {
-                if let Err(msg) = h.join().unwrap_or_else(|p| Err(panic_message(p))) {
-                    if first_err.is_none() {
-                        first_err = Some(msg);
-                    }
-                }
-            }
-        });
-        if let Some(msg) = first_err {
-            return Err(msg);
-        }
+            let (shared, sync) = (&shared, &sync);
+            let team = (0..t)
+                .map(|tid| {
+                    scope.spawn(move || {
+                        sync.enter(tid);
+                        let end = member(&[], || {
+                            let tcoord = thread_coords(geo, tid);
+                            run_thread(kernel, geo, bidx, tcoord, args, shared, sync);
+                        });
+                        sync.exit(tid);
+                        (b, end)
+                    })
+                })
+                .collect();
+            join_team(geo, team)
+        })?;
     }
     Ok(())
 }

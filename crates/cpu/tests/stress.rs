@@ -83,6 +83,13 @@ fn barrier_storm_block_threads() {
 }
 
 #[test]
+fn barrier_storm_block_threads_256_wide() {
+    // 2 x 500 generations of a 256-thread team, plus the team barrier
+    // between the two blocks.
+    run_storm(CpuAccKind::BlockThreads, 256, 500);
+}
+
+#[test]
 fn barrier_storm_fibers() {
     run_storm(CpuAccKind::Fibers, 32, 30);
 }

@@ -33,6 +33,14 @@ echo "== workspace tests =="
 # overlap a launch in a neighbouring test of the same binary.
 cargo test -q --workspace -- --test-threads=1
 
+echo "== abandoned block barriers fault in bounded time =="
+# A thread that panics, or finishes its kernel while its siblings wait at
+# sync_block_threads, must fail the launch on Threads, BlockThreads and
+# Fibers with the kernel's own message (or the block and "k of n threads"),
+# and the device must take the next launch. The suite has its own watchdog;
+# the outer timeout bounds a regression that hangs the harness itself.
+timeout 300 cargo test -q -p alpaka-cpu --test abandoned_barrier
+
 echo "== engine-parity, atomics and fault suites under ALPAKA_SIM_THREADS=1 and =4 =="
 # The reference and compiled engines must agree bit-for-bit (the compiled
 # engine on its lowered and its fused tier, as the suites' work divisions
