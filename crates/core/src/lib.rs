@@ -25,6 +25,7 @@
 pub mod acc;
 pub mod buffer;
 pub mod error;
+pub mod fma;
 pub mod kernel;
 pub mod metrics;
 pub mod ops;

@@ -20,6 +20,7 @@ use std::thread::ScopedJoinHandle;
 use alpaka_core::acc::{AccCaps, DeviceKind};
 use alpaka_core::buffer::{BufLayout, HostBuf};
 use alpaka_core::error::{Error, Result};
+use alpaka_core::fma::Fma;
 use alpaka_core::kernel::Kernel;
 use alpaka_core::vec::Vecn;
 use alpaka_core::workdiv::WorkDiv;
@@ -136,7 +137,7 @@ impl CpuDevice {
         args: &CpuArgs,
     ) -> Result<()> {
         wd.validate(&self.caps())?;
-        let geo = LaunchGeometry::from_workdiv(wd);
+        let geo = LaunchGeometry::from_workdiv(wd, Fma::detect());
         let resolved = args.resolve();
         let fault = |msg: String| Error::KernelFault(format!("{}: {msg}", kernel.name()).into());
         match self.kind {
@@ -579,6 +580,117 @@ mod tests {
             let err = dev.launch(&Bad, &WorkDiv::d1(2, 1, 1), &CpuArgs::new());
             assert!(err.is_err(), "{kind:?} must surface the panic");
         }
+    }
+
+    /// One out-of-bounds access per launch, picked by `self.0`, at index
+    /// `self.1`. Every array has its own length, so the message names which
+    /// one was checked.
+    struct Oob(&'static str, i64);
+    impl Kernel for Oob {
+        fn name(&self) -> &str {
+            "oob"
+        }
+        fn run<O: KernelOps>(&self, o: &mut O) {
+            let (gf, gi) = (o.buf_f(0), o.buf_i(0));
+            let (sf, si, lf) = (o.shared_f(4), o.shared_i(6), o.local_f(7));
+            let (i, x, n) = (o.lit_i(self.1), o.lit_f(1.0), o.lit_i(1));
+            match self.0 {
+                "ld.global.f64" => drop(o.ld_gf(gf, i)),
+                "st.global.f64" => o.st_gf(gf, i, x),
+                "ld.global.s64" => drop(o.ld_gi(gi, i)),
+                "st.global.s64" => o.st_gi(gi, i, n),
+                "ld.shared.f64" => drop(o.ld_sf(sf, i)),
+                "st.shared.f64" => o.st_sf(sf, i, x),
+                "ld.shared.s64" => drop(o.ld_si(si, i)),
+                "st.shared.s64" => o.st_si(si, i, n),
+                "ld.local.f64" => drop(o.ld_lf(lf, i)),
+                "st.local.f64" => o.st_lf(lf, i, x),
+                "atom.global.add.s64" => drop(o.atomic_add_gi(gi, i, n)),
+                op => unreachable!("{op}"),
+            }
+        }
+    }
+
+    #[test]
+    fn out_of_bounds_faults_name_kernel_access_index_and_length() {
+        let accesses = [
+            ("ld.global.f64", 5),
+            ("st.global.f64", 5),
+            ("ld.global.s64", 3),
+            ("st.global.s64", 3),
+            ("ld.shared.f64", 4),
+            ("st.shared.f64", 4),
+            ("ld.shared.s64", 6),
+            ("st.shared.s64", 6),
+            ("ld.local.f64", 7),
+            ("st.local.f64", 7),
+            ("atom.global.add.s64", 3),
+        ];
+        let args = CpuArgs::new()
+            .buf_f(&HostBuf::from_vec(vec![0.0; 5]))
+            .buf_i(&HostBuf::from_vec(vec![0; 3]));
+        for kind in [CpuAccKind::Serial, CpuAccKind::Blocks] {
+            let dev = CpuDevice::with_workers(kind, 2);
+            for (op, len) in accesses {
+                for idx in [-1, len] {
+                    let err = dev.launch(&Oob(op, idx), &WorkDiv::d1(1, 1, 1), &args);
+                    let want = format!("oob: {op}: index {idx} out of bounds (len {len})");
+                    assert_eq!(err, Err(Error::KernelFault(want.into())), "{kind:?}");
+                }
+            }
+        }
+    }
+
+    /// The software and the hardware FMA path leave the same bits, kernel by
+    /// kernel, on the pool back-end the Fig. 5 and Fig. 8 rows run on.
+    #[test]
+    fn fma_paths_are_bit_identical_on_blocks() {
+        use alpaka_core::kernel::ScalarArgs;
+        use alpaka_kernels::host::{random_matrix, random_vec};
+        use alpaka_kernels::{DaxpyKernel, DgemmNaive, DgemmTiled};
+
+        /// Every buffer's bits after one launch on fresh copies of `bufs`.
+        /// The integer scalars are `n` six times: DAXPY reads its length,
+        /// DGEMM m, n, k and the three leading dimensions (square, unpadded).
+        fn bits<K: Kernel>(
+            k: &K,
+            wd: WorkDiv,
+            bufs: &[Vec<f64>],
+            f: &[f64],
+            n: usize,
+            fma: Fma,
+        ) -> Vec<u64> {
+            let mut args = CpuArgs::new();
+            args.bufs_f = bufs.iter().map(|b| HostBuf::from_vec(b.clone())).collect();
+            args.scalars = ScalarArgs {
+                f: f.to_vec(),
+                i: vec![n as i64; 6],
+            };
+            let geo = LaunchGeometry::from_workdiv(&wd, fma);
+            run_blocks(&Pool::new(2), k, &geo, &args.resolve()).unwrap();
+            let out = args.bufs_f.iter().flat_map(|b| b.as_slice().to_vec());
+            out.map(f64::to_bits).collect()
+        }
+        if Fma::detect() == Fma::software() {
+            eprintln!("skipped: this CPU has no FMA, so only the software path can run");
+            return;
+        }
+        let both = |name: &str, run: &dyn Fn(Fma) -> Vec<u64>| {
+            assert!(run(Fma::software()) == run(Fma::detect()), "{name}");
+        };
+        let n = 40;
+        let gemm = [1, 2, 3].map(|seed| random_matrix(n, n, seed));
+        let tiled = DgemmTiled { t: 1, e: 16 };
+        both("DgemmTiled", &|f| {
+            bits(&tiled, tiled.workdiv(n, n), &gemm, &[1.5, 0.5], n, f)
+        });
+        let wd = DgemmNaive::workdiv(n, 8);
+        both("DgemmNaive", &|f| {
+            bits(&DgemmNaive, wd, &gemm, &[1.5, 0.5], n, f)
+        });
+        let xy = [random_vec(1000, 4), random_vec(1000, 5)];
+        let wd = predefined(PredefAcc::CpuOmpBlock, 1000, 1, 16);
+        both("DAXPY", &|f| bits(&DaxpyKernel, wd, &xy, &[2.5], 1000, f));
     }
 
     #[test]

@@ -6,6 +6,15 @@
 //! would — this is the zero-overhead half of the paper's Section 4.1
 //! argument, realized by `rustc` instead of `nvcc`.
 //!
+//! `fma_f` is the one primitive that needed help to get there. `f64::mul_add`
+//! on the default `x86-64` target is an out-of-line call into
+//! compiler-builtins, with every live `xmm` register spilled around it, once
+//! per multiply-add of every kernel. So the launch detects the CPU's FMA bit
+//! once ([`Fma`], on [`LaunchGeometry`]) and `fma_f` inlines to one
+//! `vfmadd231sd` where the CPU has it; the native baselines use the same
+//! token. The bounds checks stay, as one unsigned compare whose failing
+//! branch is a cold call.
+//!
 //! Memory model: global buffers are raw pointers into [`HostBuf`] storage
 //! (the CUDA contract — concurrent threads must write disjoint elements or
 //! use atomics); shared memory is a per-block arena handed to all threads of
@@ -14,6 +23,7 @@
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 
 use alpaka_core::buffer::HostBuf;
+use alpaka_core::fma::Fma;
 use alpaka_core::kernel::{Kernel, ScalarArgs};
 use alpaka_core::ops::KernelOps;
 use alpaka_core::workdiv::WorkDiv;
@@ -195,15 +205,17 @@ pub struct LaunchGeometry {
     pub grid: [i64; 3],
     pub block: [i64; 3],
     pub elems: [i64; 3],
+    fma: Fma,
 }
 
 impl LaunchGeometry {
-    pub fn from_workdiv(wd: &WorkDiv) -> Self {
+    pub(crate) fn from_workdiv(wd: &WorkDiv, fma: Fma) -> Self {
         LaunchGeometry {
             dims: wd.dim,
             grid: wd.blocks.map(|v| v as i64),
             block: wd.threads.map(|v| v as i64),
             elems: wd.elems.map(|v| v as i64),
+            fma,
         }
     }
 }
@@ -214,6 +226,8 @@ pub struct CpuOps<'a> {
     bidx: [i64; 3],
     tidx: [i64; 3],
     lin_tid: usize,
+    /// Copied out of `geo`, so the optimiser sees a loop-invariant value.
+    fma: Fma,
     args: &'a ResolvedArgs,
     shared: &'a SharedBlock,
     sync: &'a dyn BlockSync,
@@ -238,6 +252,7 @@ impl<'a> CpuOps<'a> {
             bidx: bidx.map(|v| v as i64),
             tidx: tidx.map(|v| v as i64),
             lin_tid,
+            fma: geo.fma,
             args,
             shared,
             sync,
@@ -253,28 +268,25 @@ impl<'a> CpuOps<'a> {
         debug_assert!(d < self.geo.dims);
         3 - self.geo.dims + d
     }
+}
 
-    #[inline]
-    fn check<E>(buf: RawBuf<E>, idx: i64, what: &str) -> usize {
-        let i = idx as usize;
-        assert!(
-            idx >= 0 && i < buf.len,
-            "{what}: index {idx} out of bounds (len {})",
-            buf.len
-        );
-        i
+/// `idx` as an index into `len` elements, else a kernel fault naming the
+/// instruction `what`. A negative index wraps above any `len`, so one
+/// unsigned compare covers both ends.
+#[inline(always)]
+fn check(len: usize, idx: i64, what: &str) -> usize {
+    if idx as u64 >= len as u64 {
+        oob(what, idx, len)
     }
+    idx as usize
+}
 
-    #[inline]
-    fn check_sh<E>(sh: RawSh<E>, idx: i64, what: &str) -> usize {
-        let i = idx as usize;
-        assert!(
-            idx >= 0 && i < sh.len,
-            "{what}: index {idx} out of bounds (len {})",
-            sh.len
-        );
-        i
-    }
+/// The failing branch of [`check`], kept out of line so the message is not
+/// built inside the kernel's loops.
+#[cold]
+#[inline(never)]
+fn oob(what: &str, idx: i64, len: usize) -> ! {
+    panic!("{what}: index {idx} out of bounds (len {len})")
 }
 
 /// Execute `kernel` for a single (block, thread) coordinate.
@@ -381,7 +393,7 @@ impl KernelOps for CpuOps<'_> {
     }
     #[inline(always)]
     fn fma_f(&mut self, a: f64, b: f64, c: f64) -> f64 {
-        a.mul_add(b, c)
+        self.fma.apply(a, b, c)
     }
     #[inline(always)]
     fn min_f(&mut self, a: f64, b: f64) -> f64 {
@@ -566,13 +578,13 @@ impl KernelOps for CpuOps<'_> {
 
     #[inline(always)]
     fn ld_gf(&mut self, buf: RawBuf<f64>, idx: i64) -> f64 {
-        let i = Self::check(buf, idx, "ld.global.f64");
+        let i = check(buf.len, idx, "ld.global.f64");
         // SAFETY: bounds-checked above; device-memory contract.
         unsafe { *buf.ptr.add(i) }
     }
     #[inline(always)]
     fn st_gf(&mut self, buf: RawBuf<f64>, idx: i64, v: f64) {
-        let i = Self::check(buf, idx, "st.global.f64");
+        let i = check(buf.len, idx, "st.global.f64");
         // SAFETY: bounds-checked above; device-memory contract.
         unsafe {
             *buf.ptr.add(i) = v;
@@ -580,13 +592,13 @@ impl KernelOps for CpuOps<'_> {
     }
     #[inline(always)]
     fn ld_gi(&mut self, buf: RawBuf<i64>, idx: i64) -> i64 {
-        let i = Self::check(buf, idx, "ld.global.s64");
+        let i = check(buf.len, idx, "ld.global.s64");
         // SAFETY: bounds-checked above; device-memory contract.
         unsafe { *buf.ptr.add(i) }
     }
     #[inline(always)]
     fn st_gi(&mut self, buf: RawBuf<i64>, idx: i64, v: i64) {
-        let i = Self::check(buf, idx, "st.global.s64");
+        let i = check(buf.len, idx, "st.global.s64");
         // SAFETY: bounds-checked above; device-memory contract.
         unsafe {
             *buf.ptr.add(i) = v;
@@ -613,13 +625,13 @@ impl KernelOps for CpuOps<'_> {
     }
     #[inline(always)]
     fn ld_sf(&mut self, sh: RawSh<f64>, idx: i64) -> f64 {
-        let i = Self::check_sh(sh, idx, "ld.shared.f64");
+        let i = check(sh.len, idx, "ld.shared.f64");
         // SAFETY: bounds-checked above; barrier-disciplined shared memory.
         unsafe { *sh.ptr.add(i) }
     }
     #[inline(always)]
     fn st_sf(&mut self, sh: RawSh<f64>, idx: i64, v: f64) {
-        let i = Self::check_sh(sh, idx, "st.shared.f64");
+        let i = check(sh.len, idx, "st.shared.f64");
         // SAFETY: bounds-checked above; barrier-disciplined shared memory.
         unsafe {
             *sh.ptr.add(i) = v;
@@ -627,13 +639,13 @@ impl KernelOps for CpuOps<'_> {
     }
     #[inline(always)]
     fn ld_si(&mut self, sh: RawSh<i64>, idx: i64) -> i64 {
-        let i = Self::check_sh(sh, idx, "ld.shared.s64");
+        let i = check(sh.len, idx, "ld.shared.s64");
         // SAFETY: bounds-checked above; barrier-disciplined shared memory.
         unsafe { *sh.ptr.add(i) }
     }
     #[inline(always)]
     fn st_si(&mut self, sh: RawSh<i64>, idx: i64, v: i64) {
-        let i = Self::check_sh(sh, idx, "st.shared.s64");
+        let i = check(sh.len, idx, "st.shared.s64");
         // SAFETY: bounds-checked above; barrier-disciplined shared memory.
         unsafe {
             *sh.ptr.add(i) = v;
@@ -647,22 +659,12 @@ impl KernelOps for CpuOps<'_> {
     #[inline(always)]
     fn ld_lf(&mut self, l: usize, idx: i64) -> f64 {
         let arr = &self.locals_f[l];
-        assert!(
-            idx >= 0 && (idx as usize) < arr.len(),
-            "ld.local.f64: index {idx} out of bounds (len {})",
-            arr.len()
-        );
-        arr[idx as usize]
+        arr[check(arr.len(), idx, "ld.local.f64")]
     }
     #[inline(always)]
     fn st_lf(&mut self, l: usize, idx: i64, v: f64) {
         let arr = &mut self.locals_f[l];
-        assert!(
-            idx >= 0 && (idx as usize) < arr.len(),
-            "st.local.f64: index {idx} out of bounds (len {})",
-            arr.len()
-        );
-        arr[idx as usize] = v;
+        arr[check(arr.len(), idx, "st.local.f64")] = v;
     }
 
     #[inline(always)]
@@ -671,7 +673,7 @@ impl KernelOps for CpuOps<'_> {
     }
 
     fn atomic_add_gf(&mut self, buf: RawBuf<f64>, idx: i64, v: f64) -> f64 {
-        let i = Self::check(buf, idx, "atom.global.add.f64");
+        let i = check(buf.len, idx, "atom.global.add.f64");
         // SAFETY: element is within bounds; f64 and AtomicU64 share size
         // and alignment; all racing accesses to this element go through
         // the same atomic view per the device-memory contract.
@@ -688,49 +690,49 @@ impl KernelOps for CpuOps<'_> {
     }
 
     fn atomic_add_gi(&mut self, buf: RawBuf<i64>, idx: i64, v: i64) -> i64 {
-        let i = Self::check(buf, idx, "atom.global.add.s64");
+        let i = check(buf.len, idx, "atom.global.add.s64");
         // SAFETY: see atomic_add_gf.
         let cell = unsafe { &*(buf.ptr.add(i) as *const AtomicI64) };
         cell.fetch_add(v, Ordering::AcqRel)
     }
 
     fn atomic_min_gi(&mut self, buf: RawBuf<i64>, idx: i64, v: i64) -> i64 {
-        let i = Self::check(buf, idx, "atom.global.min.s64");
+        let i = check(buf.len, idx, "atom.global.min.s64");
         // SAFETY: see atomic_add_gf.
         let cell = unsafe { &*(buf.ptr.add(i) as *const AtomicI64) };
         cell.fetch_min(v, Ordering::AcqRel)
     }
 
     fn atomic_max_gi(&mut self, buf: RawBuf<i64>, idx: i64, v: i64) -> i64 {
-        let i = Self::check(buf, idx, "atom.global.max.s64");
+        let i = check(buf.len, idx, "atom.global.max.s64");
         // SAFETY: see atomic_add_gf.
         let cell = unsafe { &*(buf.ptr.add(i) as *const AtomicI64) };
         cell.fetch_max(v, Ordering::AcqRel)
     }
 
     fn atomic_and_gi(&mut self, buf: RawBuf<i64>, idx: i64, v: i64) -> i64 {
-        let i = Self::check(buf, idx, "atom.global.and.s64");
+        let i = check(buf.len, idx, "atom.global.and.s64");
         // SAFETY: see atomic_add_gf.
         let cell = unsafe { &*(buf.ptr.add(i) as *const AtomicI64) };
         cell.fetch_and(v, Ordering::AcqRel)
     }
 
     fn atomic_or_gi(&mut self, buf: RawBuf<i64>, idx: i64, v: i64) -> i64 {
-        let i = Self::check(buf, idx, "atom.global.or.s64");
+        let i = check(buf.len, idx, "atom.global.or.s64");
         // SAFETY: see atomic_add_gf.
         let cell = unsafe { &*(buf.ptr.add(i) as *const AtomicI64) };
         cell.fetch_or(v, Ordering::AcqRel)
     }
 
     fn atomic_xor_gi(&mut self, buf: RawBuf<i64>, idx: i64, v: i64) -> i64 {
-        let i = Self::check(buf, idx, "atom.global.xor.s64");
+        let i = check(buf.len, idx, "atom.global.xor.s64");
         // SAFETY: see atomic_add_gf.
         let cell = unsafe { &*(buf.ptr.add(i) as *const AtomicI64) };
         cell.fetch_xor(v, Ordering::AcqRel)
     }
 
     fn atomic_exch_gi(&mut self, buf: RawBuf<i64>, idx: i64, v: i64) -> i64 {
-        let i = Self::check(buf, idx, "atom.global.exch.s64");
+        let i = check(buf.len, idx, "atom.global.exch.s64");
         // SAFETY: see atomic_add_gf.
         let cell = unsafe { &*(buf.ptr.add(i) as *const AtomicI64) };
         cell.swap(v, Ordering::AcqRel)
@@ -892,7 +894,7 @@ mod tests {
         let args = CpuArgs::new().buf_f(&buf).scalar_i(4);
         let resolved = args.resolve();
         let wd = WorkDiv::d1(4, 1, 1);
-        let geo = LaunchGeometry::from_workdiv(&wd);
+        let geo = LaunchGeometry::from_workdiv(&wd, Fma::detect());
         let shared = SharedBlock::new();
         for b in 0..4 {
             run_thread(
@@ -915,7 +917,7 @@ mod tests {
         let args = CpuArgs::new().buf_f(&buf).scalar_i(100);
         let resolved = args.resolve();
         let wd = WorkDiv::d1(1, 1, 1);
-        let geo = LaunchGeometry::from_workdiv(&wd);
+        let geo = LaunchGeometry::from_workdiv(&wd, Fma::detect());
         struct Bad;
         impl Kernel for Bad {
             fn run<O: KernelOps>(&self, o: &mut O) {
@@ -962,7 +964,7 @@ mod tests {
         let args = Arc::new(CpuArgs::new().buf_f(&buf));
         let resolved = Arc::new(args.resolve());
         let wd = WorkDiv::d1(1, 1, 1);
-        let geo = Arc::new(LaunchGeometry::from_workdiv(&wd));
+        let geo = Arc::new(LaunchGeometry::from_workdiv(&wd, Fma::detect()));
         let mut handles = vec![];
         for _ in 0..8 {
             let resolved = Arc::clone(&resolved);
@@ -988,7 +990,7 @@ mod tests {
     #[test]
     fn vars_are_thread_private() {
         let wd = WorkDiv::d1(1, 1, 1);
-        let geo = LaunchGeometry::from_workdiv(&wd);
+        let geo = LaunchGeometry::from_workdiv(&wd, Fma::detect());
         let args = CpuArgs::new().resolve();
         let shared = SharedBlock::new();
         let mut ops = CpuOps::new(&geo, [0, 0, 0], [0, 0, 0], &args, &shared, &NoopSync);

@@ -2,19 +2,24 @@
 //! layer, as plain multithreaded Rust. These are the "native OpenMP"
 //! comparators of the paper's Figs. 5, 6 and 8: the Alpaka-kernel wall time
 //! divided by these functions' wall time is the reported relative speedup.
+//! Each multiply-add goes through the same [`Fma`] token the CPU back-ends
+//! use, detected once per call, so Fig. 5 compares like with like.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
+
+use alpaka_core::fma::Fma;
 
 /// Native DAXPY `y <- alpha*x + y`, chunked over `threads` OS threads.
 pub fn native_daxpy(alpha: f64, x: &[f64], y: &mut [f64], threads: usize) {
     assert_eq!(x.len(), y.len());
     let threads = threads.max(1);
     let chunk = x.len().div_ceil(threads).max(1);
+    let fma = Fma::detect();
     std::thread::scope(|scope| {
         for (xc, yc) in x.chunks(chunk).zip(y.chunks_mut(chunk)) {
             scope.spawn(move || {
                 for (yi, xi) in yc.iter_mut().zip(xc) {
-                    *yi = xi.mul_add(alpha, *yi);
+                    *yi = fma.apply(*xi, alpha, *yi);
                 }
             });
         }
@@ -41,6 +46,7 @@ pub fn native_dgemm(
     assert_eq!(c.len(), m * n);
     let threads = threads.max(1).min(m.max(1));
     let next = AtomicUsize::new(0);
+    let fma = Fma::detect();
     // Rows are disjoint: give each worker raw row pointers.
     let c_ptr = SendPtr(c.as_mut_ptr());
     std::thread::scope(|scope| {
@@ -58,9 +64,9 @@ pub fn native_dgemm(
                 for (j, cij) in row.iter_mut().enumerate() {
                     let mut acc = 0.0;
                     for p in 0..k {
-                        acc = a[i * k + p].mul_add(b[p * n + j], acc);
+                        acc = fma.apply(a[i * k + p], b[p * n + j], acc);
                     }
-                    *cij = alpha.mul_add(acc, beta * *cij);
+                    *cij = fma.apply(alpha, acc, beta * *cij);
                 }
             });
         }
@@ -94,6 +100,7 @@ pub fn native_dgemm_blocked(
     let threads = threads.max(1);
     let row_tiles = m.div_ceil(bs);
     let next = AtomicUsize::new(0);
+    let fma = Fma::detect();
     let c_ptr = SendPtr(c.as_mut_ptr());
     std::thread::scope(|scope| {
         for _ in 0..threads.min(row_tiles.max(1)) {
@@ -119,7 +126,7 @@ pub fn native_dgemm_blocked(
                                 let av = alpha * a[i * k + p];
                                 let brow = &b[p * n..p * n + n];
                                 for j in j0..j1 {
-                                    crow[j] = av.mul_add(brow[j], crow[j]);
+                                    crow[j] = fma.apply(av, brow[j], crow[j]);
                                 }
                             }
                         }

@@ -3,6 +3,8 @@
 //! definition so all executions agree bit-for-bit (the paper's
 //! *testability* property depends on this).
 
+use alpaka_core::fma::Fma;
+
 use crate::ir::{AtomicOp, BBin, Cmp, FBin, FUn, IBin};
 
 /// Binary f64 operator. IEEE semantics; `min`/`max` propagate the non-NaN
@@ -34,31 +36,14 @@ pub fn fun(op: FUn, a: f64) -> f64 {
     }
 }
 
-/// Fused multiply-add.
-///
-/// `f64::mul_add` lowers to a libm software sequence unless the build enables
-/// the `fma` target feature, which the default `x86-64` baseline does not.
-/// Hardware `vfmadd` computes the identical correctly-rounded result (one
-/// rounding of `a*b + c`), so dispatching to it at runtime keeps every
-/// execution bit-for-bit reproducible while removing the dominant scalar cost
-/// from FLOP-heavy kernels on machines that have it.
+/// Fused multiply-add through [`Fma`], the workspace's one primitive, with the
+/// CPU's FMA bit read per call (a cached load). Its fallback, `f64::mul_add`,
+/// is an indirect call into compiler-builtins' runtime-dispatched `fma` on
+/// the default `x86-64` target; hardware `vfmadd` rounds `a*b + c` once just
+/// as it does, so every execution stays bit-for-bit reproducible.
 #[inline]
 pub fn fma(a: f64, b: f64, c: f64) -> f64 {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if std::arch::is_x86_feature_detected!("fma") {
-            // SAFETY: feature presence checked above.
-            return unsafe { fma_x86(a, b, c) };
-        }
-    }
-    a.mul_add(b, c)
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "fma")]
-unsafe fn fma_x86(a: f64, b: f64, c: f64) -> f64 {
-    use std::arch::x86_64::{_mm_cvtsd_f64, _mm_fmadd_sd, _mm_set_sd};
-    _mm_cvtsd_f64(_mm_fmadd_sd(_mm_set_sd(a), _mm_set_sd(b), _mm_set_sd(c)))
+    Fma::detect().apply(a, b, c)
 }
 
 /// Binary i64 operator: wrapping arithmetic, shift counts masked to 0..64,

@@ -17,6 +17,24 @@ if grep -rnE 'Engine::Lowered|ALPAKA_SIM_ENGINE|resolve_sim_engine|ValidationFai
   exit 1
 fi
 
+echo "== one FMA, inlined, on both sides of Fig. 5 =="
+# Pins one FMA, inlined, on both sides of Fig. 5: kernels on the CPU
+# back-ends and the native baselines they are divided by both multiply-add
+# through alpaka_core::fma::Fma. A bare mul_add there is an out-of-line call
+# on the default target; a second FMA or a second asm! site is a second thing
+# to keep bit-identical.
+if grep -rn 'mul_add(' crates/cpu/src crates/kernels/src/native.rs \
+  || grep -rn 'fma_x86' crates tests examples; then
+  echo "a second FMA is back (matches above)"
+  exit 1
+fi
+asm_sites="$(grep -rn 'asm!' crates || true)"
+if [[ "$(wc -l <<<"$asm_sites")" -ne 1 || "$asm_sites" != crates/core/src/fma.rs:* ]]; then
+  echo "asm! outside the one primitive in crates/core/src/fma.rs:"
+  echo "$asm_sites"
+  exit 1
+fi
+
 echo "== cargo clippy (all targets, warnings are errors) =="
 cargo clippy --all-targets -- -D warnings
 
