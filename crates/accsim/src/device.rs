@@ -6,15 +6,17 @@
 //! into `alpaka-kir` and runs the optimizer — the `nvcc` analogue) and
 //! launches them on the SIMT interpreter of `alpaka-sim`.
 //!
-//! **Compile once, launch many** (the paper's Listing 5). A
-//! [`CompiledKernel`] carries everything that is a function of its program
-//! alone, so [`SimDevice::launch`] looks nothing up, takes no process-wide
-//! lock and copies no program. [`SimDevice::run`] (under every queue, pool
-//! shard and `time_launch`) traces the kernel (0.5-3 us), hashes the *traced*
+//! **Compile once, launch many** (the paper's Listing 5). [`SimDevice::run`]
+//! is the one way to launch (under every queue, pool shard and
+//! `time_launch`): it traces the kernel (0.5-3 us), hashes the *traced*
 //! program (<= 2.4 us) and finds the kernel compiled the first time in a
-//! per-device memo. The traced program is the key because it is the exact
-//! thing `optimize` is a pure function of: kernels need no cache-key method
-//! or `Hash` bound, and two kernel types sharing a name cannot alias.
+//! per-device memo. A memo entry carries everything that is a function of
+//! its program alone, so the launch looks nothing up, takes no process-wide
+//! lock and copies no program. The traced program is the key because it is
+//! the exact thing `optimize` is a pure function of: kernels need no
+//! cache-key method or `Hash` bound, and two kernel types sharing a name
+//! cannot alias. The launch's block and element extents are part of the key
+//! too, so an entry only ever runs at the extents it was specialised for.
 
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{BuildHasher, BuildHasherDefault};
@@ -25,7 +27,7 @@ use alpaka_core::buffer::{BufLayout, HostBuf};
 use alpaka_core::error::{Error, Result};
 use alpaka_core::kernel::{Kernel, ScalarArgs};
 use alpaka_core::workdiv::WorkDiv;
-use alpaka_kir::{optimize, trace_kernel_spec, PassStats, Program, SpecConsts};
+use alpaka_kir::{optimize, trace_kernel_spec, Program, SpecConsts};
 use alpaka_sim::{
     resolve_sim_threads, transfer_time, CacheCounters, DeviceMem, DeviceSpec, Engine, ExecMode,
     FaultPlan, LaunchFaults, Prepared, SimArgs, SimBufF, SimBufI, SimError, SimErrorKind,
@@ -38,11 +40,11 @@ use parking_lot::Mutex;
 const MEMO_CAP: usize = 32;
 
 /// What `run()` compiled before. An entry is its key — a fingerprint to find
-/// it by; the traced program, with the kernel's specialisation, to be sure —
-/// and the kernel; the most recently used entry is last.
+/// it by; the traced program and its specialisation, to be sure — and the
+/// kernel; the most recently used entry is last.
 #[derive(Default)]
 struct Memo {
-    entries: Vec<(u64, Program, Arc<CompiledKernel>)>,
+    entries: Vec<(u64, SpecConsts, Program, Arc<CompiledKernel>)>,
     counters: CacheCounters,
 }
 
@@ -305,27 +307,10 @@ impl SimDevice {
         Arc::ptr_eq(&self.state, &other.state)
     }
 
-    /// Compile (trace + optimize) a kernel for this device and a given
-    /// launch shape. `specialize` bakes the block/element extents into the
-    /// program as constants — the template-specialization analogue; the
-    /// compiled kernel is then only valid for launches with those extents.
-    pub fn compile<K: Kernel + ?Sized>(
-        &self,
-        kernel: &K,
-        wd: &WorkDiv,
-        specialize: bool,
-    ) -> CompiledKernel {
-        let spec_consts = if specialize {
-            specialised(wd)
-        } else {
-            SpecConsts::default()
-        };
-        CompiledKernel::new(trace_kernel_spec(kernel, wd.dim, spec_consts), spec_consts)
-    }
-
-    /// Execute a compiled kernel. Advances the simulated clock by the
-    /// modeled execution time and returns the full report.
-    pub fn launch(
+    /// Execute a compiled kernel (specialised for `wd`'s extents). Advances
+    /// the simulated clock by the modeled execution time and returns the
+    /// full report.
+    fn launch(
         &self,
         compiled: &CompiledKernel,
         wd: &WorkDiv,
@@ -333,22 +318,6 @@ impl SimDevice {
         mode: ExecMode,
     ) -> Result<SimReport> {
         wd.validate(&self.caps())?;
-        if let Some(bt) = compiled.spec_consts.block_thread_extent {
-            if bt != wd.threads {
-                return Err(Error::InvalidWorkDiv(format!(
-                    "kernel was specialized for block extent {bt:?}, launched with {:?}",
-                    wd.threads
-                )));
-            }
-        }
-        if let Some(te) = compiled.spec_consts.thread_elem_extent {
-            if te != wd.elems {
-                return Err(Error::InvalidWorkDiv(format!(
-                    "kernel was specialized for element extent {te:?}, launched with {:?}",
-                    wd.elems
-                )));
-            }
-        }
         for b in &args.bufs_f {
             if !self.same_device(b.device()) {
                 return Err(Error::BadArg("f64 buffer bound from another device".into()));
@@ -409,10 +378,10 @@ impl SimDevice {
         Ok(report)
     }
 
-    /// Compile (specialized) and launch in one step. The kernel is traced
-    /// every time; the rest is done once per distinct traced program while
-    /// the device's memo remembers it (a hit is the fingerprint, then exact
-    /// comparison — never the hash alone).
+    /// Compile (specialised for `wd`'s extents) and launch in one step. The
+    /// kernel is traced every time; the rest is done once per distinct
+    /// traced program while the device's memo remembers it (a hit is the
+    /// fingerprint, then exact comparison — never the hash alone).
     pub fn run<K: Kernel + ?Sized>(
         &self,
         kernel: &K,
@@ -436,23 +405,24 @@ impl SimDevice {
         spec_consts: SpecConsts,
     ) -> Arc<CompiledKernel> {
         let mut memo = self.memo.lock();
-        let found = memo.entries.iter().position(|(f, t, k)| {
-            *f == fingerprint && k.spec_consts == spec_consts && *t == traced
-        });
+        let found = memo
+            .entries
+            .iter()
+            .position(|(f, s, t, _)| *f == fingerprint && *s == spec_consts && *t == traced);
         if let Some(at) = found {
             let entry = memo.entries.remove(at);
-            let kernel = Arc::clone(&entry.2);
+            let kernel = Arc::clone(&entry.3);
             memo.entries.push(entry);
             memo.counters.hits += 1;
             return kernel;
         }
         memo.counters.misses += 1;
-        let kernel = Arc::new(CompiledKernel::new(traced.clone(), spec_consts));
+        let kernel = Arc::new(CompiledKernel::new(traced.clone()));
         if memo.entries.len() >= MEMO_CAP {
             memo.entries.remove(0);
         }
         memo.entries
-            .push((fingerprint, traced, Arc::clone(&kernel)));
+            .push((fingerprint, spec_consts, traced, Arc::clone(&kernel)));
         kernel
     }
 
@@ -471,24 +441,16 @@ impl core::fmt::Debug for SimDevice {
 
 /// A kernel traced and optimized for a device (the "compiled PTX"), with
 /// everything a launch derives from the program alone.
-pub struct CompiledKernel {
-    /// Read-only in effect: `prepared` is not re-derived if this changes.
-    pub program: Program,
-    pub pass_stats: PassStats,
-    spec_consts: SpecConsts,
+struct CompiledKernel {
+    program: Program,
     prepared: Prepared,
 }
 
 impl CompiledKernel {
-    fn new(mut program: Program, spec_consts: SpecConsts) -> Self {
-        let pass_stats = optimize(&mut program);
+    fn new(mut program: Program) -> Self {
+        optimize(&mut program);
         let prepared = Prepared::new(&program);
-        CompiledKernel {
-            program,
-            pass_stats,
-            spec_consts,
-            prepared,
-        }
+        CompiledKernel { program, prepared }
     }
 }
 

@@ -7,10 +7,8 @@
 //! modeled timeline (kernel time + host<->device transfer costs).
 
 pub mod device;
-pub mod queue;
 
-pub use device::{CompiledKernel, SimBufferF, SimBufferI, SimDevice, SimLaunchArgs};
-pub use queue::SimQueue;
+pub use device::{SimBufferF, SimBufferI, SimDevice, SimLaunchArgs};
 
 #[cfg(test)]
 mod tests {
@@ -18,7 +16,6 @@ mod tests {
     use alpaka_core::buffer::{BufLayout, HostBuf};
     use alpaka_core::kernel::Kernel;
     use alpaka_core::ops::{KernelOps, KernelOpsExt};
-    use alpaka_core::queue::QueueBehavior;
     use alpaka_core::workdiv::WorkDiv;
     use alpaka_sim::{DeviceSpec, ExecMode};
 
@@ -45,26 +42,25 @@ mod tests {
     fn full_offload_roundtrip() {
         // Host buffer -> device -> kernel -> back (Listing 4 + 5 flow).
         let dev = SimDevice::new(DeviceSpec::k20());
-        let mut q = SimQueue::new(dev.clone(), QueueBehavior::NonBlocking);
         let n = 500;
         let host = HostBuf::from_vec((0..n).map(|i| i as f64).collect());
         let dbuf = dev.alloc_f64(BufLayout::d1(n));
-        q.enqueue_h2d_f64(&dbuf, &host).unwrap();
+        dbuf.write_from(&host).unwrap();
         let args = SimLaunchArgs::new()
             .buf_f(&dbuf)
             .scalar_f(3.0)
             .scalar_i(n as i64);
         let wd = WorkDiv::d1(4, 128, 1);
-        q.enqueue_kernel(&Scale, &wd, &args, ExecMode::Full)
-            .unwrap();
-        q.enqueue_d2h_f64(&host, &dbuf).unwrap();
-        q.wait().unwrap();
+        let report = dev.run(&Scale, &wd, &args, ExecMode::Full).unwrap();
+        let after_launch = dev.clock_s();
+        dbuf.read_into(&host).unwrap();
         for i in 0..n {
             assert_eq!(host.as_slice()[i], 3.0 * i as f64);
         }
-        // Simulated time advanced: transfers + launch overhead at least.
-        assert!(q.elapsed_s() > 0.0);
-        assert!(dev.clock_s() >= q.elapsed_s());
+        // Simulated time advanced: the upload, the launch, the download.
+        assert!(report.time.total_s > 0.0);
+        assert!(after_launch > report.time.total_s);
+        assert!(dev.clock_s() > after_launch);
     }
 
     #[test]
@@ -72,8 +68,6 @@ mod tests {
         let dev = SimDevice::new(DeviceSpec::k20());
         let n = 256;
         let wd = WorkDiv::d1(2, 128, 1);
-        let compiled = dev.compile(&Scale, &wd, true);
-        assert!(compiled.program.instr_count() > 0);
         let dbuf = dev.alloc_f64(BufLayout::d1(n));
         let host = HostBuf::from_vec(vec![1.0; n]);
         dbuf.write_from(&host).unwrap();
@@ -82,23 +76,11 @@ mod tests {
             .scalar_f(2.0)
             .scalar_i(n as i64);
         for _ in 0..3 {
-            dev.launch(&compiled, &wd, &args, ExecMode::Full).unwrap();
+            dev.run(&Scale, &wd, &args, ExecMode::Full).unwrap();
         }
         assert_eq!(dbuf.to_dense(), vec![8.0; n]);
-    }
-
-    #[test]
-    fn specialized_kernel_rejects_other_workdiv() {
-        let dev = SimDevice::new(DeviceSpec::k20());
-        let wd = WorkDiv::d1(2, 128, 1);
-        let compiled = dev.compile(&Scale, &wd, true);
-        let other = WorkDiv::d1(2, 64, 1);
-        let dbuf = dev.alloc_f64(BufLayout::d1(16));
-        let args = SimLaunchArgs::new().buf_f(&dbuf).scalar_f(1.0).scalar_i(16);
-        let err = dev
-            .launch(&compiled, &other, &args, ExecMode::Full)
-            .unwrap_err();
-        assert!(matches!(err, alpaka_core::error::Error::InvalidWorkDiv(_)));
+        let memo = dev.memo_counters();
+        assert_eq!((memo.hits, memo.misses), (2, 1));
     }
 
     #[test]
@@ -125,15 +107,6 @@ mod tests {
         let back = HostBuf::<f64>::alloc(BufLayout::d2_dense(rows, cols));
         dbuf.read_into(&back).unwrap();
         assert_eq!(back.to_dense(), data);
-    }
-
-    #[test]
-    fn event_signals_in_simulated_queue() {
-        let dev = SimDevice::new(DeviceSpec::k20());
-        let mut q = SimQueue::new(dev, QueueBehavior::Blocking);
-        let ev = alpaka_core::queue::HostEvent::new();
-        q.enqueue_event(&ev).unwrap();
-        assert!(ev.is_done());
     }
 
     #[test]

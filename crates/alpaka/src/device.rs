@@ -15,9 +15,10 @@ use alpaka_core::vec::div_ceil;
 use alpaka_core::workdiv::WorkDiv;
 use alpaka_cpu::{CpuAccKind, CpuDevice};
 use alpaka_sim::DeviceSpec;
-use alpaka_sim::{Engine, FaultPlan};
+use alpaka_sim::{Engine, ExecMode, FaultPlan};
 
 use crate::buffer::{BufferF, BufferI};
+use crate::queue::run_sim_traced;
 
 /// Every accelerator the reproduction ships. Switching back-end is
 /// switching this one value.
@@ -327,7 +328,7 @@ impl Device {
         wd: &WorkDiv,
         args: &crate::queue::Args,
     ) -> Result<()> {
-        crate::queue::launch_sync(self, kernel, wd, args)
+        self.launch_report(kernel, wd, args).map(drop)
     }
 
     /// Like [`Device::launch`], but returns the full simulator report on
@@ -340,7 +341,13 @@ impl Device {
         wd: &WorkDiv,
         args: &crate::queue::Args,
     ) -> Result<Option<alpaka_sim::SimReport>> {
-        crate::queue::launch_sync_report(self, kernel, wd, args)
+        match &self.inner {
+            DeviceImpl::Cpu(d) => d.launch(kernel, wd, &args.to_cpu()?).map(|()| None),
+            DeviceImpl::Sim(d) => {
+                let args = args.to_sim()?;
+                run_sim_traced(d, self.id, None, kernel, wd, &args, ExecMode::Full).map(Some)
+            }
+        }
     }
 
     /// Bytes held by this device's live buffers (simulated devices only; 0

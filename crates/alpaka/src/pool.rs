@@ -50,8 +50,9 @@ use alpaka_core::workdiv::WorkDiv;
 use alpaka_sim::{AttemptRecord, FaultPlan, LaunchStats, ResilienceInfo, SimReport};
 
 use crate::device::{Device, DeviceImpl};
-use crate::queue::Args;
-use crate::resilient::{classify, fault_kind, Disposition, FallbackChain, LaunchSpec, RetryPolicy};
+use crate::resilient::{
+    classify, fault_kind, materialize_and_run, Disposition, FallbackChain, LaunchSpec, RetryPolicy,
+};
 use crate::WorkDivSpec;
 
 /// Per-device health as seen by the pool's fault tracker.
@@ -379,15 +380,8 @@ impl DevicePool {
                 loop {
                     shard_attempts += 1;
                     attempts_total += 1;
-                    let result = run_shard(
-                        &dev,
-                        spec,
-                        &wd,
-                        (start, end),
-                        &mut state_f,
-                        &mut state_i,
-                        traced,
-                    );
+                    let result =
+                        run_shard(&dev, spec, &wd, (start, end), &mut state_f, &mut state_i);
                     history.push(AttemptRecord {
                         attempt: attempts_total,
                         device: dev.name(),
@@ -424,7 +418,12 @@ impl DevicePool {
                             }
                             match classify(&e) {
                                 Disposition::Fatal => {
-                                    break 'migrate Err(self.shard_ctx(e, k, start, end, member));
+                                    let name = self.devices[member].name();
+                                    let at = format!(
+                                        " (pool shard {k}, blocks {start}..{end}, on {name} \
+                                         member {member})"
+                                    );
+                                    break 'migrate Err(e.with_suffix(&at));
                                 }
                                 Disposition::Retry if retries < self.policy.retry.max_retries => {
                                     self.set_health(member, Health::Degraded);
@@ -747,33 +746,6 @@ impl DevicePool {
             quarantined.join(", "),
         ))
     }
-
-    /// Wrap a fatal shard error with its coordinates, preserving the
-    /// variant (and fault coordinates) like the queue context does.
-    fn shard_ctx(&self, e: Error, shard: usize, start: usize, end: usize, member: usize) -> Error {
-        let ctx = format!(
-            " (pool shard {shard}, blocks {start}..{end}, on {} member {member})",
-            self.devices[member].name()
-        );
-        let add = |m: String| format!("{m}{ctx}");
-        match e {
-            Error::InvalidWorkDiv(m) => Error::InvalidWorkDiv(add(m)),
-            Error::BadArg(m) => Error::BadArg(add(m)),
-            Error::BadBuffer(m) => Error::BadBuffer(add(m)),
-            Error::BadCopy(m) => Error::BadCopy(add(m)),
-            Error::KernelFault(mut f) => {
-                f.msg = add(f.msg);
-                Error::KernelFault(f)
-            }
-            Error::Timeout(mut f) => {
-                f.msg = add(f.msg);
-                Error::Timeout(f)
-            }
-            Error::DeviceLost(m) => Error::DeviceLost(add(m)),
-            Error::Device(m) => Error::Device(add(m)),
-            Error::Unsupported(m) => Error::Unsupported(add(m)),
-        }
-    }
 }
 
 fn kernel_name<K: Kernel>(k: &K) -> String {
@@ -781,10 +753,11 @@ fn kernel_name<K: Kernel>(k: &K) -> String {
 }
 
 /// One shard attempt on one member: materialize the argument buffers from
-/// the checkpoint state, run the sub-grid, download the new state. The
-/// checkpoint is only advanced on success — a failed attempt leaves it
-/// untouched (the simulator's fault-or-correct guarantee means no partial
-/// state can leak back anyway, since downloads happen only after success).
+/// the checkpoint state, run the sub-grid (untraced: the pool emits its own
+/// shard spans), download the new state. The checkpoint is only advanced on
+/// success — a failed attempt leaves it untouched (the simulator's
+/// fault-or-correct guarantee means no partial state can leak back anyway,
+/// since downloads happen only after success).
 fn run_shard<K: Kernel + Clone + Send + 'static>(
     dev: &Device,
     spec: &LaunchSpec<K>,
@@ -792,7 +765,6 @@ fn run_shard<K: Kernel + Clone + Send + 'static>(
     (start, end): (usize, usize),
     state_f: &mut [Vec<f64>],
     state_i: &mut [Vec<i64>],
-    _traced: bool,
 ) -> Result<SimReport> {
     if dev.is_lost() {
         return Err(Error::DeviceLost(format!(
@@ -800,37 +772,15 @@ fn run_shard<K: Kernel + Clone + Send + 'static>(
             dev.name()
         )));
     }
-    let mut args = Args::new();
-    let mut bufs_f = Vec::with_capacity(spec.bufs_f.len());
-    for ((layout, _), init) in spec.bufs_f.iter().zip(state_f.iter()) {
-        let b = dev.try_alloc_f64(*layout)?;
-        b.upload(init)?;
-        args = args.buf_f(&b);
-        bufs_f.push(b);
-    }
-    let mut bufs_i = Vec::with_capacity(spec.bufs_i.len());
-    for ((layout, _), init) in spec.bufs_i.iter().zip(state_i.iter()) {
-        let b = dev.try_alloc_i64(*layout)?;
-        b.upload(init)?;
-        args = args.buf_i(&b);
-        bufs_i.push(b);
-    }
-    args.scalars = spec.scalars.clone();
-    let sim_args = args.to_sim()?;
-    let report = match &dev.inner {
-        DeviceImpl::Sim(d) => d.run(
+    let DeviceImpl::Sim(d) = &dev.inner else {
+        unreachable!("pool construction rejects native devices")
+    };
+    materialize_and_run(dev, spec, state_f, state_i, |args| {
+        d.run(
             &spec.kernel,
             wd,
-            &sim_args,
+            &args.to_sim()?,
             alpaka_sim::ExecMode::BlockRange { start, end },
-        )?,
-        DeviceImpl::Cpu(_) => unreachable!("pool construction rejects native devices"),
-    };
-    for (b, slot) in bufs_f.iter().zip(state_f.iter_mut()) {
-        *slot = b.download();
-    }
-    for (b, slot) in bufs_i.iter().zip(state_i.iter_mut()) {
-        *slot = b.download();
-    }
-    Ok(report)
+        )
+    })
 }

@@ -65,7 +65,7 @@ impl Args {
         self
     }
 
-    fn to_cpu(&self) -> Result<CpuArgs> {
+    pub(crate) fn to_cpu(&self) -> Result<CpuArgs> {
         let mut out = CpuArgs::new();
         for b in &self.bufs_f {
             out = out.buf_f(b.as_host()?);
@@ -90,46 +90,14 @@ impl Args {
     }
 }
 
-/// Synchronous launch used by `Device::launch` and the timing helper.
-pub(crate) fn launch_sync<K: Kernel + ?Sized>(
-    dev: &Device,
-    kernel: &K,
-    wd: &WorkDiv,
-    args: &Args,
-) -> Result<()> {
-    launch_sync_report(dev, kernel, wd, args).map(|_| ())
-}
-
-/// [`launch_sync`] that hands back the simulator report (`None` on native
-/// CPU devices).
-pub(crate) fn launch_sync_report<K: Kernel + ?Sized>(
-    dev: &Device,
-    kernel: &K,
-    wd: &WorkDiv,
-    args: &Args,
-) -> Result<Option<SimReport>> {
-    match &dev.inner {
-        DeviceImpl::Cpu(d) => {
-            d.launch(kernel, wd, &args.to_cpu()?)?;
-            Ok(None)
-        }
-        DeviceImpl::Sim(d) => Ok(Some(run_sim_traced(
-            d,
-            dev.id(),
-            kernel,
-            wd,
-            &args.to_sim()?,
-            ExecMode::Full,
-        )?)),
-    }
-}
-
-/// Synchronous simulated run with launch tracing but no queue lane: the
-/// direct-launch path (`Device::launch`, [`time_launch`]) shares the trace
-/// emission of [`Queue::enqueue_kernel`], minus the queue-side span.
+/// A simulated launch with its trace events and metrics: the one emission
+/// path of [`Queue::enqueue_kernel`] (`queue` is its id, which adds the
+/// queue-side span and marks every event with the queue) and of the direct
+/// launches, `Device::launch` and [`time_launch`] (`queue` is `None`).
 pub(crate) fn run_sim_traced<K: Kernel + ?Sized>(
     d: &alpaka_accsim::SimDevice,
     dev_id: u64,
+    queue: Option<u64>,
     kernel: &K,
     wd: &WorkDiv,
     args: &alpaka_accsim::SimLaunchArgs,
@@ -149,22 +117,23 @@ pub(crate) fn run_sim_traced<K: Kernel + ?Sized>(
     match d.run(kernel, wd, args, mode) {
         Ok(report) => {
             if traced {
-                emit_launch_events(kernel.name(), dev_id, None, ordinal, model, t0, &report);
+                emit_launch_events(kernel.name(), dev_id, queue, ordinal, model, t0, &report);
             }
             alpaka_sim::metrics::record_launch(kernel.name(), &report);
             Ok(report)
         }
         Err(e) => {
             if traced {
-                trace::emit(
-                    TraceEvent::new(
-                        TraceKind::Fault,
-                        format!("{}: {e}", kernel.name()),
-                        dev_id,
-                        t0,
-                    )
-                    .on_launch(ordinal),
+                let fault = TraceEvent::new(
+                    TraceKind::Fault,
+                    format!("{}: {e}", kernel.name()),
+                    dev_id,
+                    t0,
                 );
+                trace::emit(TraceEvent {
+                    queue,
+                    ..fault.on_launch(ordinal)
+                });
             }
             metrics::note_failure(fault_kind(&e), &format!("{}: {e}", kernel.name()));
             Err(e)
@@ -174,9 +143,15 @@ pub(crate) fn run_sim_traced<K: Kernel + ?Sized>(
 
 enum QImpl {
     Cpu(CpuQueue),
-    // Boxed: SimQueue is much larger than CpuQueue and queues are
-    // long-lived, so the indirection costs nothing that matters.
-    Sim(Box<Mutex<alpaka_accsim::SimQueue>>),
+    /// The device, and the simulated seconds of this queue's kernel launches
+    /// with the report of its latest one (boxed: a report is large, and
+    /// queues are long-lived). The lock is held across a launch. Simulated
+    /// operations run synchronously, so the queue has no worker: an event is
+    /// signalled at once and a wait has nothing to drain.
+    Sim(
+        alpaka_accsim::SimDevice,
+        Box<Mutex<(f64, Option<SimReport>)>>,
+    ),
 }
 
 /// An in-order work queue on any device.
@@ -202,10 +177,7 @@ impl Queue {
     pub fn new(device: Device, behavior: QueueBehavior) -> Self {
         let inner = match &device.inner {
             DeviceImpl::Cpu(d) => QImpl::Cpu(CpuQueue::new(d.clone(), behavior)),
-            DeviceImpl::Sim(d) => QImpl::Sim(Box::new(Mutex::new(alpaka_accsim::SimQueue::new(
-                d.clone(),
-                behavior,
-            )))),
+            DeviceImpl::Sim(d) => QImpl::Sim(d.clone(), Box::default()),
         };
         Queue {
             device,
@@ -245,31 +217,8 @@ impl Queue {
     /// no clue whose it was. The stored sticky error stays unwrapped, so
     /// repeated waits do not accumulate context.
     fn check_sticky_ctx(&self) -> Result<()> {
-        self.check_sticky().map_err(|e| self.queue_ctx(e))
-    }
-
-    /// Append queue id + device name to an error's message, preserving its
-    /// variant (and fault coordinates).
-    fn queue_ctx(&self, e: Error) -> Error {
-        let ctx = format!(" (queue {} on {})", self.id, self.device.name());
-        let add = |m: String| format!("{m}{ctx}");
-        match e {
-            Error::InvalidWorkDiv(m) => Error::InvalidWorkDiv(add(m)),
-            Error::BadArg(m) => Error::BadArg(add(m)),
-            Error::BadBuffer(m) => Error::BadBuffer(add(m)),
-            Error::BadCopy(m) => Error::BadCopy(add(m)),
-            Error::KernelFault(mut f) => {
-                f.msg = add(f.msg);
-                Error::KernelFault(f)
-            }
-            Error::Timeout(mut f) => {
-                f.msg = add(f.msg);
-                Error::Timeout(f)
-            }
-            Error::DeviceLost(m) => Error::DeviceLost(add(m)),
-            Error::Device(m) => Error::Device(add(m)),
-            Error::Unsupported(m) => Error::Unsupported(add(m)),
-        }
+        self.check_sticky()
+            .map_err(|e| e.with_suffix(&format!(" (queue {} on {})", self.id, self.device.name())))
     }
 
     /// Record the first error; later ones are dropped (CUDA keeps the
@@ -328,54 +277,24 @@ impl Queue {
         }
         match &self.inner {
             QImpl::Cpu(q) => q.enqueue_kernel(kernel.clone(), *wd, args.to_cpu()?),
-            QImpl::Sim(q) => {
-                let mut ql = q.lock();
-                let traced = trace::active();
-                let (t0, ordinal, model) = if traced {
-                    let d = ql.device();
-                    let s = d.spec();
-                    (
-                        d.clock_s(),
-                        d.launch_count(),
-                        (s.clock_ghz, s.peak_gflops(), s.mem_bw_gbs),
-                    )
-                } else {
-                    (0.0, 0, (0.0, 0.0, 0.0))
-                };
-                let out = match ql.enqueue_kernel(kernel, wd, &args.to_sim()?, ExecMode::Full) {
-                    Ok(report) => {
-                        if traced {
-                            emit_launch_events(
-                                kernel.name(),
-                                self.device.id(),
-                                Some(self.id),
-                                ordinal,
-                                model,
-                                t0,
-                                report,
-                            );
-                        }
-                        alpaka_sim::metrics::record_launch(kernel.name(), report);
-                        Ok(())
-                    }
-                    Err(e) => {
-                        if traced {
-                            trace::emit(
-                                TraceEvent::new(
-                                    TraceKind::Fault,
-                                    format!("{}: {e}", kernel.name()),
-                                    self.device.id(),
-                                    t0,
-                                )
-                                .on_queue(self.id)
-                                .on_launch(ordinal),
-                            );
-                        }
-                        metrics::note_failure(fault_kind(&e), &format!("{}: {e}", kernel.name()));
-                        Err(e)
-                    }
-                };
-                drop(ql);
+            QImpl::Sim(d, state) => {
+                let sim_args = args.to_sim()?;
+                let mut st = state.lock();
+                let before = d.clock_s();
+                let out = run_sim_traced(
+                    d,
+                    self.device.id(),
+                    Some(self.id),
+                    kernel,
+                    wd,
+                    &sim_args,
+                    ExecMode::Full,
+                )
+                .map(|report| {
+                    st.0 += d.clock_s() - before;
+                    st.1 = Some(report);
+                });
+                drop(st);
                 count_op_result("kernel", &out);
                 self.absorb(out)
             }
@@ -469,7 +388,10 @@ impl Queue {
         }
         match &self.inner {
             QImpl::Cpu(q) => q.enqueue_event(ev),
-            QImpl::Sim(q) => q.lock().enqueue_event(ev),
+            QImpl::Sim(..) => {
+                ev.signal();
+                Ok(())
+            }
         }
     }
 
@@ -495,16 +417,9 @@ impl Queue {
                 .on_queue(self.id),
             );
         }
-        match &self.inner {
-            QImpl::Cpu(q) => {
-                if let Err(e) = q.wait() {
-                    self.record(e);
-                }
-            }
-            QImpl::Sim(q) => {
-                if let Err(e) = q.lock().wait() {
-                    self.record(e);
-                }
+        if let QImpl::Cpu(q) = &self.inner {
+            if let Err(e) = q.wait() {
+                self.record(e);
             }
         }
         self.check_sticky_ctx()
@@ -568,8 +483,8 @@ impl Queue {
     pub fn reset(&self) {
         match &self.inner {
             QImpl::Cpu(q) => q.reset(),
-            QImpl::Sim(q) => {
-                q.lock().device().clear_lost_if_recovered();
+            QImpl::Sim(d, _) => {
+                d.clear_lost_if_recovered();
             }
         }
         *self.sticky.lock() = None;
@@ -580,15 +495,17 @@ impl Queue {
     pub fn inject_worker_death(&self) {
         match &self.inner {
             QImpl::Cpu(q) => q.kill_worker(),
-            QImpl::Sim(_) => self.record(Error::Device("queue worker died (injected)".into())),
+            QImpl::Sim(..) => self.record(Error::Device("queue worker died (injected)".into())),
         }
     }
 
-    /// Simulated seconds consumed by this queue (0 for native devices).
+    /// Simulated seconds of the kernel launches enqueued on this queue: the
+    /// device-clock advance of each, summed (0 for native devices). Copies
+    /// and other queues' launches on the same device do not count.
     pub fn sim_elapsed_s(&self) -> f64 {
         match &self.inner {
             QImpl::Cpu(_) => 0.0,
-            QImpl::Sim(q) => q.lock().elapsed_s(),
+            QImpl::Sim(_, state) => state.lock().0,
         }
     }
 
@@ -598,7 +515,7 @@ impl Queue {
     pub fn last_sim_report(&self) -> Option<SimReport> {
         match &self.inner {
             QImpl::Cpu(_) => None,
-            QImpl::Sim(q) => q.lock().last_report().cloned(),
+            QImpl::Sim(_, state) => state.lock().1.clone(),
         }
     }
 }
@@ -653,7 +570,7 @@ pub fn time_launch<K: Kernel + ?Sized>(
                 LaunchMode::Exact => ExecMode::Full,
                 LaunchMode::TimingSampled(k) => ExecMode::SampleBlocks(k),
             };
-            let report = run_sim_traced(d, dev.id(), kernel, wd, &args.to_sim()?, exec_mode)?;
+            let report = run_sim_traced(d, dev.id(), None, kernel, wd, &args.to_sim()?, exec_mode)?;
             Ok(TimedRun {
                 wall_s: start.elapsed().as_secs_f64(),
                 time_s: report.time.total_s,
@@ -708,10 +625,7 @@ fn emit_launch_events(
     t0: f64,
     report: &SimReport,
 ) {
-    let on_queue = |ev: TraceEvent| match queue {
-        Some(q) => ev.on_queue(q),
-        None => ev,
-    };
+    let on_queue = |ev: TraceEvent| TraceEvent { queue, ..ev };
     let t1 = t0 + report.time.total_s;
     if let Some(q) = queue {
         trace::emit(
@@ -761,10 +675,6 @@ fn emit_launch_events(
         *cur += dur;
     }
 }
-
-// Re-exported at the crate root; keep the error type in scope for docs.
-#[allow(unused_imports)]
-use Error as _ErrorDoc;
 
 #[cfg(test)]
 mod tests {

@@ -226,38 +226,55 @@ pub(crate) fn fault_kind(e: &Error) -> &'static str {
 /// order, plus the simulator report of the launch (native devices: `None`).
 type AttemptOutput = (Vec<Vec<f64>>, Vec<Vec<i64>>, Option<SimReport>);
 
-/// One full attempt on one device: materialize buffers from the snapshots,
-/// launch, download results.
+/// Materialise `spec`'s argument buffers on `dev` from host state (one dense
+/// vector per slot, in binding order), run `launch` over them and, only if
+/// it succeeds, replace each slot of the state with its buffer's download.
+/// Slots are replaced one at a time, so the host never holds two copies of
+/// the whole state.
+pub(crate) fn materialize_and_run<K, R>(
+    dev: &Device,
+    spec: &LaunchSpec<K>,
+    state_f: &mut [Vec<f64>],
+    state_i: &mut [Vec<i64>],
+    launch: impl FnOnce(&Args) -> Result<R>,
+) -> Result<R> {
+    let mut args = Args::new();
+    for ((layout, _), init) in spec.bufs_f.iter().zip(&*state_f) {
+        let b = dev.try_alloc_f64(*layout)?;
+        b.upload(init)?;
+        args = args.buf_f(&b);
+    }
+    for ((layout, _), init) in spec.bufs_i.iter().zip(&*state_i) {
+        let b = dev.try_alloc_i64(*layout)?;
+        b.upload(init)?;
+        args = args.buf_i(&b);
+    }
+    args.scalars = spec.scalars.clone();
+    let out = launch(&args)?;
+    for (b, slot) in args.bufs_f.iter().zip(state_f) {
+        *slot = b.download();
+    }
+    for (b, slot) in args.bufs_i.iter().zip(state_i) {
+        *slot = b.download();
+    }
+    Ok(out)
+}
+
+/// One full attempt on one device from the pristine snapshots in `spec`.
 fn attempt<K: Kernel + Clone + Send + 'static>(
     dev: &Device,
     spec: &LaunchSpec<K>,
 ) -> Result<AttemptOutput> {
-    let mut args = Args::new();
-    let mut bufs_f = Vec::with_capacity(spec.bufs_f.len());
-    for (layout, init) in &spec.bufs_f {
-        let b = dev.try_alloc_f64(*layout)?;
-        b.upload(init)?;
-        args = args.buf_f(&b);
-        bufs_f.push(b);
-    }
-    let mut bufs_i = Vec::with_capacity(spec.bufs_i.len());
-    for (layout, init) in &spec.bufs_i {
-        let b = dev.try_alloc_i64(*layout)?;
-        b.upload(init)?;
-        args = args.buf_i(&b);
-        bufs_i.push(b);
-    }
-    args.scalars = spec.scalars.clone();
     let wd = match &spec.workdiv {
         WorkDivSpec::Fixed(wd) => *wd,
         WorkDivSpec::Suggest1d(n) => dev.suggest_workdiv_1d(*n),
     };
-    let report = dev.launch_report(&spec.kernel, &wd, &args)?;
-    Ok((
-        bufs_f.iter().map(|b| b.download()).collect(),
-        bufs_i.iter().map(|b| b.download()).collect(),
-        report,
-    ))
+    let mut bufs_f: Vec<_> = spec.bufs_f.iter().map(|(_, init)| init.clone()).collect();
+    let mut bufs_i: Vec<_> = spec.bufs_i.iter().map(|(_, init)| init.clone()).collect();
+    let report = materialize_and_run(dev, spec, &mut bufs_f, &mut bufs_i, |args| {
+        dev.launch_report(&spec.kernel, &wd, args)
+    })?;
+    Ok((bufs_f, bufs_i, report))
 }
 
 /// Run `spec` to completion across `chain` under `policy`.

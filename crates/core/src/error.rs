@@ -104,6 +104,29 @@ impl Error {
     pub fn is_sticky(&self) -> bool {
         matches!(self, Error::DeviceLost(_))
     }
+
+    /// The same error with `suffix` appended to its message (context such as
+    /// the queue or pool shard it came from). The variant, and a
+    /// [`FaultInfo`]'s coordinates and `transient` flag, are kept.
+    pub fn with_suffix(self, suffix: &str) -> Error {
+        match self {
+            Error::InvalidWorkDiv(m) => Error::InvalidWorkDiv(m + suffix),
+            Error::BadArg(m) => Error::BadArg(m + suffix),
+            Error::BadBuffer(m) => Error::BadBuffer(m + suffix),
+            Error::BadCopy(m) => Error::BadCopy(m + suffix),
+            Error::KernelFault(f) => Error::KernelFault(FaultInfo {
+                msg: f.msg + suffix,
+                ..f
+            }),
+            Error::Timeout(f) => Error::Timeout(FaultInfo {
+                msg: f.msg + suffix,
+                ..f
+            }),
+            Error::DeviceLost(m) => Error::DeviceLost(m + suffix),
+            Error::Device(m) => Error::Device(m + suffix),
+            Error::Unsupported(m) => Error::Unsupported(m + suffix),
+        }
+    }
 }
 
 impl fmt::Display for Error {
@@ -167,5 +190,48 @@ mod tests {
         let lost = Error::DeviceLost("gone".into());
         assert!(!lost.is_transient() && lost.is_sticky());
         assert!(!Error::Device("oom".into()).is_transient());
+    }
+
+    #[test]
+    fn with_suffix_keeps_the_variant_and_the_fault_coordinates() {
+        let info = FaultInfo {
+            msg: "m".into(),
+            block: Some([0, 1, 2]),
+            thread: Some([3, 4, 5]),
+            transient: true,
+        };
+        let all = [
+            Error::InvalidWorkDiv("m".into()),
+            Error::BadArg("m".into()),
+            Error::BadBuffer("m".into()),
+            Error::BadCopy("m".into()),
+            Error::KernelFault(info.clone()),
+            Error::Timeout(info.clone()),
+            Error::DeviceLost("m".into()),
+            Error::Device("m".into()),
+            Error::Unsupported("m".into()),
+        ];
+        for e in all {
+            let got = e.clone().with_suffix(" (ctx)");
+            assert_eq!(
+                core::mem::discriminant(&got),
+                core::mem::discriminant(&e),
+                "{got:?}"
+            );
+            let want_info = FaultInfo {
+                msg: "m (ctx)".into(),
+                ..info.clone()
+            };
+            match got {
+                Error::KernelFault(f) | Error::Timeout(f) => assert_eq!(f, want_info),
+                Error::InvalidWorkDiv(m)
+                | Error::BadArg(m)
+                | Error::BadBuffer(m)
+                | Error::BadCopy(m)
+                | Error::DeviceLost(m)
+                | Error::Device(m)
+                | Error::Unsupported(m) => assert_eq!(m, "m (ctx)"),
+            }
+        }
     }
 }

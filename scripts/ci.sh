@@ -17,6 +17,19 @@ if grep -rnE 'Engine::Lowered|ALPAKA_SIM_ENGINE|resolve_sim_engine|ValidationFai
   exit 1
 fi
 
+echo "== one way to launch on a simulated device =="
+# SimDevice::run is the only launch entry on a simulated device, and one
+# function (alpaka::queue::run_sim_traced) emits the trace events and metrics
+# of queued and direct launches alike. The second launch routes, the unread
+# pass statistics and the two copies of the error-context match stay
+# removed. benchmark/ (frozen) and the history in ROADMAP.md/CHANGES.md are
+# outside the search.
+if grep -rnE 'SimQueue|enqueue_compiled|SimDevice::compile|pass_stats|launch_sync|queue_ctx|shard_ctx' \
+  crates tests examples README.md DESIGN.md; then
+  echo "a removed launch route or error-context copy is back (matches above)"
+  exit 1
+fi
+
 echo "== one FMA, inlined, on both sides of Fig. 5 =="
 # Pins one FMA, inlined, on both sides of Fig. 5: kernels on the CPU
 # back-ends and the native baselines they are divided by both multiply-add
@@ -84,8 +97,9 @@ for t in 1 4; do
   # the ambient override; both funnel into resolve_sim_threads).
   ALPAKA_SIM_THREADS=$t cargo test -q --test metrics_acceptance
   # Compile once, launch many, checked rather than assumed: heat2d's 200
-  # JacobiStep enqueues on sim-k20 through a non-blocking queue must be one
-  # memo miss, 199 hits, one lowering miss and cpu-serial's final grid
+  # JacobiStep launches on sim-k20 through SimDevice::run (the funnel under
+  # every queue) must be one memo miss, 199 hits, one lowering miss and
+  # cpu-serial's final grid
   # (heat2d_compiles_once_for_200_enqueues); the rest of the file pins that
   # the memo is invisible except in time, for every kernel of the zoo.
   ALPAKA_SIM_THREADS=$t cargo test -q --test launch_memo

@@ -106,6 +106,56 @@ fn two_queues_one_device() {
     assert_eq!(b2.download(), vec![87.0; n]); // f^3(10) = 87
 }
 
+/// Each simulated queue keeps its own clock: the device-clock advance of
+/// its own kernel launches, summed in order, with copies, direct launches
+/// and the other queue's launches on the same device left out. Its last
+/// report is that of its own latest launch.
+#[test]
+fn sim_queues_keep_their_own_clocks() {
+    let dev = Device::new(AccKind::sim_k20());
+    let q1 = Queue::new(dev.clone(), QueueBehavior::NonBlocking);
+    let q2 = Queue::new(dev.clone(), QueueBehavior::Blocking);
+    assert_eq!((q1.sim_elapsed_s(), q2.sim_elapsed_s()), (0.0, 0.0));
+    assert!(q1.last_sim_report().is_none());
+    let (small, big) = (64usize, 4096usize);
+    let host = Device::new(AccKind::CpuSerial).alloc_f64(BufLayout::d1(small));
+    host.upload(&vec![1.0; small]).unwrap();
+    let b_small = dev.alloc_f64(BufLayout::d1(small));
+    let b_big = dev.alloc_f64(BufLayout::d1(big));
+    b_big.upload(&vec![1.0; big]).unwrap();
+    // Enqueue one launch over `n` elements of `buf` and return the
+    // device-clock advance it caused.
+    let launch = |q: &Queue, buf, n: usize| {
+        let before = dev.sim_clock_s();
+        let args = Args::new().buf_f(buf).scalar_i(n as i64);
+        q.enqueue_kernel(&TwicePlusOne, &dev.suggest_workdiv_1d(n), &args)
+            .unwrap();
+        dev.sim_clock_s() - before
+    };
+    let mut want = [0.0f64; 2];
+    want[0] += launch(&q1, &b_big, big);
+    q1.enqueue_copy_f64(&b_small, &host).unwrap();
+    want[1] += launch(&q2, &b_big, big);
+    want[0] += launch(&q1, &b_small, small);
+    q2.enqueue_copy_f64(&host, &b_small).unwrap();
+    let wd = dev.suggest_workdiv_1d(small);
+    let args = Args::new().buf_f(&b_small).scalar_i(small as i64);
+    dev.launch(&TwicePlusOne, &wd, &args).unwrap();
+    want[1] += launch(&q2, &b_small, small);
+    want[1] += launch(&q2, &b_big, big);
+    q1.wait().unwrap();
+    q2.wait().unwrap();
+    // Bit for bit: the same differences, summed in the same order.
+    assert_eq!(q1.sim_elapsed_s(), want[0]);
+    assert_eq!(q2.sim_elapsed_s(), want[1]);
+    assert!(want[0] > 0.0 && want[1] > want[0]);
+    assert!(q1.sim_elapsed_s() + q2.sim_elapsed_s() < dev.sim_clock_s());
+    let blocks = |q: &Queue| q.last_sim_report().unwrap().stats.blocks;
+    let blocks_of = |n: usize| dev.suggest_workdiv_1d(n).block_count() as u64;
+    assert_eq!(blocks(&q1), blocks_of(small));
+    assert_eq!(blocks(&q2), blocks_of(big));
+}
+
 #[test]
 fn copy_then_kernel_then_copy_back() {
     // The Listing 4 + 5 offloading flow through a queue, host and device.

@@ -13,8 +13,9 @@
 //! `resolve_sim_threads` call in the simulator.
 
 use alpaka::{
-    chrome_trace, roofline_csv, text_report, trace, validate_json, AccKind, Args, BufLayout,
-    ChromeOpts, Device, Engine, Queue, QueueBehavior, SimReport, TraceEvent, TraceKind,
+    chrome_trace, roofline_csv, text_report, time_launch, trace, validate_json, AccKind, Args,
+    BufLayout, ChromeOpts, Device, Engine, Kernel, KernelOps, LaunchMode, Queue, QueueBehavior,
+    SimReport, TraceEvent, TraceKind,
 };
 use alpaka_kernels::host::{dgemm_ref, random_matrix, random_vec, rel_err};
 use alpaka_kernels::{DaxpyKernel, DgemmTiled};
@@ -180,4 +181,93 @@ fn traced_daxpy_event_stream_is_deterministic() {
             assert_eq!(&g, r, "{workers} workers, {engine:?}");
         }
     }
+}
+
+/// Stores one element far past the end of its buffer: every launch faults.
+#[derive(Clone)]
+struct StoreOutOfBounds;
+impl Kernel for StoreOutOfBounds {
+    fn name(&self) -> &str {
+        "store_oob"
+    }
+    fn run<O: KernelOps>(&self, o: &mut O) {
+        let b = o.buf_f(0);
+        let i = o.lit_i(1 << 20);
+        let v = o.lit_f(1.0);
+        o.st_gf(b, i, v);
+    }
+}
+
+/// `kernel` launched once on a fresh simulated K20, through a blocking queue
+/// when `queued` and through `time_launch` otherwise: the captured events,
+/// the queue's id and whether the launch succeeded.
+fn traced_launch<K: Kernel + Clone + Send + 'static>(
+    kernel: &K,
+    queued: bool,
+) -> (Vec<TraceEvent>, Option<u64>, bool) {
+    let n = 1000usize;
+    let ((queue, ok), events) = trace::capture(|| {
+        let dev = Device::new(AccKind::sim_k20());
+        let x = dev.alloc_f64(BufLayout::d1(n));
+        let y = dev.alloc_f64(BufLayout::d1(n));
+        x.upload(&random_vec(n, 5)).unwrap();
+        y.upload(&random_vec(n, 6)).unwrap();
+        let wd = dev.suggest_workdiv_1d(n);
+        let args = Args::new()
+            .buf_f(&x)
+            .buf_f(&y)
+            .scalar_f(2.5)
+            .scalar_i(n as i64);
+        if queued {
+            let q = Queue::new(dev.clone(), QueueBehavior::Blocking);
+            (Some(q.id()), q.enqueue_kernel(kernel, &wd, &args).is_ok())
+        } else {
+            let run = time_launch(&dev, kernel, &wd, &args, LaunchMode::Exact);
+            (None, run.is_ok())
+        }
+    });
+    (events, queue, ok)
+}
+
+/// A queued launch and a direct one share one emission: the same kernel on
+/// fresh devices yields the same `Launch` and `BlockExec` events apart from
+/// the queue field, and only the queued launch has a `QueueOp` span. A
+/// faulting launch's `Fault` event names the queue only when it was queued.
+#[test]
+fn queued_and_direct_launches_share_one_emission() {
+    let of = |events: &[TraceEvent], kind: TraceKind| -> Vec<TraceEvent> {
+        events.iter().filter(|e| e.kind == kind).cloned().collect()
+    };
+    let (queued, queue, ok) = traced_launch(&DaxpyKernel, true);
+    assert!(ok && queue.is_some());
+    let (direct, none, ok) = traced_launch(&DaxpyKernel, false);
+    assert!(ok && none.is_none());
+    for kind in [TraceKind::Launch, TraceKind::BlockExec] {
+        let (q, d) = (of(&queued, kind), of(&direct, kind));
+        assert!(!q.is_empty() && q.len() == d.len(), "{kind:?}");
+        for (q, d) in q.iter().zip(&d) {
+            assert_eq!(q.queue, queue, "{q:?}");
+            assert_eq!(d.queue, None, "{d:?}");
+            let strip = |e: &TraceEvent| TraceEvent {
+                queue: None,
+                wall_ns: 0,
+                ..e.clone()
+            };
+            assert_eq!(strip(q), strip(d));
+        }
+    }
+    let queue_ops = of(&queued, TraceKind::QueueOp);
+    assert_eq!(queue_ops.len(), 1, "{queue_ops:?}");
+    assert_eq!(queue_ops[0].queue, queue);
+    assert!(of(&direct, TraceKind::QueueOp).is_empty());
+
+    let (queued, queue, ok) = traced_launch(&StoreOutOfBounds, true);
+    assert!(!ok);
+    let (direct, _, ok) = traced_launch(&StoreOutOfBounds, false);
+    assert!(!ok);
+    let (q, d) = (of(&queued, TraceKind::Fault), of(&direct, TraceKind::Fault));
+    assert_eq!((q.len(), d.len()), (1, 1), "{q:?} {d:?}");
+    assert_eq!((q[0].queue, d[0].queue), (queue, None));
+    assert_eq!(q[0].launch, Some(0));
+    assert_eq!(q[0].label, d[0].label);
 }
