@@ -1,17 +1,22 @@
 //! Uniform queues, executors and timing over every back-end.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{mpsc, Arc};
+use std::thread;
 use std::time::Instant;
 
+use alpaka_core::buffer::copy_region;
 use alpaka_core::error::{Error, Result};
 use alpaka_core::kernel::{Kernel, ScalarArgs};
 use alpaka_core::metrics;
+use alpaka_core::pool::panic_message;
 use alpaka_core::queue::{HostEvent, QueueBehavior};
 use alpaka_core::trace::{self, TraceEvent, TraceKind};
 use alpaka_core::workdiv::WorkDiv;
-use alpaka_cpu::{CpuArgs, CpuQueue};
+use alpaka_cpu::{CpuArgs, CpuDevice};
 use alpaka_sim::{ExecMode, SimReport};
-use parking_lot::Mutex;
+use parking_lot::{Condvar, Mutex};
 
 use crate::buffer::{copy_f64, copy_i64, BufferF, BufferI};
 use crate::device::{Device, DeviceImpl};
@@ -141,8 +146,109 @@ pub(crate) fn run_sim_traced<K: Kernel + ?Sized>(
     }
 }
 
+/// One job on a non-blocking native queue's worker.
+enum Job {
+    /// An operation, under its metrics label (`"kernel"`, `"copy"`). It is
+    /// skipped once the queue has failed.
+    Op(&'static str, Box<dyn FnOnce() -> Result<()> + Send>),
+    /// Signalled in order, failed queue or not, so its waiter never hangs.
+    Event(HostEvent),
+    /// An injected worker death, recorded in order behind prior work.
+    Fail(Error),
+}
+
+/// Jobs handed to a worker and not yet finished; waits sleep until none are.
+#[derive(Default)]
+struct Pending(Mutex<usize>, Condvar);
+
+impl Pending {
+    fn done(&self) {
+        let mut n = self.0.lock();
+        *n -= 1;
+        if *n == 0 {
+            self.1.notify_all();
+        }
+    }
+
+    fn drain(&self) {
+        let mut n = self.0.lock();
+        while *n != 0 {
+            self.1.wait(&mut n);
+        }
+    }
+}
+
+/// The one thread of a non-blocking native queue: it runs the queue's jobs
+/// in order and writes the first failure into the queue's sticky slot.
+struct Worker {
+    tx: mpsc::Sender<Job>,
+    pending: Arc<Pending>,
+    thread: Option<thread::JoinHandle<()>>,
+}
+
+impl Worker {
+    fn spawn(sticky: Arc<Mutex<Option<Error>>>) -> Worker {
+        let (tx, rx) = mpsc::channel();
+        let pending = Arc::new(Pending::default());
+        let done = Arc::clone(&pending);
+        let thread = thread::Builder::new()
+            .name("alpaka-queue".into())
+            .spawn(move || {
+                for job in rx {
+                    match job {
+                        Job::Op(op, f) if sticky.lock().is_none() => {
+                            let r = catch_unwind(AssertUnwindSafe(f))
+                                .unwrap_or_else(|p| Err(Error::Device(panic_message(p))));
+                            count_op_result(op, &r);
+                            if let Err(e) = r {
+                                record(&sticky, e);
+                            }
+                        }
+                        Job::Op(..) => {}
+                        Job::Event(ev) => ev.signal(),
+                        Job::Fail(e) => record(&sticky, e),
+                    }
+                    done.done();
+                }
+            })
+            .expect("failed to spawn queue worker");
+        Worker {
+            tx,
+            pending,
+            thread: Some(thread),
+        }
+    }
+
+    fn send(&self, job: Job) -> Result<()> {
+        *self.pending.0.lock() += 1;
+        self.tx.send(job).map_err(|_| {
+            self.pending.done();
+            Error::Device("queue worker terminated".into())
+        })
+    }
+}
+
+impl Drop for Worker {
+    /// Close the channel, then join the thread once it has run what was
+    /// queued.
+    fn drop(&mut self) {
+        self.tx = mpsc::channel().0;
+        if let Some(t) = self.thread.take() {
+            let _ = t.join();
+        }
+    }
+}
+
+/// Keep the first error in a queue's sticky slot; later ones are dropped
+/// (CUDA keeps the first sticky error per stream).
+fn record(sticky: &Mutex<Option<Error>>, e: Error) {
+    sticky.lock().get_or_insert(e);
+}
+
 enum QImpl {
-    Cpu(CpuQueue),
+    /// The device, and on a non-blocking queue the worker that runs its
+    /// operations.
+    Cpu(CpuDevice, Option<Worker>),
     /// The device, and the simulated seconds of this queue's kernel launches
     /// with the report of its latest one (boxed: a report is large, and
     /// queues are long-lived). The lock is held across a launch. Simulated
@@ -159,14 +265,17 @@ enum QImpl {
 /// Queue errors follow the CUDA stream model: an operation that fails on a
 /// `NonBlocking` queue records its error, which then re-surfaces at every
 /// subsequent enqueue, [`Queue::wait`] and [`Queue::wait_event`] until
-/// [`Queue::reset`] clears it. The device itself stays usable (unless the
-/// error was a device loss, which poisons the [`Device`] independently).
+/// [`Queue::reset`] clears it. Work behind the failed operation never runs,
+/// on any back-end; events behind it are still signalled. The device itself
+/// stays usable (unless the error was a device loss, which poisons the
+/// [`Device`] independently).
 pub struct Queue {
     device: Device,
     behavior: QueueBehavior,
     inner: QImpl,
     /// First error produced by an enqueued operation; sticky until `reset`.
-    sticky: Mutex<Option<Error>>,
+    /// Shared with the worker, which records failures as they happen.
+    sticky: Arc<Mutex<Option<Error>>>,
     /// Monotonic per-queue operation ordinal, keying injected worker death.
     ops: AtomicU64,
     /// Process-unique trace ordinal (the queue's lane in exports).
@@ -175,15 +284,20 @@ pub struct Queue {
 
 impl Queue {
     pub fn new(device: Device, behavior: QueueBehavior) -> Self {
+        let sticky = Arc::new(Mutex::new(None));
         let inner = match &device.inner {
-            DeviceImpl::Cpu(d) => QImpl::Cpu(CpuQueue::new(d.clone(), behavior)),
+            DeviceImpl::Cpu(d) => QImpl::Cpu(
+                d.clone(),
+                (behavior == QueueBehavior::NonBlocking)
+                    .then(|| Worker::spawn(Arc::clone(&sticky))),
+            ),
             DeviceImpl::Sim(d) => QImpl::Sim(d.clone(), Box::default()),
         };
         Queue {
             device,
             behavior,
             inner,
-            sticky: Mutex::new(None),
+            sticky,
             ops: AtomicU64::new(0),
             id: trace::next_queue_id(),
         }
@@ -201,6 +315,13 @@ impl Queue {
 
     pub fn behavior(&self) -> QueueBehavior {
         self.behavior
+    }
+
+    fn worker(&self) -> Option<&Worker> {
+        match &self.inner {
+            QImpl::Cpu(_, w) => w.as_ref(),
+            QImpl::Sim(..) => None,
+        }
     }
 
     /// Fail if a sticky error is recorded (clones it; the slot is kept).
@@ -221,15 +342,6 @@ impl Queue {
             .map_err(|e| e.with_suffix(&format!(" (queue {} on {})", self.id, self.device.name())))
     }
 
-    /// Record the first error; later ones are dropped (CUDA keeps the
-    /// first sticky error per stream).
-    fn record(&self, e: Error) {
-        let mut slot = self.sticky.lock();
-        if slot.is_none() {
-            *slot = Some(e);
-        }
-    }
-
     /// Route an operation result by queue behavior: blocking queues return
     /// errors directly, non-blocking queues record them (surfacing at the
     /// next enqueue/wait) and report success for the enqueue itself.
@@ -238,27 +350,44 @@ impl Queue {
             (Ok(()), _) => Ok(()),
             (Err(e), QueueBehavior::Blocking) => Err(e),
             (Err(e), QueueBehavior::NonBlocking) => {
-                self.record(e);
+                record(&self.sticky, e);
                 Ok(())
             }
         }
     }
 
-    /// Consume one op ordinal against the device's fault plan; an injected
-    /// worker death kills the queue at this operation.
-    fn consume_op(&self) -> Result<()> {
-        let op = self.ops.fetch_add(1, Ordering::SeqCst);
-        if let Some(plan) = self.device.faults() {
-            if plan.worker_death_hits(op) {
-                if let QImpl::Cpu(q) = &self.inner {
-                    q.kill_worker();
-                }
-                return self.absorb(Err(Error::Device(format!(
-                    "queue worker died (injected at queue op {op})"
-                ))));
-            }
+    /// Count the outcome of an operation that ran inline, then absorb it.
+    fn settle(&self, op: &'static str, r: Result<()>) -> Result<()> {
+        count_op_result(op, &r);
+        self.absorb(r)
+    }
+
+    /// Run a native operation where this queue runs them: on its worker, in
+    /// order behind what is queued there, or inline.
+    fn submit(
+        &self,
+        op: &'static str,
+        f: impl FnOnce() -> Result<()> + Send + 'static,
+    ) -> Result<()> {
+        match self.worker() {
+            Some(w) => w.send(Job::Op(op, Box::new(f))),
+            None => self.settle(op, f()),
         }
-        Ok(())
+    }
+
+    /// Open an operation: refuse it behind a recorded error, count it, and
+    /// consume its ordinal against the device's fault plan. `Ok(false)`: an
+    /// injected worker death landed on it (absorbed), so it never runs.
+    fn begin(&self, op: &'static str) -> Result<bool> {
+        self.check_sticky()?;
+        count_op(op);
+        let n = self.ops.fetch_add(1, Ordering::SeqCst);
+        if self.device.faults().is_some_and(|p| p.worker_death_hits(n)) {
+            let e = Error::Device(format!("queue worker died (injected at queue op {n})"));
+            self.absorb(Err(e))?;
+            return Ok(false);
+        }
+        Ok(true)
     }
 
     /// Enqueue a kernel execution.
@@ -268,15 +397,14 @@ impl Queue {
         wd: &WorkDiv,
         args: &Args,
     ) -> Result<()> {
-        self.check_sticky()?;
-        count_op("kernel");
-        self.consume_op()?;
-        if self.sticky.lock().is_some() {
-            // consume_op absorbed an injected death; this op never runs.
+        if !self.begin("kernel")? {
             return Ok(());
         }
         match &self.inner {
-            QImpl::Cpu(q) => q.enqueue_kernel(kernel.clone(), *wd, args.to_cpu()?),
+            QImpl::Cpu(d, _) => {
+                let (d, kernel, wd, args) = (d.clone(), kernel.clone(), *wd, args.to_cpu()?);
+                self.submit("kernel", move || d.launch(&kernel, &wd, &args))
+            }
             QImpl::Sim(d, state) => {
                 let sim_args = args.to_sim()?;
                 let mut st = state.lock();
@@ -295,53 +423,49 @@ impl Queue {
                     st.1 = Some(report);
                 });
                 drop(st);
-                count_op_result("kernel", &out);
-                self.absorb(out)
+                self.settle("kernel", out)
             }
         }
     }
 
-    /// Enqueue a deep f64 copy. Same-host copies on a non-blocking CPU
-    /// queue stay fully asynchronous; copies that cross a device boundary
-    /// first drain the queue (preserving in-order semantics) and then run.
+    /// Enqueue a deep f64 copy. Host-to-host copies on a native queue run
+    /// where its kernels run; copies that cross a device boundary first
+    /// drain the queue (preserving in-order semantics) and then run.
     pub fn enqueue_copy_f64(&self, dst: &BufferF, src: &BufferF) -> Result<()> {
-        self.check_sticky()?;
-        count_op("copy");
-        self.consume_op()?;
-        if self.sticky.lock().is_some() {
+        if !self.begin("copy")? {
             return Ok(());
         }
         match (&self.inner, dst, src) {
-            (QImpl::Cpu(q), BufferF::Host(d), BufferF::Host(s)) => q.enqueue_copy(d, s),
-            _ => {
-                self.wait()?;
-                let t0 = self.device.sim_clock_s();
-                let r = copy_f64(dst, src);
-                self.trace_copy("copy_f64", t0, &r);
-                self.absorb(r)
+            (QImpl::Cpu(..), BufferF::Host(d), BufferF::Host(s)) => {
+                let (d, s) = (d.clone(), s.clone());
+                self.submit("copy", move || copy_region(&d, &s))
             }
+            _ => self.copy_after_wait("copy_f64", || copy_f64(dst, src)),
         }
     }
 
     /// Enqueue a deep i64 copy (same ordering rules as
     /// [`Queue::enqueue_copy_f64`]).
     pub fn enqueue_copy_i64(&self, dst: &BufferI, src: &BufferI) -> Result<()> {
-        self.check_sticky()?;
-        count_op("copy");
-        self.consume_op()?;
-        if self.sticky.lock().is_some() {
+        if !self.begin("copy")? {
             return Ok(());
         }
         match (&self.inner, dst, src) {
-            (QImpl::Cpu(q), BufferI::Host(d), BufferI::Host(s)) => q.enqueue_copy(d, s),
-            _ => {
-                self.wait()?;
-                let t0 = self.device.sim_clock_s();
-                let r = copy_i64(dst, src);
-                self.trace_copy("copy_i64", t0, &r);
-                self.absorb(r)
+            (QImpl::Cpu(..), BufferI::Host(d), BufferI::Host(s)) => {
+                let (d, s) = (d.clone(), s.clone());
+                self.submit("copy", move || copy_region(&d, &s))
             }
+            _ => self.copy_after_wait("copy_i64", || copy_i64(dst, src)),
         }
+    }
+
+    /// Drain the queue, then run `copy` inline and trace it.
+    fn copy_after_wait(&self, label: &str, copy: impl FnOnce() -> Result<()>) -> Result<()> {
+        self.wait()?;
+        let t0 = self.device.sim_clock_s();
+        let r = copy();
+        self.trace_copy(label, t0, &r);
+        self.absorb(r)
     }
 
     /// Emit the span of a completed copy (or the fault of a failed one).
@@ -386,9 +510,9 @@ impl Queue {
                 .on_queue(self.id),
             );
         }
-        match &self.inner {
-            QImpl::Cpu(q) => q.enqueue_event(ev),
-            QImpl::Sim(..) => {
+        match self.worker() {
+            Some(w) => w.send(Job::Event(ev.clone())),
+            None => {
                 ev.signal();
                 Ok(())
             }
@@ -417,18 +541,16 @@ impl Queue {
                 .on_queue(self.id),
             );
         }
-        if let QImpl::Cpu(q) = &self.inner {
-            if let Err(e) = q.wait() {
-                self.record(e);
-            }
+        if let Some(w) = self.worker() {
+            w.pending.drain();
         }
         self.check_sticky_ctx()
     }
 
     /// Block until `ev` is signaled, then surface any error recorded by
     /// the operations that preceded it (sticky, like [`Queue::wait`]).
-    /// Returns early with the queue's error if the worker dies before the
-    /// event can ever be signaled.
+    /// Returns at once with the queue's error if one is already recorded:
+    /// the event may have been refused at its enqueue.
     pub fn wait_event(&self, ev: &HostEvent) -> Result<()> {
         count_op("wait_event");
         if trace::active() {
@@ -442,26 +564,8 @@ impl Queue {
                 .on_queue(self.id),
             );
         }
-        // The signal wakes this thread at once; the turns are only there to
-        // notice a worker that died, or an error that stuck, before it came.
-        while !ev.wait_timeout(std::time::Duration::from_millis(1)) {
-            if let QImpl::Cpu(q) = &self.inner {
-                if q.worker_dead() {
-                    if let Some(e) = q.peek_error() {
-                        self.record(e);
-                    }
-                    return self.check_sticky_ctx();
-                }
-            }
-            if self.sticky.lock().is_some() {
-                return self.check_sticky_ctx();
-            }
-        }
-        if let QImpl::Cpu(q) = &self.inner {
-            if let Some(e) = q.peek_error() {
-                self.record(e);
-            }
-        }
+        self.check_sticky_ctx()?;
+        ev.wait();
         self.check_sticky_ctx()
     }
 
@@ -470,8 +574,8 @@ impl Queue {
         self.sticky.lock().clone()
     }
 
-    /// Clear the sticky error and revive the queue: recorded errors are
-    /// discarded and a dead CPU queue worker is respawned.
+    /// Drain the queue and clear the sticky error: the queue is usable
+    /// again.
     ///
     /// Device-level sticky state: a lost device normally stays lost — the
     /// loss outlives any queue reset. The one exception is a device the
@@ -482,7 +586,7 @@ impl Queue {
     /// every queue that was reset after recovery.
     pub fn reset(&self) {
         match &self.inner {
-            QImpl::Cpu(q) => q.reset(),
+            QImpl::Cpu(_, w) => w.iter().for_each(|w| w.pending.drain()),
             QImpl::Sim(d, _) => {
                 d.clear_lost_if_recovered();
             }
@@ -490,12 +594,17 @@ impl Queue {
         *self.sticky.lock() = None;
     }
 
-    /// Inject queue-worker death directly (test hook; the `worker_death_at`
-    /// knob of a [`alpaka_sim::FaultPlan`] does this at a chosen ordinal).
+    /// Inject queue-worker death (test hook; the `worker_death_at` knob of a
+    /// [`alpaka_sim::FaultPlan`] does this at a chosen ordinal): the queue
+    /// fails with `Error::Device` behind the work already enqueued, and runs
+    /// nothing after it until [`Queue::reset`].
     pub fn inject_worker_death(&self) {
-        match &self.inner {
-            QImpl::Cpu(q) => q.kill_worker(),
-            QImpl::Sim(..) => self.record(Error::Device("queue worker died (injected)".into())),
+        let e = Error::Device("queue worker died (injected)".into());
+        match self.worker() {
+            Some(w) => w
+                .send(Job::Fail(e))
+                .unwrap_or_else(|e| record(&self.sticky, e)),
+            None => record(&self.sticky, e),
         }
     }
 
@@ -504,7 +613,7 @@ impl Queue {
     /// and other queues' launches on the same device do not count.
     pub fn sim_elapsed_s(&self) -> f64 {
         match &self.inner {
-            QImpl::Cpu(_) => 0.0,
+            QImpl::Cpu(..) => 0.0,
             QImpl::Sim(_, state) => state.lock().0,
         }
     }
@@ -514,7 +623,7 @@ impl Queue {
     /// the [`alpaka_sim::KernelProfile`] when the launch ran traced.
     pub fn last_sim_report(&self) -> Option<SimReport> {
         match &self.inner {
-            QImpl::Cpu(_) => None,
+            QImpl::Cpu(..) => None,
             QImpl::Sim(_, state) => state.lock().1.clone(),
         }
     }

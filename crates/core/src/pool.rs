@@ -1,131 +1,53 @@
-//! Worker-pool substrate shared by the block-parallel back-ends.
+//! Block-parallel drivers shared by the back-ends.
 //!
 //! Lives in `alpaka-core` so both the native CPU accelerators
 //! (`alpaka-cpu`) and the SIMT simulator (`alpaka-sim`) can drive a grid
-//! over a fixed team of workers. Two scheduling modes are offered:
+//! over a team of scoped threads, spawned per launch (the caller is worker
+//! 0, so a team of one spawns nothing). Two scheduling modes are offered:
 //!
-//! * [`Pool::run_indexed`] — dynamic scheduling: workers pull block indices
-//!   from a shared atomic counter (like OpenMP `schedule(dynamic)`), so
-//!   uneven block costs balance automatically. Used by the CPU back-ends,
-//!   where block→worker assignment does not affect results.
-//! * [`Pool::run_team`] — static team launch: `f(w)` runs exactly once per
-//!   worker index `w in 0..team`, concurrently. Used by the simulator,
-//!   whose deterministic stats merging requires a *fixed* block→worker
-//!   partition (each worker owns a known slice of SMs).
+//! * [`run_indexed`] — dynamic scheduling: workers pull block indices from a
+//!   shared atomic counter (like OpenMP `schedule(dynamic)`), so uneven
+//!   block costs balance automatically. Used by the CPU back-ends, where
+//!   block→worker assignment does not affect results.
+//! * [`run_team`] — static team launch: `f(w)` runs exactly once per worker
+//!   index `w in 0..team`, concurrently. Used by the simulator, whose
+//!   deterministic stats merging requires a *fixed* block→worker partition
+//!   (each worker owns a known slice of SMs).
 //!
-//! Panics inside tasks are caught and re-surfaced to the caller as kernel
-//! faults. `alpaka-core` has no external dependencies, so everything here
-//! is built on `std::sync` (the mpsc receiver is shared behind a mutex to
-//! get crossbeam-style multi-consumer semantics).
+//! Panics inside tasks are caught and re-surfaced to the caller as their
+//! message. `alpaka-core` has no external dependencies, so everything here
+//! is built on `std`.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::Mutex;
 use std::thread;
 
-type Job = Box<dyn FnOnce() + Send + 'static>;
-
-/// A fixed-size worker pool. One instance lives per block-parallel device;
-/// launches borrow it for the duration of a grid.
-pub struct Pool {
-    tx: mpsc::Sender<Job>,
-    workers: usize,
-    handles: Vec<thread::JoinHandle<()>>,
+/// Run `f(i)` for every `i in 0..count` on a team of at most `workers`
+/// threads (at least 1), distributing indices dynamically, and block until
+/// all calls completed. The first panic (if any) is returned as its message.
+pub fn run_indexed<F>(workers: usize, count: usize, f: F) -> Result<(), String>
+where
+    F: Fn(usize) + Send + Sync,
+{
+    if count == 0 {
+        return Ok(());
+    }
+    let next = AtomicUsize::new(0);
+    run_scoped_team(workers.clamp(1, count), |_w| loop {
+        let i = next.fetch_add(1, Ordering::Relaxed);
+        if i >= count {
+            break;
+        }
+        f(i);
+    })
 }
 
-impl Pool {
-    /// Create a pool with `workers` threads (min 1).
-    pub fn new(workers: usize) -> Self {
-        let workers = workers.max(1);
-        let (tx, rx) = mpsc::channel::<Job>();
-        let rx = Arc::new(Mutex::new(rx));
-        let mut handles = Vec::with_capacity(workers);
-        for w in 0..workers {
-            let rx = Arc::clone(&rx);
-            handles.push(
-                thread::Builder::new()
-                    .name(format!("alpaka-pool-{w}"))
-                    .spawn(move || loop {
-                        let job = match rx.lock() {
-                            Ok(g) => g.recv(),
-                            Err(e) => e.into_inner().recv(),
-                        };
-                        match job {
-                            Ok(job) => job(),
-                            Err(_) => break,
-                        }
-                    })
-                    .expect("failed to spawn pool worker"),
-            );
-        }
-        Pool {
-            tx,
-            workers,
-            handles,
-        }
-    }
-
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
-    /// Run `f(i)` for every `i in 0..count`, distributing dynamically over
-    /// the workers, and block until all calls completed. The first panic (if
-    /// any) is returned as its message.
-    pub fn run_indexed<F>(&self, count: usize, f: F) -> Result<(), String>
-    where
-        F: Fn(usize) + Send + Sync,
-    {
-        if count == 0 {
-            return Ok(());
-        }
-        let team = self.workers.min(count);
-        let next = AtomicUsize::new(0);
-        run_scoped_team(team, |_w| loop {
-            let i = next.fetch_add(1, Ordering::Relaxed);
-            if i >= count {
-                break;
-            }
-            f(i);
-        })
-    }
-
-    /// Run `f(w)` exactly once for each worker index `w in 0..team`,
-    /// concurrently, and block until all returned. Unlike [`run_indexed`],
-    /// the worker↔index mapping is fixed, which lets callers pre-partition
-    /// work statically (the simulator partitions SMs this way so its stats
-    /// merge deterministically). `team` is clamped to at least 1 but may
-    /// exceed `workers()`; the caller chooses the team size.
-    ///
-    /// [`run_indexed`]: Pool::run_indexed
-    pub fn run_team<F>(&self, team: usize, f: F) -> Result<(), String>
-    where
-        F: Fn(usize) + Send + Sync,
-    {
-        run_team(team, f)
-    }
-
-    /// Fire-and-forget job on the long-lived workers (used by async queues).
-    pub fn spawn(&self, job: Job) {
-        self.tx
-            .send(job)
-            .expect("pool workers terminated unexpectedly");
-    }
-}
-
-impl Drop for Pool {
-    fn drop(&mut self) {
-        // Close the channel so workers exit, then reap them.
-        let (tx, _rx) = mpsc::channel();
-        drop(std::mem::replace(&mut self.tx, tx));
-        for h in self.handles.drain(..) {
-            let _ = h.join();
-        }
-    }
-}
-
-/// Free-function form of [`Pool::run_team`] for callers that size the team
-/// per launch and have no pool instance at hand.
+/// Run `f(w)` exactly once for each worker index `w in 0..team`,
+/// concurrently, and block until all returned. Unlike [`run_indexed`], the
+/// worker↔index mapping is fixed, which lets callers pre-partition work
+/// statically (the simulator partitions SMs this way so its stats merge
+/// deterministically). `team` is clamped to at least 1.
 pub fn run_team<F>(team: usize, f: F) -> Result<(), String>
 where
     F: Fn(usize) + Send + Sync,
@@ -134,67 +56,34 @@ where
 }
 
 /// Shared scoped-team driver: spawns `team - 1` scoped threads plus the
-/// caller, each running `body(w)` with its distinct worker index `w`.
-/// Returns the first panic message, if any.
+/// caller, each running `body(w)` with its distinct worker index `w`, and
+/// joins them. Returns the first panic message, if any.
 fn run_scoped_team<B>(team: usize, body: B) -> Result<(), String>
 where
     B: Fn(usize) + Send + Sync,
 {
-    struct Shared {
-        remaining: Mutex<usize>,
-        done: Condvar,
-        panic: Mutex<Option<String>>,
-    }
-    let shared = Arc::new(Shared {
-        remaining: Mutex::new(team),
-        done: Condvar::new(),
-        panic: Mutex::new(None),
-    });
-
-    let worker_loop = |shared: &Shared, w: usize| {
-        let result = catch_unwind(AssertUnwindSafe(|| body(w)));
-        if let Err(p) = result {
+    let panic = Mutex::new(None);
+    let member = |w: usize| {
+        if let Err(p) = catch_unwind(AssertUnwindSafe(|| body(w))) {
             let msg = panic_message(p);
-            let mut slot = lock(&shared.panic);
-            if slot.is_none() {
-                *slot = Some(msg);
-            }
-        }
-        let mut rem = lock(&shared.remaining);
-        *rem -= 1;
-        if *rem == 0 {
-            shared.done.notify_all();
+            panic
+                .lock()
+                .unwrap_or_else(|e| e.into_inner())
+                .get_or_insert(msg);
         }
     };
-
-    // The closure `f` borrows the caller's stack, so it cannot go to the
-    // long-lived pool workers (they require 'static). A scoped team runs it
-    // instead, with the caller participating so 1-worker teams spawn
-    // nothing and small grids avoid spawn latency.
+    // The caller participates, so 1-worker teams spawn nothing and small
+    // grids avoid spawn latency.
     thread::scope(|scope| {
         for w in 1..team {
-            let shared = Arc::clone(&shared);
-            scope.spawn(move || worker_loop(&shared, w));
+            scope.spawn(move || member(w));
         }
-        worker_loop(&shared, 0);
-        let mut rem = lock(&shared.remaining);
-        while *rem != 0 {
-            rem = match shared.done.wait(rem) {
-                Ok(g) => g,
-                Err(e) => e.into_inner(),
-            };
-        }
+        member(0);
     });
-
-    let panic = lock(&shared.panic).take();
-    match panic {
+    match panic.into_inner().unwrap_or_else(|e| e.into_inner()) {
         Some(msg) => Err(msg),
         None => Ok(()),
     }
-}
-
-fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 /// Render a caught panic payload as a human-readable message.
@@ -215,9 +104,8 @@ mod tests {
 
     #[test]
     fn all_indices_run_exactly_once() {
-        let pool = Pool::new(4);
         let hits: Vec<AtomicU64> = (0..1000).map(|_| AtomicU64::new(0)).collect();
-        pool.run_indexed(1000, |i| {
+        run_indexed(4, 1000, |i| {
             hits[i].fetch_add(1, Ordering::Relaxed);
         })
         .unwrap();
@@ -226,16 +114,14 @@ mod tests {
 
     #[test]
     fn empty_grid_is_ok() {
-        let pool = Pool::new(4);
-        pool.run_indexed(0, |_| panic!("must not run")).unwrap();
+        run_indexed(4, 0, |_| panic!("must not run")).unwrap();
     }
 
     #[test]
-    fn single_worker_pool_uses_caller_thread() {
-        let pool = Pool::new(1);
+    fn single_worker_team_uses_caller_thread() {
         let caller = thread::current().id();
         let same = AtomicU64::new(0);
-        pool.run_indexed(16, |_| {
+        run_indexed(1, 16, |_| {
             if thread::current().id() == caller {
                 same.fetch_add(1, Ordering::Relaxed);
             }
@@ -246,32 +132,19 @@ mod tests {
 
     #[test]
     fn panic_is_reported_not_propagated() {
-        let pool = Pool::new(4);
-        let err = pool
-            .run_indexed(100, |i| {
-                if i == 37 {
-                    panic!("boom at {i}");
-                }
-            })
-            .unwrap_err();
+        let err = run_indexed(4, 100, |i| {
+            if i == 37 {
+                panic!("boom at {i}");
+            }
+        })
+        .unwrap_err();
         assert!(err.contains("boom at 37"));
     }
 
     #[test]
-    fn spawn_runs_owned_jobs() {
-        let pool = Pool::new(2);
-        let (tx, rx) = mpsc::channel();
-        pool.spawn(Box::new(move || {
-            tx.send(42u32).unwrap();
-        }));
-        assert_eq!(rx.recv().unwrap(), 42);
-    }
-
-    #[test]
     fn workers_clamped_to_one() {
-        let pool = Pool::new(0);
-        assert_eq!(pool.workers(), 1);
-        pool.run_indexed(3, |_| {}).unwrap();
+        let caller = thread::current().id();
+        run_indexed(0, 3, |_| assert_eq!(thread::current().id(), caller)).unwrap();
     }
 
     #[test]

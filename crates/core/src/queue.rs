@@ -3,13 +3,12 @@
 //! A stream is the in-order work queue of a device (Section 3.4.5):
 //! no enqueued operation begins before all previously enqueued operations
 //! completed. Queues are *blocking* (the host thread executes/waits inline)
-//! or *non-blocking* (a worker drains the queue asynchronously). Concrete
-//! queue types live in the back-end crates; this module provides the shared
-//! behaviour enum and the host event primitive they all use.
+//! or *non-blocking* (a worker drains the queue asynchronously). The one
+//! queue type is the facade's `alpaka::Queue`, over every back-end; this
+//! module provides the behaviour enum and the host event primitive it uses.
 
 use std::sync::Arc;
 use std::sync::{Condvar, Mutex};
-use std::time::Duration;
 
 /// Whether enqueue operations block the host until completion.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -77,15 +76,6 @@ impl HostEvent {
         }
     }
 
-    /// Block until the event is signaled, for at most `timeout`; true when
-    /// it was. A signal wakes the waiter at once.
-    pub fn wait_timeout(&self, timeout: Duration) -> bool {
-        let (lock, cv) = &*self.inner;
-        let st = lock.lock().unwrap();
-        let (st, _) = cv.wait_timeout_while(st, timeout, |st| !st.done).unwrap();
-        st.done
-    }
-
     /// Number of times the event has been signaled (test/diagnostic aid).
     pub fn generation(&self) -> u64 {
         self.inner.0.lock().unwrap().generation
@@ -101,9 +91,8 @@ impl core::fmt::Debug for HostEvent {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::mpsc;
     use std::thread;
-    use std::time::Instant;
+    use std::time::Duration;
 
     #[test]
     fn signal_unblocks_waiter() {
@@ -128,27 +117,6 @@ mod tests {
         assert_eq!(ev.generation(), 1);
         ev.signal();
         assert_eq!(ev.generation(), 2);
-    }
-
-    #[test]
-    fn wait_timeout_sees_a_signal_before_and_during_the_wait_and_times_out() {
-        let ev = HostEvent::new();
-        assert!(!ev.wait_timeout(Duration::from_millis(5)));
-        ev.signal();
-        assert!(ev.wait_timeout(Duration::ZERO));
-        // A waiter with a minute to spare is woken by the signal, not by
-        // the clock, whether it got to the condvar first or not.
-        ev.reset();
-        let (ev2, (tx, rx)) = (ev.clone(), mpsc::channel());
-        let h = thread::spawn(move || {
-            tx.send(()).unwrap();
-            let t0 = Instant::now();
-            (ev2.wait_timeout(Duration::from_secs(60)), t0.elapsed())
-        });
-        rx.recv().unwrap();
-        ev.signal();
-        let (signaled, waited) = h.join().unwrap();
-        assert!(signaled && waited < Duration::from_secs(30), "{waited:?}");
     }
 
     #[test]

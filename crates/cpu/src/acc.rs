@@ -5,7 +5,7 @@
 //! | Accelerator        | Alpaka analogue        | blocks      | block threads |
 //! |--------------------|------------------------|-------------|----------------|
 //! | `Serial`           | `AccCpuSerial`         | sequential  | collapsed (1)  |
-//! | `Blocks`           | `AccCpuOmp2Blocks`     | worker pool | collapsed (1)  |
+//! | `Blocks`           | `AccCpuOmp2Blocks`     | scoped team per launch | collapsed (1)  |
 //! | `Threads`          | `AccCpuThreads`        | sequential  | OS threads + barrier (spawned per block) |
 //! | `BlockThreads`     | `AccCpuOmp2Threads`    | sequential  | one thread team per launch, yielding generation barrier (`BarrierSync`) |
 //! | `Fibers`           | `AccCpuFibers`         | sequential  | cooperative fibers, one at a time |
@@ -14,7 +14,6 @@
 //! `sync_block_threads`, fails the launch; it never hangs it.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Arc;
 use std::thread::ScopedJoinHandle;
 
 use alpaka_core::acc::{AccCaps, DeviceKind};
@@ -22,11 +21,11 @@ use alpaka_core::buffer::{BufLayout, HostBuf};
 use alpaka_core::error::{Error, Result};
 use alpaka_core::fma::Fma;
 use alpaka_core::kernel::Kernel;
+use alpaka_core::pool::{panic_message, run_indexed};
 use alpaka_core::vec::Vecn;
 use alpaka_core::workdiv::WorkDiv;
 
 use crate::exec::{run_thread, CpuArgs, LaunchGeometry, ResolvedArgs, SharedBlock};
-use crate::pool::{panic_message, Pool};
 use crate::sync::{Abandoned, BarrierSync, FiberSync, NoopSync};
 
 /// Which CPU accelerator strategy a device uses.
@@ -59,13 +58,12 @@ impl CpuAccKind {
     }
 }
 
-/// A host device running one accelerator strategy. Cloning shares the
-/// worker pool.
+/// A host device running one accelerator strategy. It owns no threads:
+/// `Blocks` spawns a scoped team of at most `workers` threads per launch.
 #[derive(Clone)]
 pub struct CpuDevice {
     kind: CpuAccKind,
     workers: usize,
-    pool: Option<Arc<Pool>>,
 }
 
 impl CpuDevice {
@@ -77,18 +75,12 @@ impl CpuDevice {
         Self::with_workers(kind, workers)
     }
 
-    /// Device with an explicit worker count (block-parallel kinds only use
-    /// it for the pool; the others for capability reporting).
+    /// Device with an explicit worker count (`Blocks` sizes its launch team
+    /// with it; the others only report it).
     pub fn with_workers(kind: CpuAccKind, workers: usize) -> Self {
-        let workers = workers.max(1);
-        let pool = match kind {
-            CpuAccKind::Blocks => Some(Arc::new(Pool::new(workers))),
-            _ => None,
-        };
         CpuDevice {
             kind,
-            workers,
-            pool,
+            workers: workers.max(1),
         }
     }
 
@@ -128,8 +120,8 @@ impl CpuDevice {
         HostBuf::alloc(layout)
     }
 
-    /// Execute `kernel` over the whole grid synchronously (the queue types
-    /// build on this).
+    /// Execute `kernel` over the whole grid synchronously (the facade's
+    /// queues build on this).
     pub fn launch<K: Kernel + ?Sized>(
         &self,
         kernel: &K,
@@ -145,8 +137,7 @@ impl CpuDevice {
                 run_serial(kernel, &geo, &resolved).map_err(fault)?;
             }
             CpuAccKind::Blocks => {
-                let pool = self.pool.as_ref().expect("Blocks device owns a pool");
-                run_blocks(pool, kernel, &geo, &resolved).map_err(fault)?;
+                run_blocks(self.workers, kernel, &geo, &resolved).map_err(fault)?;
             }
             CpuAccKind::Threads => {
                 run_threads(kernel, &geo, &resolved).map_err(fault)?;
@@ -263,12 +254,12 @@ fn run_serial<K: Kernel + ?Sized>(
 }
 
 fn run_blocks<K: Kernel + ?Sized>(
-    pool: &Pool,
+    workers: usize,
     kernel: &K,
     geo: &LaunchGeometry,
     args: &ResolvedArgs,
 ) -> std::result::Result<(), String> {
-    pool.run_indexed(block_count(geo), |b| {
+    run_indexed(workers, block_count(geo), |b| {
         let shared = SharedBlock::new();
         run_thread(
             kernel,
@@ -667,7 +658,7 @@ mod tests {
                 i: vec![n as i64; 6],
             };
             let geo = LaunchGeometry::from_workdiv(&wd, fma);
-            run_blocks(&Pool::new(2), k, &geo, &args.resolve()).unwrap();
+            run_blocks(2, k, &geo, &args.resolve()).unwrap();
             let out = args.bufs_f.iter().flat_map(|b| b.as_slice().to_vec());
             out.map(f64::to_bits).collect()
         }

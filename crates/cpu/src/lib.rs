@@ -5,17 +5,13 @@
 //! by *direct execution* of the single-source kernel DSL (no IR, no
 //! interpreter — the kernel monomorphizes to plain Rust loops).
 //!
-//! See [`acc::CpuAccKind`] for the strategy catalogue and [`queue::CpuQueue`]
-//! for blocking/non-blocking streams.
+//! See [`acc::CpuAccKind`] for the strategy catalogue. Queues over these
+//! devices are the facade's `alpaka::Queue`.
 
 pub mod acc;
 pub mod exec;
-pub mod pool;
-pub mod queue;
 pub mod sync;
 
 pub use acc::{CpuAccKind, CpuDevice};
 pub use exec::{CpuArgs, CpuOps};
-pub use pool::Pool;
-pub use queue::CpuQueue;
 pub use sync::{BarrierSync, BlockSync, FiberSync, NoopSync};

@@ -1,12 +1,12 @@
 //! Stress tests for the CPU back-end substrates: many barriers, wide
-//! blocks, deep queues, pool churn.
+//! blocks, block-team churn.
 
 use alpaka_core::buffer::{BufLayout, HostBuf};
 use alpaka_core::kernel::Kernel;
 use alpaka_core::ops::{KernelOps, KernelOpsExt};
-use alpaka_core::queue::QueueBehavior;
+use alpaka_core::pool::run_indexed;
 use alpaka_core::workdiv::WorkDiv;
-use alpaka_cpu::{CpuAccKind, CpuArgs, CpuDevice, CpuQueue, Pool};
+use alpaka_cpu::{CpuAccKind, CpuArgs, CpuDevice};
 
 /// Ping-pong through shared memory `rounds` times: each round every thread
 /// writes its slot, barriers, reads its neighbour's slot, barriers.
@@ -102,10 +102,9 @@ fn wide_block_on_threads_backend() {
 
 #[test]
 fn pool_handles_many_tiny_grids() {
-    let pool = Pool::new(4);
     for round in 0..200 {
         let hits = std::sync::atomic::AtomicUsize::new(0);
-        pool.run_indexed(round % 7 + 1, |_| {
+        run_indexed(4, round % 7 + 1, |_| {
             hits.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         })
         .unwrap();
@@ -114,32 +113,6 @@ fn pool_handles_many_tiny_grids() {
             round % 7 + 1
         );
     }
-}
-
-#[test]
-fn deep_async_queue() {
-    #[derive(Clone)]
-    struct Inc;
-    impl Kernel for Inc {
-        fn run<O: KernelOps>(&self, o: &mut O) {
-            let b = o.buf_f(0);
-            let i = o.linear_global_thread_idx();
-            let v = o.ld_gf(b, i);
-            let one = o.lit_f(1.0);
-            let r = o.add_f(v, one);
-            o.st_gf(b, i, r);
-        }
-    }
-    let dev = CpuDevice::with_workers(CpuAccKind::Blocks, 2);
-    let q = CpuQueue::new(dev, QueueBehavior::NonBlocking);
-    let buf = HostBuf::<f64>::alloc(BufLayout::d1(16));
-    let depth = 500;
-    for _ in 0..depth {
-        q.enqueue_kernel(Inc, WorkDiv::d1(16, 1, 1), CpuArgs::new().buf_f(&buf))
-            .unwrap();
-    }
-    q.wait().unwrap();
-    assert_eq!(buf.as_slice(), &[depth as f64; 16]);
 }
 
 #[test]

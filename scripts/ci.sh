@@ -30,6 +30,19 @@ if grep -rnE 'SimQueue|enqueue_compiled|SimDevice::compile|pass_stats|launch_syn
   exit 1
 fi
 
+echo "== one queue over every back-end =="
+# alpaka::Queue is the only queue: a non-blocking queue on a native device
+# owns one worker thread and the queue's one error slot, and a CPU device
+# owns no threads. The second queue type, its error slot and respawn hooks,
+# the poll loop's timed event wait and the idle worker pool stay removed.
+# benchmark/ (frozen) and the history in ROADMAP.md/CHANGES.md are outside
+# the search.
+if grep -rnE 'CpuQueue|kill_worker|peek_error|worker_dead|enqueue_fill|\bPool::new\b|wait_timeout|alpaka-pool-' \
+  crates tests examples README.md DESIGN.md; then
+  echo "a removed queue, queue hook or idle pool is back (matches above)"
+  exit 1
+fi
+
 echo "== one FMA, inlined, on both sides of Fig. 5 =="
 # Pins one FMA, inlined, on both sides of Fig. 5: kernels on the CPU
 # back-ends and the native baselines they are divided by both multiply-add
@@ -89,7 +102,9 @@ for t in 1 4; do
   ALPAKA_SIM_THREADS=$t cargo test -q -p alpaka-sim --test atomics_determinism
   ALPAKA_SIM_THREADS=$t cargo test -q --test trace_acceptance
   ALPAKA_SIM_THREADS=$t cargo test -q --test faults
-  ALPAKA_SIM_THREADS=$t cargo test -q --test streams_events
+  # Events and waits block without a timeout: a lost event signal or a
+  # leaked pending count would hang, so bound the suite.
+  ALPAKA_SIM_THREADS=$t timeout 300 cargo test -q --test streams_events
   ALPAKA_SIM_THREADS=$t cargo test -q --test fault_campaign
   ALPAKA_SIM_THREADS=$t cargo test -q --test pool_chaos
   # Metrics snapshots must be byte-identical across engines and pool sizes

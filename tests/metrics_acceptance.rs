@@ -259,3 +259,67 @@ fn disabled_metrics_record_nothing_from_the_full_workload() {
     assert!(metrics::flight_snapshot().is_empty());
     assert!(metrics::failures().is_empty());
 }
+
+/// Stores way out of bounds: a kernel fault on every back-end.
+#[derive(Clone)]
+struct Oob;
+impl alpaka_core::kernel::Kernel for Oob {
+    fn run<O: alpaka_core::ops::KernelOps>(&self, o: &mut O) {
+        let b = o.buf_f(0);
+        let i = o.lit_i(1_000_000);
+        let v = o.lit_f(1.0);
+        o.st_gf(b, i, v);
+    }
+}
+
+/// A native queue counts each operation's outcome once, where it runs (here
+/// on the worker of a non-blocking queue), exactly as a simulated one does.
+#[test]
+fn native_queue_operations_count_their_outcomes() {
+    let _turn = serial();
+    let ((), cap) = metrics::capture(|| {
+        let n = 64usize;
+        let dev = Device::with_workers(AccKind::CpuBlocks, 2);
+        let q = Queue::new(dev.clone(), QueueBehavior::NonBlocking);
+        let (x, y) = (
+            dev.alloc_f64(BufLayout::d1(n)),
+            dev.alloc_f64(BufLayout::d1(n)),
+        );
+        x.upload(&random_vec(n, 1)).unwrap();
+        let wd = dev.suggest_workdiv_1d(n);
+        let args = Args::new()
+            .buf_f(&x)
+            .buf_f(&y)
+            .scalar_f(2.0)
+            .scalar_i(n as i64);
+        for _ in 0..3 {
+            q.enqueue_kernel(&DaxpyKernel, &wd, &args).unwrap();
+        }
+        q.enqueue_copy_f64(&y, &x).unwrap();
+        let oob = Args::new().buf_f(&x);
+        q.enqueue_kernel(&Oob, &alpaka::WorkDiv::d1(1, 1, 1), &oob)
+            .unwrap();
+        assert!(q.wait().is_err());
+        // The copy ran in order, behind the three kernels that wrote `y`.
+        assert_eq!(y.download(), x.download());
+    });
+    let family = |name: &str| -> Vec<(String, u64)> {
+        let counters = cap.snapshot.counters.iter().filter(|(f, _, _)| *f == name);
+        counters.map(|(_, ls, v)| (format!("{ls:?}"), *v)).collect()
+    };
+    let labels = |ls: &[(&str, &str)]| {
+        let ls: Vec<(&str, String)> = ls.iter().map(|&(k, v)| (k, v.to_string())).collect();
+        format!("{ls:?}")
+    };
+    assert_eq!(
+        family("alpaka_queue_ops_completed_total"),
+        vec![
+            (labels(&[("op", "copy")]), 1),
+            (labels(&[("op", "kernel")]), 3)
+        ]
+    );
+    assert_eq!(
+        family("alpaka_queue_op_errors_total"),
+        vec![(labels(&[("op", "kernel"), ("kind", "kernel_fault")]), 1)]
+    );
+}

@@ -267,6 +267,90 @@ fn queue_error_surfaces_at_event_wait() {
     }
 }
 
+/// `buf[i] += 1` for every thread `i` of the grid.
+#[derive(Clone)]
+struct Inc;
+impl Kernel for Inc {
+    fn run<O: KernelOps>(&self, o: &mut O) {
+        let b = o.buf_f(0);
+        let i = o.linear_global_thread_idx();
+        let v = o.ld_gf(b, i);
+        let one = o.lit_f(1.0);
+        let r = o.add_f(v, one);
+        o.st_gf(b, i, r);
+    }
+}
+
+#[test]
+fn work_behind_a_failed_op_never_runs_on_every_backend() {
+    for kind in kinds() {
+        let dev = Device::with_workers(kind.clone(), 2);
+        let q = Queue::new(dev.clone(), QueueBehavior::NonBlocking);
+        let buf = dev.alloc_f64(BufLayout::d1(4));
+        buf.upload(&[0.0; 4]).unwrap();
+        let wd = alpaka::WorkDiv::d1(1, 1, 1);
+        let args = Args::new().buf_f(&buf);
+        q.enqueue_kernel(&Oob, &wd, &args).unwrap();
+        // Whether the queue has failed by the time of the next two enqueues
+        // depends on timing on a worker: each is refused or accepted.
+        let later = q.enqueue_kernel(&Inc, &wd, &args);
+        let ev = HostEvent::new();
+        let enqueued = q.enqueue_event(&ev);
+        for r in [&later, &enqueued] {
+            if let Err(err) = r {
+                assert!(matches!(err, Error::KernelFault(_)), "{kind:?}: {err}");
+            }
+        }
+        let err = q.wait_event(&ev).unwrap_err();
+        assert!(matches!(err, Error::KernelFault(_)), "{kind:?}: {err}");
+        let err = q.wait().unwrap_err();
+        assert!(matches!(err, Error::KernelFault(_)), "{kind:?}: {err}");
+        // An accepted event is signalled even though the queue failed.
+        assert!(enqueued.is_err() || ev.is_done(), "{kind:?}");
+        assert_eq!(
+            buf.download()[0],
+            0.0,
+            "{kind:?}: work behind the fault ran"
+        );
+        q.reset();
+        q.enqueue_kernel(&Inc, &wd, &args).unwrap();
+        q.wait().unwrap_or_else(|e| panic!("{kind:?}: {e}"));
+        assert_eq!(buf.download()[0], 1.0, "{kind:?}");
+    }
+}
+
+#[test]
+fn worker_death_lands_behind_prior_work() {
+    let dev = Device::with_workers(AccKind::CpuBlocks, 2);
+    let q = Queue::new(dev.clone(), QueueBehavior::NonBlocking);
+    let buf = dev.alloc_f64(BufLayout::d1(1));
+    buf.upload(&[0.0]).unwrap();
+    let (wd, args) = (alpaka::WorkDiv::d1(1, 1, 1), Args::new().buf_f(&buf));
+    // Enqueued before the death: runs.
+    q.enqueue_kernel(&Inc, &wd, &args).unwrap();
+    q.inject_worker_death();
+    // Enqueued after it: refused, or accepted and skipped.
+    let _ = q.enqueue_kernel(&Inc, &wd, &args);
+    let err = q.wait().unwrap_err();
+    assert!(matches!(err, Error::Device(_)), "{err}");
+    assert_eq!(buf.download()[0], 1.0);
+}
+
+#[test]
+fn deep_async_queue() {
+    let dev = Device::with_workers(AccKind::CpuBlocks, 2);
+    let q = Queue::new(dev.clone(), QueueBehavior::NonBlocking);
+    let buf = dev.alloc_f64(BufLayout::d1(16));
+    buf.upload(&[0.0; 16]).unwrap();
+    let (wd, args) = (alpaka::WorkDiv::d1(16, 1, 1), Args::new().buf_f(&buf));
+    let depth = 500;
+    for _ in 0..depth {
+        q.enqueue_kernel(&Inc, &wd, &args).unwrap();
+    }
+    q.wait().unwrap();
+    assert_eq!(buf.download(), vec![depth as f64; 16]);
+}
+
 #[test]
 fn worker_death_is_sticky_and_reset_revives_the_queue() {
     for kind in kinds() {
@@ -282,7 +366,7 @@ fn worker_death_is_sticky_and_reset_revives_the_queue() {
         let _ = q.enqueue_kernel(&TwicePlusOne, &wd, &Args::new().buf_f(&buf).scalar_i(8));
         assert!(q.wait().is_err(), "{kind:?}");
         assert_eq!(buf.download()[0], 0.0, "{kind:?}: dead queue ran work");
-        // Reset respawns the worker; the queue processes work again.
+        // Reset revives the queue; it processes work again.
         q.reset();
         q.enqueue_kernel(&TwicePlusOne, &wd, &Args::new().buf_f(&buf).scalar_i(8))
             .unwrap();
