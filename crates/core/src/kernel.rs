@@ -24,6 +24,12 @@ pub trait Kernel: Send + Sync {
     }
 
     /// The kernel body.
+    ///
+    /// Mark implementations `#[inline]`. The CPU back-ends compile one copy
+    /// of the body per ISA (`alpaka_core::fma::IsaLevel`) by inlining it into
+    /// a function built for that ISA; a body that is not inlined there is
+    /// compiled for baseline `x86-64`, where the feature copies' `fma_f` is
+    /// an out-of-line call and nothing vectorises.
     fn run<O: KernelOps>(&self, o: &mut O);
 }
 
@@ -31,6 +37,7 @@ impl<K: Kernel + ?Sized> Kernel for &K {
     fn name(&self) -> &str {
         (**self).name()
     }
+    #[inline]
     fn run<O: KernelOps>(&self, o: &mut O) {
         (**self).run(o)
     }

@@ -19,7 +19,10 @@
 //! The *element level* (Section 3.2.4) is expressed with
 //! [`KernelOps::for_elements`], an annotated inner loop over a fixed number
 //! of elements: the CPU device models treat it as vectorizable, mirroring the
-//! compiler-recognized SIMD loops of the paper.
+//! compiler-recognized SIMD loops of the paper. Element spans
+//! ([`KernelOps::span_sf`], [`KernelOps::span_lf`]) declare the affine range
+//! such a loop walks, so the native back-ends check it once per loop rather
+//! than once per element.
 
 /// Operations available inside a kernel, parameterized over the accelerator.
 ///
@@ -47,6 +50,12 @@ pub trait KernelOps: Sized {
     /// dynamically indexable — used for per-thread sub-tiles in register
     /// blocking.
     type LocF: Copy;
+    /// An element span over a block-shared `f64` array
+    /// ([`Self::span_sf`]).
+    type SpanSf: Copy;
+    /// An element span over a thread-private `f64` array
+    /// ([`Self::span_lf`]).
+    type SpanLf: Copy;
     /// Handle to a mutable `f64` register (loop-carried state).
     type VarF: Copy;
     /// Handle to a mutable `i64` register.
@@ -193,6 +202,37 @@ pub trait KernelOps: Sized {
     fn local_f(&mut self, len: usize) -> Self::LocF;
     fn ld_lf(&mut self, l: Self::LocF, idx: Self::I) -> Self::F;
     fn st_lf(&mut self, l: Self::LocF, idx: Self::I, v: Self::F);
+
+    /// Declare an element span over `sh` for the `for_elements(d, ..)` loop
+    /// that follows: its element `j` is expected at `base + j * step`.
+    /// Accesses through the span take `j` and the index the kernel computed,
+    /// and mean exactly [`Self::ld_sf`] at that index: same value, same
+    /// fault. A back-end may use the declaration to check the range once,
+    /// instead of per element (the CPU back-ends do). `base` and `step` are
+    /// closures so that a back-end with no use for them never runs them: the
+    /// IR tracer emits no op for a span, and the traced program is the one
+    /// without it.
+    fn span_sf(
+        &mut self,
+        sh: Self::ShF,
+        d: usize,
+        base: impl FnOnce(&mut Self) -> Self::I,
+        step: impl FnOnce(&mut Self) -> Self::I,
+    ) -> Self::SpanSf;
+    /// `sh[idx]` for element `j` of a span over `sh`.
+    fn ld_span_sf(&mut self, s: Self::SpanSf, j: Self::I, idx: Self::I) -> Self::F;
+    /// [`Self::span_sf`] over a thread-private array.
+    fn span_lf(
+        &mut self,
+        l: Self::LocF,
+        d: usize,
+        base: impl FnOnce(&mut Self) -> Self::I,
+        step: impl FnOnce(&mut Self) -> Self::I,
+    ) -> Self::SpanLf;
+    /// `l[idx]` for element `j` of a span over `l`.
+    fn ld_span_lf(&mut self, s: Self::SpanLf, j: Self::I, idx: Self::I) -> Self::F;
+    /// `l[idx] = v` for element `j` of a span over `l`.
+    fn st_span_lf(&mut self, s: Self::SpanLf, j: Self::I, idx: Self::I, v: Self::F);
 
     /// Barrier across all threads of the block (Figure 1's thread-level
     /// synchronization). Must be reached by every thread of the block.

@@ -19,7 +19,7 @@ use std::thread::ScopedJoinHandle;
 use alpaka_core::acc::{AccCaps, DeviceKind};
 use alpaka_core::buffer::{BufLayout, HostBuf};
 use alpaka_core::error::{Error, Result};
-use alpaka_core::fma::Fma;
+use alpaka_core::fma::IsaLevel;
 use alpaka_core::kernel::Kernel;
 use alpaka_core::pool::{panic_message, run_indexed};
 use alpaka_core::vec::Vecn;
@@ -121,15 +121,26 @@ impl CpuDevice {
     }
 
     /// Execute `kernel` over the whole grid synchronously (the facade's
-    /// queues build on this).
+    /// queues build on this), in the widest ISA copy this CPU runs.
     pub fn launch<K: Kernel + ?Sized>(
         &self,
         kernel: &K,
         wd: &WorkDiv,
         args: &CpuArgs,
     ) -> Result<()> {
+        self.launch_on(IsaLevel::detect(), kernel, wd, args)
+    }
+
+    /// [`Self::launch`] in the copy `isa`; tests compare the copies.
+    pub(crate) fn launch_on<K: Kernel + ?Sized>(
+        &self,
+        isa: IsaLevel,
+        kernel: &K,
+        wd: &WorkDiv,
+        args: &CpuArgs,
+    ) -> Result<()> {
         wd.validate(&self.caps())?;
-        let geo = LaunchGeometry::from_workdiv(wd, Fma::detect());
+        let geo = LaunchGeometry::from_workdiv(wd, isa);
         let resolved = args.resolve();
         let fault = |msg: String| Error::KernelFault(format!("{}: {msg}", kernel.name()).into());
         match self.kind {
@@ -632,56 +643,227 @@ mod tests {
         }
     }
 
-    /// The software and the hardware FMA path leave the same bits, kernel by
-    /// kernel, on the pool back-end the Fig. 5 and Fig. 8 rows run on.
+    /// Every ISA copy this CPU runs leaves the same bits, kernel by kernel,
+    /// on every back-end that takes the kernel's work division: the Fig. 5
+    /// and Fig. 8 kernels, `DgemmTiled` with a span step of 1 and of 2 among
+    /// them.
     #[test]
-    fn fma_paths_are_bit_identical_on_blocks() {
+    fn isa_copies_are_bit_identical() {
         use alpaka_core::kernel::ScalarArgs;
         use alpaka_kernels::host::{random_matrix, random_vec};
-        use alpaka_kernels::{DaxpyKernel, DgemmNaive, DgemmTiled};
+        use alpaka_kernels::{DaxpyKernel, DgemmNaive, DgemmTiled, DgemmTiledCuda};
 
-        /// Every buffer's bits after one launch on fresh copies of `bufs`.
-        /// The integer scalars are `n` six times: DAXPY reads its length,
-        /// DGEMM m, n, k and the three leading dimensions (square, unpadded).
+        /// Every buffer's bits after one launch on fresh copies of `bufs`,
+        /// or `None` where `kind` does not take `wd`. The integer scalars
+        /// are `n` six times: DAXPY reads its length, DGEMM m, n, k and the
+        /// three leading dimensions (square, unpadded).
         fn bits<K: Kernel>(
+            kind: CpuAccKind,
+            isa: IsaLevel,
             k: &K,
             wd: WorkDiv,
             bufs: &[Vec<f64>],
             f: &[f64],
             n: usize,
-            fma: Fma,
-        ) -> Vec<u64> {
+        ) -> Option<Vec<u64>> {
+            let dev = CpuDevice::with_workers(kind, 2);
+            wd.validate(&dev.caps()).ok()?;
             let mut args = CpuArgs::new();
             args.bufs_f = bufs.iter().map(|b| HostBuf::from_vec(b.clone())).collect();
             args.scalars = ScalarArgs {
                 f: f.to_vec(),
                 i: vec![n as i64; 6],
             };
-            let geo = LaunchGeometry::from_workdiv(&wd, fma);
-            run_blocks(2, k, &geo, &args.resolve()).unwrap();
+            dev.launch_on(isa, k, &wd, &args).unwrap();
             let out = args.bufs_f.iter().flat_map(|b| b.as_slice().to_vec());
-            out.map(f64::to_bits).collect()
+            Some(out.map(f64::to_bits).collect())
         }
-        if Fma::detect() == Fma::software() {
-            eprintln!("skipped: this CPU has no FMA, so only the software path can run");
-            return;
-        }
-        let both = |name: &str, run: &dyn Fn(Fma) -> Vec<u64>| {
-            assert!(run(Fma::software()) == run(Fma::detect()), "{name}");
+        let isas = IsaLevel::supported();
+        eprintln!("copies: {isas:?}");
+        let mut ran = 0;
+        let mut all = |name: &str, run: &dyn Fn(CpuAccKind, IsaLevel) -> Option<Vec<u64>>| {
+            for kind in CpuAccKind::ALL {
+                let Some(want) = run(kind, isas[0]) else {
+                    continue;
+                };
+                for &isa in &isas[1..] {
+                    let got = run(kind, isa).unwrap();
+                    assert!(got == want, "{name} on {kind:?}: {isa:?} differs");
+                }
+                ran += 1;
+            }
         };
+        // 40 is not a multiple of any tile edge, so the guards and the
+        // zero padding run too.
         let n = 40;
         let gemm = [1, 2, 3].map(|seed| random_matrix(n, n, seed));
-        let tiled = DgemmTiled { t: 1, e: 16 };
-        both("DgemmTiled", &|f| {
-            bits(&tiled, tiled.workdiv(n, n), &gemm, &[1.5, 0.5], n, f)
-        });
+        let ab = [1.5, 0.5];
+        for (t, e) in [(1, 16), (1, 32), (2, 8)] {
+            let k = DgemmTiled { t, e };
+            all(&format!("{k:?}"), &|kind, isa| {
+                bits(kind, isa, &k, k.workdiv(n, n), &gemm, &ab, n)
+            });
+        }
         let wd = DgemmNaive::workdiv(n, 8);
-        both("DgemmNaive", &|f| {
-            bits(&DgemmNaive, wd, &gemm, &[1.5, 0.5], n, f)
+        all("DgemmNaive", &|kind, isa| {
+            bits(kind, isa, &DgemmNaive, wd, &gemm, &ab, n)
+        });
+        let cuda = DgemmTiledCuda { ts: 8 };
+        let m = 20;
+        let small = [4, 5, 6].map(|seed| random_matrix(m, m, seed));
+        all("DgemmTiledCuda", &|kind, isa| {
+            bits(kind, isa, &cuda, cuda.workdiv(m, m), &small, &ab, m)
         });
         let xy = [random_vec(1000, 4), random_vec(1000, 5)];
         let wd = predefined(PredefAcc::CpuOmpBlock, 1000, 1, 16);
-        both("DAXPY", &|f| bits(&DaxpyKernel, wd, &xy, &[2.5], 1000, f));
+        all("DAXPY", &|kind, isa| {
+            bits(kind, isa, &DaxpyKernel, wd, &xy, &[2.5], 1000)
+        });
+        // Serial and Blocks take only one-thread blocks: 3 tiled variants x 5
+        // back-ends, less 2 for {2,8}, plus naive x 5, CUDA-style x 3, DAXPY x 5.
+        assert_eq!(ran, 3 * 5 - 2 + 5 + 3 + 5);
+    }
+
+    /// Element spans over shared array `sh` (8 elements) and local array
+    /// `loc` (6), declared at `base + j * step`, then one element loop
+    /// whose accesses use the index `at + j * by` the kernel actually
+    /// computes, behind `guard`. With `spans` off the same loop uses the
+    /// plain accesses: the fault, or the output, must not tell them apart.
+    #[derive(Clone, Copy, Debug)]
+    struct SpanProbe {
+        spans: bool,
+        base: i64,
+        step: i64,
+        at: i64,
+        by: i64,
+        /// `None`: no guard; `Some(true)`: the whole loop is skipped;
+        /// `Some(false)`: each element is guarded by `0 <= idx < 6`.
+        guard: Option<bool>,
+    }
+
+    impl Kernel for SpanProbe {
+        fn name(&self) -> &str {
+            "span_probe"
+        }
+        fn run<O: KernelOps>(&self, o: &mut O) {
+            let out = o.buf_f(0);
+            let (sh, loc) = (o.shared_f(8), o.local_f(6));
+            let (zero, six, eight) = (o.lit_i(0), o.lit_i(6), o.lit_i(8));
+            o.for_range(zero, eight, |o, q| {
+                let v = o.i2f(q);
+                o.st_sf(sh, q, v);
+            });
+            o.for_range(zero, six, |o, q| {
+                let w = o.lit_f(0.5);
+                o.st_lf(loc, q, w);
+            });
+            let (at, by) = (o.lit_i(self.at), o.lit_i(self.by));
+            let (base, step) = (self.base, self.step);
+            let sp = o.span_sf(sh, 0, |o| o.lit_i(base), |o| o.lit_i(step));
+            let lp = o.span_lf(loc, 0, |o| o.lit_i(base), |o| o.lit_i(step));
+            let body = |o: &mut O, j: O::I| {
+                let t = o.mul_i(j, by);
+                let idx = o.add_i(at, t);
+                let access = |o: &mut O| {
+                    let (v, w) = if self.spans {
+                        (o.ld_span_sf(sp, j, idx), o.ld_span_lf(lp, j, idx))
+                    } else {
+                        (o.ld_sf(sh, idx), o.ld_lf(loc, idx))
+                    };
+                    let r = o.add_f(v, w);
+                    if self.spans {
+                        o.st_span_lf(lp, j, idx, r);
+                    } else {
+                        o.st_lf(loc, idx, r);
+                    }
+                    o.st_gf(out, j, r);
+                };
+                match self.guard {
+                    Some(false) => {
+                        let (lo, hi) = (o.ge_i(idx, zero), o.lt_i(idx, six));
+                        let ok = o.and_b(lo, hi);
+                        o.if_(ok, access);
+                    }
+                    _ => access(o),
+                }
+            };
+            let skip = o.lit_b(self.guard == Some(true));
+            let run = o.not_b(skip);
+            o.if_(run, |o| o.for_elements(0, body));
+            o.for_range(zero, six, |o, q| {
+                let v = o.ld_lf(loc, q);
+                let at = o.add_i(q, eight);
+                o.st_gf(out, at, v);
+            });
+        }
+    }
+
+    /// A span changes neither what faults nor the fault's text: a span
+    /// partly outside its array, a span whose base or step disagree with the
+    /// index used, and a span whose loop or elements a guard skips give the
+    /// plain accesses' result, on every back-end and every ISA copy.
+    #[test]
+    fn spans_fault_exactly_as_plain_accesses() {
+        let probe = |base, step, at, by, guard| SpanProbe {
+            spans: true,
+            base,
+            step,
+            at,
+            by,
+            guard,
+        };
+        let oob = |what: &str, idx: i64, len: usize| {
+            let msg = format!("span_probe: {what}: index {idx} out of bounds (len {len})");
+            Err(Error::KernelFault(msg.into()))
+        };
+        let cases = [
+            // Inside both arrays for its 5 elements, as declared: no fault.
+            (probe(0, 1, 0, 1, None), Ok(())),
+            (probe(4, -1, 4, -1, None), Ok(())),
+            (probe(5, 0, 5, 0, None), Ok(())),
+            // Partly outside its array, at either end.
+            (probe(2, 1, 2, 1, None), oob("ld.local.f64", 6, 6)),
+            (probe(5, 1, 5, 1, None), oob("ld.local.f64", 6, 6)),
+            (probe(3, -1, 3, -1, None), oob("ld.shared.f64", -1, 8)),
+            (probe(9, -1, 9, -1, None), oob("ld.shared.f64", 9, 8)),
+            // Declared wholly inside, but the index used disagrees.
+            (probe(0, 1, 0, 2, None), oob("ld.local.f64", 6, 6)),
+            (probe(0, 1, -1, 1, None), oob("ld.shared.f64", -1, 8)),
+            (probe(0, 1, 1, 1, None), Ok(())),
+            (probe(1, 1, 0, 1, None), Ok(())),
+            (probe(0, 0, 0, 1, None), Ok(())),
+            // Partly outside, but a guard skips the loop or the elements.
+            (probe(4, 1, 4, 1, Some(true)), Ok(())),
+            (probe(4, 1, 4, 1, Some(false)), Ok(())),
+            (probe(-3, 2, -3, 2, Some(false)), Ok(())),
+        ];
+        let wd = WorkDiv::d1(1, 1, 5);
+        for (span, want) in cases {
+            let plain = SpanProbe {
+                spans: false,
+                ..span
+            };
+            for kind in CpuAccKind::ALL {
+                let dev = CpuDevice::with_workers(kind, 2);
+                for isa in IsaLevel::supported() {
+                    let on = |k: &SpanProbe| {
+                        let out = HostBuf::from_vec(vec![f64::NAN; 16]);
+                        let got = dev.launch_on(isa, k, &wd, &CpuArgs::new().buf_f(&out));
+                        (
+                            got,
+                            out.as_slice()
+                                .iter()
+                                .map(|v| v.to_bits())
+                                .collect::<Vec<_>>(),
+                        )
+                    };
+                    let (got, bits) = on(&span);
+                    let at = format!("{span:?} on {kind:?}, {isa:?}");
+                    assert_eq!(got, want, "{at}");
+                    assert_eq!((got, bits), on(&plain), "{at}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -6,24 +6,39 @@
 //! would — this is the zero-overhead half of the paper's Section 4.1
 //! argument, realized by `rustc` instead of `nvcc`.
 //!
-//! `fma_f` is the one primitive that needed help to get there. `f64::mul_add`
-//! on the default `x86-64` target is an out-of-line call into
-//! compiler-builtins, with every live `xmm` register spilled around it, once
-//! per multiply-add of every kernel. So the launch detects the CPU's FMA bit
-//! once ([`Fma`], on [`LaunchGeometry`]) and `fma_f` inlines to one
-//! `vfmadd231sd` where the CPU has it; the native baselines use the same
-//! token. The bounds checks stay, as one unsigned compare whose failing
-//! branch is a cold call.
+//! What vectorises, and why. The launch detects the CPU's ISA once
+//! ([`IsaLevel`], on [`LaunchGeometry`]) and every kernel thread runs in one
+//! of three copies: baseline `x86-64`, AVX2+FMA or AVX-512F. `CpuOps` is
+//! generic over the copy's [`Isa`] token, so each copy is its own
+//! monomorphisation of the kernel and its closures, inlined into a function
+//! compiled with `#[target_feature]` for that ISA (this is why kernels mark
+//! `run` `#[inline]`). There `fma_f` is `f64::mul_add`, which LLVM inlines
+//! as `vfmadd` and can vectorise; in the baseline copy it is the
+//! [`Fma`](alpaka_core::fma::Fma) token's one inlined `vfmadd231sd` (or the
+//! library call on CPUs without FMA). Both round once, so every copy leaves
+//! the same bits.
+//!
+//! An element loop (`for_elements`) vectorises when its body's accesses
+//! carry no per-element branch. An access through an element span
+//! (`span_sf`, `span_lf`) skips its own bounds check when the span was
+//! checked wholly in bounds once, where it was declared, and the index is
+//! the span's element `j`; in such a loop LLVM proves the last two terms of
+//! that test and hoists the first. Any other access keeps its check, one
+//! unsigned compare whose failing branch is a cold call, so a span never
+//! changes what faults. Thread-private arrays (`local_f`) are
+//! pointer-and-length views, so an element loop reads them without going
+//! back through `&mut self`.
 //!
 //! Memory model: global buffers are raw pointers into [`HostBuf`] storage
 //! (the CUDA contract — concurrent threads must write disjoint elements or
 //! use atomics); shared memory is a per-block arena handed to all threads of
-//! the block; registers (`var_f`/`var_i`) are thread-private vectors.
+//! the block; registers (`var_f`/`var_i`) and local arrays are
+//! thread-private vectors.
 
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 
 use alpaka_core::buffer::HostBuf;
-use alpaka_core::fma::Fma;
+use alpaka_core::fma::{Isa, IsaJob, IsaLevel};
 use alpaka_core::kernel::{Kernel, ScalarArgs};
 use alpaka_core::ops::KernelOps;
 use alpaka_core::workdiv::WorkDiv;
@@ -56,6 +71,57 @@ impl<E> Clone for RawSh<E> {
     }
 }
 impl<E> Copy for RawSh<E> {}
+
+/// View of one thread's private `f64` array. Only `local_f` makes one, over
+/// storage its `CpuOps` owns until the thread's kernel returns.
+#[derive(Clone, Copy)]
+pub struct RawLoc {
+    ptr: *mut f64,
+    len: usize,
+}
+
+/// An element span on the CPU back-ends: a view of its array, and element
+/// `j`'s index `base + j * step` for `j` in `0..ext`. Only `span_sf` and
+/// `span_lf` make one, so `whole` is the range check they did.
+#[derive(Clone, Copy)]
+pub struct Span {
+    ptr: *mut f64,
+    len: usize,
+    base: i64,
+    step: i64,
+    ext: i64,
+    /// Every element of the span is in bounds.
+    whole: bool,
+}
+
+impl Span {
+    #[inline(always)]
+    fn new(ptr: *mut f64, len: usize, base: i64, step: i64, ext: i64) -> Self {
+        // Exact in i128: an i64 base and step cannot overflow it.
+        let first = base as i128;
+        let last = first + (ext as i128 - 1) * step as i128;
+        let whole = ext <= 0 || (first.min(last) >= 0 && first.max(last) < len as i128);
+        Span {
+            ptr,
+            len,
+            base,
+            step,
+            ext,
+            whole,
+        }
+    }
+
+    /// `idx` is element `j` of a span that is wholly in bounds, so it needs
+    /// no check of its own. In a `for_elements` loop over the span's
+    /// dimension, with `idx` built as `base + j * step`, LLVM proves the last
+    /// two terms and this is the loop-invariant `whole`.
+    #[inline(always)]
+    fn covers(&self, j: i64, idx: i64) -> bool {
+        self.whole
+            && (j as u64) < (self.ext as u64)
+            && idx == self.base.wrapping_add(j.wrapping_mul(self.step))
+    }
+}
 
 /// Launch arguments for the CPU back-ends: buffer bindings (slot order) and
 /// scalars.
@@ -205,46 +271,52 @@ pub struct LaunchGeometry {
     pub grid: [i64; 3],
     pub block: [i64; 3],
     pub elems: [i64; 3],
-    fma: Fma,
+    /// The kernel copy every thread of the launch runs.
+    isa: IsaLevel,
 }
 
 impl LaunchGeometry {
-    pub(crate) fn from_workdiv(wd: &WorkDiv, fma: Fma) -> Self {
+    pub(crate) fn from_workdiv(wd: &WorkDiv, isa: IsaLevel) -> Self {
         LaunchGeometry {
             dims: wd.dim,
             grid: wd.blocks.map(|v| v as i64),
             block: wd.threads.map(|v| v as i64),
             elems: wd.elems.map(|v| v as i64),
-            fma,
+            isa,
         }
     }
 }
 
-/// The direct-execution accelerator object handed to one kernel thread.
-pub struct CpuOps<'a> {
+/// The direct-execution accelerator object handed to one kernel thread,
+/// compiled for the ISA `I`.
+pub struct CpuOps<'a, I: Isa> {
     geo: &'a LaunchGeometry,
     bidx: [i64; 3],
     tidx: [i64; 3],
     lin_tid: usize,
-    /// Copied out of `geo`, so the optimiser sees a loop-invariant value.
-    fma: Fma,
+    isa: I,
     args: &'a ResolvedArgs,
     shared: &'a SharedBlock,
     sync: &'a dyn BlockSync,
     sh_cursor: usize,
     vars_f: Vec<f64>,
     vars_i: Vec<i64>,
-    locals_f: Vec<Box<[f64]>>,
+    /// Owns the storage behind every `RawLoc` this thread was handed.
+    locals_f: Vec<Vec<f64>>,
 }
 
-impl<'a> CpuOps<'a> {
-    pub fn new(
+impl<'a, I: Isa> CpuOps<'a, I> {
+    /// Crate-private: the handles a `CpuOps` gives out (`RawLoc`, `Span`)
+    /// point into storage it owns, so only the launch, which drops it after
+    /// the kernel returns, may make one.
+    pub(crate) fn new(
         geo: &'a LaunchGeometry,
         bidx: [usize; 3],
         tidx: [usize; 3],
         args: &'a ResolvedArgs,
         shared: &'a SharedBlock,
         sync: &'a dyn BlockSync,
+        isa: I,
     ) -> Self {
         let lin_tid = (tidx[0] * geo.block[1] as usize + tidx[1]) * geo.block[2] as usize + tidx[2];
         CpuOps {
@@ -252,7 +324,7 @@ impl<'a> CpuOps<'a> {
             bidx: bidx.map(|v| v as i64),
             tidx: tidx.map(|v| v as i64),
             lin_tid,
-            fma: geo.fma,
+            isa,
             args,
             shared,
             sync,
@@ -289,7 +361,8 @@ fn oob(what: &str, idx: i64, len: usize) -> ! {
     panic!("{what}: index {idx} out of bounds (len {len})")
 }
 
-/// Execute `kernel` for a single (block, thread) coordinate.
+/// Execute `kernel` for a single (block, thread) coordinate, in the copy
+/// compiled for the launch's ISA.
 #[allow(clippy::too_many_arguments)]
 pub fn run_thread<K: Kernel + ?Sized>(
     kernel: &K,
@@ -300,11 +373,46 @@ pub fn run_thread<K: Kernel + ?Sized>(
     shared: &SharedBlock,
     sync: &dyn BlockSync,
 ) {
-    let mut ops = CpuOps::new(geo, bidx, tidx, args, shared, sync);
-    kernel.run(&mut ops);
+    geo.isa.run(Thread {
+        kernel,
+        geo,
+        bidx,
+        tidx,
+        args,
+        shared,
+        sync,
+    })
 }
 
-impl KernelOps for CpuOps<'_> {
+/// One kernel thread, as the job each ISA copy runs.
+struct Thread<'a, K: ?Sized> {
+    kernel: &'a K,
+    geo: &'a LaunchGeometry,
+    bidx: [usize; 3],
+    tidx: [usize; 3],
+    args: &'a ResolvedArgs,
+    shared: &'a SharedBlock,
+    sync: &'a dyn BlockSync,
+}
+
+impl<K: Kernel + ?Sized> IsaJob for Thread<'_, K> {
+    type Out = ();
+    #[inline(always)]
+    fn run<I: Isa>(self, isa: I) {
+        let Thread {
+            kernel,
+            geo,
+            bidx,
+            tidx,
+            args,
+            shared,
+            sync,
+        } = self;
+        kernel.run(&mut CpuOps::new(geo, bidx, tidx, args, shared, sync, isa));
+    }
+}
+
+impl<I: Isa> KernelOps for CpuOps<'_, I> {
     type F = f64;
     type I = i64;
     type B = bool;
@@ -312,7 +420,9 @@ impl KernelOps for CpuOps<'_> {
     type BufI = RawBuf<i64>;
     type ShF = RawSh<f64>;
     type ShI = RawSh<i64>;
-    type LocF = usize;
+    type LocF = RawLoc;
+    type SpanSf = Span;
+    type SpanLf = Span;
     type VarF = usize;
     type VarI = usize;
 
@@ -393,7 +503,7 @@ impl KernelOps for CpuOps<'_> {
     }
     #[inline(always)]
     fn fma_f(&mut self, a: f64, b: f64, c: f64) -> f64 {
-        self.fma.apply(a, b, c)
+        self.isa.fma(a, b, c)
     }
     #[inline(always)]
     fn min_f(&mut self, a: f64, b: f64) -> f64 {
@@ -605,6 +715,9 @@ impl KernelOps for CpuOps<'_> {
         }
     }
 
+    // `#[inline]`, like `local_f`: a call left in a kernel that returns a
+    // struct keeps LLVM from inlining the kernel into its ISA copy.
+    #[inline]
     fn shared_f(&mut self, len: usize) -> RawSh<f64> {
         let cursor = self.sh_cursor;
         self.sh_cursor += 1;
@@ -614,6 +727,7 @@ impl KernelOps for CpuOps<'_> {
             len,
         }
     }
+    #[inline]
     fn shared_i(&mut self, len: usize) -> RawSh<i64> {
         let cursor = self.sh_cursor;
         self.sh_cursor += 1;
@@ -652,19 +766,105 @@ impl KernelOps for CpuOps<'_> {
         }
     }
 
-    fn local_f(&mut self, len: usize) -> usize {
-        self.locals_f.push(vec![0.0; len].into_boxed_slice());
-        self.locals_f.len() - 1
+    #[inline]
+    fn local_f(&mut self, len: usize) -> RawLoc {
+        let mut arr = vec![0.0; len];
+        let view = RawLoc {
+            ptr: arr.as_mut_ptr(),
+            len,
+        };
+        // Moving the `Vec` leaves its heap storage, and `view`, in place.
+        self.locals_f.push(arr);
+        view
     }
     #[inline(always)]
-    fn ld_lf(&mut self, l: usize, idx: i64) -> f64 {
-        let arr = &self.locals_f[l];
-        arr[check(arr.len(), idx, "ld.local.f64")]
+    fn ld_lf(&mut self, l: RawLoc, idx: i64) -> f64 {
+        let i = check(l.len, idx, "ld.local.f64");
+        debug_assert!(i < l.len);
+        // SAFETY: bounds-checked above; `l` views storage this thread's ops
+        // own for as long as the kernel runs.
+        unsafe { *l.ptr.add(i) }
     }
     #[inline(always)]
-    fn st_lf(&mut self, l: usize, idx: i64, v: f64) {
-        let arr = &mut self.locals_f[l];
-        arr[check(arr.len(), idx, "st.local.f64")] = v;
+    fn st_lf(&mut self, l: RawLoc, idx: i64, v: f64) {
+        let i = check(l.len, idx, "st.local.f64");
+        debug_assert!(i < l.len);
+        // SAFETY: as in `ld_lf`.
+        unsafe {
+            *l.ptr.add(i) = v;
+        }
+    }
+
+    #[inline(always)]
+    fn span_sf(
+        &mut self,
+        sh: RawSh<f64>,
+        d: usize,
+        base: impl FnOnce(&mut Self) -> i64,
+        step: impl FnOnce(&mut Self) -> i64,
+    ) -> Span {
+        let (base, step) = (base(self), step(self));
+        Span::new(sh.ptr, sh.len, base, step, self.geo.elems[self.axis(d)])
+    }
+    #[inline(always)]
+    fn ld_span_sf(&mut self, s: Span, j: i64, idx: i64) -> f64 {
+        if s.covers(j, idx) {
+            debug_assert!((idx as u64) < s.len as u64);
+            // SAFETY: `covers` holds only for an index of a span that
+            // `span_sf` checked wholly in bounds of its shared array.
+            return unsafe { *s.ptr.add(idx as usize) };
+        }
+        self.ld_sf(
+            RawSh {
+                ptr: s.ptr,
+                len: s.len,
+            },
+            idx,
+        )
+    }
+    #[inline(always)]
+    fn span_lf(
+        &mut self,
+        l: RawLoc,
+        d: usize,
+        base: impl FnOnce(&mut Self) -> i64,
+        step: impl FnOnce(&mut Self) -> i64,
+    ) -> Span {
+        let (base, step) = (base(self), step(self));
+        Span::new(l.ptr, l.len, base, step, self.geo.elems[self.axis(d)])
+    }
+    #[inline(always)]
+    fn ld_span_lf(&mut self, s: Span, j: i64, idx: i64) -> f64 {
+        if s.covers(j, idx) {
+            debug_assert!((idx as u64) < s.len as u64);
+            // SAFETY: `covers` holds only for an index of a span that
+            // `span_lf` checked wholly in bounds of its local array.
+            return unsafe { *s.ptr.add(idx as usize) };
+        }
+        self.ld_lf(
+            RawLoc {
+                ptr: s.ptr,
+                len: s.len,
+            },
+            idx,
+        )
+    }
+    #[inline(always)]
+    fn st_span_lf(&mut self, s: Span, j: i64, idx: i64, v: f64) {
+        if s.covers(j, idx) {
+            debug_assert!((idx as u64) < s.len as u64);
+            // SAFETY: as in `ld_span_lf`.
+            unsafe { *s.ptr.add(idx as usize) = v };
+            return;
+        }
+        self.st_lf(
+            RawLoc {
+                ptr: s.ptr,
+                len: s.len,
+            },
+            idx,
+            v,
+        )
     }
 
     #[inline(always)]
@@ -803,8 +1003,10 @@ impl KernelOps for CpuOps<'_> {
     #[inline(always)]
     fn for_elements(&mut self, d: usize, mut body: impl FnMut(&mut Self, i64)) {
         let ext = self.geo.elems[self.axis(d)];
-        // Primitive inner loop over a fixed element count — the shape the
-        // auto-vectorizer recognizes (Section 3.2.4).
+        // Primitive inner loop over the element count (Section 3.2.4). In an
+        // ISA copy with vector units it vectorises when the body's accesses
+        // go through spans checked wholly in bounds (or are unchecked
+        // arithmetic): see the module doc.
         for k in 0..ext {
             body(self, k);
         }
@@ -871,6 +1073,7 @@ mod tests {
     use super::*;
     use crate::sync::NoopSync;
     use alpaka_core::buffer::BufLayout;
+    use alpaka_core::fma::Fma;
     use alpaka_core::ops::KernelOpsExt;
 
     struct Square;
@@ -894,7 +1097,7 @@ mod tests {
         let args = CpuArgs::new().buf_f(&buf).scalar_i(4);
         let resolved = args.resolve();
         let wd = WorkDiv::d1(4, 1, 1);
-        let geo = LaunchGeometry::from_workdiv(&wd, Fma::detect());
+        let geo = LaunchGeometry::from_workdiv(&wd, IsaLevel::detect());
         let shared = SharedBlock::new();
         for b in 0..4 {
             run_thread(
@@ -917,7 +1120,7 @@ mod tests {
         let args = CpuArgs::new().buf_f(&buf).scalar_i(100);
         let resolved = args.resolve();
         let wd = WorkDiv::d1(1, 1, 1);
-        let geo = LaunchGeometry::from_workdiv(&wd, Fma::detect());
+        let geo = LaunchGeometry::from_workdiv(&wd, IsaLevel::detect());
         struct Bad;
         impl Kernel for Bad {
             fn run<O: KernelOps>(&self, o: &mut O) {
@@ -964,15 +1167,22 @@ mod tests {
         let args = Arc::new(CpuArgs::new().buf_f(&buf));
         let resolved = Arc::new(args.resolve());
         let wd = WorkDiv::d1(1, 1, 1);
-        let geo = Arc::new(LaunchGeometry::from_workdiv(&wd, Fma::detect()));
+        let geo = Arc::new(LaunchGeometry::from_workdiv(&wd, IsaLevel::detect()));
         let mut handles = vec![];
         for _ in 0..8 {
             let resolved = Arc::clone(&resolved);
             let geo = Arc::clone(&geo);
             handles.push(std::thread::spawn(move || {
                 let shared = SharedBlock::new();
-                let mut ops =
-                    CpuOps::new(&geo, [0, 0, 0], [0, 0, 0], &resolved, &shared, &NoopSync);
+                let mut ops = CpuOps::new(
+                    &geo,
+                    [0, 0, 0],
+                    [0, 0, 0],
+                    &resolved,
+                    &shared,
+                    &NoopSync,
+                    Fma::detect(),
+                );
                 let b = ops.buf_f(0);
                 for _ in 0..1000 {
                     let one = ops.lit_f(1.0);
@@ -990,10 +1200,18 @@ mod tests {
     #[test]
     fn vars_are_thread_private() {
         let wd = WorkDiv::d1(1, 1, 1);
-        let geo = LaunchGeometry::from_workdiv(&wd, Fma::detect());
+        let geo = LaunchGeometry::from_workdiv(&wd, IsaLevel::detect());
         let args = CpuArgs::new().resolve();
         let shared = SharedBlock::new();
-        let mut ops = CpuOps::new(&geo, [0, 0, 0], [0, 0, 0], &args, &shared, &NoopSync);
+        let mut ops = CpuOps::new(
+            &geo,
+            [0, 0, 0],
+            [0, 0, 0],
+            &args,
+            &shared,
+            &NoopSync,
+            Fma::detect(),
+        );
         let v = ops.var_f(1.5);
         assert_eq!(ops.vget_f(v), 1.5);
         ops.vset_f(v, 2.5);

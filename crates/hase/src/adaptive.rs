@@ -135,6 +135,7 @@ impl Kernel for AseStats {
         "hase_ase_stats"
     }
 
+    #[inline]
     fn run<O: KernelOps>(&self, o: &mut O) {
         let gain = o.buf_f(0);
         let sum_out = o.buf_f(1);
@@ -193,6 +194,7 @@ impl Kernel for AseRefine {
         "hase_ase_refine"
     }
 
+    #[inline]
     fn run<O: KernelOps>(&self, o: &mut O) {
         let gain = o.buf_f(0);
         let sum_out = o.buf_f(1);

@@ -35,6 +35,7 @@ impl Kernel for AseKernel {
     }
 
     #[allow(clippy::too_many_lines)]
+    #[inline]
     fn run<O: KernelOps>(&self, o: &mut O) {
         let gain = o.buf_f(0);
         let flux = o.buf_f(1);

@@ -19,6 +19,7 @@ impl Kernel for DaxpyKernel {
         "daxpy"
     }
 
+    #[inline]
     fn run<O: KernelOps>(&self, o: &mut O) {
         let x = o.buf_f(0);
         let y = o.buf_f(1);
@@ -52,6 +53,7 @@ impl Kernel for DaxpyNativeStyle {
         "daxpy"
     }
 
+    #[inline]
     fn run<O: KernelOps>(&self, o: &mut O) {
         let x = o.buf_f(0);
         let y = o.buf_f(1);
@@ -83,6 +85,7 @@ impl Kernel for VecAddKernel {
         "vecadd"
     }
 
+    #[inline]
     fn run<O: KernelOps>(&self, o: &mut O) {
         let x = o.buf_f(0);
         let y = o.buf_f(1);

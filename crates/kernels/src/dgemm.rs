@@ -75,6 +75,7 @@ impl Kernel for DgemmNaive {
         "dgemm_naive"
     }
 
+    #[inline]
     fn run<O: KernelOps>(&self, o: &mut O) {
         let g = gemm_args(o);
         let gid = o.global_thread_idx(0);
@@ -138,6 +139,7 @@ impl Kernel for DgemmTiledCuda {
         "dgemm_tiled_cuda"
     }
 
+    #[inline]
     fn run<O: KernelOps>(&self, o: &mut O) {
         let ts = self.ts as i64;
         let g = gemm_args(o);
@@ -282,6 +284,7 @@ impl Kernel for DgemmTiled {
         "dgemm_tiled"
     }
 
+    #[inline]
     fn run<O: KernelOps>(&self, o: &mut O) {
         let t = self.t as i64;
         let e = self.e as i64;
@@ -373,15 +376,20 @@ impl Kernel for DgemmTiled {
                     let brow = o.mul_i(p, te_c);
                     // Inner element loop: unit stride for t == 1 (the CPU
                     // mapping) — the vectorization hook of Section 3.2.4.
+                    // The spans name the range it walks in shB and acc, so
+                    // the CPU back-ends check each range once, not per
+                    // element; the tracer emits nothing for them.
+                    let b_row = o.span_sf(shb, 1, |o| o.add_i(brow, tx), |_| t_c);
+                    let acc_row = o.span_lf(acc, 1, |_| ie, |o| o.lit_i(1));
                     o.for_elements(1, |o, j| {
                         let jt = o.mul_i(j, t_c);
                         let lc = o.add_i(tx, jt);
                         let bi = o.add_i(brow, lc);
-                        let bv = o.ld_sf(shb, bi);
+                        let bv = o.ld_span_sf(b_row, j, bi);
                         let q = o.add_i(ie, j);
-                        let cur = o.ld_lf(acc, q);
+                        let cur = o.ld_span_lf(acc_row, j, q);
                         let nx = o.fma_f(av, bv, cur);
-                        o.st_lf(acc, q, nx);
+                        o.st_span_lf(acc_row, j, q, nx);
                     });
                 });
             });

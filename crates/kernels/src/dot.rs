@@ -19,6 +19,7 @@ impl Kernel for DotKernel {
         "dot"
     }
 
+    #[inline]
     fn run<O: KernelOps>(&self, o: &mut O) {
         assert!(self.block.is_power_of_two());
         let x = o.buf_f(0);

@@ -38,6 +38,7 @@ impl Kernel for HistogramGlobalAtomics {
         "histogram_global"
     }
 
+    #[inline]
     fn run<O: KernelOps>(&self, o: &mut O) {
         let samples = o.buf_f(0);
         let bins = o.buf_i(0);
@@ -73,6 +74,7 @@ impl Kernel for HistogramGlobalExact {
         "histogram_global_exact"
     }
 
+    #[inline]
     fn run<O: KernelOps>(&self, o: &mut O) {
         let samples = o.buf_f(0);
         let bins = o.buf_i(0);
@@ -108,6 +110,7 @@ impl Kernel for ScatterAddAffine {
         "scatter_add_affine"
     }
 
+    #[inline]
     fn run<O: KernelOps>(&self, o: &mut O) {
         let src = o.buf_f(0);
         let out = o.buf_f(1);
@@ -136,6 +139,7 @@ impl Kernel for HistogramShared {
         "histogram_shared"
     }
 
+    #[inline]
     fn run<O: KernelOps>(&self, o: &mut O) {
         let samples = o.buf_f(0);
         let bins = o.buf_i(0);

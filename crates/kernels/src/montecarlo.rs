@@ -22,6 +22,7 @@ impl Kernel for MonteCarloPi {
         "mc_pi"
     }
 
+    #[inline]
     fn run<O: KernelOps>(&self, o: &mut O) {
         let hits = o.buf_i(0);
         let per_thread = o.param_i(0);

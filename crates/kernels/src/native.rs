@@ -2,28 +2,45 @@
 //! layer, as plain multithreaded Rust. These are the "native OpenMP"
 //! comparators of the paper's Figs. 5, 6 and 8: the Alpaka-kernel wall time
 //! divided by these functions' wall time is the reported relative speedup.
-//! Each multiply-add goes through the same [`Fma`] token the CPU back-ends
-//! use, detected once per call, so Fig. 5 compares like with like.
+//! Each worker's loop runs in the ISA copy the CPU back-ends would pick
+//! ([`IsaLevel`], detected once per call), and multiply-adds through its
+//! token, so Fig. 5 and Fig. 8 compare like with like.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use alpaka_core::fma::Fma;
+use alpaka_core::fma::{Isa, IsaJob, IsaLevel};
 
 /// Native DAXPY `y <- alpha*x + y`, chunked over `threads` OS threads.
 pub fn native_daxpy(alpha: f64, x: &[f64], y: &mut [f64], threads: usize) {
+    daxpy_on(IsaLevel::detect(), alpha, x, y, threads)
+}
+
+pub(crate) fn daxpy_on(isa: IsaLevel, alpha: f64, x: &[f64], y: &mut [f64], threads: usize) {
     assert_eq!(x.len(), y.len());
     let threads = threads.max(1);
     let chunk = x.len().div_ceil(threads).max(1);
-    let fma = Fma::detect();
     std::thread::scope(|scope| {
-        for (xc, yc) in x.chunks(chunk).zip(y.chunks_mut(chunk)) {
-            scope.spawn(move || {
-                for (yi, xi) in yc.iter_mut().zip(xc) {
-                    *yi = fma.apply(*xi, alpha, *yi);
-                }
-            });
+        for (x, y) in x.chunks(chunk).zip(y.chunks_mut(chunk)) {
+            scope.spawn(move || isa.run(Axpy { alpha, x, y }));
         }
     });
+}
+
+/// One DAXPY chunk.
+struct Axpy<'a> {
+    alpha: f64,
+    x: &'a [f64],
+    y: &'a mut [f64],
+}
+
+impl IsaJob for Axpy<'_> {
+    type Out = ();
+    #[inline(always)]
+    fn run<I: Isa>(self, isa: I) {
+        for (yi, xi) in self.y.iter_mut().zip(self.x) {
+            *yi = isa.fma(*xi, self.alpha, *yi);
+        }
+    }
 }
 
 /// Native naive DGEMM (`C <- alpha*A*B + beta*C`, dense row-major,
@@ -41,36 +58,99 @@ pub fn native_dgemm(
     c: &mut [f64],
     threads: usize,
 ) {
-    assert_eq!(a.len(), m * k);
-    assert_eq!(b.len(), k * n);
-    assert_eq!(c.len(), m * n);
-    let threads = threads.max(1).min(m.max(1));
+    let g = Gemm::new(m, n, k, alpha, a, b, beta, c);
+    dgemm_on(IsaLevel::detect(), &g, threads)
+}
+
+pub(crate) fn dgemm_on(isa: IsaLevel, g: &Gemm<'_>, threads: usize) {
+    let threads = threads.max(1).min(g.m.max(1));
     let next = AtomicUsize::new(0);
-    let fma = Fma::detect();
-    // Rows are disjoint: give each worker raw row pointers.
-    let c_ptr = SendPtr(c.as_mut_ptr());
     std::thread::scope(|scope| {
         for _ in 0..threads {
             let next = &next;
-            let c_ptr = &c_ptr;
-            scope.spawn(move || loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= m {
-                    break;
-                }
-                // SAFETY: each row index i is claimed exactly once, so the
-                // row slices are disjoint across workers.
-                let row = unsafe { std::slice::from_raw_parts_mut(c_ptr.0.add(i * n), n) };
-                for (j, cij) in row.iter_mut().enumerate() {
-                    let mut acc = 0.0;
-                    for p in 0..k {
-                        acc = fma.apply(a[i * k + p], b[p * n + j], acc);
-                    }
-                    *cij = fma.apply(alpha, acc, beta * *cij);
-                }
-            });
+            scope.spawn(move || isa.run(Rows { g, next }));
         }
     });
+}
+
+/// `C <- alpha*A*B + beta*C` over row-major `A` (`m x k`), `B` (`k x n`) and
+/// `C` (`m x n`). Workers write disjoint rows of `C` through `c`.
+pub(crate) struct Gemm<'a> {
+    m: usize,
+    n: usize,
+    k: usize,
+    alpha: f64,
+    a: &'a [f64],
+    b: &'a [f64],
+    beta: f64,
+    c: SendPtr,
+}
+
+impl<'a> Gemm<'a> {
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn new(
+        m: usize,
+        n: usize,
+        k: usize,
+        alpha: f64,
+        a: &'a [f64],
+        b: &'a [f64],
+        beta: f64,
+        c: &'a mut [f64],
+    ) -> Self {
+        assert_eq!(a.len(), m * k);
+        assert_eq!(b.len(), k * n);
+        assert_eq!(c.len(), m * n);
+        Gemm {
+            m,
+            n,
+            k,
+            alpha,
+            a,
+            b,
+            beta,
+            c: SendPtr(c.as_mut_ptr()),
+        }
+    }
+}
+
+/// One `native_dgemm` worker: claims rows until none are left.
+struct Rows<'a> {
+    g: &'a Gemm<'a>,
+    next: &'a AtomicUsize,
+}
+
+impl IsaJob for Rows<'_> {
+    type Out = ();
+    #[inline(always)]
+    fn run<I: Isa>(self, isa: I) {
+        let Gemm {
+            m,
+            n,
+            k,
+            alpha,
+            a,
+            b,
+            beta,
+            ..
+        } = *self.g;
+        loop {
+            let i = self.next.fetch_add(1, Ordering::Relaxed);
+            if i >= m {
+                break;
+            }
+            // SAFETY: each row index i is claimed exactly once, so the
+            // row slices are disjoint across workers.
+            let row = unsafe { std::slice::from_raw_parts_mut(self.g.c.0.add(i * n), n) };
+            for (j, cij) in row.iter_mut().enumerate() {
+                let mut acc = 0.0;
+                for p in 0..k {
+                    acc = isa.fma(a[i * k + p], b[p * n + j], acc);
+                }
+                *cij = isa.fma(alpha, acc, beta * *cij);
+            }
+        }
+    }
 }
 
 struct SendPtr(*mut f64);
@@ -97,44 +177,74 @@ pub fn native_dgemm_blocked(
     for v in c.iter_mut() {
         *v *= beta;
     }
+    let g = Gemm::new(m, n, k, alpha, a, b, beta, c);
+    dgemm_blocked_on(IsaLevel::detect(), &g, bs, threads)
+}
+
+/// The tile phase of [`native_dgemm_blocked`]: `C` is already scaled by
+/// beta.
+pub(crate) fn dgemm_blocked_on(isa: IsaLevel, g: &Gemm<'_>, bs: usize, threads: usize) {
     let threads = threads.max(1);
-    let row_tiles = m.div_ceil(bs);
+    let row_tiles = g.m.div_ceil(bs);
     let next = AtomicUsize::new(0);
-    let fma = Fma::detect();
-    let c_ptr = SendPtr(c.as_mut_ptr());
     std::thread::scope(|scope| {
         for _ in 0..threads.min(row_tiles.max(1)) {
             let next = &next;
-            let c_ptr = &c_ptr;
-            scope.spawn(move || loop {
-                let it = next.fetch_add(1, Ordering::Relaxed);
-                if it >= row_tiles {
-                    break;
-                }
-                let i0 = it * bs;
-                let i1 = (i0 + bs).min(m);
-                // SAFETY: row tiles are disjoint across workers.
-                let crows =
-                    unsafe { std::slice::from_raw_parts_mut(c_ptr.0.add(i0 * n), (i1 - i0) * n) };
-                for p0 in (0..k).step_by(bs) {
-                    let p1 = (p0 + bs).min(k);
-                    for j0 in (0..n).step_by(bs) {
-                        let j1 = (j0 + bs).min(n);
-                        for i in i0..i1 {
-                            let crow = &mut crows[(i - i0) * n..(i - i0) * n + n];
-                            for p in p0..p1 {
-                                let av = alpha * a[i * k + p];
-                                let brow = &b[p * n..p * n + n];
-                                for j in j0..j1 {
-                                    crow[j] = fma.apply(av, brow[j], crow[j]);
-                                }
+            scope.spawn(move || isa.run(Tiles { g, bs, next }));
+        }
+    });
+}
+
+/// One `native_dgemm_blocked` worker: claims row tiles until none are left.
+struct Tiles<'a> {
+    g: &'a Gemm<'a>,
+    bs: usize,
+    next: &'a AtomicUsize,
+}
+
+impl IsaJob for Tiles<'_> {
+    type Out = ();
+    #[inline(always)]
+    fn run<I: Isa>(self, isa: I) {
+        let Gemm {
+            m,
+            n,
+            k,
+            alpha,
+            a,
+            b,
+            ..
+        } = *self.g;
+        let bs = self.bs;
+        let row_tiles = m.div_ceil(bs);
+        loop {
+            let it = self.next.fetch_add(1, Ordering::Relaxed);
+            if it >= row_tiles {
+                break;
+            }
+            let i0 = it * bs;
+            let i1 = (i0 + bs).min(m);
+            // SAFETY: row tiles are disjoint across workers.
+            let crows =
+                unsafe { std::slice::from_raw_parts_mut(self.g.c.0.add(i0 * n), (i1 - i0) * n) };
+            for p0 in (0..k).step_by(bs) {
+                let p1 = (p0 + bs).min(k);
+                for j0 in (0..n).step_by(bs) {
+                    let j1 = (j0 + bs).min(n);
+                    for i in i0..i1 {
+                        let crow = &mut crows[(i - i0) * n..(i - i0) * n + n];
+                        for p in p0..p1 {
+                            let av = alpha * a[i * k + p];
+                            let brow = &b[p * n..p * n + n];
+                            for j in j0..j1 {
+                                crow[j] = isa.fma(av, brow[j], crow[j]);
                             }
                         }
                     }
                 }
-            });
+            }
         }
-    });
+    }
 }
 
 #[cfg(test)]
@@ -175,6 +285,38 @@ mod tests {
         dgemm_ref(m, n, k, 2.0, &a, &b, 1.0, &mut want);
         native_dgemm_blocked(m, n, k, 2.0, &a, &b, 1.0, &mut c, 16, 4);
         assert!(rel_err(&c, &want) < 1e-13);
+    }
+
+    /// Every ISA copy this CPU runs leaves the same bits in all three
+    /// baselines.
+    #[test]
+    fn native_isa_copies_are_bit_identical() {
+        let (m, n, k) = (45, 41, 33);
+        let a = random_matrix(m, k, 11);
+        let b = random_matrix(k, n, 12);
+        let c0 = random_matrix(m, n, 13);
+        let x = random_vec(1003, 14);
+        let y0 = random_vec(1003, 15);
+        let run = |isa: IsaLevel| {
+            let mut y = y0.clone();
+            daxpy_on(isa, 2.5, &x, &mut y, 3);
+            let mut c = c0.clone();
+            dgemm_on(isa, &Gemm::new(m, n, k, 1.5, &a, &b, 0.5, &mut c), 3);
+            let mut cb = c0.clone();
+            dgemm_blocked_on(isa, &Gemm::new(m, n, k, 1.5, &a, &b, 0.5, &mut cb), 16, 3);
+            [y, c, cb].map(|v| v.iter().map(|e| e.to_bits()).collect::<Vec<_>>())
+        };
+        let isas = IsaLevel::supported();
+        let want = run(isas[0]);
+        for isa in &isas[1..] {
+            let got = run(*isa);
+            for (what, (g, w)) in ["daxpy", "dgemm", "dgemm_blocked"]
+                .iter()
+                .zip(got.iter().zip(&want))
+            {
+                assert!(g == w, "native {what}: {isa:?} differs");
+            }
+        }
     }
 
     #[test]

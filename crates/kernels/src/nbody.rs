@@ -16,6 +16,7 @@ impl Kernel for NBodyAccel {
         "nbody_accel"
     }
 
+    #[inline]
     fn run<O: KernelOps>(&self, o: &mut O) {
         let pos = o.buf_f(0);
         let acc = o.buf_f(1);

@@ -31,6 +31,7 @@ impl Kernel for ReduceBlocks {
         "reduce_blocks"
     }
 
+    #[inline]
     fn run<O: KernelOps>(&self, o: &mut O) {
         assert!(self.block.is_power_of_two(), "block size must be 2^k");
         let input = o.buf_f(0);
@@ -109,6 +110,7 @@ impl Kernel for ReduceAtomic {
         "reduce_atomic"
     }
 
+    #[inline]
     fn run<O: KernelOps>(&self, o: &mut O) {
         let input = o.buf_f(0);
         let out = o.buf_f(1);

@@ -28,6 +28,7 @@ impl Kernel for ScanBlocks {
     }
 
     #[allow(clippy::too_many_lines)]
+    #[inline]
     fn run<O: KernelOps>(&self, o: &mut O) {
         assert!(self.block.is_power_of_two());
         let input = o.buf_f(0);
@@ -178,6 +179,7 @@ impl Kernel for ScanAddOffsets {
         "scan_add_offsets"
     }
 
+    #[inline]
     fn run<O: KernelOps>(&self, o: &mut O) {
         let output = o.buf_f(0);
         let offsets = o.buf_f(1);

@@ -89,6 +89,7 @@ impl Kernel for SpmvScalar {
         "spmv_scalar"
     }
 
+    #[inline]
     fn run<O: KernelOps>(&self, o: &mut O) {
         let values = o.buf_f(0);
         let x = o.buf_f(1);

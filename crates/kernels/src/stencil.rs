@@ -31,6 +31,7 @@ impl Kernel for JacobiStep {
         "jacobi2d"
     }
 
+    #[inline]
     fn run<O: KernelOps>(&self, o: &mut O) {
         let src = o.buf_f(0);
         let dst = o.buf_f(1);

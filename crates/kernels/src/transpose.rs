@@ -58,6 +58,7 @@ impl Kernel for TransposeNaive {
         "transpose_naive"
     }
 
+    #[inline]
     fn run<O: KernelOps>(&self, o: &mut O) {
         let g = t_args(o);
         let bd0 = o.block_thread_extent(0);
@@ -170,6 +171,7 @@ impl Kernel for TransposeTiled {
     fn name(&self) -> &str {
         "transpose_tiled"
     }
+    #[inline]
     fn run<O: KernelOps>(&self, o: &mut O) {
         tiled_body(o, self.ts, 0);
     }
@@ -179,6 +181,7 @@ impl Kernel for TransposePadded {
     fn name(&self) -> &str {
         "transpose_padded"
     }
+    #[inline]
     fn run<O: KernelOps>(&self, o: &mut O) {
         tiled_body(o, self.ts, 1);
     }

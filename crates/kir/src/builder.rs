@@ -171,6 +171,8 @@ impl KernelOps for IrBuilder {
     type ShF = ShFRef;
     type ShI = ShIRef;
     type LocF = LocFRef;
+    type SpanSf = ShFRef;
+    type SpanLf = LocFRef;
     type VarF = VarFRef;
     type VarI = VarIRef;
 
@@ -448,6 +450,36 @@ impl KernelOps for IrBuilder {
         });
     }
 
+    // A span emits nothing: its base and step are never traced, and its
+    // accesses are the plain ones.
+    fn span_sf(
+        &mut self,
+        sh: ShFRef,
+        _d: usize,
+        _base: impl FnOnce(&mut Self) -> ValId,
+        _step: impl FnOnce(&mut Self) -> ValId,
+    ) -> ShFRef {
+        sh
+    }
+    fn ld_span_sf(&mut self, sh: ShFRef, _j: ValId, idx: ValId) -> ValId {
+        self.ld_sf(sh, idx)
+    }
+    fn span_lf(
+        &mut self,
+        l: LocFRef,
+        _d: usize,
+        _base: impl FnOnce(&mut Self) -> ValId,
+        _step: impl FnOnce(&mut Self) -> ValId,
+    ) -> LocFRef {
+        l
+    }
+    fn ld_span_lf(&mut self, l: LocFRef, _j: ValId, idx: ValId) -> ValId {
+        self.ld_lf(l, idx)
+    }
+    fn st_span_lf(&mut self, l: LocFRef, _j: ValId, idx: ValId, v: ValId) {
+        self.st_lf(l, idx, v)
+    }
+
     fn sync_block_threads(&mut self) {
         self.cur().0.push(Stmt::Sync);
     }
@@ -665,6 +697,47 @@ mod tests {
         });
         assert_eq!(stores, 1);
         assert_eq!(ifs, 1);
+    }
+
+    /// Element spans emit nothing: their base and step never run, and their
+    /// accesses trace as the plain ones, so the program is the same.
+    #[test]
+    fn spans_trace_as_plain_accesses() {
+        struct Scale(bool);
+        impl Kernel for Scale {
+            fn run<O: KernelOps>(&self, o: &mut O) {
+                let (sh, loc) = (o.shared_f(8), o.local_f(8));
+                let two = o.lit_i(2);
+                let (sp, lp) = if self.0 {
+                    let sp = o.span_sf(sh, 0, |o| o.lit_i(1), |o| o.lit_i(2));
+                    let lp = o.span_lf(loc, 0, |o| o.thread_idx(0), |o| o.lit_i(1));
+                    (Some(sp), Some(lp))
+                } else {
+                    (None, None)
+                };
+                o.for_elements(0, |o, j| {
+                    let t = o.mul_i(j, two);
+                    let idx = o.offset_i(t, 1);
+                    let v = match sp {
+                        Some(sp) => o.ld_span_sf(sp, j, idx),
+                        None => o.ld_sf(sh, idx),
+                    };
+                    let w = match lp {
+                        Some(lp) => o.ld_span_lf(lp, j, j),
+                        None => o.ld_lf(loc, j),
+                    };
+                    let r = o.add_f(v, w);
+                    match lp {
+                        Some(lp) => o.st_span_lf(lp, j, j, r),
+                        None => o.st_lf(loc, j, r),
+                    }
+                });
+            }
+        }
+        assert_eq!(
+            trace_kernel(&Scale(true), 1),
+            trace_kernel(&Scale(false), 1)
+        );
     }
 
     #[test]

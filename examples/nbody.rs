@@ -24,6 +24,7 @@ impl Kernel for KickDrift {
     fn name(&self) -> &str {
         "kick_drift"
     }
+    #[inline]
     fn run<O: KernelOps>(&self, o: &mut O) {
         let pos = o.buf_f(0);
         let vel = o.buf_f(1);

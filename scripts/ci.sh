@@ -85,6 +85,18 @@ echo "== abandoned block barriers fault in bounded time =="
 # the outer timeout bounds a regression that hangs the harness itself.
 timeout 300 cargo test -q -p alpaka-cpu --test abandoned_barrier
 
+echo "== AddressSanitizer over the CPU back-ends and the kernels =="
+# The unchecked accesses in crates/cpu/src/exec.rs (raw global and shared
+# memory, local-array views, element spans that were range-checked once) and
+# the per-ISA kernel copies, run under ASan with the nightly toolchain's
+# prebuilt runtime: an access the checks let through out of bounds is a
+# report, and a report fails the lane. std stays uninstrumented (no
+# -Zbuild-std offline), hence the ABI-mismatch allowance; --target keeps the
+# instrumented build apart from the stable one.
+RUSTFLAGS="-Zsanitizer=address -Cunsafe-allow-abi-mismatch=sanitizer" \
+  cargo +nightly test -q --target x86_64-unknown-linux-gnu \
+  -p alpaka-cpu -p alpaka-kernels --lib --tests -- --test-threads=1
+
 echo "== engine-parity, atomics and fault suites under ALPAKA_SIM_THREADS=1 and =4 =="
 # The reference and compiled engines must agree bit-for-bit (the compiled
 # engine on its lowered and its fused tier, as the suites' work divisions
