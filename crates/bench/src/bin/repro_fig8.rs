@@ -5,12 +5,17 @@
 //! * GPU (simulated K80): tiling with 1 vs 4 elements per thread, relative
 //!   to the native CUDA-style kernel.
 //! * CPU (real, block pool): tiling with 256 vs 4096 elements per thread,
-//!   relative to the native multithreaded naive implementation.
+//!   relative to the native multithreaded cache-blocked implementation
+//!   (`native_dgemm_blocked`) in the 64 x 64 tiles of the 4096-element
+//!   kernel.
 
 use alpaka::LaunchMode;
 use alpaka_bench::*;
-use alpaka_kernels::native::native_dgemm;
+use alpaka_kernels::native::native_dgemm_blocked;
 use alpaka_kernels::{DgemmTiled, DgemmTiledCuda};
+
+/// Tile edge of the native CPU comparator: the 4096-element kernel's tile.
+const NATIVE_TILE: usize = 64;
 
 fn main() {
     let workers = host_workers();
@@ -18,6 +23,7 @@ fn main() {
     let mut t = Table::new(&[
         "Series",
         "n",
+        "native",
         "t_native [s]",
         "t_tiled [s]",
         "speedup vs native",
@@ -50,6 +56,7 @@ fn main() {
             t.row(vec![
                 label.into(),
                 n.to_string(),
+                "CUDA-style tiled 16x16".into(),
                 format!("{:.6}", native.time_s),
                 format!("{:.6}", tiled.time_s),
                 format!("{:.3}", native.time_s / tiled.time_s),
@@ -63,7 +70,18 @@ fn main() {
         let data = GemmData::new(n);
         let t_native = median_wall(3, || {
             let mut c = data.c.clone();
-            native_dgemm(n, n, n, 1.0, &data.a, &data.b, 0.0, &mut c, workers);
+            native_dgemm_blocked(
+                n,
+                n,
+                n,
+                1.0,
+                &data.a,
+                &data.b,
+                0.0,
+                &mut c,
+                NATIVE_TILE,
+                workers,
+            );
             std::hint::black_box(&c);
         });
         for (label, kern) in [
@@ -81,6 +99,7 @@ fn main() {
             t.row(vec![
                 label.into(),
                 n.to_string(),
+                format!("blocked {NATIVE_TILE}x{NATIVE_TILE}"),
                 format!("{t_native:.4}"),
                 format!("{t_tiled:.4}"),
                 format!("{:.3}", t_native / t_tiled),

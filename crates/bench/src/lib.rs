@@ -1,6 +1,6 @@
-//! Shared harness code for the `repro-*` binaries and criterion benches:
-//! workload setup, timing wrappers, GFLOPS math, and the "generic
-//! Alpaka-style" DGEMM used by the zero-overhead comparison.
+//! Shared harness code for the `repro_*` binaries: workload setup, timing
+//! wrappers, GFLOPS math, and the "generic Alpaka-style" DGEMM used by the
+//! zero-overhead comparison.
 
 use alpaka::{AccKind, Args, BufLayout, Device, LaunchMode, TimedRun, WorkDiv};
 use alpaka_core::kernel::Kernel;

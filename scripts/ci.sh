@@ -61,6 +61,18 @@ if [[ "$(wc -l <<<"$asm_sites")" -ne 1 || "$asm_sites" != crates/core/src/fma.rs
   exit 1
 fi
 
+echo "== one bench system =="
+# benchmark/ (BENCHMARK.json's workloads and metrics) is the only bench
+# system: the criterion benches and their shim, the BENCH_sim.json
+# trajectory file, its writer script and its checker stay removed, and their
+# guards live on as tests. benchmark/ (frozen) and the history in
+# ROADMAP.md/CHANGES.md are outside the search.
+if grep -rnE 'criterion|BENCH_sim|bench\.sh|check_bench_json' \
+  crates tests examples shims README.md DESIGN.md EXPERIMENTS.md; then
+  echo "a removed bench, its shim or its trajectory file is back (matches above)"
+  exit 1
+fi
+
 echo "== cargo clippy (all targets, warnings are errors) =="
 cargo clippy --all-targets -- -D warnings
 
@@ -85,17 +97,19 @@ echo "== abandoned block barriers fault in bounded time =="
 # the outer timeout bounds a regression that hangs the harness itself.
 timeout 300 cargo test -q -p alpaka-cpu --test abandoned_barrier
 
-echo "== AddressSanitizer over the CPU back-ends and the kernels =="
-# The unchecked accesses in crates/cpu/src/exec.rs (raw global and shared
-# memory, local-array views, element spans that were range-checked once) and
-# the per-ISA kernel copies, run under ASan with the nightly toolchain's
+echo "== AddressSanitizer over the workspace's unit and integration tests =="
+# Every unsafe site (the unchecked accesses in crates/cpu/src/exec.rs: raw
+# global and shared memory, local-array views, element spans that were
+# range-checked once; the per-ISA kernel copies; the simulator's and the
+# native baselines' raw slices) runs under ASan with the nightly toolchain's
 # prebuilt runtime: an access the checks let through out of bounds is a
 # report, and a report fails the lane. std stays uninstrumented (no
 # -Zbuild-std offline), hence the ABI-mismatch allowance; --target keeps the
-# instrumented build apart from the stable one.
+# instrumented build apart from the stable one. Doctests are left out: rustdoc
+# links them without the sanitizer runtime.
 RUSTFLAGS="-Zsanitizer=address -Cunsafe-allow-abi-mismatch=sanitizer" \
   cargo +nightly test -q --target x86_64-unknown-linux-gnu \
-  -p alpaka-cpu -p alpaka-kernels --lib --tests -- --test-threads=1
+  --workspace --lib --tests -- --test-threads=1
 
 echo "== engine-parity, atomics and fault suites under ALPAKA_SIM_THREADS=1 and =4 =="
 # The reference and compiled engines must agree bit-for-bit (the compiled
@@ -191,33 +205,37 @@ grep -q "launch failure(s):" "$metrics_dir/top_a.postmortem.txt" || {
 }
 
 echo "== no-metrics path records zero families =="
-# tests/zero_overhead.rs and the trace_overhead bench guard assert the
-# registry/flight/failure stores stay empty; this just exercises the
-# example's metrics-off path end to end.
+# tests/zero_overhead.rs asserts the registry/flight/failure stores stay
+# empty; this just exercises the example's metrics-off path end to end.
 env -u ALPAKA_SIM_METRICS -u ALPAKA_SIM_FAULTS cargo run -q --release --example metrics_top \
   >/dev/null
 
-echo "== Fig. 10 pinned: repro_fig10 against EXPERIMENTS.md =="
-# The binary asserts bit-identical flux on all four nodes itself; its table
-# is simulated-clock output (t_sim, GFLOPS, speedup), deterministic on any
-# host and under any engine, so the four rows must equal the recorded block
-# byte for byte. First instalment of ROADMAP 4(a).
-fig10_rows() { grep -E '^\| (CUDA native|Alpaka\()' || true; }
-fig10_run="$(cargo run -q --release -p alpaka-bench --bin repro_fig10 | fig10_rows)"
-fig10_doc="$(sed -n '/^# Fig. 10 /,/^```/p' EXPERIMENTS.md | fig10_rows)"
-test "$(wc -l <<<"$fig10_run")" -eq 4 || { echo "repro_fig10 printed no 4-row table"; exit 1; }
-diff <(echo "$fig10_run") <(echo "$fig10_doc") || {
-  echo "repro_fig10's table differs from the Fig. 10 block in EXPERIMENTS.md"
-  exit 1
+echo "== Figs. 9 and 10 pinned: repro_fig9 and repro_fig10 against EXPERIMENTS.md =="
+# Both tables are simulated-clock output (t_sim, GFLOPS, speedup or fraction
+# of peak), deterministic on any host and under any engine and thread count,
+# so their rows must equal the recorded blocks byte for byte. repro_fig10
+# also asserts bit-identical flux on all four nodes itself. Instalments of
+# ROADMAP 2(a).
+# pin_rows BIN HEADING ROWS COUNT: the COUNT lines of BIN's output matching
+# the regex ROWS must equal those of the EXPERIMENTS.md block that starts at
+# "# HEADING " and ends at the code fence.
+pin_rows() {
+  local run doc
+  run="$(cargo run -q --release -p alpaka-bench --bin "$1" | grep -E "$3" || true)"
+  doc="$(sed -n "/^# $2 /,/^\`\`\`/p" EXPERIMENTS.md | grep -E "$3" || true)"
+  test "$(wc -l <<<"$run")" -eq "$4" || { echo "$1 printed no $4-row table"; exit 1; }
+  diff <(echo "$run") <(echo "$doc") || {
+    echo "$1's table differs from the $2 block in EXPERIMENTS.md"
+    exit 1
+  }
 }
+pin_rows repro_fig9 "Fig. 9" '^\| (AMD|Intel|NVIDIA) ' 6
+pin_rows repro_fig10 "Fig. 10" '^\| (CUDA native|Alpaka\()' 4
 
-echo "== bench smoke (guards only, no timing) =="
-# Runs each bench's --test smoke mode — sim_lowering's two-engine
-# bit-parity guard, trace_overhead's zero-cost guard (untraced facade
-# within 2% of the raw simulator call, disabled metrics facade records
-# nothing), pool_scaling's pool parity guard — then validates
-# BENCH_sim.json (strict JSON parse + schema_version marker).
-scripts/bench.sh --test
+echo "== the < 2 % zero-cost budget (wall clock, release) =="
+# With tracing and metrics off, a launch through the facade queue costs
+# within 2 % of the raw simulator call (interleaved min-of-5).
+cargo test -q --release --test zero_overhead -- --ignored
 
 echo "== end-to-end benchmark smoke (unit tests + every workload at toy size) =="
 # benchmark/ is a cargo workspace of its own, so the steps above never see

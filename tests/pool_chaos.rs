@@ -355,6 +355,17 @@ fn chaos_campaign() {
     for engine in ENGINES {
         let (want_f, _) = serial_run(kind.clone(), engine, &spec);
         let want_bits = bits_f(&want_f);
+        let (clean, _) = pool_run(
+            kind.clone(),
+            1,
+            1,
+            engine,
+            &spec,
+            shards,
+            PoolPolicy::default(),
+            &[],
+        );
+        let want_stats = clean.unwrap().stats;
         for pool_size in [1usize, 2, 4] {
             for sc in scenarios(7 + pool_size as u64, pool_size, shards) {
                 let tag = format!("{} pool={pool_size} {engine:?}", sc.name);
@@ -381,6 +392,10 @@ fn chaos_campaign() {
                                 bits_f(&o.bufs_f),
                                 want_bits,
                                 "{tag} w={workers}: recovered result differs from fault-free"
+                            );
+                            assert_eq!(
+                                o.stats, want_stats,
+                                "{tag} w={workers}: recovered stats differ from fault-free"
                             );
                             if sc.needs_survivor {
                                 assert!(
