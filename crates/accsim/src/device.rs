@@ -26,6 +26,7 @@ use alpaka_core::acc::AccCaps;
 use alpaka_core::buffer::{BufLayout, HostBuf};
 use alpaka_core::error::{Error, Result};
 use alpaka_core::kernel::{Kernel, ScalarArgs};
+use alpaka_core::obs::Obs;
 use alpaka_core::workdiv::WorkDiv;
 use alpaka_kir::{optimize, trace_kernel_spec, Program, SpecConsts};
 use alpaka_sim::{
@@ -105,17 +106,21 @@ pub struct SimDevice {
     engine: Engine,
     /// Shared by all clones of this handle.
     memo: Arc<Mutex<Memo>>,
+    /// Where this device's launches are observed: the [`Obs::current`] of
+    /// its construction. Its trace switch decides whether a launch is traced.
+    obs: Obs,
 }
 
 impl SimDevice {
+    /// A device interpreting blocks on one host thread (the exact serial
+    /// interpreter, unless `ALPAKA_SIM_THREADS` overrides it).
     pub fn new(spec: DeviceSpec) -> Self {
-        let threads = spec.sim_threads.max(1);
-        Self::with_threads(spec, threads)
+        Self::with_threads(spec, 1)
     }
 
     /// A device whose launches interpret blocks on `threads` host workers
-    /// (ignoring `spec.sim_threads`; `ALPAKA_SIM_THREADS` still overrides).
-    /// `threads == 1` is the exact serial interpreter.
+    /// (`ALPAKA_SIM_THREADS` still overrides). `threads == 1` is the exact
+    /// serial interpreter.
     pub fn with_threads(spec: DeviceSpec, threads: usize) -> Self {
         SimDevice {
             spec: Arc::new(spec),
@@ -131,7 +136,13 @@ impl SimDevice {
             threads: threads.max(1),
             engine: Engine::Compiled,
             memo: Arc::default(),
+            obs: Obs::current(),
         }
+    }
+
+    /// The [`Obs`] this device's launches are observed by.
+    pub fn obs(&self) -> &Obs {
+        &self.obs
     }
 
     /// Select the interpreter engine for launches from this handle
@@ -214,12 +225,6 @@ impl SimDevice {
 
     pub fn spec(&self) -> &DeviceSpec {
         &self.spec
-    }
-
-    /// Interpreter worker threads launches are configured to use (before
-    /// the `ALPAKA_SIM_THREADS` override and per-launch clamping).
-    pub fn sim_threads(&self) -> usize {
-        self.threads
     }
 
     /// Capability descriptor in the shared vocabulary.
@@ -372,6 +377,7 @@ impl SimDevice {
                 resolve_sim_threads(self.threads),
                 self.engine,
                 faults,
+                self.obs.trace_enabled(),
             )
             .map_err(|e| to_core_error(&compiled.program.name, e))?;
         st.clock_s += report.time.total_s;

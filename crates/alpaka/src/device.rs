@@ -10,7 +10,7 @@ use alpaka_core::acc::AccCaps;
 use alpaka_core::buffer::BufLayout;
 use alpaka_core::error::Result;
 use alpaka_core::kernel::Kernel;
-use alpaka_core::trace;
+use alpaka_core::obs::Obs;
 use alpaka_core::vec::div_ceil;
 use alpaka_core::workdiv::WorkDiv;
 use alpaka_cpu::{CpuAccKind, CpuDevice};
@@ -89,51 +89,37 @@ pub(crate) enum DeviceImpl {
 pub struct Device {
     kind: AccKind,
     pub(crate) inner: DeviceImpl,
-    /// Process-unique trace ordinal (shared by clones of this handle).
+    /// Trace ordinal within `obs` (shared by clones of this handle).
     id: u64,
+    /// Where this device, its queues and its launches are observed: the
+    /// [`Obs::current`] of its construction, shared by clones.
+    obs: Obs,
 }
 
 impl Device {
     /// Create a device for the given accelerator (`DevMan::getDevByIdx`
     /// analogue — the host machine exposes exactly one device per CPU
-    /// accelerator, and each spec names one simulated device).
+    /// accelerator, and each spec names one simulated device). Native
+    /// devices get one worker per host CPU, simulated ones one interpreter
+    /// thread.
     pub fn new(kind: AccKind) -> Device {
-        let inner = match &kind {
-            AccKind::CpuSerial => DeviceImpl::Cpu(CpuDevice::new(CpuAccKind::Serial)),
-            AccKind::CpuBlocks => DeviceImpl::Cpu(CpuDevice::new(CpuAccKind::Blocks)),
-            AccKind::CpuThreads => DeviceImpl::Cpu(CpuDevice::new(CpuAccKind::Threads)),
-            AccKind::CpuBlockThreads => DeviceImpl::Cpu(CpuDevice::new(CpuAccKind::BlockThreads)),
-            AccKind::CpuFibers => DeviceImpl::Cpu(CpuDevice::new(CpuAccKind::Fibers)),
-            AccKind::SimGpu(spec) | AccKind::SimCpu(spec) => {
-                DeviceImpl::Sim(alpaka_accsim::SimDevice::new(spec.clone()))
-            }
+        let workers = match kind {
+            AccKind::SimGpu(_) | AccKind::SimCpu(_) => 1,
+            _ => std::thread::available_parallelism().map_or(1, |n| n.get()),
         };
-        Device {
-            kind,
-            inner,
-            id: trace::next_device_id(),
-        }
+        Self::with_workers(kind, workers)
     }
 
     /// Like [`Device::new`] but with an explicit worker count for the
     /// block-parallel native back-ends.
     pub fn with_workers(kind: AccKind, workers: usize) -> Device {
+        let cpu = |k| DeviceImpl::Cpu(CpuDevice::with_workers(k, workers));
         let inner = match &kind {
-            AccKind::CpuSerial => {
-                DeviceImpl::Cpu(CpuDevice::with_workers(CpuAccKind::Serial, workers))
-            }
-            AccKind::CpuBlocks => {
-                DeviceImpl::Cpu(CpuDevice::with_workers(CpuAccKind::Blocks, workers))
-            }
-            AccKind::CpuThreads => {
-                DeviceImpl::Cpu(CpuDevice::with_workers(CpuAccKind::Threads, workers))
-            }
-            AccKind::CpuBlockThreads => {
-                DeviceImpl::Cpu(CpuDevice::with_workers(CpuAccKind::BlockThreads, workers))
-            }
-            AccKind::CpuFibers => {
-                DeviceImpl::Cpu(CpuDevice::with_workers(CpuAccKind::Fibers, workers))
-            }
+            AccKind::CpuSerial => cpu(CpuAccKind::Serial),
+            AccKind::CpuBlocks => cpu(CpuAccKind::Blocks),
+            AccKind::CpuThreads => cpu(CpuAccKind::Threads),
+            AccKind::CpuBlockThreads => cpu(CpuAccKind::BlockThreads),
+            AccKind::CpuFibers => cpu(CpuAccKind::Fibers),
             AccKind::SimGpu(spec) | AccKind::SimCpu(spec) => {
                 // For simulated devices the worker count is the number of
                 // host threads interpreting blocks (deterministic; see
@@ -144,10 +130,12 @@ impl Device {
                 ))
             }
         };
+        let obs = Obs::current();
         Device {
             kind,
             inner,
-            id: trace::next_device_id(),
+            id: obs.next_device_id(),
+            obs,
         }
     }
 
@@ -155,10 +143,15 @@ impl Device {
         &self.kind
     }
 
-    /// Process-unique trace ordinal of this device handle (the `pid` of its
-    /// lanes in a Chrome-trace export).
+    /// Trace ordinal of this device handle within its [`Obs`] (the `pid` of
+    /// its lanes in a Chrome-trace export).
     pub fn id(&self) -> u64 {
         self.id
+    }
+
+    /// The [`Obs`] this device, its queues and its launches record into.
+    pub fn obs(&self) -> &Obs {
+        &self.obs
     }
 
     /// Select the simulator interpreter engine for launches on this device

@@ -46,6 +46,7 @@ pub use alpaka_core::buffer::BufLayout;
 pub use alpaka_core::error::{Error, FaultInfo, Result};
 pub use alpaka_core::kernel::Kernel;
 pub use alpaka_core::metrics;
+pub use alpaka_core::obs::Obs;
 pub use alpaka_core::ops::{KernelOps, KernelOpsExt};
 pub use alpaka_core::queue::{HostEvent, QueueBehavior};
 pub use alpaka_core::trace;

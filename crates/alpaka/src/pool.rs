@@ -45,7 +45,8 @@
 use alpaka_core::error::{Error, Result};
 use alpaka_core::kernel::Kernel;
 use alpaka_core::metrics;
-use alpaka_core::trace::{self, TraceEvent, TraceKind};
+use alpaka_core::obs::Obs;
+use alpaka_core::trace::{TraceEvent, TraceKind};
 use alpaka_core::workdiv::WorkDiv;
 use alpaka_sim::{AttemptRecord, FaultPlan, LaunchStats, ResilienceInfo, SimReport};
 
@@ -85,13 +86,6 @@ impl Health {
             Health::Recovered => "recovered",
         }
     }
-}
-
-/// Count a structured pool-launch failure in the metrics registry before
-/// surfacing it (no-op when metrics are disabled).
-fn note_pool_failure(e: Error) -> Error {
-    metrics::note_failure(fault_kind(&e), &e.to_string());
-    e
 }
 
 /// Pool-level fault handling knobs.
@@ -182,6 +176,9 @@ pub struct DevicePool {
     /// [`DevicePool::new_sim`], so captured streams give the pool the same
     /// id regardless of pool size).
     trace_id: u64,
+    /// Where the pool lane and the pool's metrics are recorded: its
+    /// members' `Obs` (the first member's, for a pool over given devices).
+    obs: Obs,
     /// Serialized pool clock in simulated seconds (sum of shard times and
     /// backoffs across all launches so far).
     clock_s: f64,
@@ -192,12 +189,10 @@ pub struct DevicePool {
 impl DevicePool {
     /// A pool of `n` identical simulated devices of `kind`. The pool's
     /// trace id is allocated *before* the members, so under
-    /// [`trace::capture`] the canonical pool lane has the same id for
-    /// every pool size.
+    /// [`alpaka_core::trace::capture`] the canonical pool lane has the same
+    /// id for every pool size.
     pub fn new_sim(kind: crate::AccKind, n: usize) -> Result<DevicePool> {
-        let trace_id = trace::next_device_id();
-        let devices: Vec<Device> = (0..n.max(1)).map(|_| Device::new(kind.clone())).collect();
-        Self::build(devices, trace_id)
+        Self::new_sim_with_workers(kind, n, 1)
     }
 
     /// [`DevicePool::new_sim`] with an explicit interpreter worker count
@@ -207,18 +202,24 @@ impl DevicePool {
         n: usize,
         workers: usize,
     ) -> Result<DevicePool> {
-        let trace_id = trace::next_device_id();
-        let devices: Vec<Device> = (0..n.max(1))
+        let obs = Obs::current();
+        let trace_id = obs.next_device_id();
+        let devices = (0..n.max(1))
             .map(|_| Device::with_workers(kind.clone(), workers))
             .collect();
-        Self::build(devices, trace_id)
+        Self::build(devices, obs, trace_id)
     }
 
     /// A pool over existing devices (every one must be simulated — sharded
-    /// sub-grid execution needs the simulator).
+    /// sub-grid execution needs the simulator). The pool records into the
+    /// first device's [`Obs`].
     pub fn from_devices(devices: Vec<Device>) -> Result<DevicePool> {
-        let trace_id = trace::next_device_id();
-        Self::build(devices, trace_id)
+        let first = devices
+            .first()
+            .ok_or_else(|| Error::BadArg("device pool needs at least one device".into()))?;
+        let obs = first.obs().clone();
+        let trace_id = obs.next_device_id();
+        Self::build(devices, obs, trace_id)
     }
 
     /// A pool whose member order is a [`FallbackChain`]: the chain's
@@ -228,12 +229,7 @@ impl DevicePool {
         Self::from_devices(chain.devices().to_vec())
     }
 
-    fn build(devices: Vec<Device>, trace_id: u64) -> Result<DevicePool> {
-        if devices.is_empty() {
-            return Err(Error::BadArg(
-                "device pool needs at least one device".into(),
-            ));
-        }
+    fn build(devices: Vec<Device>, obs: Obs, trace_id: u64) -> Result<DevicePool> {
         if let Some(d) = devices.iter().find(|d| !d.is_simulated()) {
             return Err(Error::Unsupported(format!(
                 "{}: device pools shard via the simulator; native CPU devices \
@@ -248,6 +244,7 @@ impl DevicePool {
             policy: PoolPolicy::default(),
             cooldown: vec![0; n],
             trace_id,
+            obs,
             clock_s: 0.0,
             launches: 0,
         })
@@ -337,7 +334,7 @@ impl DevicePool {
             .filter(|(a, b)| a < b)
             .collect();
 
-        let traced = trace::active();
+        let traced = self.obs.active();
         let ordinal = self.launches;
         self.launches += 1;
         let launch_t0 = self.clock_s;
@@ -362,10 +359,10 @@ impl DevicePool {
         let mut rr = 0usize; // round-robin assignment cursor
         for (k, &(start, end)) in ranges.iter().enumerate() {
             self.check_deadline(launch_t0, k, &ranges)
-                .map_err(note_pool_failure)?;
+                .map_err(|e| self.note_failure(e))?;
             self.recover_cooled_members(traced, &mut pool_events);
             let Some(owner) = self.next_available(rr) else {
-                return Err(note_pool_failure(self.unrecoverable(k, start, end, None)));
+                return Err(self.note_failure(self.unrecoverable(k, start, end, None)));
             };
             rr = owner + 1;
 
@@ -392,28 +389,19 @@ impl DevicePool {
                     match result {
                         Ok(report) => break 'migrate Ok(report),
                         Err(e) => {
-                            metrics::counter_add(
+                            self.obs.counter_add(
                                 "alpaka_pool_faults_total",
                                 &[("kind", fault_kind(&e))],
                                 1,
                             );
                             if traced {
-                                pool_events.push(
-                                    TraceEvent::new(
-                                        TraceKind::Fault,
-                                        format!("shard {k} on member {member}: {e}"),
-                                        self.trace_id,
-                                        self.clock_s,
-                                    )
-                                    .on_launch(ordinal),
-                                );
+                                let label = format!("shard {k} on member {member}: {e}");
+                                let ev = self.lane_event(TraceKind::Fault, label);
+                                pool_events.push(ev.on_launch(ordinal));
                                 if self.policy.member_lanes {
-                                    member_events[member].push(TraceEvent::new(
-                                        TraceKind::Fault,
-                                        format!("shard {k}: {e}"),
-                                        dev.id(),
-                                        dev.sim_clock_s(),
-                                    ));
+                                    let label = format!("shard {k}: {e}");
+                                    let ev = self.member_event(member, TraceKind::Fault, label);
+                                    member_events[member].push(ev);
                                 }
                             }
                             match classify(&e) {
@@ -432,9 +420,9 @@ impl DevicePool {
                                     dev.advance_sim_clock(pause);
                                     self.clock_s += pause;
                                     backoff_total += pause;
-                                    metrics::observe("alpaka_pool_backoff_seconds", &[], pause);
+                                    self.obs.observe("alpaka_pool_backoff_seconds", &[], pause);
                                     self.check_deadline(launch_t0, k, &ranges)
-                                        .map_err(note_pool_failure)?;
+                                        .map_err(|e| self.note_failure(e))?;
                                 }
                                 _ => {
                                     // Sticky loss, or a transient that
@@ -445,7 +433,7 @@ impl DevicePool {
                                     let from = member;
                                     match self.next_available(from + 1) {
                                         Some(next) => {
-                                            metrics::counter_add(
+                                            self.obs.counter_add(
                                                 "alpaka_pool_migrations_total",
                                                 &[],
                                                 1,
@@ -458,28 +446,23 @@ impl DevicePool {
                                                 error: err_str.clone(),
                                             });
                                             if traced {
+                                                let label = format!(
+                                                    "shard {k}: member {from} -> member \
+                                                     {next}: {err_str}"
+                                                );
+                                                let ev = self.lane_event(TraceKind::Migrate, label);
                                                 pool_events.push(
-                                                    TraceEvent::new(
-                                                        TraceKind::Migrate,
-                                                        format!(
-                                                            "shard {k}: member {from} -> \
-                                                             member {next}: {err_str}"
-                                                        ),
-                                                        self.trace_id,
-                                                        self.clock_s,
-                                                    )
-                                                    .on_launch(ordinal)
-                                                    .with("shard", k as f64)
-                                                    .with("from", from as f64)
-                                                    .with("to", next as f64),
+                                                    ev.on_launch(ordinal)
+                                                        .with("shard", k as f64)
+                                                        .with("from", from as f64)
+                                                        .with("to", next as f64),
                                                 );
                                                 if self.policy.member_lanes {
-                                                    member_events[from].push(TraceEvent::new(
-                                                        TraceKind::Migrate,
-                                                        format!("shard {k} -> member {next}"),
-                                                        self.devices[from].id(),
-                                                        self.devices[from].sim_clock_s(),
-                                                    ));
+                                                    let label =
+                                                        format!("shard {k} -> member {next}");
+                                                    let kind = TraceKind::Migrate;
+                                                    let ev = self.member_event(from, kind, label);
+                                                    member_events[from].push(ev);
                                                 }
                                             }
                                             member = next;
@@ -504,10 +487,8 @@ impl DevicePool {
             let report = match outcome {
                 Ok(r) => r,
                 Err(e) => {
-                    if traced {
-                        trace::emit_all(pool_events);
-                    }
-                    return Err(note_pool_failure(e));
+                    self.obs.emit_all(pool_events);
+                    return Err(self.note_failure(e));
                 }
             };
 
@@ -532,18 +513,14 @@ impl DevicePool {
                         .with("attempts", shard_attempts as f64),
                 );
                 if self.policy.member_lanes {
-                    let t1 = self.devices[member].sim_clock_s();
+                    // The member's clock has just passed the shard's span.
+                    let ev = self.member_event(member, TraceKind::Shard, format!("shard {k}"));
+                    let t0 = ev.sim_t1_s - report.time.total_s;
                     member_events[member].push(
-                        TraceEvent::new(
-                            TraceKind::Shard,
-                            format!("shard {k}"),
-                            self.devices[member].id(),
-                            t1 - report.time.total_s,
-                        )
-                        .span_until(t1)
-                        .on_launch(ordinal)
-                        .with("start_block", start as f64)
-                        .with("end_block", end as f64),
+                        TraceEvent { sim_t0_s: t0, ..ev }
+                            .on_launch(ordinal)
+                            .with("start_block", start as f64)
+                            .with("end_block", end as f64),
                     );
                 }
             }
@@ -561,8 +538,8 @@ impl DevicePool {
             // Canonical pool lane first (launch span, then shard/fault/
             // migrate events in execution order), then the member lanes in
             // fixed device-then-shard order.
-            let name = kernel_name(&spec.kernel);
-            trace::emit(
+            let name = spec.kernel.name();
+            self.obs.emit(
                 TraceEvent::new(TraceKind::Launch, name, self.trace_id, launch_t0)
                     .span_until(self.clock_s)
                     .on_launch(ordinal)
@@ -571,32 +548,33 @@ impl DevicePool {
                     .with("flops", merged.total_flops() as f64)
                     .with("total_s", self.clock_s - launch_t0),
             );
-            trace::emit_all(pool_events);
-            trace::emit_all(member_events.into_iter().flatten());
+            self.obs.emit_all(pool_events);
+            self.obs.emit_all(member_events.into_iter().flatten());
         }
 
-        if metrics::enabled() {
+        if self.obs.metrics_enabled() {
             // Everything below derives from the serialized pool clock and
             // the shard records, both invariant across pool sizes, thread
             // counts and engines. The makespan is deliberately NOT recorded:
             // it depends on how shards landed on members, i.e. on pool size.
-            let name = kernel_name(&spec.kernel);
-            metrics::counter_add("alpaka_pool_launches_total", &[("kernel", &name)], 1);
-            metrics::counter_add(
+            let name = spec.kernel.name();
+            self.obs
+                .counter_add("alpaka_pool_launches_total", &[("kernel", name)], 1);
+            self.obs.counter_add(
                 "alpaka_pool_shards_total",
-                &[("kernel", &name)],
+                &[("kernel", name)],
                 records.len() as u64,
             );
             for r in &records {
-                metrics::observe("alpaka_pool_shard_seconds", &[], r.time_s);
-                metrics::observe_in(
+                self.obs.observe("alpaka_pool_shard_seconds", &[], r.time_s);
+                self.obs.observe_in(
                     "alpaka_pool_shard_attempts",
                     &[],
                     metrics::COUNT_BUCKETS,
                     r.attempts as f64,
                 );
             }
-            metrics::observe(
+            self.obs.observe(
                 "alpaka_pool_launch_serial_seconds",
                 &[],
                 self.clock_s - launch_t0,
@@ -627,6 +605,24 @@ impl DevicePool {
         })
     }
 
+    /// An instant event on the pool's lane, at the pool clock.
+    fn lane_event(&self, kind: TraceKind, label: String) -> TraceEvent {
+        TraceEvent::new(kind, label, self.trace_id, self.clock_s)
+    }
+
+    /// An instant event on member `m`'s lane, at its clock.
+    fn member_event(&self, m: usize, kind: TraceKind, label: String) -> TraceEvent {
+        let dev = &self.devices[m];
+        TraceEvent::new(kind, label, dev.id(), dev.sim_clock_s())
+    }
+
+    /// Count a structured pool-launch failure in the metrics registry before
+    /// surfacing it (no-op when metrics are disabled).
+    fn note_failure(&self, e: Error) -> Error {
+        self.obs.note_failure(fault_kind(&e), &e.to_string());
+        e
+    }
+
     /// Set one member's health, counting the transition when the state
     /// actually changes (so a fault-free launch records no transitions and
     /// the metrics snapshot stays identical across pool sizes). Member
@@ -634,7 +630,7 @@ impl DevicePool {
     fn set_health(&mut self, member: usize, to: Health) {
         let from = self.health[member];
         if from != to {
-            metrics::counter_add(
+            self.obs.counter_add(
                 "alpaka_pool_health_transitions_total",
                 &[("from", from.name()), ("to", to.name())],
                 1,
@@ -663,7 +659,7 @@ impl DevicePool {
             {
                 self.devices[m].mark_recovered();
                 self.devices[m].revive();
-                metrics::observe_in(
+                self.obs.observe_in(
                     "alpaka_pool_quarantine_shards",
                     &[],
                     metrics::COUNT_BUCKETS,
@@ -672,15 +668,9 @@ impl DevicePool {
                 self.set_health(m, Health::Recovered);
                 self.cooldown[m] = 0;
                 if traced {
-                    pool_events.push(
-                        TraceEvent::new(
-                            TraceKind::Migrate,
-                            format!("recover member {m} after cooldown"),
-                            self.trace_id,
-                            self.clock_s,
-                        )
-                        .with("member", m as f64),
-                    );
+                    let label = format!("recover member {m} after cooldown");
+                    let ev = self.lane_event(TraceKind::Migrate, label);
+                    pool_events.push(ev.with("member", m as f64));
                 }
             }
         }
@@ -746,10 +736,6 @@ impl DevicePool {
             quarantined.join(", "),
         ))
     }
-}
-
-fn kernel_name<K: Kernel>(k: &K) -> String {
-    k.name().to_string()
 }
 
 /// One shard attempt on one member: materialize the argument buffers from

@@ -9,10 +9,10 @@ use std::time::Instant;
 use alpaka_core::buffer::copy_region;
 use alpaka_core::error::{Error, Result};
 use alpaka_core::kernel::{Kernel, ScalarArgs};
-use alpaka_core::metrics;
+use alpaka_core::obs::Obs;
 use alpaka_core::pool::panic_message;
 use alpaka_core::queue::{HostEvent, QueueBehavior};
-use alpaka_core::trace::{self, TraceEvent, TraceKind};
+use alpaka_core::trace::{TraceEvent, TraceKind};
 use alpaka_core::workdiv::WorkDiv;
 use alpaka_cpu::{CpuArgs, CpuDevice};
 use alpaka_sim::{ExecMode, SimReport};
@@ -22,17 +22,13 @@ use crate::buffer::{copy_f64, copy_i64, BufferF, BufferI};
 use crate::device::{Device, DeviceImpl};
 use crate::resilient::fault_kind;
 
-/// Count one queue operation (and, for completed results, its outcome) in
-/// the metrics registry. No queue/device-id labels: snapshots must stay
-/// byte-identical regardless of how ids were allocated.
-fn count_op(op: &'static str) {
-    metrics::counter_add("alpaka_queue_ops_total", &[("op", op)], 1);
-}
-
-fn count_op_result(op: &'static str, r: &Result<()>) {
+/// Count the outcome of a queue operation in the metrics registry (its
+/// enqueue counts in `alpaka_queue_ops_total`). No queue/device-id labels:
+/// snapshots must stay byte-identical regardless of how ids were allocated.
+fn count_op_result(obs: &Obs, op: &'static str, r: &Result<()>) {
     match r {
-        Ok(()) => metrics::counter_add("alpaka_queue_ops_completed_total", &[("op", op)], 1),
-        Err(e) => metrics::counter_add(
+        Ok(()) => obs.counter_add("alpaka_queue_ops_completed_total", &[("op", op)], 1),
+        Err(e) => obs.counter_add(
             "alpaka_queue_op_errors_total",
             &[("op", op), ("kind", fault_kind(e))],
             1,
@@ -98,7 +94,8 @@ impl Args {
 /// A simulated launch with its trace events and metrics: the one emission
 /// path of [`Queue::enqueue_kernel`] (`queue` is its id, which adds the
 /// queue-side span and marks every event with the queue) and of the direct
-/// launches, `Device::launch` and [`time_launch`] (`queue` is `None`).
+/// launches, `Device::launch` and [`time_launch`] (`queue` is `None`). It
+/// records into the device's [`Obs`].
 pub(crate) fn run_sim_traced<K: Kernel + ?Sized>(
     d: &alpaka_accsim::SimDevice,
     dev_id: u64,
@@ -108,7 +105,8 @@ pub(crate) fn run_sim_traced<K: Kernel + ?Sized>(
     args: &alpaka_accsim::SimLaunchArgs,
     mode: ExecMode,
 ) -> Result<SimReport> {
-    let traced = trace::active();
+    let obs = d.obs();
+    let traced = obs.active();
     let (t0, ordinal, model) = if traced {
         let s = d.spec();
         (
@@ -122,9 +120,10 @@ pub(crate) fn run_sim_traced<K: Kernel + ?Sized>(
     match d.run(kernel, wd, args, mode) {
         Ok(report) => {
             if traced {
-                emit_launch_events(kernel.name(), dev_id, queue, ordinal, model, t0, &report);
+                let at = (dev_id, queue, ordinal, t0);
+                emit_launch_events(obs, kernel.name(), at, model, &report);
             }
-            alpaka_sim::metrics::record_launch(kernel.name(), &report);
+            alpaka_sim::record_launch(obs, kernel.name(), &report);
             Ok(report)
         }
         Err(e) => {
@@ -135,12 +134,12 @@ pub(crate) fn run_sim_traced<K: Kernel + ?Sized>(
                     dev_id,
                     t0,
                 );
-                trace::emit(TraceEvent {
+                obs.emit(TraceEvent {
                     queue,
                     ..fault.on_launch(ordinal)
                 });
             }
-            metrics::note_failure(fault_kind(&e), &format!("{}: {e}", kernel.name()));
+            obs.note_failure(fault_kind(&e), &format!("{}: {e}", kernel.name()));
             Err(e)
         }
     }
@@ -187,7 +186,7 @@ struct Worker {
 }
 
 impl Worker {
-    fn spawn(sticky: Arc<Mutex<Option<Error>>>) -> Worker {
+    fn spawn(sticky: Arc<Mutex<Option<Error>>>, obs: Obs) -> Worker {
         let (tx, rx) = mpsc::channel();
         let pending = Arc::new(Pending::default());
         let done = Arc::clone(&pending);
@@ -199,7 +198,7 @@ impl Worker {
                         Job::Op(op, f) if sticky.lock().is_none() => {
                             let r = catch_unwind(AssertUnwindSafe(f))
                                 .unwrap_or_else(|p| Err(Error::Device(panic_message(p))));
-                            count_op_result(op, &r);
+                            count_op_result(&obs, op, &r);
                             if let Err(e) = r {
                                 record(&sticky, e);
                             }
@@ -278,7 +277,8 @@ pub struct Queue {
     sticky: Arc<Mutex<Option<Error>>>,
     /// Monotonic per-queue operation ordinal, keying injected worker death.
     ops: AtomicU64,
-    /// Process-unique trace ordinal (the queue's lane in exports).
+    /// Trace ordinal within the device's [`Obs`] (the queue's lane in
+    /// exports).
     id: u64,
 }
 
@@ -289,17 +289,17 @@ impl Queue {
             DeviceImpl::Cpu(d) => QImpl::Cpu(
                 d.clone(),
                 (behavior == QueueBehavior::NonBlocking)
-                    .then(|| Worker::spawn(Arc::clone(&sticky))),
+                    .then(|| Worker::spawn(Arc::clone(&sticky), device.obs().clone())),
             ),
             DeviceImpl::Sim(d) => QImpl::Sim(d.clone(), Box::default()),
         };
         Queue {
+            id: device.obs().next_queue_id(),
             device,
             behavior,
             inner,
             sticky,
             ops: AtomicU64::new(0),
-            id: trace::next_queue_id(),
         }
     }
 
@@ -307,8 +307,8 @@ impl Queue {
         &self.device
     }
 
-    /// Process-unique trace ordinal of this queue (its lane id in a
-    /// Chrome-trace export, and the id named in wait-error context).
+    /// Trace ordinal of this queue within its device's [`Obs`] (its lane id
+    /// in a Chrome-trace export, and the id named in wait-error context).
     pub fn id(&self) -> u64 {
         self.id
     }
@@ -358,7 +358,7 @@ impl Queue {
 
     /// Count the outcome of an operation that ran inline, then absorb it.
     fn settle(&self, op: &'static str, r: Result<()>) -> Result<()> {
-        count_op_result(op, &r);
+        count_op_result(self.device.obs(), op, &r);
         self.absorb(r)
     }
 
@@ -380,7 +380,9 @@ impl Queue {
     /// injected worker death landed on it (absorbed), so it never runs.
     fn begin(&self, op: &'static str) -> Result<bool> {
         self.check_sticky()?;
-        count_op(op);
+        self.device
+            .obs()
+            .counter_add("alpaka_queue_ops_total", &[("op", op)], 1);
         let n = self.ops.fetch_add(1, Ordering::SeqCst);
         if self.device.faults().is_some_and(|p| p.worker_death_hits(n)) {
             let e = Error::Device(format!("queue worker died (injected at queue op {n})"));
@@ -470,46 +472,38 @@ impl Queue {
 
     /// Emit the span of a completed copy (or the fault of a failed one).
     fn trace_copy(&self, label: &str, t0: f64, r: &Result<()>) {
-        count_op_result("copy", r);
+        let obs = self.device.obs();
+        count_op_result(obs, "copy", r);
         if let Err(e) = r {
-            metrics::note_failure(fault_kind(e), &format!("{label}: {e}"));
+            obs.note_failure(fault_kind(e), &format!("{label}: {e}"));
         }
-        if !trace::active() {
+        if !obs.active() {
             return;
         }
-        match r {
-            Ok(()) => trace::emit(
-                TraceEvent::new(TraceKind::Copy, label, self.device.id(), t0)
-                    .span_until(self.device.sim_clock_s())
-                    .on_queue(self.id),
-            ),
-            Err(e) => trace::emit(
-                TraceEvent::new(
-                    TraceKind::Fault,
-                    format!("{label}: {e}"),
-                    self.device.id(),
-                    t0,
-                )
-                .on_queue(self.id),
-            ),
+        let dev = self.device.id();
+        let ev = match r {
+            Ok(()) => TraceEvent::new(TraceKind::Copy, label, dev, t0)
+                .span_until(self.device.sim_clock_s()),
+            Err(e) => TraceEvent::new(TraceKind::Fault, format!("{label}: {e}"), dev, t0),
+        };
+        obs.emit(ev.on_queue(self.id));
+    }
+
+    /// Count the operation `op` and, while observed, emit it as an instant
+    /// event on this queue's lane at the device clock.
+    fn note_op(&self, op: &'static str, kind: TraceKind) {
+        let obs = self.device.obs();
+        obs.counter_add("alpaka_queue_ops_total", &[("op", op)], 1);
+        if obs.active() {
+            let t = self.device.sim_clock_s();
+            obs.emit(TraceEvent::new(kind, op, self.device.id(), t).on_queue(self.id));
         }
     }
 
     /// Enqueue an event signaled once all prior operations completed.
     pub fn enqueue_event(&self, ev: &HostEvent) -> Result<()> {
         self.check_sticky()?;
-        count_op("event");
-        if trace::active() {
-            trace::emit(
-                TraceEvent::new(
-                    TraceKind::EventRecord,
-                    "event",
-                    self.device.id(),
-                    self.device.sim_clock_s(),
-                )
-                .on_queue(self.id),
-            );
-        }
+        self.note_op("event", TraceKind::EventRecord);
         match self.worker() {
             Some(w) => w.send(Job::Event(ev.clone())),
             None => {
@@ -523,23 +517,13 @@ impl Queue {
     /// error is sticky: it is reported again by every later operation until
     /// [`Queue::reset`].
     pub fn wait(&self) -> Result<()> {
-        count_op("wait");
-        if metrics::enabled() {
-            // Simulated seconds of work drained by waits on this queue so
-            // far (the simulated analogue of host wait time; deterministic,
-            // unlike a wall-clock measurement).
-            metrics::observe("alpaka_queue_wait_sim_seconds", &[], self.sim_elapsed_s());
-        }
-        if trace::active() {
-            trace::emit(
-                TraceEvent::new(
-                    TraceKind::Wait,
-                    "wait",
-                    self.device.id(),
-                    self.device.sim_clock_s(),
-                )
-                .on_queue(self.id),
-            );
+        self.note_op("wait", TraceKind::Wait);
+        // Simulated seconds of work drained by waits on this queue so far
+        // (the simulated analogue of host wait time; deterministic, unlike a
+        // wall-clock measurement).
+        let obs = self.device.obs();
+        if obs.metrics_enabled() {
+            obs.observe("alpaka_queue_wait_sim_seconds", &[], self.sim_elapsed_s());
         }
         if let Some(w) = self.worker() {
             w.pending.drain();
@@ -552,18 +536,7 @@ impl Queue {
     /// Returns at once with the queue's error if one is already recorded:
     /// the event may have been refused at its enqueue.
     pub fn wait_event(&self, ev: &HostEvent) -> Result<()> {
-        count_op("wait_event");
-        if trace::active() {
-            trace::emit(
-                TraceEvent::new(
-                    TraceKind::Wait,
-                    "wait_event",
-                    self.device.id(),
-                    self.device.sim_clock_s(),
-                )
-                .on_queue(self.id),
-            );
-        }
+        self.note_op("wait_event", TraceKind::Wait);
         self.check_sticky_ctx()?;
         ev.wait();
         self.check_sticky_ctx()
@@ -726,18 +699,16 @@ where
 /// the deterministic per-block spans, so the stream is identical across
 /// interpreter thread counts and engines.
 fn emit_launch_events(
+    obs: &Obs,
     kernel: &str,
-    device: u64,
-    queue: Option<u64>,
-    ordinal: u64,
+    (device, queue, ordinal, t0): (u64, Option<u64>, u64, f64),
     (clock_ghz, peak_gflops, peak_bw_gbs): (f64, f64, f64),
-    t0: f64,
     report: &SimReport,
 ) {
     let on_queue = |ev: TraceEvent| TraceEvent { queue, ..ev };
     let t1 = t0 + report.time.total_s;
     if let Some(q) = queue {
-        trace::emit(
+        obs.emit(
             TraceEvent::new(
                 TraceKind::QueueOp,
                 format!("enqueue_kernel:{kernel}"),
@@ -750,7 +721,7 @@ fn emit_launch_events(
         );
     }
     let s = &report.stats;
-    trace::emit(
+    obs.emit(
         on_queue(TraceEvent::new(TraceKind::Launch, kernel, device, t0))
             .span_until(t1)
             .on_launch(ordinal)
@@ -770,7 +741,7 @@ fn emit_launch_events(
     for b in &report.spans {
         let cur = cursors.entry(b.sm).or_insert(t0);
         let dur = if hz > 0.0 { b.cycles as f64 / hz } else { 0.0 };
-        trace::emit(
+        obs.emit(
             on_queue(TraceEvent::new(
                 TraceKind::BlockExec,
                 format!("block {}", b.block),
@@ -790,6 +761,7 @@ mod tests {
     use super::*;
     use crate::device::AccKind;
     use alpaka_core::ops::{KernelOps, KernelOpsExt};
+    use alpaka_core::trace;
 
     #[derive(Clone)]
     struct Scale;
@@ -866,12 +838,9 @@ mod tests {
     #[test]
     fn untraced_launch_emits_nothing() {
         let n = 64usize;
-        // Inside a capture — no neighbouring capture can switch the
-        // process-global sink on mid-launch — with the sink switched back
-        // off. A neighbour that saw it on in between may still emit; nothing
-        // carrying this launch's device or queue id may.
-        let ((dev, queue), events) = trace::capture(|| {
-            trace::set_enabled(false);
+        // A capture's `Obs`, switched back off: the launch runs untraced.
+        let (report, events) = trace::capture(|| {
+            Obs::current().set_trace_enabled(false);
             let dev = Device::new(AccKind::sim_k20());
             let q = Queue::new(dev.clone(), QueueBehavior::Blocking);
             let b = dev.alloc_f64(crate::BufLayout::d1(n));
@@ -879,12 +848,9 @@ mod tests {
             q.enqueue_kernel(&Scale, &wd, &Args::new().buf_f(&b).scalar_i(n as i64))
                 .unwrap();
             q.wait().unwrap();
-            (dev.id(), q.id())
+            q.last_sim_report().unwrap()
         });
-        let ours: Vec<_> = events
-            .iter()
-            .filter(|e| e.device == dev || e.queue == Some(queue))
-            .collect();
-        assert!(ours.is_empty(), "{ours:?}");
+        assert!(events.is_empty(), "{events:?}");
+        assert!(report.profile.is_none() && report.spans.is_empty());
     }
 }

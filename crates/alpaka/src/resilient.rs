@@ -24,7 +24,7 @@ use alpaka_core::buffer::BufLayout;
 use alpaka_core::error::{Error, Result};
 use alpaka_core::kernel::{Kernel, ScalarArgs};
 use alpaka_core::metrics;
-use alpaka_core::trace::{self, TraceEvent, TraceKind};
+use alpaka_core::trace::{TraceEvent, TraceKind};
 use alpaka_core::workdiv::WorkDiv;
 use alpaka_sim::{AttemptRecord, ResilienceInfo, SimReport};
 
@@ -277,6 +277,17 @@ fn attempt<K: Kernel + Clone + Send + 'static>(
     Ok((bufs_f, bufs_i, report))
 }
 
+/// Leave chain member `di`: a `FailOver` event saying why (built only while
+/// the member is observed) and its count.
+fn fail_over(dev: &Device, di: usize, why: impl FnOnce() -> String) {
+    let obs = dev.obs();
+    if obs.active() {
+        let ev = TraceEvent::new(TraceKind::FailOver, why(), dev.id(), dev.sim_clock_s());
+        obs.emit(ev.with("device_index", di as f64));
+    }
+    obs.counter_add("alpaka_resilient_failovers_total", &[], 1);
+}
+
 /// Run `spec` to completion across `chain` under `policy`.
 ///
 /// Every attempt starts from the pristine host snapshots in `spec`, so the
@@ -290,7 +301,6 @@ pub fn launch_resilient<K: Kernel + Clone + Send + 'static>(
     policy: &RetryPolicy,
     spec: &LaunchSpec<K>,
 ) -> Result<LaunchOutcome> {
-    let traced = trace::active();
     let mut attempts = 0u32;
     let mut backoff_total = 0.0f64;
     let mut errors: Vec<Error> = Vec::new();
@@ -301,53 +311,39 @@ pub fn launch_resilient<K: Kernel + Clone + Send + 'static>(
     // reports can total the backoff without replaying the policy.
     let mut backoff_before: f64;
     for (di, dev) in chain.devices().iter().enumerate() {
+        // Each member records into its own `Obs`.
+        let obs = dev.obs();
         if dev.is_lost() {
-            if traced {
-                trace::emit(
-                    TraceEvent::new(
-                        TraceKind::FailOver,
-                        format!("skip {}: already lost", dev.name()),
-                        dev.id(),
-                        dev.sim_clock_s(),
-                    )
-                    .with("device_index", di as f64),
-                );
-            }
+            fail_over(dev, di, || format!("skip {}: already lost", dev.name()));
+            failovers += 1;
             errors.push(Error::DeviceLost(format!(
                 "{}: device already lost before first attempt",
                 dev.name()
             )));
-            failovers += 1;
-            metrics::counter_add("alpaka_resilient_failovers_total", &[], 1);
             continue;
         }
         let mut retries = 0u32;
         backoff_before = 0.0;
         loop {
             attempts += 1;
-            metrics::counter_add("alpaka_resilient_attempts_total", &[], 1);
+            obs.counter_add("alpaka_resilient_attempts_total", &[], 1);
             let t0 = dev.sim_clock_s();
             let result = attempt(dev, spec);
-            if traced {
+            let transient = result.as_ref().err().is_some_and(|e| e.is_transient());
+            if obs.active() {
                 // One span per attempt: device, outcome (the fault kind that
                 // ended it, or "ok"), attempt ordinal.
                 let label = match &result {
                     Ok(_) => format!("attempt {attempts} on {}: ok", dev.name()),
                     Err(e) => format!("attempt {attempts} on {}: {e}", dev.name()),
                 };
-                trace::emit(
+                obs.emit(
                     TraceEvent::new(TraceKind::RetryAttempt, label, dev.id(), t0)
                         .span_until(dev.sim_clock_s())
                         .with("attempt", attempts as f64)
                         .with("device_index", di as f64)
                         .with("backoff_before_s", backoff_before)
-                        .with(
-                            "transient",
-                            result
-                                .as_ref()
-                                .err()
-                                .map_or(0.0, |e| e.is_transient() as u64 as f64),
-                        ),
+                        .with("transient", transient as u64 as f64),
                 );
             }
             history.push(AttemptRecord {
@@ -355,17 +351,17 @@ pub fn launch_resilient<K: Kernel + Clone + Send + 'static>(
                 device: dev.name(),
                 device_index: di,
                 fault: result.as_ref().err().map(|e| fault_kind(e).to_string()),
-                transient: result.as_ref().err().is_some_and(|e| e.is_transient()),
+                transient,
             });
             match result {
                 Ok((bufs_f, bufs_i, mut report)) => {
-                    if metrics::enabled() {
-                        metrics::counter_add(
+                    if obs.metrics_enabled() {
+                        obs.counter_add(
                             "alpaka_resilient_launches_total",
                             &[("kernel", spec.kernel.name())],
                             1,
                         );
-                        metrics::observe_in(
+                        obs.observe_in(
                             "alpaka_resilient_attempts_per_launch",
                             &[],
                             metrics::COUNT_BUCKETS,
@@ -392,7 +388,7 @@ pub fn launch_resilient<K: Kernel + Clone + Send + 'static>(
                     });
                 }
                 Err(e) => {
-                    metrics::counter_add(
+                    obs.counter_add(
                         "alpaka_resilient_faults_total",
                         &[("kind", fault_kind(&e))],
                         1,
@@ -402,51 +398,28 @@ pub fn launch_resilient<K: Kernel + Clone + Send + 'static>(
                     match disposition {
                         Disposition::Fatal => {
                             let e = errors.pop().expect("just pushed");
-                            metrics::note_failure(
+                            obs.note_failure(
                                 fault_kind(&e),
                                 &format!("{} on {}: {e}", spec.kernel.name(), dev.name()),
                             );
                             return Err(e);
                         }
                         Disposition::FailOver => {
-                            if traced {
-                                trace::emit(
-                                    TraceEvent::new(
-                                        TraceKind::FailOver,
-                                        format!(
-                                            "fail over from {}: {}",
-                                            dev.name(),
-                                            errors.last().expect("just pushed")
-                                        ),
-                                        dev.id(),
-                                        dev.sim_clock_s(),
-                                    )
-                                    .with("device_index", di as f64),
-                                );
-                            }
+                            let e = errors.last().expect("just pushed");
+                            fail_over(dev, di, || format!("fail over from {}: {e}", dev.name()));
                             failovers += 1;
-                            metrics::counter_add("alpaka_resilient_failovers_total", &[], 1);
                             break;
                         }
                         Disposition::Retry => {
                             if retries >= policy.max_retries {
-                                if traced {
-                                    trace::emit(
-                                        TraceEvent::new(
-                                            TraceKind::FailOver,
-                                            format!(
-                                                "retries exhausted on {} after {} attempt(s)",
-                                                dev.name(),
-                                                retries + 1
-                                            ),
-                                            dev.id(),
-                                            dev.sim_clock_s(),
-                                        )
-                                        .with("device_index", di as f64),
-                                    );
-                                }
+                                let tries = retries + 1;
+                                fail_over(dev, di, || {
+                                    format!(
+                                        "retries exhausted on {} after {tries} attempt(s)",
+                                        dev.name()
+                                    )
+                                });
                                 failovers += 1;
-                                metrics::counter_add("alpaka_resilient_failovers_total", &[], 1);
                                 break;
                             }
                             retries += 1;
@@ -454,7 +427,7 @@ pub fn launch_resilient<K: Kernel + Clone + Send + 'static>(
                             dev.advance_sim_clock(pause);
                             backoff_total += pause;
                             backoff_before = pause;
-                            metrics::observe("alpaka_resilient_backoff_seconds", &[], pause);
+                            obs.observe("alpaka_resilient_backoff_seconds", &[], pause);
                         }
                     }
                 }
@@ -469,7 +442,10 @@ pub fn launch_resilient<K: Kernel + Clone + Send + 'static>(
             .map(|e| e.to_string())
             .unwrap_or_else(|| "none recorded".into()),
     ));
-    metrics::note_failure(fault_kind(&e), &format!("{}: {e}", spec.kernel.name()));
+    if let Some(last) = chain.devices().last() {
+        let detail = format!("{}: {e}", spec.kernel.name());
+        last.obs().note_failure(fault_kind(&e), &detail);
+    }
     Err(e)
 }
 
@@ -629,22 +605,12 @@ mod tests {
     #[test]
     fn attempts_and_failover_are_traced() {
         let n = 128;
-        // Created outside the capture, so that their ids come from the
-        // process-wide counter and no neighbouring test's device shares one.
-        let lost =
-            Device::new(AccKind::sim_k20()).with_faults(FaultPlan::quiet(7).with_lost_at_launch(0));
-        let cpu = Device::new(AccKind::CpuSerial);
-        let ours = [lost.id(), cpu.id()];
-        let chain = FallbackChain::new(lost).then(cpu);
-        let (out, events) = trace::capture(|| {
+        let (out, events) = alpaka_core::trace::capture(|| {
+            let lost = Device::new(AccKind::sim_k20())
+                .with_faults(FaultPlan::quiet(7).with_lost_at_launch(0));
+            let chain = FallbackChain::new(lost).then(Device::new(AccKind::CpuSerial));
             launch_resilient(&chain, &RetryPolicy::default(), &daxpy_spec(n)).unwrap()
         });
-        // The sink is process-global: a neighbouring test's launch emits into
-        // this capture too. Only our devices' events are ours to count.
-        let events: Vec<_> = events
-            .into_iter()
-            .filter(|e| ours.contains(&e.device))
-            .collect();
         assert!(out.device_index > 0);
         let retry_events: Vec<_> = events
             .iter()

@@ -2,7 +2,7 @@
 //! wrappers, GFLOPS math, and the "generic Alpaka-style" DGEMM used by the
 //! zero-overhead comparison.
 
-use alpaka::{AccKind, Args, BufLayout, Device, LaunchMode, TimedRun, WorkDiv};
+use alpaka::{AccKind, Args, BufLayout, BufferF, Device, LaunchMode, TimedRun, WorkDiv};
 use alpaka_core::kernel::Kernel;
 use alpaka_core::ops::{KernelOps, KernelOpsExt};
 use alpaka_kernels::host::random_matrix;
@@ -36,6 +36,28 @@ impl GemmData {
     }
 }
 
+/// Fresh GEMM buffers on `dev` holding `data`, bound as the GEMM kernels'
+/// arguments (`alpha = 1`, `beta = 0`): the arguments and the C buffer.
+fn gemm_args(dev: &Device, data: &GemmData) -> (Args, BufferF) {
+    let n = data.n;
+    let [a, b, c] = [(); 3].map(|()| dev.alloc_f64(BufLayout::d2(n, n, 8)));
+    for (buf, host) in [(&a, &data.a), (&b, &data.b), (&c, &data.c)] {
+        buf.upload(host).unwrap();
+    }
+    let mut args = Args::new().buf_f(&a).buf_f(&b).buf_f(&c);
+    let pitch = |buf: &BufferF| buf.layout().pitch as i64;
+    args.scalars.f = vec![1.0, 0.0];
+    args.scalars.i = vec![
+        n as i64,
+        n as i64,
+        n as i64,
+        pitch(&a),
+        pitch(&b),
+        pitch(&c),
+    ];
+    (args, c)
+}
+
 /// Upload fresh GEMM buffers to `dev` and time one launch of `kernel`.
 /// Returns the timing and the resulting dense C (empty when sampled).
 pub fn time_gemm<K: Kernel + Clone + Send + 'static>(
@@ -45,25 +67,7 @@ pub fn time_gemm<K: Kernel + Clone + Send + 'static>(
     data: &GemmData,
     mode: LaunchMode,
 ) -> (TimedRun, Vec<f64>) {
-    let n = data.n;
-    let a = dev.alloc_f64(BufLayout::d2(n, n, 8));
-    let b = dev.alloc_f64(BufLayout::d2(n, n, 8));
-    let c = dev.alloc_f64(BufLayout::d2(n, n, 8));
-    a.upload(&data.a).unwrap();
-    b.upload(&data.b).unwrap();
-    c.upload(&data.c).unwrap();
-    let args = Args::new()
-        .buf_f(&a)
-        .buf_f(&b)
-        .buf_f(&c)
-        .scalar_f(1.0)
-        .scalar_f(0.0)
-        .scalar_i(n as i64)
-        .scalar_i(n as i64)
-        .scalar_i(n as i64)
-        .scalar_i(a.layout().pitch as i64)
-        .scalar_i(b.layout().pitch as i64)
-        .scalar_i(c.layout().pitch as i64);
+    let (args, c) = gemm_args(dev, data);
     let timed = alpaka::time_launch(dev, kernel, wd, &args, mode)
         .unwrap_or_else(|e| panic!("{} on {}: {e}", kernel.name(), dev.name()));
     let result = if matches!(mode, LaunchMode::Exact) {
@@ -84,25 +88,7 @@ pub fn bench_gemm<K: Kernel + Clone + Send + 'static>(
     data: &GemmData,
     reps: usize,
 ) -> (f64, Vec<f64>) {
-    let n = data.n;
-    let a = dev.alloc_f64(BufLayout::d2(n, n, 8));
-    let b = dev.alloc_f64(BufLayout::d2(n, n, 8));
-    let c = dev.alloc_f64(BufLayout::d2(n, n, 8));
-    a.upload(&data.a).unwrap();
-    b.upload(&data.b).unwrap();
-    c.upload(&data.c).unwrap();
-    let args = Args::new()
-        .buf_f(&a)
-        .buf_f(&b)
-        .buf_f(&c)
-        .scalar_f(1.0)
-        .scalar_f(0.0)
-        .scalar_i(n as i64)
-        .scalar_i(n as i64)
-        .scalar_i(n as i64)
-        .scalar_i(a.layout().pitch as i64)
-        .scalar_i(b.layout().pitch as i64)
-        .scalar_i(c.layout().pitch as i64);
+    let (args, c) = gemm_args(dev, data);
     // Warm-up launch.
     alpaka::time_launch(dev, kernel, wd, &args, LaunchMode::Exact).unwrap();
     let mut times: Vec<f64> = (0..reps.max(1))

@@ -28,6 +28,7 @@ pub mod error;
 pub mod fma;
 pub mod kernel;
 pub mod metrics;
+pub mod obs;
 pub mod ops;
 pub mod pool;
 pub mod queue;
@@ -39,6 +40,7 @@ pub use acc::{AccCaps, DeviceKind};
 pub use buffer::{copy_region, BufLayout, Elem, HostBuf};
 pub use error::{Error, Result};
 pub use kernel::{Kernel, ScalarArgs};
+pub use obs::Obs;
 pub use ops::{KernelOps, KernelOpsExt};
 pub use queue::{HostEvent, QueueBehavior};
 pub use trace::{BlockSpan, TraceEvent, TraceKind};

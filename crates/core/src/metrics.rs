@@ -10,27 +10,28 @@
 //! gauges, which depend on which engine ran; exporters and acceptance tests
 //! mask those, exactly like `wall_ns` in trace exports.)
 //!
-//! The registry is **off by default** and the fast path is allocation-free:
-//! every recording site checks [`enabled`] (one relaxed atomic load) before
-//! building a key. Metrics turn on explicitly ([`set_enabled`] /
-//! `alpaka_metrics::MetricsHub`) or via the `ALPAKA_SIM_METRICS=<base>`
-//! environment variable, read once on first use.
+//! The registry belongs to an [`Obs`] (the one a device was built with) and
+//! is **off by default**; the fast path is allocation-free: every recording
+//! site checks [`Obs::metrics_enabled`] (one relaxed atomic load) before
+//! building a key. Metrics turn on explicitly
+//! ([`Obs::set_metrics_enabled`], `alpaka_metrics::MetricsHub`, [`capture`])
+//! or, for the process-default `Obs`, via the `ALPAKA_SIM_METRICS=<base>`
+//! environment variable.
 //!
 //! Histograms keep two representations at once: fixed log-spaced bucket
 //! counts (for Prometheus-style exposition) *and* the raw sample list,
 //! bounded by [`SAMPLE_CAP`] with an explicit drop counter, so p50/p95/p99
 //! are exact nearest-rank percentiles rather than bucket interpolations.
 //!
-//! The flight recorder retains the last [`flight_capacity`] trace events per
-//! device (fed by `trace::emit` whenever metrics are enabled, even with the
+//! The flight recorder retains the last [`FLIGHT_CAPACITY`] trace events
+//! per device (fed by [`Obs::emit`] whenever metrics are enabled, even with the
 //! trace sink off) and a bounded list of launch-failure notes; together with
 //! a snapshot they form the post-mortem that `alpaka-metrics` renders when a
 //! launch fails with a structured error.
 
-use std::collections::{BTreeMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Mutex, Once};
+use std::collections::BTreeMap;
 
+use crate::obs::Obs;
 use crate::trace::TraceEvent;
 
 /// Label set of one metric instance: `(key, value)` pairs in binding order.
@@ -164,58 +165,27 @@ pub struct MetricsCapture {
     pub failures: Vec<String>,
 }
 
-#[derive(Default)]
-struct Registry {
+#[derive(Debug, Default)]
+pub(crate) struct Registry {
     counters: BTreeMap<MetricKey, u64>,
     gauges: BTreeMap<MetricKey, f64>,
     histos: BTreeMap<MetricKey, Histogram>,
 }
 
-static ENABLED: AtomicBool = AtomicBool::new(false);
-static ENV_INIT: Once = Once::new();
-static REGISTRY: Mutex<Registry> = Mutex::new(Registry {
-    counters: BTreeMap::new(),
-    gauges: BTreeMap::new(),
-    histos: BTreeMap::new(),
-});
-static FLIGHT: Mutex<BTreeMap<u64, VecDeque<TraceEvent>>> = Mutex::new(BTreeMap::new());
-static FLIGHT_CAP: AtomicUsize = AtomicUsize::new(64);
-static FAILURES: Mutex<Vec<String>> = Mutex::new(Vec::new());
-
 /// Retained failure notes; later failures only bump
 /// `alpaka_failure_notes_dropped_total`.
 const FAILURE_NOTE_CAP: usize = 64;
 
-fn init_from_env() {
-    ENV_INIT.call_once(|| {
-        if env_metrics_path().is_some() {
-            ENABLED.store(true, Ordering::Relaxed);
-        }
-    });
-}
+/// Trace events the flight recorder retains per device.
+pub const FLIGHT_CAPACITY: usize = 64;
 
 /// The `ALPAKA_SIM_METRICS` export base path, if set (empty counts as
-/// unset). Setting it also enables the registry, mirroring
-/// `ALPAKA_SIM_TRACE`.
+/// unset). Setting it also switches the process-default [`Obs`]'s registry
+/// on, mirroring `ALPAKA_SIM_TRACE`.
 pub fn env_metrics_path() -> Option<String> {
     std::env::var("ALPAKA_SIM_METRICS")
         .ok()
         .filter(|s| !s.is_empty())
-}
-
-/// Is the registry on? One relaxed load after a one-time env check;
-/// recording sites call this before building any key so the disabled path
-/// stays allocation-free.
-#[inline]
-pub fn enabled() -> bool {
-    init_from_env();
-    ENABLED.load(Ordering::Relaxed)
-}
-
-/// Turn the registry on or off explicitly (overrides the env default).
-pub fn set_enabled(on: bool) {
-    init_from_env();
-    ENABLED.store(on, Ordering::Relaxed);
 }
 
 fn key(name: &'static str, labels: &[(&'static str, &str)]) -> MetricKey {
@@ -223,48 +193,6 @@ fn key(name: &'static str, labels: &[(&'static str, &str)]) -> MetricKey {
         name,
         labels.iter().map(|&(k, v)| (k, v.to_string())).collect(),
     )
-}
-
-/// Add `v` to a monotonic counter (no-op when disabled).
-pub fn counter_add(name: &'static str, labels: &[(&'static str, &str)], v: u64) {
-    if !enabled() {
-        return;
-    }
-    let mut reg = REGISTRY.lock().unwrap();
-    *reg.counters.entry(key(name, labels)).or_insert(0) += v;
-}
-
-/// Set a gauge to `v` (no-op when disabled).
-pub fn gauge_set(name: &'static str, labels: &[(&'static str, &str)], v: f64) {
-    if !enabled() {
-        return;
-    }
-    let mut reg = REGISTRY.lock().unwrap();
-    reg.gauges.insert(key(name, labels), v);
-}
-
-/// Record one observation into a latency histogram
-/// ([`LATENCY_BUCKETS_S`]); no-op when disabled.
-pub fn observe(name: &'static str, labels: &[(&'static str, &str)], v: f64) {
-    observe_in(name, labels, LATENCY_BUCKETS_S, v);
-}
-
-/// Record one observation into a histogram with explicit bucket bounds.
-/// The bounds of the *first* observation win for a given `(name, labels)`.
-pub fn observe_in(
-    name: &'static str,
-    labels: &[(&'static str, &str)],
-    bounds: &'static [f64],
-    v: f64,
-) {
-    if !enabled() {
-        return;
-    }
-    let mut reg = REGISTRY.lock().unwrap();
-    reg.histos
-        .entry(key(name, labels))
-        .or_insert_with(|| Histogram::new(bounds))
-        .observe(v);
 }
 
 /// Exact nearest-rank percentile (`p` in [0, 100]) of a sorted slice.
@@ -276,138 +204,159 @@ fn percentile(sorted: &[f64], p: f64) -> f64 {
     sorted[rank.clamp(1, sorted.len()) - 1]
 }
 
-/// Copy the registry out in deterministic `(name, labels)` order.
-pub fn snapshot() -> MetricsSnapshot {
-    let reg = REGISTRY.lock().unwrap();
-    MetricsSnapshot {
-        counters: reg
-            .counters
+impl Obs {
+    /// Add `v` to a monotonic counter (no-op when disabled).
+    pub fn counter_add(&self, name: &'static str, labels: &[(&'static str, &str)], v: u64) {
+        if !self.metrics_enabled() {
+            return;
+        }
+        let mut reg = self.0.registry.lock().unwrap();
+        *reg.counters.entry(key(name, labels)).or_insert(0) += v;
+    }
+
+    /// Set a gauge to `v` (no-op when disabled).
+    pub fn gauge_set(&self, name: &'static str, labels: &[(&'static str, &str)], v: f64) {
+        if !self.metrics_enabled() {
+            return;
+        }
+        let mut reg = self.0.registry.lock().unwrap();
+        reg.gauges.insert(key(name, labels), v);
+    }
+
+    /// Record one observation into a latency histogram
+    /// ([`LATENCY_BUCKETS_S`]); no-op when disabled.
+    pub fn observe(&self, name: &'static str, labels: &[(&'static str, &str)], v: f64) {
+        self.observe_in(name, labels, LATENCY_BUCKETS_S, v);
+    }
+
+    /// Record one observation into a histogram with explicit bucket bounds.
+    /// The bounds of the *first* observation win for a given `(name, labels)`.
+    pub fn observe_in(
+        &self,
+        name: &'static str,
+        labels: &[(&'static str, &str)],
+        bounds: &'static [f64],
+        v: f64,
+    ) {
+        if !self.metrics_enabled() {
+            return;
+        }
+        let mut reg = self.0.registry.lock().unwrap();
+        reg.histos
+            .entry(key(name, labels))
+            .or_insert_with(|| Histogram::new(bounds))
+            .observe(v);
+    }
+
+    /// Copy the registry out in deterministic `(name, labels)` order.
+    pub fn snapshot(&self) -> MetricsSnapshot {
+        let reg = self.0.registry.lock().unwrap();
+        MetricsSnapshot {
+            counters: reg
+                .counters
+                .iter()
+                .map(|((n, ls), v)| (*n, ls.clone(), *v))
+                .collect(),
+            gauges: reg
+                .gauges
+                .iter()
+                .map(|((n, ls), v)| (*n, ls.clone(), *v))
+                .collect(),
+            histograms: reg
+                .histos
+                .iter()
+                .map(|((n, ls), h)| {
+                    let mut sorted = h.samples.clone();
+                    sorted.sort_by(f64::total_cmp);
+                    (
+                        *n,
+                        ls.clone(),
+                        HistogramSnapshot {
+                            bounds: h.bounds.to_vec(),
+                            counts: h.counts.clone(),
+                            sum: h.sum,
+                            count: h.counts.iter().sum(),
+                            p50: percentile(&sorted, 50.0),
+                            p95: percentile(&sorted, 95.0),
+                            p99: percentile(&sorted, 99.0),
+                            dropped: h.dropped,
+                        },
+                    )
+                })
+                .collect(),
+        }
+    }
+
+    /// Append one event to its device's ring, evicting the oldest beyond
+    /// [`FLIGHT_CAPACITY`]. Called by [`Obs::emit`] whenever metrics are
+    /// enabled.
+    pub(crate) fn flight_record(&self, ev: &TraceEvent) {
+        let mut rings = self.0.flight.lock().unwrap();
+        let ring = rings.entry(ev.device).or_default();
+        while ring.len() >= FLIGHT_CAPACITY {
+            ring.pop_front();
+        }
+        ring.push_back(ev.clone());
+    }
+
+    /// The flight-recorder contents: `(device id, events oldest-first)`,
+    /// sorted by device id.
+    pub fn flight_snapshot(&self) -> Vec<(u64, Vec<TraceEvent>)> {
+        self.0
+            .flight
+            .lock()
+            .unwrap()
             .iter()
-            .map(|((n, ls), v)| (*n, ls.clone(), *v))
-            .collect(),
-        gauges: reg
-            .gauges
-            .iter()
-            .map(|((n, ls), v)| (*n, ls.clone(), *v))
-            .collect(),
-        histograms: reg
-            .histos
-            .iter()
-            .map(|((n, ls), h)| {
-                let mut sorted = h.samples.clone();
-                sorted.sort_by(f64::total_cmp);
-                (
-                    *n,
-                    ls.clone(),
-                    HistogramSnapshot {
-                        bounds: h.bounds.to_vec(),
-                        counts: h.counts.clone(),
-                        sum: h.sum,
-                        count: h.counts.iter().sum(),
-                        p50: percentile(&sorted, 50.0),
-                        p95: percentile(&sorted, 95.0),
-                        p99: percentile(&sorted, 99.0),
-                        dropped: h.dropped,
-                    },
-                )
-            })
-            .collect(),
+            .map(|(d, ring)| (*d, ring.iter().cloned().collect()))
+            .collect()
+    }
+
+    /// Record a structured launch failure: bumps
+    /// `alpaka_launch_failures_total{kind}` and retains `[kind] detail` for
+    /// the post-mortem (bounded; overflow is counted, never silent).
+    /// `detail` must be deterministic — simulated clock, kernel/device
+    /// names, fault coordinates — so post-mortems are byte-comparable.
+    pub fn note_failure(&self, kind: &'static str, detail: &str) {
+        if !self.metrics_enabled() {
+            return;
+        }
+        self.counter_add("alpaka_launch_failures_total", &[("kind", kind)], 1);
+        let mut notes = self.0.failures.lock().unwrap();
+        if notes.len() < FAILURE_NOTE_CAP {
+            notes.push(format!("[{kind}] {detail}"));
+        } else {
+            drop(notes);
+            self.counter_add("alpaka_failure_notes_dropped_total", &[], 1);
+        }
+    }
+
+    /// Failure notes recorded so far, in order.
+    pub fn failures(&self) -> Vec<String> {
+        self.0.failures.lock().unwrap().clone()
+    }
+
+    /// The registry, the flight recorder and the failure notes as they
+    /// stand (nothing is reset).
+    pub fn metrics_capture(&self) -> MetricsCapture {
+        MetricsCapture {
+            snapshot: self.snapshot(),
+            flight: self.flight_snapshot(),
+            failures: self.failures(),
+        }
     }
 }
 
-/// Clear every counter, gauge, histogram, flight ring and failure note.
-pub fn reset() {
-    *REGISTRY.lock().unwrap() = Registry::default();
-    FLIGHT.lock().unwrap().clear();
-    FAILURES.lock().unwrap().clear();
-}
-
-/// Events retained per device by the flight recorder.
-pub fn flight_capacity() -> usize {
-    FLIGHT_CAP.load(Ordering::Relaxed)
-}
-
-/// Resize the per-device flight ring (applies to subsequent events).
-pub fn set_flight_capacity(n: usize) {
-    FLIGHT_CAP.store(n.max(1), Ordering::Relaxed);
-}
-
-/// Append one event to its device's ring, evicting the oldest beyond
-/// [`flight_capacity`]. Called by `trace::emit`/`emit_all` whenever metrics
-/// are enabled; not meant for direct use.
-pub(crate) fn flight_record(ev: &TraceEvent) {
-    let cap = flight_capacity();
-    let mut rings = FLIGHT.lock().unwrap();
-    let ring = rings.entry(ev.device).or_default();
-    while ring.len() >= cap {
-        ring.pop_front();
-    }
-    ring.push_back(ev.clone());
-}
-
-/// The flight-recorder contents: `(device id, events oldest-first)`,
-/// sorted by device id.
-pub fn flight_snapshot() -> Vec<(u64, Vec<TraceEvent>)> {
-    FLIGHT
-        .lock()
-        .unwrap()
-        .iter()
-        .map(|(d, ring)| (*d, ring.iter().cloned().collect()))
-        .collect()
-}
-
-/// Record a structured launch failure: bumps
-/// `alpaka_launch_failures_total{kind}` and retains `[kind] detail` for the
-/// post-mortem (bounded; overflow is counted, never silent). `detail` must
-/// be deterministic — simulated clock, kernel/device names, fault
-/// coordinates — so post-mortems are byte-comparable.
-pub fn note_failure(kind: &'static str, detail: &str) {
-    if !enabled() {
-        return;
-    }
-    counter_add("alpaka_launch_failures_total", &[("kind", kind)], 1);
-    let mut notes = FAILURES.lock().unwrap();
-    if notes.len() < FAILURE_NOTE_CAP {
-        notes.push(format!("[{kind}] {detail}"));
-    } else {
-        drop(notes);
-        counter_add("alpaka_failure_notes_dropped_total", &[], 1);
-    }
-}
-
-/// Failure notes recorded so far, in order.
-pub fn failures() -> Vec<String> {
-    FAILURES.lock().unwrap().clone()
-}
-
-/// Run `f` with metrics enabled and return its result plus everything it
-/// recorded. Like `trace::capture`: concurrent captures serialize on the
-/// shared capture lock, the device/queue id counters reset to zero for the
-/// duration (so reruns produce identical flight-ring keys), and the
-/// previous registry contents and enabled state are restored afterwards.
-/// Do not nest inside `trace::capture` (same lock — it would deadlock);
-/// enable the trace sink with `trace::set_enabled` inside the closure if
-/// both streams are wanted.
+/// Run `f` with a fresh [`Obs`], metrics on, as the calling thread's
+/// [`Obs::current`], and return its result plus everything recorded into
+/// that `Obs`. Like `trace::capture`: handles built inside the closure record
+/// there, with ids from 0, so reruns produce identical flight-ring keys.
+/// Switch its trace sink on too with `Obs::current().set_trace_enabled(true)`
+/// inside the closure if both streams are wanted.
 pub fn capture<T>(f: impl FnOnce() -> T) -> (T, MetricsCapture) {
-    let _guard = crate::trace::capture_guard();
-    let was = enabled();
-    let saved_reg = std::mem::take(&mut *REGISTRY.lock().unwrap());
-    let saved_flight = std::mem::take(&mut *FLIGHT.lock().unwrap());
-    let saved_fail = std::mem::take(&mut *FAILURES.lock().unwrap());
-    let (saved_dev, saved_q) = crate::trace::save_ids_for_capture();
-    set_enabled(true);
-    let out = f();
-    let cap = MetricsCapture {
-        snapshot: snapshot(),
-        flight: flight_snapshot(),
-        failures: failures(),
-    };
-    set_enabled(was);
-    *REGISTRY.lock().unwrap() = saved_reg;
-    *FLIGHT.lock().unwrap() = saved_flight;
-    *FAILURES.lock().unwrap() = saved_fail;
-    crate::trace::restore_ids_after_capture(saved_dev, saved_q);
-    (out, cap)
+    let obs = Obs::default();
+    obs.set_metrics_enabled(true);
+    let out = obs.scope(f);
+    (out, obs.metrics_capture())
 }
 
 #[cfg(test)]
@@ -419,26 +368,25 @@ mod tests {
     fn disabled_registry_records_nothing() {
         let ((), cap) = capture(|| ());
         assert!(cap.snapshot.is_empty());
-        if !enabled() {
-            counter_add("x_total", &[], 1);
-            observe("y_seconds", &[], 0.5);
-            note_failure("test", "nope");
-            assert!(snapshot().is_empty());
-            assert!(failures().is_empty());
-        }
+        let obs = Obs::default();
+        obs.counter_add("x_total", &[], 1);
+        obs.observe("y_seconds", &[], 0.5);
+        obs.note_failure("test", "nope");
+        assert!(obs.snapshot().is_empty());
+        assert!(obs.failures().is_empty());
     }
 
     #[test]
     fn capture_isolates_and_restores() {
         let ((), a) = capture(|| {
-            counter_add("launches_total", &[("kernel", "daxpy")], 2);
-            gauge_set("g", &[], 1.5);
+            Obs::current().counter_add("launches_total", &[("kernel", "daxpy")], 2);
+            Obs::current().gauge_set("g", &[], 1.5);
         });
         assert_eq!(a.snapshot.counter_total("launches_total"), 2);
         // A second capture starts from scratch.
         let ((), b) = capture(|| {
-            counter_add("launches_total", &[("kernel", "daxpy")], 2);
-            gauge_set("g", &[], 1.5);
+            Obs::current().counter_add("launches_total", &[("kernel", "daxpy")], 2);
+            Obs::current().gauge_set("g", &[], 1.5);
         });
         assert_eq!(a.snapshot, b.snapshot);
     }
@@ -447,7 +395,7 @@ mod tests {
     fn percentiles_are_exact_nearest_rank() {
         let ((), cap) = capture(|| {
             for i in 1..=100 {
-                observe("lat", &[], i as f64 * 1e-3);
+                Obs::current().observe("lat", &[], i as f64 * 1e-3);
             }
         });
         let h = cap.snapshot.histogram("lat", &[]).unwrap();
@@ -464,9 +412,9 @@ mod tests {
     #[test]
     fn snapshot_order_is_deterministic() {
         let ((), cap) = capture(|| {
-            counter_add("b_total", &[], 1);
-            counter_add("a_total", &[("k", "z")], 1);
-            counter_add("a_total", &[("k", "a")], 1);
+            Obs::current().counter_add("b_total", &[], 1);
+            Obs::current().counter_add("a_total", &[("k", "z")], 1);
+            Obs::current().counter_add("a_total", &[("k", "a")], 1);
         });
         let names: Vec<_> = cap
             .snapshot
@@ -482,30 +430,29 @@ mod tests {
     #[test]
     fn flight_ring_keeps_last_n_per_device() {
         let ((), cap) = capture(|| {
-            let prev = flight_capacity();
-            set_flight_capacity(4);
-            for i in 0..10 {
-                crate::trace::emit(TraceEvent::new(
+            let obs = Obs::current();
+            for i in 0..FLIGHT_CAPACITY + 6 {
+                obs.emit(TraceEvent::new(
                     TraceKind::Launch,
                     format!("k{i}"),
                     7,
                     i as f64,
                 ));
             }
-            set_flight_capacity(prev);
         });
         let (dev, ring) = &cap.flight[0];
         assert_eq!(*dev, 7);
-        assert_eq!(ring.len(), 4);
+        assert_eq!(ring.len(), FLIGHT_CAPACITY);
         assert_eq!(ring[0].label, "k6");
-        assert_eq!(ring[3].label, "k9");
+        let newest = format!("k{}", FLIGHT_CAPACITY + 5);
+        assert_eq!(ring[FLIGHT_CAPACITY - 1].label, newest);
     }
 
     #[test]
     fn failure_notes_are_bounded_and_counted() {
         let ((), cap) = capture(|| {
             for i in 0..(FAILURE_NOTE_CAP + 3) {
-                note_failure("kind", &format!("f{i}"));
+                Obs::current().note_failure("kind", &format!("f{i}"));
             }
         });
         assert_eq!(cap.failures.len(), FAILURE_NOTE_CAP);

@@ -1,11 +1,12 @@
 //! Structured tracing: typed events emitted by queues, launches, copies,
-//! faults and the resilience layer, recorded into a process-global sink.
+//! faults and the resilience layer, recorded into the sink of the [`Obs`]
+//! their device was built with.
 //!
-//! The sink is **off by default** and the fast path is allocation-free: every
-//! emission site checks [`enabled`] (one relaxed atomic load) before building
-//! an event. Tracing turns on either explicitly ([`set_enabled`] /
-//! `alpaka_trace::Tracer`) or via the `ALPAKA_SIM_TRACE=<path>` environment
-//! variable, which is read once on first use.
+//! A sink is **off by default** and the fast path is allocation-free: every
+//! emission site checks [`Obs::active`] (two relaxed loads) before building
+//! an event. Tracing turns on explicitly ([`Obs::set_trace_enabled`],
+//! `alpaka_trace::Tracer`, [`capture`]) or, for the process-default `Obs`,
+//! via the `ALPAKA_SIM_TRACE=<path>` environment variable.
 //!
 //! Determinism: everything except the `wall_ns` field is derived from the
 //! simulated clock and deterministic counters, so two runs of the same
@@ -13,9 +14,9 @@
 //! `ALPAKA_SIM_THREADS` or the interpreter engine. Exporters can mask
 //! `wall_ns` to get byte-identical output.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Mutex, Once, OnceLock};
 use std::time::Instant;
+
+use crate::obs::Obs;
 
 /// What a [`TraceEvent`] describes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -70,9 +71,9 @@ pub struct TraceEvent {
     pub kind: TraceKind,
     /// Human label (kernel name, copy direction, fault kind, ...).
     pub label: String,
-    /// Process-unique device ordinal (see [`next_device_id`]).
+    /// Device ordinal (see [`Obs::next_device_id`]).
     pub device: u64,
-    /// Process-unique queue ordinal, when the event belongs to a queue.
+    /// Queue ordinal, when the event belongs to a queue.
     pub queue: Option<u64>,
     /// Launch ordinal on the owning device.
     pub launch: Option<u64>,
@@ -84,8 +85,9 @@ pub struct TraceEvent {
     pub sim_t0_s: f64,
     /// Span end on the simulated clock (seconds).
     pub sim_t1_s: f64,
-    /// Wall-clock nanoseconds since the process trace epoch. The only
-    /// nondeterministic field; exporters mask it for reproducible output.
+    /// Wall-clock nanoseconds from the recording [`Obs`]'s first emission to
+    /// this one. The only nondeterministic field; exporters mask it for
+    /// reproducible output.
     pub wall_ns: u64,
     /// Numeric attachments (flops, bytes, attempt number, ...).
     pub meta: Vec<(&'static str, f64)>,
@@ -104,7 +106,7 @@ impl TraceEvent {
             sm: None,
             sim_t0_s: sim_t_s,
             sim_t1_s: sim_t_s,
-            wall_ns: wall_ns(),
+            wall_ns: 0,
             meta: Vec::new(),
         }
     }
@@ -161,154 +163,53 @@ pub struct BlockSpan {
     pub cycles: u64,
 }
 
-static ENABLED: AtomicBool = AtomicBool::new(false);
-static ENV_INIT: Once = Once::new();
-static DEVICE_IDS: AtomicU64 = AtomicU64::new(0);
-static QUEUE_IDS: AtomicU64 = AtomicU64::new(0);
-static SINK: Mutex<Vec<TraceEvent>> = Mutex::new(Vec::new());
-static EPOCH: OnceLock<Instant> = OnceLock::new();
-static CAPTURE_LOCK: Mutex<()> = Mutex::new(());
-
-fn init_from_env() {
-    ENV_INIT.call_once(|| {
-        if env_trace_path().is_some() {
-            ENABLED.store(true, Ordering::Relaxed);
-        }
-    });
-}
-
 /// The `ALPAKA_SIM_TRACE` output path, if set (empty value counts as unset).
+/// Setting it switches the process-default [`Obs`]'s sink on.
 pub fn env_trace_path() -> Option<String> {
     std::env::var("ALPAKA_SIM_TRACE")
         .ok()
         .filter(|s| !s.is_empty())
 }
 
-/// Is tracing on? One relaxed load after a one-time env check; emission
-/// sites call this before building any event so the disabled path stays
-/// allocation-free.
-#[inline]
-pub fn enabled() -> bool {
-    init_from_env();
-    ENABLED.load(Ordering::Relaxed)
-}
-
-/// Turn the sink on or off explicitly (overrides the env default).
-pub fn set_enabled(on: bool) {
-    init_from_env();
-    ENABLED.store(on, Ordering::Relaxed);
-}
-
-/// Should emission sites build events at all? True when either the trace
-/// sink ([`enabled`]) or the metrics flight recorder
-/// (`crate::metrics::enabled`) wants them. Two relaxed loads; still
-/// allocation-free when both are off.
-#[inline]
-pub fn active() -> bool {
-    enabled() || crate::metrics::enabled()
-}
-
-/// Nanoseconds since the process trace epoch (first trace-time query).
-pub fn wall_ns() -> u64 {
-    let epoch = EPOCH.get_or_init(Instant::now);
-    epoch.elapsed().as_nanos() as u64
-}
-
-/// Record one event: into the sink when tracing is enabled, into the
-/// metrics flight recorder when metrics are enabled (either, both, or —
-/// the fast path — neither).
-pub fn emit(ev: TraceEvent) {
-    let to_sink = enabled();
-    if crate::metrics::enabled() {
-        crate::metrics::flight_record(&ev);
-    }
-    if to_sink {
-        SINK.lock().unwrap().push(ev);
-    }
-}
-
-/// Record a batch of events in order (same routing as [`emit`]).
-pub fn emit_all(evs: impl IntoIterator<Item = TraceEvent>) {
-    let to_sink = enabled();
-    let to_flight = crate::metrics::enabled();
-    if !to_sink && !to_flight {
-        return;
-    }
-    if !to_flight {
-        SINK.lock().unwrap().extend(evs);
-        return;
-    }
-    for ev in evs {
-        crate::metrics::flight_record(&ev);
+impl Obs {
+    /// Record one event, stamped with its wall time: into the sink when
+    /// tracing is on, into the flight recorder when metrics are on (either,
+    /// both, or — the fast path — neither).
+    pub fn emit(&self, mut ev: TraceEvent) {
+        let (to_sink, to_flight) = (self.trace_enabled(), self.metrics_enabled());
+        if !to_sink && !to_flight {
+            return;
+        }
+        ev.wall_ns = self.0.epoch.get_or_init(Instant::now).elapsed().as_nanos() as u64;
+        if to_flight {
+            self.flight_record(&ev);
+        }
         if to_sink {
-            SINK.lock().unwrap().push(ev);
+            self.0.sink.lock().unwrap().push(ev);
         }
     }
-}
 
-/// Take every recorded event out of the sink.
-pub fn drain() -> Vec<TraceEvent> {
-    std::mem::take(&mut *SINK.lock().unwrap())
-}
-
-/// Number of events currently buffered.
-pub fn pending() -> usize {
-    SINK.lock().unwrap().len()
-}
-
-/// Allocate a process-unique device id (the facade calls this per `Device`).
-pub fn next_device_id() -> u64 {
-    DEVICE_IDS.fetch_add(1, Ordering::Relaxed)
-}
-
-/// Allocate a process-unique queue id (the facade calls this per `Queue`).
-pub fn next_queue_id() -> u64 {
-    QUEUE_IDS.fetch_add(1, Ordering::Relaxed)
-}
-
-/// Run `f` with tracing enabled and return its result plus every event it
-/// emitted. Serializes concurrent captures (the sink is process-global) and
-/// restores the previous enabled state, so tests can run in parallel. The
-/// device/queue id counters are reset to zero for the duration (and restored
-/// to at least their prior value after), so devices and queues created
-/// *inside* the closure get the same ids on every capture — this is what
-/// makes captured streams byte-comparable across runs.
-pub fn capture<T>(f: impl FnOnce() -> T) -> (T, Vec<TraceEvent>) {
-    let _guard = capture_guard();
-    let was = enabled();
-    let stale = drain();
-    let (saved_dev, saved_q) = save_ids_for_capture();
-    set_enabled(true);
-    let out = f();
-    let events = drain();
-    set_enabled(was);
-    restore_ids_after_capture(saved_dev, saved_q);
-    if was {
-        SINK.lock().unwrap().extend(stale);
+    /// Record a batch of events in order (same routing as [`Obs::emit`]).
+    pub fn emit_all(&self, evs: impl IntoIterator<Item = TraceEvent>) {
+        evs.into_iter().for_each(|ev| self.emit(ev));
     }
-    (out, events)
+
+    /// Take every recorded event out of the sink.
+    pub fn drain(&self) -> Vec<TraceEvent> {
+        std::mem::take(&mut *self.0.sink.lock().unwrap())
+    }
 }
 
-/// The shared capture lock, also taken by `metrics::capture` — the sink,
-/// the registry and the id counters are all process-global, so trace and
-/// metrics captures must serialize against each other.
-pub(crate) fn capture_guard() -> std::sync::MutexGuard<'static, ()> {
-    CAPTURE_LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-/// Reset the device/queue id counters to zero for a capture, returning the
-/// prior values for [`restore_ids_after_capture`].
-pub(crate) fn save_ids_for_capture() -> (u64, u64) {
-    (
-        DEVICE_IDS.swap(0, Ordering::Relaxed),
-        QUEUE_IDS.swap(0, Ordering::Relaxed),
-    )
-}
-
-/// Restore the id counters to at least their pre-capture values.
-pub(crate) fn restore_ids_after_capture(saved_dev: u64, saved_q: u64) {
-    DEVICE_IDS.fetch_max(saved_dev, Ordering::Relaxed);
-    QUEUE_IDS.fetch_max(saved_q, Ordering::Relaxed);
+/// Run `f` with a fresh, traced [`Obs`] as the calling thread's
+/// [`Obs::current`], and return its result plus every event recorded into
+/// that `Obs`. Devices, queues and pools built inside the closure record
+/// there, with ids from 0, so captured streams are byte-comparable across
+/// runs; handles built elsewhere, and other threads' launches, are not seen.
+pub fn capture<T>(f: impl FnOnce() -> T) -> (T, Vec<TraceEvent>) {
+    let obs = Obs::default();
+    obs.set_trace_enabled(true);
+    let out = obs.scope(f);
+    (out, obs.drain())
 }
 
 #[cfg(test)]
@@ -319,19 +220,17 @@ mod tests {
     fn disabled_sink_records_nothing() {
         let (_, events) = capture(|| ());
         assert!(events.is_empty());
-        // Outside capture with tracing off, emit is a no-op.
-        let before = pending();
-        if !enabled() {
-            emit(TraceEvent::new(TraceKind::Wait, "w", 0, 0.0));
-            assert_eq!(pending(), before);
-        }
+        let obs = Obs::default();
+        obs.emit(TraceEvent::new(TraceKind::Wait, "w", 0, 0.0));
+        assert!(obs.drain().is_empty());
     }
 
     #[test]
     fn capture_collects_events_in_order() {
         let ((), events) = capture(|| {
-            emit(TraceEvent::new(TraceKind::Launch, "k1", 0, 0.0).span_until(1.0));
-            emit(
+            let obs = Obs::current();
+            obs.emit(TraceEvent::new(TraceKind::Launch, "k1", 0, 0.0).span_until(1.0));
+            obs.emit(
                 TraceEvent::new(TraceKind::Copy, "h2d", 0, 1.0)
                     .on_queue(3)
                     .with("bytes", 64.0),
@@ -342,15 +241,5 @@ mod tests {
         assert_eq!(events[0].sim_dur_s(), 1.0);
         assert_eq!(events[1].queue, Some(3));
         assert_eq!(events[1].meta_get("bytes"), Some(64.0));
-    }
-
-    #[test]
-    fn ids_are_unique() {
-        let a = next_device_id();
-        let b = next_device_id();
-        assert_ne!(a, b);
-        let q1 = next_queue_id();
-        let q2 = next_queue_id();
-        assert_ne!(q1, q2);
     }
 }

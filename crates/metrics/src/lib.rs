@@ -25,7 +25,8 @@
 
 use std::fmt::Write as _;
 
-use alpaka_core::metrics::{self, HistogramSnapshot, LabelSet, MetricsCapture, MetricsSnapshot};
+use alpaka_core::metrics::{HistogramSnapshot, LabelSet, MetricsCapture, MetricsSnapshot};
+use alpaka_core::Obs;
 use alpaka_trace::esc;
 
 /// Rendering options for [`json_snapshot`].
@@ -254,7 +255,7 @@ pub fn postmortem(cap: &MetricsCapture) -> String {
         out,
         "flight recorder ({} device(s), ring capacity {}):",
         cap.flight.len(),
-        metrics::flight_capacity()
+        alpaka_core::metrics::FLIGHT_CAPACITY
     );
     for (dev, ring) in &cap.flight {
         let _ = writeln!(out, "  device {dev}: last {} event(s)", ring.len());
@@ -267,17 +268,6 @@ pub fn postmortem(cap: &MetricsCapture) -> String {
     out
 }
 
-/// Collect the live registry + flight recorder + failure notes into a
-/// [`MetricsCapture`] without resetting anything (unlike
-/// `metrics::capture`, which scopes and restores).
-pub fn capture_live() -> MetricsCapture {
-    MetricsCapture {
-        snapshot: metrics::snapshot(),
-        flight: metrics::flight_snapshot(),
-        failures: metrics::failures(),
-    }
-}
-
 /// File-writing front end driven by `ALPAKA_SIM_METRICS=<base>`: writes
 /// `<base>.prom` (Prometheus text) and `<base>.json` (masked JSON
 /// snapshot) on every flush, plus `<base>.postmortem.txt` whenever any
@@ -285,6 +275,7 @@ pub fn capture_live() -> MetricsCapture {
 #[derive(Debug)]
 pub struct MetricsHub {
     base: std::path::PathBuf,
+    obs: Obs,
 }
 
 impl MetricsHub {
@@ -292,14 +283,19 @@ impl MetricsHub {
     /// variable is unset or empty (recording is then disabled too, unless
     /// something enabled it explicitly).
     pub fn from_env() -> Option<MetricsHub> {
-        metrics::env_metrics_path().map(MetricsHub::new)
+        alpaka_core::metrics::env_metrics_path().map(MetricsHub::new)
     }
 
-    /// A hub writing to `<base>.prom` / `.json` / `.postmortem.txt`,
-    /// enabling the global registry as a side effect.
+    /// A hub writing to `<base>.prom` / `.json` / `.postmortem.txt` what
+    /// is recorded into [`Obs::current`], switching its registry on as a
+    /// side effect.
     pub fn new(base: impl Into<std::path::PathBuf>) -> MetricsHub {
-        metrics::set_enabled(true);
-        MetricsHub { base: base.into() }
+        let obs = Obs::current();
+        obs.set_metrics_enabled(true);
+        MetricsHub {
+            base: base.into(),
+            obs,
+        }
     }
 
     pub fn base(&self) -> &std::path::Path {
@@ -309,7 +305,7 @@ impl MetricsHub {
     /// Write the export files and return the paths written (the
     /// post-mortem only when failures were recorded).
     pub fn flush(&self) -> std::io::Result<Vec<std::path::PathBuf>> {
-        let cap = capture_live();
+        let cap = self.obs.metrics_capture();
         let ext = |e: &str| {
             let mut p = self.base.clone().into_os_string();
             p.push(e);
@@ -332,20 +328,21 @@ impl MetricsHub {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use alpaka_core::metrics::{counter_add, gauge_set, observe, COUNT_BUCKETS};
+    use alpaka_core::metrics::{self, COUNT_BUCKETS};
     use alpaka_trace::validate_json;
 
     fn sample_capture() -> MetricsCapture {
         let ((), cap) = metrics::capture(|| {
-            counter_add("alpaka_launches_total", &[("kernel", "daxpy")], 3);
-            counter_add("alpaka_launches_total", &[("kernel", "dgemm")], 1);
-            gauge_set("alpaka_sim_cache_hits", &[("cache", "lowering")], 5.0);
+            let obs = Obs::current();
+            obs.counter_add("alpaka_launches_total", &[("kernel", "daxpy")], 3);
+            obs.counter_add("alpaka_launches_total", &[("kernel", "dgemm")], 1);
+            obs.gauge_set("alpaka_sim_cache_hits", &[("cache", "lowering")], 5.0);
             for v in [1e-4, 2e-4, 3e-4, 4e-4] {
-                observe("alpaka_launch_seconds", &[("kernel", "daxpy")], v);
+                obs.observe("alpaka_launch_seconds", &[("kernel", "daxpy")], v);
             }
-            metrics::observe_in("alpaka_pool_shard_attempts", &[], COUNT_BUCKETS, 2.0);
-            metrics::note_failure("ecc", "daxpy on sim_k20: ecc event at block (1,0,0)");
-            alpaka_core::trace::emit(alpaka_core::trace::TraceEvent::new(
+            obs.observe_in("alpaka_pool_shard_attempts", &[], COUNT_BUCKETS, 2.0);
+            obs.note_failure("ecc", "daxpy on sim_k20: ecc event at block (1,0,0)");
+            obs.emit(alpaka_core::trace::TraceEvent::new(
                 alpaka_core::trace::TraceKind::Launch,
                 "daxpy",
                 0,
@@ -409,7 +406,7 @@ mod tests {
     fn json_snapshot_escapes_hostile_labels() {
         let ((), cap) = metrics::capture(|| {
             let hostile = "bad \"quote\" \\ and \n newline \u{1} ctrl \u{7f} del";
-            counter_add("x_total", &[("k", hostile)], 1);
+            Obs::current().counter_add("x_total", &[("k", hostile)], 1);
         });
         let json = json_snapshot(&cap.snapshot, &JsonOpts::default());
         validate_json(&json).unwrap_or_else(|e| panic!("{e}\n{json}"));
@@ -453,11 +450,11 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("alpaka_metrics_hub_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let ((), _cap) = metrics::capture(|| {
-            counter_add("x_total", &[], 1);
+            Obs::current().counter_add("x_total", &[], 1);
             let hub = MetricsHub::new(dir.join("m"));
             let written = hub.flush().unwrap();
             assert_eq!(written.len(), 2, "no postmortem without failures");
-            metrics::note_failure("test", "boom");
+            Obs::current().note_failure("test", "boom");
             let written = hub.flush().unwrap();
             assert_eq!(written.len(), 3);
             for p in &written {

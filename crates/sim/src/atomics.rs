@@ -39,7 +39,7 @@ use std::sync::Arc;
 
 use alpaka_kir::ir::AtomicOp;
 use alpaka_kir::semantics as sem;
-use alpaka_kir::{AtomicsSummary, NonReducibleReason, Program};
+use alpaka_kir::{AtomicsSummary, Program};
 
 use crate::interp::SimArgs;
 use crate::memory::DeviceMem;
@@ -293,15 +293,5 @@ pub(crate) fn apply_deferred(
             let cell = &mut mem.i_mut(h)[e.idx as usize];
             *cell = sem::atomic_i(e.op, *cell, e.bits as i64);
         }
-    }
-}
-
-/// Human-readable reason string for `FallbackReason::AtomicsNonReducible`
-/// diagnostics in tests and docs.
-pub fn non_reducible_reason_str(r: NonReducibleReason) -> &'static str {
-    match r {
-        NonReducibleReason::NonCommutativeOp => "non-commutative atomic op",
-        NonReducibleReason::ResultObserved => "atomic result observed",
-        NonReducibleReason::TargetAccessed => "atomic target accessed non-atomically",
     }
 }

@@ -36,6 +36,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use alpaka_core::acc::DeviceKind;
+use alpaka_core::obs::Obs;
 use alpaka_core::pool::run_team;
 use alpaka_core::trace::BlockSpan;
 use alpaka_core::vec::Vecn;
@@ -121,11 +122,12 @@ pub struct SimReport {
     pub sampled: bool,
     /// Host-side interpreter throughput (wall clock, not simulated time).
     pub host: HostPerf,
-    /// Per-instruction hot-spot profile; present only when tracing is
-    /// enabled (`alpaka_core::trace`). Never scaled by block sampling.
+    /// Per-instruction hot-spot profile; present only when the launch was
+    /// traced (its launcher's `Obs` had the trace sink on). Never scaled by
+    /// block sampling.
     pub profile: Option<KernelProfile>,
     /// Per-block issue-cycle spans (block-linear order); present only when
-    /// tracing is enabled. Never scaled by block sampling.
+    /// the launch was traced. Never scaled by block sampling.
     pub spans: Vec<BlockSpan>,
     /// Process-wide cumulative hit/miss counters of the program cache's
     /// lowered forms, snapshotted when this launch finished.
@@ -1948,7 +1950,7 @@ fn interpret_blocks(
 /// Interpret a launch of `prog` with work division `wd` on a device
 /// described by `spec`, memory `mem` and argument bindings `args`.
 ///
-/// Runs on `spec.sim_threads` interpreter threads (overridable via the
+/// Runs on one interpreter thread (overridable via the
 /// `ALPAKA_SIM_THREADS` environment variable); see
 /// [`run_kernel_launch_threads`] for the exact parallel-execution rules.
 pub fn run_kernel_launch(
@@ -1959,15 +1961,7 @@ pub fn run_kernel_launch(
     args: &SimArgs,
     mode: ExecMode,
 ) -> Result<SimReport, SimError> {
-    run_kernel_launch_threads(
-        spec,
-        mem,
-        prog,
-        wd,
-        args,
-        mode,
-        resolve_sim_threads(spec.sim_threads),
-    )
+    run_kernel_launch_threads(spec, mem, prog, wd, args, mode, resolve_sim_threads(1))
 }
 
 /// One worker's outcome: merged stats, or the failing block's linear index
@@ -2038,7 +2032,9 @@ pub fn run_kernel_launch_engine(
 /// [`run_kernel_launch_engine`] with per-launch fault injection: the entry
 /// point for a bare `&Program`, whose [`Prepared`] form the compiled engine
 /// keeps in the process-wide program cache (the oracle needs none kept).
-/// Every other launch function delegates here with `faults: None`.
+/// Every other launch function delegates here with `faults: None`. A bare
+/// launch belongs to no device, so it is traced when the calling thread's
+/// [`Obs::current`] has its trace sink on.
 #[allow(clippy::too_many_arguments)]
 pub fn run_kernel_launch_faulty(
     spec: &DeviceSpec,
@@ -2062,13 +2058,18 @@ pub fn run_kernel_launch_faulty(
             &fresh
         }
     };
-    prepared.launch(spec, mem, prog, wd, args, mode, threads, engine, faults)
+    let traced = Obs::current().trace_enabled();
+    prepared.launch(
+        spec, mem, prog, wd, args, mode, threads, engine, faults, traced,
+    )
 }
 
 impl Prepared {
     /// The one launch function: run `prog`, the program this handle was made
     /// from, on what the handle holds. The simulated device calls this for
     /// its compiled kernels; [`run_kernel_launch_faulty`] finds a handle first.
+    /// `traced` (the launcher's trace switch) runs the lowered tier and
+    /// builds the per-instruction profile and the block spans.
     #[allow(clippy::too_many_arguments)]
     pub fn launch(
         &self,
@@ -2081,6 +2082,7 @@ impl Prepared {
         threads: usize,
         engine: Engine,
         faults: Option<LaunchFaults>,
+        traced: bool,
     ) -> Result<SimReport, SimError> {
         let host_t0 = Instant::now();
         // `DeviceSpec`'s fields are public: the access models shift by
@@ -2133,7 +2135,6 @@ impl Prepared {
         // tier follows from the work division), the launch is untraced (the
         // lowered tier's per-instruction replay is what trace and profile
         // streams are made of) and some loop of the program fused.
-        let traced = alpaka_core::trace::enabled();
         let tier = match engine {
             Engine::Reference => {
                 crate::lower::check_ir(prog)?;

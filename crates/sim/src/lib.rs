@@ -17,32 +17,33 @@
 //! See `DESIGN.md` for why this substitution preserves the behaviours the
 //! paper's evaluation measures.
 
-pub mod atomics;
-pub mod cache;
-pub mod compile;
-pub mod fault;
-pub mod interp;
+mod atomics;
+mod cache;
+mod compile;
+mod fault;
+mod interp;
 mod lanes;
-pub mod lower;
-pub mod memory;
-pub mod metrics;
-pub mod profile;
-pub mod spec;
-pub mod stats;
+mod lower;
+mod memory;
+mod metrics;
+mod profile;
+mod spec;
+mod stats;
 
-pub use atomics::{non_reducible_reason_str, FallbackReason};
+pub use atomics::FallbackReason;
 pub use cache::CacheSim;
-pub use fault::{EccCtx, FaultPlan, SimError, SimErrorKind};
+pub use fault::{FaultPlan, SimError, SimErrorKind};
 pub use interp::{
     resolve_sim_threads, run_kernel_launch, run_kernel_launch_engine, run_kernel_launch_faulty,
     run_kernel_launch_threads, AttemptRecord, Engine, ExecMode, HostPerf, LaunchFaults,
     ResilienceInfo, SimArgs, SimReport,
 };
 pub use lower::{lower, CacheCounters, Prepared, WarpProgram};
-pub use memory::{DeviceMem, SharedMem, SimBufF, SimBufI};
-pub use profile::{InstrCounters, KernelProfile, Numbering};
-pub use spec::{CacheScope, DeviceSpec};
-pub use stats::{estimate_time, transfer_time, LaunchStats, TimeBreakdown};
+pub use memory::{DeviceMem, SimBufF, SimBufI};
+pub use metrics::record_launch;
+pub use profile::KernelProfile;
+pub use spec::DeviceSpec;
+pub use stats::{transfer_time, LaunchStats, TimeBreakdown};
 
 #[cfg(test)]
 mod tests {

@@ -1,5 +1,5 @@
 //! Stats→metrics bridge: fold one completed [`SimReport`] into the
-//! process-global deterministic registry (`alpaka_core::metrics`).
+//! deterministic registry of an [`Obs`] (`alpaka_core::metrics`).
 //!
 //! Everything recorded here comes from the simulated cost model
 //! (`LaunchStats`, `TimeBreakdown`), so the resulting snapshot is
@@ -11,13 +11,14 @@
 //! family. `HostPerf` (wall-clock interpreter throughput) is never
 //! recorded.
 
-use alpaka_core::metrics::{self, RATE_BUCKETS};
+use alpaka_core::metrics::RATE_BUCKETS;
+use alpaka_core::obs::Obs;
 
 use crate::atomics::FallbackReason;
 use crate::interp::SimReport;
 
 /// Stable lowercase name of a fallback reason (for metric labels).
-pub fn fallback_reason_name(r: FallbackReason) -> &'static str {
+fn fallback_reason_name(r: FallbackReason) -> &'static str {
     match r {
         FallbackReason::None => "none",
         FallbackReason::SharedCacheScope => "shared_cache_scope",
@@ -25,23 +26,24 @@ pub fn fallback_reason_name(r: FallbackReason) -> &'static str {
     }
 }
 
-/// Record one completed launch (no-op when metrics are disabled). `kernel`
-/// is the kernel name used as the metric label; callers on the launch path
-/// (`alpaka::Queue::enqueue_kernel`, `Device::launch`, pool shards) invoke
-/// this once per successful `SimReport`.
-pub fn record_launch(kernel: &str, report: &SimReport) {
-    if !metrics::enabled() {
+/// Record one completed launch into `obs` (no-op when its metrics are
+/// disabled). `kernel` is the kernel name used as the metric label; the
+/// facade's one emitter of launch events (`alpaka::queue::run_sim_traced`,
+/// under queued and direct launches) calls this once per successful
+/// `SimReport`, with the launching device's `Obs`.
+pub fn record_launch(obs: &Obs, kernel: &str, report: &SimReport) {
+    if !obs.metrics_enabled() {
         return;
     }
     let labels = &[("kernel", kernel)];
     let s = &report.stats;
-    metrics::counter_add("alpaka_launches_total", labels, 1);
-    metrics::counter_add("alpaka_launch_blocks_total", labels, s.blocks);
-    metrics::counter_add("alpaka_launch_flops_total", labels, s.total_flops());
-    metrics::counter_add("alpaka_launch_dram_bytes_total", labels, s.dram_bytes);
-    metrics::observe("alpaka_launch_seconds", labels, report.time.total_s);
+    obs.counter_add("alpaka_launches_total", labels, 1);
+    obs.counter_add("alpaka_launch_blocks_total", labels, s.blocks);
+    obs.counter_add("alpaka_launch_flops_total", labels, s.total_flops());
+    obs.counter_add("alpaka_launch_dram_bytes_total", labels, s.dram_bytes);
+    obs.observe("alpaka_launch_seconds", labels, report.time.total_s);
     if report.time.total_s > 0.0 {
-        metrics::observe_in(
+        obs.observe_in(
             "alpaka_launch_blocks_per_second",
             labels,
             RATE_BUCKETS,
@@ -49,10 +51,10 @@ pub fn record_launch(kernel: &str, report: &SimReport) {
         );
     }
     if report.sampled {
-        metrics::counter_add("alpaka_launch_sampled_total", labels, 1);
+        obs.counter_add("alpaka_launch_sampled_total", labels, 1);
     }
     if report.fallback != FallbackReason::None {
-        metrics::counter_add(
+        obs.counter_add(
             "alpaka_launch_fallback_total",
             &[
                 ("kernel", kernel),
@@ -64,22 +66,22 @@ pub fn record_launch(kernel: &str, report: &SimReport) {
     // Process-cumulative and engine-dependent: masked by parity tests.
     let lc = &report.lowering_cache;
     let cc = &report.compile_cache;
-    metrics::gauge_set(
+    obs.gauge_set(
         "alpaka_sim_cache_hits",
         &[("cache", "lowering")],
         lc.hits as f64,
     );
-    metrics::gauge_set(
+    obs.gauge_set(
         "alpaka_sim_cache_misses",
         &[("cache", "lowering")],
         lc.misses as f64,
     );
-    metrics::gauge_set(
+    obs.gauge_set(
         "alpaka_sim_cache_hits",
         &[("cache", "compiled")],
         cc.hits as f64,
     );
-    metrics::gauge_set(
+    obs.gauge_set(
         "alpaka_sim_cache_misses",
         &[("cache", "compiled")],
         cc.misses as f64,
@@ -100,7 +102,7 @@ mod tests {
         report.stats.dram_bytes = 4096;
         report.time.total_s = 2e-4;
         report.fallback = FallbackReason::AtomicsNonReducible;
-        let ((), cap) = capture(|| record_launch("daxpy", &report));
+        let ((), cap) = capture(|| record_launch(&Obs::current(), "daxpy", &report));
         let snap = &cap.snapshot;
         assert_eq!(snap.counter_total("alpaka_launches_total"), 1);
         assert_eq!(snap.counter_total("alpaka_launch_blocks_total"), 8);
@@ -115,11 +117,8 @@ mod tests {
 
     #[test]
     fn bridge_is_noop_when_disabled() {
-        if alpaka_core::metrics::enabled() {
-            return; // ambient ALPAKA_SIM_METRICS run
-        }
-        let before = alpaka_core::metrics::snapshot();
-        record_launch("daxpy", &SimReport::default());
-        assert_eq!(alpaka_core::metrics::snapshot(), before);
+        let obs = Obs::default();
+        record_launch(&obs, "daxpy", &SimReport::default());
+        assert!(obs.snapshot().is_empty());
     }
 }

@@ -1,8 +1,8 @@
 //! Per-instruction hot-spot profiling.
 //!
-//! When tracing is enabled (`alpaka_core::trace::enabled()`), both engines
-//! attribute every counter they charge to the *source KIR statement* that
-//! caused it, keyed by a canonical instruction index. The index is the
+//! When a launch is traced (its launcher's `Obs` has the sink on), both
+//! engines attribute every counter they charge to the *source KIR statement*
+//! that caused it, keyed by a canonical instruction index. The index is the
 //! pre-order position of the statement in the program tree ([`Numbering`]),
 //! which the compiled engine reproduces independently during lowering — so
 //! the two engines (and any `ALPAKA_SIM_THREADS` team size) produce

@@ -56,11 +56,6 @@ pub struct DeviceSpec {
     /// Host<->device copy bandwidth in GB/s and latency in microseconds.
     pub transfer_bw_gbs: f64,
     pub transfer_latency_us: f64,
-    /// Host worker threads used to interpret blocks in parallel (1 = the
-    /// exact serial path). Overridable per process via the
-    /// `ALPAKA_SIM_THREADS` environment variable; see
-    /// `alpaka_sim::resolve_sim_threads`.
-    pub sim_threads: usize,
 }
 
 impl DeviceSpec {
@@ -91,7 +86,6 @@ impl DeviceSpec {
             launch_overhead_us: 5.0,
             transfer_bw_gbs: 6.0,
             transfer_latency_us: 10.0,
-            sim_threads: 1,
         }
     }
 
@@ -118,7 +112,6 @@ impl DeviceSpec {
             launch_overhead_us: 5.0,
             transfer_bw_gbs: 6.0,
             transfer_latency_us: 10.0,
-            sim_threads: 1,
         }
     }
 
@@ -145,7 +138,6 @@ impl DeviceSpec {
             launch_overhead_us: 1.0,
             transfer_bw_gbs: 30.0,
             transfer_latency_us: 0.5,
-            sim_threads: 1,
         }
     }
 
@@ -173,7 +165,6 @@ impl DeviceSpec {
             launch_overhead_us: 1.0,
             transfer_bw_gbs: 30.0,
             transfer_latency_us: 0.5,
-            sim_threads: 1,
         }
     }
 
@@ -201,7 +192,6 @@ impl DeviceSpec {
             launch_overhead_us: 1.0,
             transfer_bw_gbs: 20.0,
             transfer_latency_us: 0.5,
-            sim_threads: 1,
         }
     }
 
@@ -230,7 +220,6 @@ impl DeviceSpec {
             launch_overhead_us: 2.0,
             transfer_bw_gbs: 6.0,
             transfer_latency_us: 10.0,
-            sim_threads: 1,
         }
     }
 

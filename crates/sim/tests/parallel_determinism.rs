@@ -887,23 +887,6 @@ proptest! {
     }
 }
 
-#[test]
-fn env_var_override_of_one_matches_serial() {
-    // This is the only test in this binary that touches the process
-    // environment; everything else passes thread counts explicitly.
-    let spec = DeviceSpec::e5_2630v3();
-    std::env::set_var("ALPAKA_SIM_THREADS", "1");
-    assert_eq!(resolve_sim_threads(8), 1);
-    std::env::set_var("ALPAKA_SIM_THREADS", "6");
-    assert_eq!(resolve_sim_threads(1), 6);
-    std::env::set_var("ALPAKA_SIM_THREADS", "not-a-number");
-    assert_eq!(resolve_sim_threads(3), 3);
-    std::env::set_var("ALPAKA_SIM_THREADS", "0");
-    assert_eq!(resolve_sim_threads(3), 3);
-    std::env::remove_var("ALPAKA_SIM_THREADS");
-    assert_eq!(resolve_sim_threads(spec.sim_threads), 1);
-}
-
 // ---------------------------------------------------------------------------
 // Lane kernels and guarded fusion vs. the reference engine
 // ---------------------------------------------------------------------------
@@ -932,8 +915,8 @@ fn outcome(
     (mut mem, args): (DeviceMem, SimArgs),
     engine: Engine,
     faults: Option<LaunchFaults>,
+    threads: usize,
 ) -> Outcome {
-    let threads = resolve_sim_threads(1);
     run_kernel_launch_faulty(
         spec,
         &mut mem,
@@ -960,17 +943,18 @@ fn outcome(
 }
 
 /// The compiled engine must reproduce the reference engine's outcome
-/// exactly. Returns it.
+/// exactly, on `threads` interpreter threads. Returns it.
 fn assert_outcomes_agree(
     spec: &DeviceSpec,
     prog: &Program,
     wd: &WorkDiv,
     setup: impl Fn() -> (DeviceMem, SimArgs),
     faults: Option<LaunchFaults>,
+    threads: usize,
     what: &str,
 ) -> Outcome {
-    let want = outcome(spec, prog, wd, setup(), Engine::Reference, faults);
-    let got = outcome(spec, prog, wd, setup(), Engine::Compiled, faults);
+    let want = outcome(spec, prog, wd, setup(), Engine::Reference, faults, threads);
+    let got = outcome(spec, prog, wd, setup(), Engine::Compiled, faults, threads);
     assert_eq!(
         want, got,
         "{what}: the compiled engine diverged from the reference engine"
@@ -1011,9 +995,11 @@ fn a_spec_the_models_cannot_divide_by_is_rejected() {
         ),
         ("sms", DeviceSpec { sms: 0, ..k20() }),
     ];
+    let threads = resolve_sim_threads(1);
     for (field, spec) in bad {
         for engine in [Engine::Reference, Engine::Compiled] {
-            let err = outcome(&spec, &prog, &wd, daxpy_setup(256), engine, None).unwrap_err();
+            let err = outcome(&spec, &prog, &wd, daxpy_setup(256), engine, None, threads);
+            let err = err.unwrap_err();
             let names = err.contains(&spec.name) && err.contains(&format!("`{field}`"));
             assert!(names, "{field} under {engine:?}: {err}");
         }
@@ -1584,7 +1570,8 @@ fn lane_mem_case(
     });
     let what = format!("{} {wd:?} {case:?} ecc={ecc}", spec.name);
     let setup = || lane_mem_setup(case, seed);
-    let got = assert_outcomes_agree(spec, prog, wd, setup, faults, &what);
+    let threads = resolve_sim_threads(1);
+    let got = assert_outcomes_agree(spec, prog, wd, setup, faults, threads, &what);
     if ecc {
         return;
     }
@@ -1669,6 +1656,7 @@ proptest! {
                 &wd,
                 || op_setup(lanes, shift, &seed),
                 None,
+                resolve_sim_threads(1),
                 &alpaka_kir::print_program(&prog),
             );
             // In bounds nothing faults; shifted by a whole block every
@@ -1696,7 +1684,12 @@ fn guarded_daxpy(
         args.params_i = vec![n];
         (mem, args)
     };
-    assert_outcomes_agree(&DeviceSpec::e5_2630v3(), &prog, &wd, with_n, faults, what)
+    // A watchdog budget is per interpreter thread: the fuel levels tested
+    // are budgets of the whole launch, so a watched launch runs serially.
+    let watched = faults.is_some_and(|f| f.watchdog_fuel.is_some());
+    let threads = if watched { 1 } else { resolve_sim_threads(1) };
+    let spec = DeviceSpec::e5_2630v3();
+    assert_outcomes_agree(&spec, &prog, &wd, with_n, faults, threads, what)
 }
 
 #[test]
@@ -1797,7 +1790,7 @@ impl Kernel for March {
             p[0]
         };
         let (k, acc) = (o.var_i(start), o.var_f(zero_f));
-        let mut march = |o: &mut O, e: O::I| {
+        let march = |o: &mut O, e: O::I| {
             o.vset_i(k, start);
             o.while_(
                 |o| {
@@ -1867,7 +1860,9 @@ fn while_fusion_matches_the_oracle() {
             (mem, args)
         };
         let what = format!("{around:?} varying={varying} {p:?} {faults:?}");
-        assert_outcomes_agree(&spec, &prog, &wd, setup, faults, &what)
+        // Serially: both blocks store to the same elements of `y`, a race
+        // once they run on separate threads.
+        assert_outcomes_agree(&spec, &prog, &wd, setup, faults, 1, &what)
     };
     let all = [Around::Nothing, Around::For, Around::ForVec, Around::While];
     // 40 trips in block 0 and 43 in block 1, the guard taken every other.
@@ -2092,7 +2087,8 @@ fn affine_streams_match_the_oracle() {
             (mem, args)
         };
         let what = format!("{wrap:?} {body:?} {p:?}");
-        assert_outcomes_agree(&spec, &prog, &wd, setup, faults, &what)
+        let threads = resolve_sim_threads(1);
+        assert_outcomes_agree(&spec, &prog, &wd, setup, faults, threads, &what)
     };
     let ok = |wrap, p: Params| {
         let got = run(wrap, Body::Spaces, p, None, 2);
@@ -2281,7 +2277,8 @@ fn finished_lane_next_to_i64_max_stays_out_of_the_loop() {
         };
         (mem, args)
     };
-    let got = assert_outcomes_agree(&DeviceSpec::k20(), &prog, &wd, setup, None, "trips");
+    let (k20, threads) = (DeviceSpec::k20(), resolve_sim_threads(1));
+    let got = assert_outcomes_agree(&k20, &prog, &wd, setup, None, threads, "trips");
     let want = vec![i64::MAX as u64 - 1, 499_500];
     assert_eq!(got.unwrap().2, vec![want.clone()]);
 

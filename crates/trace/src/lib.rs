@@ -20,7 +20,8 @@
 
 use std::fmt::Write as _;
 
-use alpaka_core::trace::{drain, TraceEvent, TraceKind};
+use alpaka_core::trace::{TraceEvent, TraceKind};
+use alpaka_core::Obs;
 
 mod json;
 
@@ -338,12 +339,14 @@ pub fn roofline_csv(events: &[TraceEvent]) -> String {
 
 /// File-writing front end for the exporters, driven by the
 /// `ALPAKA_SIM_TRACE=<path>` environment variable (see
-/// `alpaka_core::trace`): collects the globally recorded events and writes
-/// `<path>.chrome.json`, `<path>.txt` and `<path>.roofline.csv`.
+/// `alpaka_core::trace`): collects the events recorded into the [`Obs`] it
+/// was made under and writes `<path>.chrome.json`, `<path>.txt` and
+/// `<path>.roofline.csv`.
 #[derive(Debug)]
 pub struct Tracer {
     base: std::path::PathBuf,
     events: Vec<TraceEvent>,
+    obs: Obs,
 }
 
 impl Tracer {
@@ -354,18 +357,20 @@ impl Tracer {
     }
 
     /// A tracer writing to `<base>.chrome.json` / `.txt` / `.roofline.csv`,
-    /// enabling global event recording as a side effect.
+    /// switching the sink of [`Obs::current`] on as a side effect.
     pub fn new(base: impl Into<std::path::PathBuf>) -> Tracer {
-        alpaka_core::trace::set_enabled(true);
+        let obs = Obs::current();
+        obs.set_trace_enabled(true);
         Tracer {
             base: base.into(),
             events: Vec::new(),
+            obs,
         }
     }
 
     /// Pull everything recorded since the last collect into this tracer.
     pub fn collect(&mut self) {
-        self.events.extend(drain());
+        self.events.extend(self.obs.drain());
     }
 
     /// The events collected so far.

@@ -21,12 +21,12 @@
 //! identical post-mortems — CI diffs them).
 
 use alpaka::{
-    launch_resilient, metrics, resilience_report, AccKind, Args, BufLayout, Device, DevicePool,
-    FallbackChain, FaultPlan, LaunchSpec, Queue, QueueBehavior, RetryPolicy, WorkDivSpec,
+    launch_resilient, resilience_report, AccKind, Args, BufLayout, Device, DevicePool,
+    FallbackChain, FaultPlan, LaunchSpec, Obs, Queue, QueueBehavior, RetryPolicy, WorkDivSpec,
 };
 use alpaka_kernels::host::{random_matrix, random_vec};
 use alpaka_kernels::{DaxpyKernel, DgemmTiled};
-use alpaka_metrics::{capture_live, postmortem, prometheus_text, MetricsHub};
+use alpaka_metrics::{postmortem, prometheus_text, MetricsHub};
 use alpaka_sim::ResilienceInfo;
 
 fn daxpy_spec(n: usize) -> LaunchSpec<DaxpyKernel> {
@@ -121,7 +121,7 @@ fn main() {
     let hub = MetricsHub::from_env();
     if hub.is_none() {
         // No export requested: still record, for the in-process report.
-        metrics::set_enabled(true);
+        Obs::current().set_metrics_enabled(true);
     }
 
     run_queued_kernels();
@@ -129,7 +129,7 @@ fn main() {
     let pool_health = run_pool();
     let chaos = run_env_chaos();
 
-    let cap = capture_live();
+    let cap = Obs::current().metrics_capture();
     let snap = &cap.snapshot;
 
     println!("=== sim-top ===");

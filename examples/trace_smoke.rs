@@ -14,7 +14,7 @@
 //! ```
 
 use alpaka::{
-    trace, validate_json, AccKind, Args, BufLayout, Device, Queue, QueueBehavior, SimReport, Tracer,
+    validate_json, AccKind, Args, BufLayout, Device, Obs, Queue, QueueBehavior, SimReport, Tracer,
 };
 use alpaka_kernels::host::{dgemm_ref, random_matrix, rel_err};
 use alpaka_kernels::DgemmTiled;
@@ -86,7 +86,8 @@ fn main() {
         }
         None => {
             let report = run_dgemm();
-            assert_eq!(trace::pending(), 0, "untraced run must record no events");
+            let events = Obs::current().drain();
+            assert!(events.is_empty(), "untraced run must record no events");
             assert!(
                 report.profile.is_none(),
                 "untraced run must not collect a profile"

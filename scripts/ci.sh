@@ -73,6 +73,15 @@ if grep -rnE 'criterion|BENCH_sim|bench\.sh|check_bench_json' \
   exit 1
 fi
 
+echo "== observability is owned, not global =="
+# Each device owns its trace sink, registry and id counters (alpaka_core::obs):
+# captures take no lock and reset no ids, and tests run in parallel.
+if grep -rnE 'CAPTURE_LOCK|capture_guard|save_ids_for_capture|restore_ids_after_capture|test-threads=1' \
+  crates tests examples scripts | grep -v '^scripts/ci.sh:.*grep -rnE'; then
+  echo "a trace/metrics global, its capture protocol or a serialised test lane is back (matches above)"
+  exit 1
+fi
+
 echo "== cargo clippy (all targets, warnings are errors) =="
 cargo clippy --all-targets -- -D warnings
 
@@ -83,11 +92,7 @@ echo "== tier-1: tests =="
 cargo test -q
 
 echo "== workspace tests =="
-# One test at a time: the trace sink, the metrics registry and the id
-# counters are process globals (ROADMAP, quality of design), so a unit test
-# that captures or checks them (alpaka::queue, alpaka::resilient) must not
-# overlap a launch in a neighbouring test of the same binary.
-cargo test -q --workspace -- --test-threads=1
+cargo test -q --workspace
 
 echo "== abandoned block barriers fault in bounded time =="
 # A thread that panics, or finishes its kernel while its siblings wait at
@@ -109,7 +114,7 @@ echo "== AddressSanitizer over the workspace's unit and integration tests =="
 # links them without the sanitizer runtime.
 RUSTFLAGS="-Zsanitizer=address -Cunsafe-allow-abi-mismatch=sanitizer" \
   cargo +nightly test -q --target x86_64-unknown-linux-gnu \
-  --workspace --lib --tests -- --test-threads=1
+  --workspace --lib --tests
 
 echo "== engine-parity, atomics and fault suites under ALPAKA_SIM_THREADS=1 and =4 =="
 # The reference and compiled engines must agree bit-for-bit (the compiled

@@ -9,7 +9,7 @@ mod zoo;
 
 use std::sync::{Mutex, MutexGuard};
 
-use alpaka::{AccKind, Args, Device, WorkDiv};
+use alpaka::{AccKind, Args, Device, Obs, WorkDiv};
 use alpaka_accsim::{SimBufferF, SimBufferI, SimDevice, SimLaunchArgs};
 use alpaka_core::buffer::{BufLayout, HostBuf};
 use alpaka_core::kernel::Kernel;
@@ -416,7 +416,8 @@ fn fault_plan_ordinals_do_not_see_the_memo() {
 #[test]
 fn tracing_turned_on_after_a_hit_runs_the_lowered_tier() {
     let _g = serial();
-    let dev = SimDevice::with_threads(DeviceSpec::e5_2630v3(), 1);
+    let obs = Obs::default();
+    let dev = obs.scope(|| SimDevice::with_threads(DeviceSpec::e5_2630v3(), 1));
     let n = 512usize;
     let x = dev.alloc_f64(BufLayout::d1(n));
     let y = dev.alloc_f64(BufLayout::d1(n));
@@ -435,7 +436,9 @@ fn tracing_turned_on_after_a_hit_runs_the_lowered_tier() {
     let hit = run();
     assert!(hit.profile.is_none());
     assert_eq!(delta(hit.compile_cache, first.compile_cache), (1, 0));
-    let (traced, _events) = alpaka_core::trace::capture(run);
+    obs.set_trace_enabled(true);
+    let traced = run();
+    obs.set_trace_enabled(false);
     assert!(traced.profile.is_some() && !traced.spans.is_empty());
     assert_eq!(delta(traced.compile_cache, hit.compile_cache), (0, 0));
     assert_eq!(delta(traced.lowering_cache, hit.lowering_cache), (1, 0));

@@ -29,7 +29,8 @@ use alpaka_metrics::{
 use alpaka_trace::validate_json;
 
 /// One full workload at a matrix point. Runs inside `metrics::capture`, so
-/// the registry, flight recorder and id counters are scoped and reset.
+/// its devices record into a fresh registry and flight recorder, with ids
+/// from 0.
 fn run_workload(workers: usize, engine: Engine, pool_size: usize) -> MetricsCapture {
     let ((), cap) = metrics::capture(|| {
         // 1. Queued daxpy on the K20 spec.
@@ -116,14 +117,6 @@ fn daxpy_spec(n: usize) -> LaunchSpec<DaxpyKernel> {
         .scalar_i(n as i64)
 }
 
-/// The registry, the flight recorder and the enabled switch are process
-/// globals: a capture in one test would fill what another test expects to
-/// stay empty. So the tests of this file take turns.
-fn serial() -> std::sync::MutexGuard<'static, ()> {
-    static TURN: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    TURN.lock().unwrap_or_else(|e| e.into_inner())
-}
-
 /// Both exports, engine-dependent families stripped, concatenated for one
 /// byte comparison.
 fn render(cap: &MetricsCapture) -> String {
@@ -137,7 +130,6 @@ fn render(cap: &MetricsCapture) -> String {
 
 #[test]
 fn snapshots_are_byte_identical_across_workers_engines_and_pool_sizes() {
-    let _turn = serial();
     let reference = render(&run_workload(1, Engine::Compiled, 1));
     assert!(
         reference.contains("alpaka_launches_total"),
@@ -174,7 +166,6 @@ fn snapshots_are_byte_identical_across_workers_engines_and_pool_sizes() {
 
 #[test]
 fn workload_records_expected_families() {
-    let _turn = serial();
     let cap = run_workload(2, Engine::Compiled, 2);
     let snap = &cap.snapshot;
     // Two queue launches + one resilient retry pair + 8 pool shards worth
@@ -215,7 +206,6 @@ fn run_chaos(engine: Engine) -> MetricsCapture {
 
 #[test]
 fn postmortem_is_deterministic_across_engines_and_reruns() {
-    let _turn = serial();
     let reference = postmortem(&run_chaos(Engine::Compiled));
     assert!(reference.contains("launch failure(s):"), "{reference}");
     assert!(reference.contains("[device]"), "{reference}");
@@ -229,14 +219,14 @@ fn postmortem_is_deterministic_across_engines_and_reruns() {
 
 #[test]
 fn disabled_metrics_record_nothing_from_the_full_workload() {
-    let _turn = serial();
-    if metrics::enabled() {
-        return; // ambient ALPAKA_SIM_METRICS run; nothing to assert
-    }
     // Run the workload pieces outside any capture: with the registry off,
-    // the snapshot must stay empty.
+    // the device's snapshot must stay empty.
     let n = 256usize;
     let dev = Device::new(AccKind::sim_k20());
+    let obs = dev.obs();
+    if obs.metrics_enabled() {
+        return; // ambient ALPAKA_SIM_METRICS run; nothing to assert
+    }
     dev.clear_faults();
     let q = Queue::new(dev.clone(), QueueBehavior::Blocking);
     let b = dev.alloc_f64(BufLayout::d1(n));
@@ -255,9 +245,9 @@ fn disabled_metrics_record_nothing_from_the_full_workload() {
     )
     .unwrap();
     q.wait().unwrap();
-    assert!(metrics::snapshot().is_empty());
-    assert!(metrics::flight_snapshot().is_empty());
-    assert!(metrics::failures().is_empty());
+    assert!(obs.snapshot().is_empty());
+    assert!(obs.flight_snapshot().is_empty());
+    assert!(obs.failures().is_empty());
 }
 
 /// Stores way out of bounds: a kernel fault on every back-end.
@@ -276,7 +266,6 @@ impl alpaka_core::kernel::Kernel for Oob {
 /// on the worker of a non-blocking queue), exactly as a simulated one does.
 #[test]
 fn native_queue_operations_count_their_outcomes() {
-    let _turn = serial();
     let ((), cap) = metrics::capture(|| {
         let n = 64usize;
         let dev = Device::with_workers(AccKind::CpuBlocks, 2);

@@ -16,14 +16,6 @@ use alpaka_sim::LaunchStats;
 
 const ENGINES: [Engine; 2] = [Engine::Reference, Engine::Compiled];
 
-/// Every test here launches on simulated devices, and the trace sink that
-/// `trace::capture` drains is process-global: a launch running beside a
-/// capture leaks its events into it. So the tests of this file take turns.
-fn serial() -> std::sync::MutexGuard<'static, ()> {
-    static TURN: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    TURN.lock().unwrap_or_else(|e| e.into_inner())
-}
-
 // ---------------------------------------------------------------------------
 // Workloads (facade-level LaunchSpecs mirroring the bench zoo).
 
@@ -227,25 +219,21 @@ fn spec_blocks<K>(spec: &LaunchSpec<K>) -> usize {
 
 #[test]
 fn daxpy_pool_deterministic() {
-    let _turn = serial();
     check_workload("daxpy", AccKind::sim_e5_2630v3(), &daxpy_spec(), 7);
 }
 
 #[test]
 fn dgemm_pool_deterministic() {
-    let _turn = serial();
     check_workload("dgemm", AccKind::sim_e5_2630v3(), &dgemm_spec(), 5);
 }
 
 #[test]
 fn scan_pool_deterministic() {
-    let _turn = serial();
     check_workload("scan", AccKind::sim_k20(), &scan_spec(), 4);
 }
 
 #[test]
 fn histogram_pool_deterministic() {
-    let _turn = serial();
     check_workload("histogram", AccKind::sim_e5_2630v3(), &histogram_spec(), 6);
 }
 
@@ -253,7 +241,6 @@ fn histogram_pool_deterministic() {
 /// shard, not crash or drop blocks.
 #[test]
 fn more_shards_than_blocks_is_fine() {
-    let _turn = serial();
     let spec = daxpy_spec();
     let (want_f, _) = serial_run(AccKind::sim_e5_2630v3(), Engine::Compiled, &spec);
     let (out, _) = pool_run(
@@ -347,7 +334,6 @@ fn scenarios(seed: u64, pool_size: usize, shards: usize) -> Vec<Scenario> {
 
 #[test]
 fn chaos_campaign() {
-    let _turn = serial();
     let spec = daxpy_spec();
     let kind = AccKind::sim_e5_2630v3();
     let shards = 8usize;
@@ -443,7 +429,6 @@ fn chaos_campaign() {
 /// round-robin order, so member 1 faults mid-launch and its shards migrate.
 #[test]
 fn fault_on_secondary_member_migrates() {
-    let _turn = serial();
     let spec = dgemm_spec();
     let kind = AccKind::sim_e5_2630v3();
     let (want_f, _) = serial_run(kind.clone(), Engine::Compiled, &spec);
@@ -482,7 +467,6 @@ fn fault_on_secondary_member_migrates() {
 /// return partial buffers.
 #[test]
 fn all_members_lost_is_structured() {
-    let _turn = serial();
     let spec = daxpy_spec();
     let plans: Vec<(usize, FaultPlan)> = (0..2)
         .map(|m| (m, FaultPlan::quiet(11 + m as u64).with_lost_at_launch(0)))
@@ -511,7 +495,6 @@ fn all_members_lost_is_structured() {
 
 #[test]
 fn quarantined_member_recovers_after_cooldown() {
-    let _turn = serial();
     let spec = daxpy_spec();
     let kind = AccKind::sim_e5_2630v3();
     let (want_f, _) = serial_run(kind.clone(), Engine::Compiled, &spec);
@@ -547,7 +530,6 @@ fn quarantined_member_recovers_after_cooldown() {
 
 #[test]
 fn pool_deadline_names_pending_shards() {
-    let _turn = serial();
     let spec = daxpy_spec();
     let policy = PoolPolicy {
         deadline_s: Some(1e-12),
@@ -575,7 +557,6 @@ fn pool_deadline_names_pending_shards() {
 
 #[test]
 fn queue_reset_clears_recovered_device() {
-    let _turn = serial();
     let spec = daxpy_spec();
     let wd = match &spec.workdiv {
         WorkDivSpec::Fixed(wd) => *wd,
@@ -625,7 +606,6 @@ fn queue_reset_clears_recovered_device() {
 
 #[test]
 fn resilient_launch_reports_provenance() {
-    let _turn = serial();
     let spec = daxpy_spec();
     let primary = Device::with_workers(AccKind::sim_k20(), 1)
         .with_faults(FaultPlan::quiet(2).with_lost_at_launch(0));
@@ -657,7 +637,6 @@ fn resilient_launch_reports_provenance() {
 
 #[test]
 fn member_lanes_are_additive_and_ordered() {
-    let _turn = serial();
     let spec = daxpy_spec();
     let kind = AccKind::sim_e5_2630v3();
     let run = |member_lanes: bool| {

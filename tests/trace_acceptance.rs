@@ -12,10 +12,13 @@
 //! with parallel tests); both paths funnel into the same
 //! `resolve_sim_threads` call in the simulator.
 
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Barrier;
+
 use alpaka::{
     chrome_trace, roofline_csv, text_report, time_launch, trace, validate_json, AccKind, Args,
     BufLayout, ChromeOpts, Device, Engine, Kernel, KernelOps, LaunchMode, Queue, QueueBehavior,
-    SimReport, TraceEvent, TraceKind,
+    SimReport, TraceEvent, TraceKind, WorkDiv,
 };
 use alpaka_kernels::host::{dgemm_ref, random_matrix, random_vec, rel_err};
 use alpaka_kernels::{DaxpyKernel, DgemmTiled};
@@ -198,6 +201,17 @@ impl Kernel for StoreOutOfBounds {
     }
 }
 
+/// Daxpy's work division and arguments for `n` elements on `dev`.
+fn daxpy_on(dev: &Device, n: usize) -> (WorkDiv, Args) {
+    let x = dev.alloc_f64(BufLayout::d1(n));
+    let y = dev.alloc_f64(BufLayout::d1(n));
+    x.upload(&random_vec(n, 5)).unwrap();
+    y.upload(&random_vec(n, 6)).unwrap();
+    let args = Args::new().buf_f(&x).buf_f(&y);
+    let args = args.scalar_f(2.5).scalar_i(n as i64);
+    (dev.suggest_workdiv_1d(n), args)
+}
+
 /// `kernel` launched once on a fresh simulated K20, through a blocking queue
 /// when `queued` and through `time_launch` otherwise: the captured events,
 /// the queue's id and whether the launch succeeded.
@@ -205,19 +219,9 @@ fn traced_launch<K: Kernel + Clone + Send + 'static>(
     kernel: &K,
     queued: bool,
 ) -> (Vec<TraceEvent>, Option<u64>, bool) {
-    let n = 1000usize;
     let ((queue, ok), events) = trace::capture(|| {
         let dev = Device::new(AccKind::sim_k20());
-        let x = dev.alloc_f64(BufLayout::d1(n));
-        let y = dev.alloc_f64(BufLayout::d1(n));
-        x.upload(&random_vec(n, 5)).unwrap();
-        y.upload(&random_vec(n, 6)).unwrap();
-        let wd = dev.suggest_workdiv_1d(n);
-        let args = Args::new()
-            .buf_f(&x)
-            .buf_f(&y)
-            .scalar_f(2.5)
-            .scalar_i(n as i64);
+        let (wd, args) = daxpy_on(&dev, 1000);
         if queued {
             let q = Queue::new(dev.clone(), QueueBehavior::Blocking);
             (Some(q.id()), q.enqueue_kernel(kernel, &wd, &args).is_ok())
@@ -270,4 +274,36 @@ fn queued_and_direct_launches_share_one_emission() {
     assert_eq!((q[0].queue, d[0].queue), (queue, None));
     assert_eq!(q[0].launch, Some(0));
     assert_eq!(q[0].label, d[0].label);
+}
+
+/// A capture records the handles built inside it and nothing else. Thread B
+/// launches untraced, again and again, on a device built outside any
+/// capture while thread A captures one traced launch: A's stream is byte for
+/// byte that of the same capture run alone.
+#[test]
+fn a_capture_beside_another_threads_launches_sees_only_its_own() {
+    let render = |events: &[TraceEvent]| chrome_trace(events, &ChromeOpts { mask_wall: true });
+    let alone = render(&traced_launch(&DaxpyKernel, true).0);
+    let (started, stop) = (Barrier::new(2), AtomicBool::new(false));
+    let beside = std::thread::scope(|s| {
+        let b = s.spawn(|| {
+            let dev = Device::new(AccKind::sim_k20());
+            let (wd, args) = daxpy_on(&dev, 256);
+            let launch = || time_launch(&dev, &DaxpyKernel, &wd, &args, LaunchMode::Exact);
+            launch().unwrap();
+            started.wait();
+            while !stop.load(Ordering::Relaxed) {
+                launch().unwrap();
+            }
+        });
+        started.wait();
+        // Caught, so that B is stopped (and the scope ends) whatever A does.
+        let a = std::panic::catch_unwind(|| traced_launch(&DaxpyKernel, true));
+        stop.store(true, Ordering::Relaxed);
+        b.join().unwrap();
+        let (events, _, ok) = a.unwrap();
+        assert!(ok);
+        events
+    });
+    assert_eq!(render(&beside), alone);
 }

@@ -8,14 +8,19 @@
 //! < 2 % budget, is `untraced_facade_launch_costs_under_2_percent`, an ignored
 //! test that `scripts/ci.sh` runs in release mode.
 
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::time::Instant;
 
 use alpaka::{
-    metrics, trace, AccKind, Args, BufLayout, BufferF, Device, Queue, QueueBehavior, SimReport,
+    metrics, trace, AccKind, Args, BufLayout, BufferF, Device, Obs, Queue, QueueBehavior,
+    SimReport, WorkDiv,
 };
 use alpaka_kernels::{DaxpyKernel, DaxpyNativeStyle, DgemmNaive};
-use alpaka_kir::{optimize, print_stream, trace_kernel, trace_kernel_spec, validate, SpecConsts};
-use alpaka_sim::{run_kernel_launch_threads, DeviceMem, DeviceSpec, ExecMode, SimArgs};
+use alpaka_kir::{
+    optimize, print_stream, trace_kernel, trace_kernel_spec, validate, Program, SpecConsts,
+};
+use alpaka_sim::{resolve_sim_threads, DeviceMem, DeviceSpec, Engine, ExecMode, Prepared, SimArgs};
 
 #[test]
 fn alpaka_daxpy_compiles_to_the_native_stream() {
@@ -97,37 +102,36 @@ fn gemm_kernels_validate_after_optimization() {
     }
 }
 
-/// `C (blocks x 64) <- A (blocks x 64) * B (64 x 64)`: the naive DGEMM,
-/// one output row per block, through the facade queue on a simulated
-/// E5-2630v3 with one interpreter thread: the report and `C`.
-fn facade_dgemm(blocks: usize) -> (SimReport, BufferF) {
-    const N: usize = 64;
+const N: usize = 64;
+
+/// `A (blocks x 64)` and `B (64 x 64)` of the naive DGEMM
+/// `C (blocks x 64) <- A * B`, one output row per block.
+fn dgemm_inputs(blocks: usize) -> [Vec<f64>; 2] {
+    let a = (0..blocks * N).map(|i| ((i * 7 + 3) % 17) as f64 * 0.25);
+    let b = (0..N * N).map(|i| ((i * 5 + 1) % 13) as f64 - 6.0);
+    [a.collect(), b.collect()]
+}
+
+/// The naive DGEMM set up for the facade queue on a simulated E5-2630v3
+/// with one interpreter thread: the queue, the bound arguments and `C`.
+fn facade_setup(blocks: usize) -> (Queue, Args, BufferF) {
     let dev = Device::with_workers(AccKind::sim_e5_2630v3(), 1);
     dev.clear_faults();
     let q = Queue::new(dev.clone(), QueueBehavior::Blocking);
-    let ab = dev.alloc_f64(BufLayout::d2(blocks, N, 8));
-    let bb = dev.alloc_f64(BufLayout::d2(N, N, 8));
-    let cb = dev.alloc_f64(BufLayout::d2(blocks, N, 8));
-    let a: Vec<f64> = (0..blocks * N)
-        .map(|i| ((i * 7 + 3) % 17) as f64 * 0.25)
-        .collect();
-    let b: Vec<f64> = (0..N * N)
-        .map(|i| ((i * 5 + 1) % 13) as f64 - 6.0)
-        .collect();
-    ab.upload(&a).unwrap();
-    bb.upload(&b).unwrap();
-    let args = Args::new()
-        .buf_f(&ab)
-        .buf_f(&bb)
-        .buf_f(&cb)
-        .scalar_f(1.0)
-        .scalar_f(0.0)
-        .scalar_i(blocks as i64)
-        .scalar_i(N as i64)
-        .scalar_i(N as i64)
-        .scalar_i(ab.layout().pitch as i64)
-        .scalar_i(bb.layout().pitch as i64)
-        .scalar_i(cb.layout().pitch as i64);
+    let [a, b, c] = [blocks, N, blocks].map(|rows| dev.alloc_f64(BufLayout::d2(rows, N, 8)));
+    for (buf, host) in [&a, &b].into_iter().zip(dgemm_inputs(blocks)) {
+        buf.upload(&host).unwrap();
+    }
+    let mut args = Args::new().buf_f(&a).buf_f(&b).buf_f(&c);
+    let [pa, pb, pc] = [&a, &b, &c].map(|buf| buf.layout().pitch);
+    args.scalars.f = vec![1.0, 0.0];
+    args.scalars.i = [blocks, N, N, pa, pb, pc].map(|v| v as i64).to_vec();
+    (q, args, c)
+}
+
+/// [`facade_setup`], launched once: the report and `C`.
+fn facade_dgemm(blocks: usize) -> (SimReport, BufferF) {
+    let (q, args, cb) = facade_setup(blocks);
     q.enqueue_kernel(&DgemmNaive, &DgemmNaive::workdiv(blocks, 1), &args)
         .unwrap();
     q.wait().unwrap();
@@ -138,19 +142,20 @@ fn facade_dgemm(blocks: usize) -> (SimReport, BufferF) {
 /// on, they change no statistic and no result.
 #[test]
 fn disabled_metrics_facade_records_nothing() {
-    if trace::enabled() || metrics::enabled() {
+    let obs = Obs::current();
+    if obs.active() {
         return; // ambient ALPAKA_SIM_TRACE / ALPAKA_SIM_METRICS run
     }
     let (untraced, c) = facade_dgemm(32);
     let want = c.download();
-    assert_eq!(trace::pending(), 0, "untraced launch recorded events");
+    assert!(obs.drain().is_empty(), "untraced launch recorded events");
     assert!(
         untraced.profile.is_none(),
         "untraced launch built a profile"
     );
-    assert!(metrics::snapshot().is_empty(), "registry must stay empty");
-    assert!(metrics::flight_snapshot().is_empty());
-    assert!(metrics::failures().is_empty());
+    assert!(obs.snapshot().is_empty(), "registry must stay empty");
+    assert!(obs.flight_snapshot().is_empty());
+    assert!(obs.failures().is_empty());
 
     let ((metered, c), cap) = metrics::capture(|| facade_dgemm(32));
     assert_eq!(untraced.stats, metered.stats, "metrics perturbed the stats");
@@ -167,31 +172,126 @@ fn disabled_metrics_facade_records_nothing() {
     profile.check_against(&traced.stats).unwrap();
 }
 
-/// The same naive DGEMM as [`facade_dgemm`], straight through the simulator:
-/// no device, no queue, no trace or metrics branch.
-fn direct_dgemm(blocks: usize) {
-    const N: usize = 64;
-    let mut prog = trace_kernel(&DgemmNaive, 1);
-    optimize(&mut prog);
-    let mut mem = DeviceMem::new();
-    let a = mem.alloc_f(blocks * N);
-    let b = mem.alloc_f(N * N);
-    let c = mem.alloc_f(blocks * N);
-    for i in 0..blocks * N {
-        mem.f_mut(a)[i] = ((i * 7 + 3) % 17) as f64 * 0.25;
+/// The naive DGEMM as `SimDevice::run` compiles it (block and element
+/// extents baked in, optimized, one `Prepared`, as a fresh device's memo
+/// holds), on [`facade_setup`]'s inputs in bare simulator memory.
+struct Direct {
+    spec: DeviceSpec,
+    wd: WorkDiv,
+    prog: Program,
+    prepared: Prepared,
+    mem: DeviceMem,
+    args: SimArgs,
+}
+
+impl Direct {
+    fn new(blocks: usize) -> Direct {
+        let wd = DgemmNaive::workdiv(blocks, 1);
+        let consts = SpecConsts {
+            block_thread_extent: Some(wd.threads),
+            thread_elem_extent: Some(wd.elems),
+        };
+        let mut prog = trace_kernel_spec(&DgemmNaive, 1, consts);
+        optimize(&mut prog);
+        let prepared = Prepared::new(&prog);
+        let mut mem = DeviceMem::new();
+        let [a, b, c] = [blocks, N, blocks].map(|rows| mem.alloc_f(rows * N));
+        for (buf, host) in [a, b].into_iter().zip(dgemm_inputs(blocks)) {
+            *mem.f_mut(buf) = host;
+        }
+        let args = SimArgs {
+            bufs_f: vec![a, b, c],
+            bufs_i: vec![],
+            params_f: vec![1.0, 0.0],
+            params_i: [blocks, N, N, N, N, N].map(|v| v as i64).to_vec(),
+        };
+        Direct {
+            spec: DeviceSpec::e5_2630v3(),
+            wd,
+            prog,
+            prepared,
+            mem,
+            args,
+        }
     }
-    for i in 0..N * N {
-        mem.f_mut(b)[i] = ((i * 5 + 1) % 13) as f64 - 6.0;
+
+    /// One untraced launch straight through the `Prepared`, on the
+    /// interpreter threads the facade's device resolves: no device, no
+    /// queue, no trace or metrics branch.
+    fn launch(&mut self) {
+        self.prepared
+            .launch(
+                &self.spec,
+                &mut self.mem,
+                &self.prog,
+                &self.wd,
+                &self.args,
+                ExecMode::Full,
+                resolve_sim_threads(1),
+                Engine::Compiled,
+                None,
+                false,
+            )
+            .unwrap();
     }
-    let args = SimArgs {
-        bufs_f: vec![a, b, c],
-        bufs_i: vec![],
-        params_f: vec![1.0, 0.0],
-        params_i: [blocks, N, N, N, N, N].map(|v| v as i64).to_vec(),
+}
+
+/// Counts the heap allocations made on each thread (a reallocation is one:
+/// the trait's default `realloc` allocates anew).
+struct CountingAlloc;
+
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+// SAFETY: both calls forward to `System` unchanged; counting touches only a
+// const-initialised thread-local `Cell`, which never allocates.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static COUNTING: CountingAlloc = CountingAlloc;
+
+/// Heap allocations `f` makes on the calling thread.
+fn allocations(f: impl FnOnce()) -> u64 {
+    let before = ALLOCATIONS.with(Cell::get);
+    f();
+    ALLOCATIONS.with(Cell::get) - before
+}
+
+/// What the facade adds to a warm, untraced launch, counted exactly: one
+/// `enqueue_kernel` + `wait` on a queue whose device has the kernel in its
+/// memo allocates this many times more than one launch of the same program
+/// through a held, warm `Prepared` — the kernel's trace, its fingerprint
+/// and the launch arguments. 28 was also the count while the trace sink and
+/// the metrics registry were process globals: reading the switches of the
+/// device's own `Obs` allocates nothing.
+#[test]
+fn untraced_facade_launch_allocates_a_pinned_few_more_than_the_raw_launch() {
+    const BLOCKS: usize = 8;
+    const FACADE_EXTRA: i64 = 28;
+    let wd = DgemmNaive::workdiv(BLOCKS, 1);
+    // An `Obs` of the test's own, off whatever the environment says.
+    let (q, args, _c) = Obs::default().scope(|| facade_setup(BLOCKS));
+    let facade = || {
+        q.enqueue_kernel(&DgemmNaive, &wd, &args).unwrap();
+        q.wait().unwrap();
     };
-    let wd = DgemmNaive::workdiv(blocks, 1);
-    let spec = DeviceSpec::e5_2630v3();
-    run_kernel_launch_threads(&spec, &mut mem, &prog, &wd, &args, ExecMode::Full, 1).unwrap();
+    let mut raw = Direct::new(BLOCKS);
+    let mut direct = || raw.launch();
+    // Warm: the memo and the `Prepared` hold the lowered and compiled forms.
+    facade();
+    direct();
+    let extra = allocations(facade) as i64 - allocations(&mut direct) as i64;
+    assert_eq!(extra, FACADE_EXTRA, "extra heap allocations of the facade");
 }
 
 /// With tracing and metrics off, the facade's launch path (device, queue,
@@ -202,15 +302,14 @@ fn direct_dgemm(blocks: usize) {
 #[test]
 #[ignore = "wall clock; run in release mode"]
 fn untraced_facade_launch_costs_under_2_percent() {
-    assert!(!trace::enabled(), "tracing must be off");
-    assert!(!metrics::enabled(), "metrics must be off");
+    assert!(!Obs::current().active(), "tracing and metrics must be off");
     const BLOCKS: usize = 256;
-    direct_dgemm(BLOCKS);
+    Direct::new(BLOCKS).launch();
     facade_dgemm(BLOCKS);
     let (mut direct, mut facade) = (f64::INFINITY, f64::INFINITY);
     for _ in 0..5 {
         let t0 = Instant::now();
-        direct_dgemm(BLOCKS);
+        Direct::new(BLOCKS).launch();
         direct = direct.min(t0.elapsed().as_secs_f64());
         let t1 = Instant::now();
         facade_dgemm(BLOCKS);
